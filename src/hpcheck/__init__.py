@@ -11,11 +11,11 @@ __version__ = "0.1.0"
 from .parser import ParseError, parse_formula, parse_model, parse_program, parse_term
 from .printer import pretty_print
 from .semantics import run
-from .checker import SearchConfig, certify, check, check_suite
+from .checker import SearchConfig, certify, check
 from .models import builtin, table2_suite
 
 __all__ = [
     "ParseError", "parse_formula", "parse_model", "parse_program",
     "parse_term", "pretty_print", "run", "SearchConfig", "certify", "check",
-    "check_suite", "builtin", "table2_suite", "__version__",
+    "builtin", "table2_suite", "__version__",
 ]

@@ -18,19 +18,23 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .obligations import FALSIFY_UNIVERSAL, FIND_WITNESS, Obligation
+from .parser import DEFAULT_DOMAIN
 from .semantics import (
     Aborted, Branch, Duration, Final, LoopCount, RandomValue, ScriptCursor,
-    eval_fol, eval_term, is_exact, max_admissible_duration, run,
+    _domain_conjuncts_affine, _template_state_at, closed_form_template,
+    eval_fol, eval_term, evolve_plant, is_exact, max_admissible_duration,
+    run, template_max_duration,
 )
 from .syntax import (
     And, Assign, BoolLit, Box, Choice, Cmp, Diamond, Forall, Exists, Iff,
-    Implies, Loop, Not, Num, ODE, Or, RandomAssign, Seq, Test, Var,
+    Implies, Loop, Not, Num, ODE, Or, RandomAssign, Seq, Sub, Test, Var,
     assigned_variables, conjuncts, free_variables,
 )
 
@@ -603,8 +607,6 @@ class _Engine:
     def _ode_info(self, ode):
         info = self._ode_cache.get(id(ode))
         if info is None:
-            from .semantics import (_domain_conjuncts_affine,
-                                    closed_form_template)
             template = closed_form_template(ode)
             if template is not None and _domain_conjuncts_affine(ode, template):
                 info = (template, self._fol(ode.domain))
@@ -617,9 +619,7 @@ class _Engine:
         self._count(2)
         template, domain_fn = self._ode_info(ode)
         if template is None:
-            from .semantics import evolve_plant
             return evolve_plant(state, ode, duration)
-        from .semantics import _template_state_at
         if not domain_fn(state):
             return Aborted(ode.domain, state)
         end = _template_state_at(state, template, duration)
@@ -645,7 +645,6 @@ class _Engine:
         return out
 
     def _box_fallback(self, var):
-        from .parser import DEFAULT_DOMAIN
         for suffix in ("_post", "_prev"):
             if var.endswith(suffix):
                 base = var[: -len(suffix)]
@@ -677,7 +676,6 @@ class _Engine:
         key = (id(test), var)
         fns = self._ode_cache.get(key)
         if fns is None:
-            from .syntax import Sub
             fns = []
             for c in conjuncts(test):
                 if not isinstance(c, Cmp):
@@ -689,7 +687,13 @@ class _Engine:
 
     def _durations(self, state, ode):
         self._count(2)
-        maximum = max_admissible_duration(state, ode)
+        template, domain_fn = self._ode_info(ode)
+        if template is None:
+            # the numeric fallback returns a float; the sampler needs an
+            # exact bound, and Fraction(float) is exact
+            maximum = Fraction(max_admissible_duration(state, ode))
+        else:
+            maximum = template_max_duration(state, ode, template, domain_fn)
         if maximum <= 0:
             return [Fraction(0)]
         out = [maximum, Fraction(0)]
@@ -721,7 +725,6 @@ def _grid_points(lo, hi, level):
 
 def _sampler(lo, hi):
     """Fast exact uniform sampler over [lo, hi] with denominator 2^16."""
-    import math
     span = hi - lo
     d = lo.denominator * span.denominator // math.gcd(lo.denominator,
                                                       span.denominator)
@@ -750,10 +753,6 @@ def _candidates(search_vars, box, config, rng):
     bits = rng.getrandbits
     while True:
         yield {v: mk(bits(16)) for v, mk in samplers}
-
-
-def _uniform_frac(rng, lo, hi):
-    return lo + (hi - lo) * Fraction(rng.randrange(1 << 16), 1 << 16)
 
 
 # ---------------------------------------------------------------------------
@@ -1023,15 +1022,7 @@ def _found(obligation, config, engine, cex, start):
 
 
 # ---------------------------------------------------------------------------
-# Suites
-
-@dataclass
-class Report:
-    rows: list = field(default_factory=list)
-    caveat: str = ("search-based verdicts: 'consistent with valid' and "
-                   "'no witness within budget' are budget-exhausted "
-                   "non-results, not proofs")
-
+# Obligation selection
 
 def obligations_for(model, zeta_name: str, kind):
     from . import obligations as ob
@@ -1097,20 +1088,3 @@ def derive_controller_witness(model, zeta_instantiated, psi_verdict):
     verdict = Verdict(WITNESS_FOUND, cex, Stats(), not_chi, psi_verdict.seed)
     return not_chi, verdict
 
-
-def check_suite(model, suite_spec, config: SearchConfig = SearchConfig()) -> Report:
-    """Run named obligations per invariant; deterministic given the seed."""
-    report = Report()
-    for zeta_name, kinds in suite_spec:
-        for kind in kinds:
-            for obligation in obligations_for(model, zeta_name, kind):
-                verdict = check(obligation, config)
-                report.rows.append({
-                    "invariant": zeta_name,
-                    "obligation": obligation.name,
-                    "kind": obligation.kind,
-                    "verdict": verdict.status,
-                    "summary": VERDICT_VOCABULARY[verdict.status],
-                    "evaluations": verdict.stats.evaluations,
-                })
-    return report

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (and, for table2, all rows matching), 1 a
 counterexample or witness was found, 2 usage or parse error, 3 internal
-certification failure.
+failure (a certification failure or any other fault of the program).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from fractions import Fraction
 
 from . import __version__
@@ -61,6 +61,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (CheckError, UnsupportedObligation) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        # a fault of the program is never reported as a finding (exit 1)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return EXIT_INTERNAL
 
 
@@ -386,7 +391,10 @@ def _row_obligations(model, invariant, kind):
 
 
 def _make_config(args) -> SearchConfig:
-    return SearchConfig(budget=args.budget, seed=args.seed)
+    try:
+        return SearchConfig(budget=args.budget, seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_check(args) -> int:
@@ -452,45 +460,49 @@ def _conjunct_kind(name: str):
             ("psi", "zeta_iter", "a", "-anmin")}[name]
 
 
-def _evaluate_row(row, config, cache):
+def _table2_obligations(row):
     model = builtin(row.model_id)
     obligations = list(obligations_for(model, row.invariant, "loop"))
     for conjunct in row.conjuncts:
         obligations.extend(
             obligations_for(model, row.invariant, _conjunct_kind(conjunct)))
-    verdicts = []
-    for ob in obligations:
-        key = (row.model_id, row.invariant, ob.name)
-        verdict = cache.get(key)
-        if verdict is None:
-            verdict = check(ob, config)
-            cache[key] = verdict
-        verdicts.append(verdict)
-    passed = all(
-        v.status == NOT_FALSIFIED if v.obligation.kind == FALSIFY_UNIVERSAL
-        else v.status == WITNESS_FOUND
-        for v in verdicts)
-    return verdicts, "Yes" if passed else "No"
+    return obligations
+
+
+def _content_key(ob):
+    """Cache key of what an obligation asks.  check() is deterministic in
+    the obligation's content and derives its seed from the name, so equal
+    keys get byte-identical verdicts whichever row asked."""
+    return (ob.name, ob.kind, ob.formula,
+            tuple(sorted(ob.search_box.items())),
+            tuple(sorted(ob.fixed_constants.items())))
 
 
 def cmd_table2(args) -> int:
     config = _make_config(args)
     rows = table2_suite()
-    workers = max(1, int(os.environ.get("HPCHECK_THREADS", "1")))
-    cache = {}  # identical obligations shared by several rows; check() is
-    # deterministic, so cache hits cannot change any verdict
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda r: _evaluate_row(r, config, cache), rows))
-    else:
-        results = [_evaluate_row(r, config, cache) for r in rows]
+    row_keys = []
+    unique = {}  # several rows share obligations; each is checked once
+    for row in rows:
+        keys = []
+        for ob in _table2_obligations(row):
+            key = _content_key(ob)
+            unique.setdefault(key, ob)
+            keys.append(key)
+        row_keys.append(keys)
+    checked = {key: check(ob, config) for key, ob in unique.items()}
 
     report_rows = []
     lines = [f"{'model':5s} {'invariant':10s} {'conjuncts':16s} "
              f"{'expected':8s} {'ours':5s} match"]
     all_match = True
-    for row, (verdicts, ours) in zip(rows, results):
+    for row, keys in zip(rows, row_keys):
+        verdicts = [checked[key] for key in keys]
+        passed = all(
+            v.status == NOT_FALSIFIED if v.obligation.kind == FALSIFY_UNIVERSAL
+            else v.status == WITNESS_FOUND
+            for v in verdicts)
+        ours = "Yes" if passed else "No"
         match = ours == row.expected
         all_match = all_match and match
         conj = " ".join(row.conjuncts) or "-"

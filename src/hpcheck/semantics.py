@@ -398,22 +398,19 @@ def _evolve_numeric(state, ode, duration, step, grid_points):
 def max_admissible_duration(state: State, ode: ODE, *,
                             horizon=DEFAULT_HORIZON, step=DEFAULT_ODE_STEP,
                             grid_points=DEFAULT_GRID_POINTS, tol=1e-9):
-    """Supremum of durations for which the domain holds throughout."""
+    """Supremum of durations for which the domain holds throughout.
+
+    Exact (a Fraction) for the closed-form template with affine domain
+    conjuncts; a float from bisection on the grid-checked predicate
+    otherwise.
+    """
     template = closed_form_template(ode)
+    if template is not None and _domain_conjuncts_affine(ode, template):
+        return template_max_duration(state, ode, template,
+                                     lambda s: eval_fol(s, ode.domain),
+                                     horizon=horizon)
     if not eval_fol(state, ode.domain):
         return Fraction(0)
-    if template is not None and _domain_conjuncts_affine(ode, template):
-        bound = None
-        at0 = state
-        at1 = _template_state_at(state, template, Fraction(1))
-        for c in conjuncts(ode.domain):
-            if isinstance(c, BoolLit):
-                continue
-            b = _affine_conjunct_bound(at0, at1, c)
-            if b is not None:
-                bound = b if bound is None else min(bound, b)
-        return bound if bound is not None else horizon
-    # general case: bisection on the grid-checked predicate
     lo, hi = 0.0, float(horizon)
     if isinstance(_evolve_numeric(state, ode, hi, step, grid_points), Final):
         return hi
@@ -425,6 +422,26 @@ def max_admissible_duration(state: State, ode: ODE, *,
         else:
             hi = mid
     return lo
+
+
+def template_max_duration(state: State, ode: ODE, template, domain_fn, *,
+                          horizon=DEFAULT_HORIZON):
+    """max_admissible_duration for an ODE that matches `template`, the
+    closed_form_template of `ode`, and whose domain conjuncts are affine
+    (_domain_conjuncts_affine).  `domain_fn(state)` must decide ode.domain;
+    callers that evaluate many states pass a compiled one.
+    """
+    if not domain_fn(state):
+        return Fraction(0)
+    bound = None
+    at1 = _template_state_at(state, template, Fraction(1))
+    for c in conjuncts(ode.domain):
+        if isinstance(c, BoolLit):
+            continue
+        b = _affine_conjunct_bound(state, at1, c)
+        if b is not None:
+            bound = b if bound is None else min(bound, b)
+    return bound if bound is not None else horizon
 
 
 def _affine_conjunct_bound(at0, at1, c: Cmp):

@@ -176,3 +176,66 @@ def test_table2_report_shape(capsys):
             "verdicts"} <= set(report["rows"][0])
     assert code in (0, 1)
     assert code == (0 if report["all_match"] else 1)
+
+
+def test_bad_budget_exits_2(capsys):
+    code, _, err = run_cli(capsys, "check", "m2", "--invariant", "zeta1",
+                           "--budget", "0")
+    assert code == 2
+    assert "budget" in err
+
+
+def test_unexpected_exception_exits_3(monkeypatch, capsys):
+    def broken(obligation, config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("hpcheck.cli.check", broken)
+    code, _, err = run_cli(capsys, "check", "m2", "--invariant", "zeta1",
+                           "--obligation", "rho")
+    assert code == 3
+    assert err.startswith("internal error: RuntimeError: boom")
+
+
+def test_check_modal_obligation_on_numeric_plant(tmp_path, capsys):
+    # a drag plant is outside the closed-form template, so ODE durations
+    # come from numeric bisection as floats
+    from hpcheck.models import builtin
+    source = builtin("m2").source
+    assert "v' = a," in source
+    path = tmp_path / "drag.hpmodel"
+    path.write_text(source.replace("v' = a,", "v' = a - v / 4,"))
+    code, out, err = run_cli(capsys, "check", str(path), "--invariant", "zeta1",
+                             "--obligation", "not-chi", "--budget", "2000",
+                             "--format", "json")
+    assert err == ""
+    assert code == 1
+    [verdict] = json.loads(out)["verdicts"]
+    assert verdict["verdict"] == "witness_found"
+    assert verdict["certificate"]["exact"] is False
+
+
+@pytest.mark.parametrize("threads", [None, "4"])
+def test_table2_checks_each_distinct_obligation_once(monkeypatch, capsys,
+                                                      threads):
+    # 31 verdicts in eight rows come from 14 obligations that differ
+    import hpcheck.cli
+    if threads is None:
+        monkeypatch.delenv("HPCHECK_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("HPCHECK_THREADS", threads)
+    calls = []
+    real_check = hpcheck.cli.check
+
+    def counting(obligation, config):
+        calls.append(obligation.name)
+        return real_check(obligation, config)
+
+    monkeypatch.setattr("hpcheck.cli.check", counting)
+    for _ in range(2):  # no verdict outlives one invocation
+        calls.clear()
+        code, out, _ = run_cli(capsys, "table2", "--budget", "2000",
+                               "--format", "json")
+        report = json.loads(out)
+        assert code == 0
+        assert sum(len(row["verdicts"]) for row in report["rows"]) == 31
+        assert len(calls) == 14

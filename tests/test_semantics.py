@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from hpcheck.models import SAMPLE_CONSTANTS, builtin, fig2_script
+from hpcheck.checker import compile_fol
+from hpcheck.models import MODEL_IDS, SAMPLE_CONSTANTS, builtin, fig2_script
 from hpcheck.parser import parse_formula, parse_program
 from hpcheck.semantics import (
     Aborted, Branch, Duration, Final, LoopCount, RandomValue, ScriptError,
     _evolve_numeric, _template_state_at, closed_form_template, eval_fol,
     eval_term, evolve_plant, format_script, max_admissible_duration,
-    parse_script, run,
+    parse_script, run, template_max_duration,
 )
 from hpcheck.syntax import ODE, Num, Var
 
@@ -169,6 +170,29 @@ def test_max_admissible_duration_affine():
     assert max_admissible_duration(base_state(v=2, a=-3), PLANT_ODE) == F(2, 3)
     assert max_admissible_duration(base_state(v=2, a=1), PLANT_ODE) == F(1)
     assert max_admissible_duration(base_state(v=0, a=-1), PLANT_ODE) == F(0)
+
+
+def test_template_max_duration_matches_max_admissible_duration():
+    # the checker's path: template and compiled domain cached per ODE
+    rng = random.Random(11)
+    checked = outside = 0  # some states must start outside the domain
+    for model_id in MODEL_IDS:
+        model = builtin(model_id)
+        ode = model.plant.second
+        template = closed_form_template(ode)
+        domain_fn = compile_fol(ode.domain)
+        for _ in range(300):
+            state = {k: F(v) for k, v in model.constant_values().items()}
+            state["T"] = F(rng.randint(1, 12), rng.choice((1, 2, 3, 4)))
+            for var in ("x", "v", "a", "tau"):
+                state[var] = F(rng.randint(-24, 24), rng.choice((1, 2, 3, 8)))
+            expected = max_admissible_duration(state, ode)
+            got = template_max_duration(state, ode, template, domain_fn)
+            assert type(got) is Fraction
+            assert got == expected
+            checked += 1
+            outside += not eval_fol(state, ode.domain)
+    assert 0 < outside < checked
 
 
 def test_max_admissible_duration_numeric_fallback():
