@@ -24,22 +24,34 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .obligations import FALSIFY_UNIVERSAL, FIND_WITNESS, Obligation
-from .parser import DEFAULT_DOMAIN
+from .obligations import (
+    FIND_WITNESS, Obligation, chi_obligation, exploit_witness_formula,
+    friendliness_probe, loop_obligations, psi_obligation, rho_obligation,
+)
+from .parser import DEFAULT_DOMAIN, parse_term
 from .semantics import (
-    Aborted, Branch, Duration, Final, LoopCount, RandomValue, ScriptCursor,
+    Aborted, Branch, Duration, Final, LoopCount, RandomValue,
     _domain_conjuncts_affine, _template_state_at, closed_form_template,
     eval_fol, eval_term, evolve_plant, is_exact, max_admissible_duration,
     run, template_max_duration,
 )
 from .syntax import (
-    And, Assign, BoolLit, Box, Choice, Cmp, Diamond, Forall, Exists, Iff,
-    Implies, Loop, Not, Num, ODE, Or, RandomAssign, Seq, Sub, Test, Var,
-    assigned_variables, conjuncts, free_variables,
+    Add, And, Assign, BoolLit, Box, Choice, Cmp, Diamond, Div, Forall,
+    Exists, Iff, Implies, Loop, Mul, Neg, Not, Num, ODE, Or, Pow,
+    RandomAssign, Seq, Sub, Test, Var, assigned_variables, conjuncts,
+    free_variables,
 )
 
 STRICT_EPS = 1e-12
-NUMERIC_PADDING = 1e-9
+
+# Search shape: grid refinement levels before sampling, coordinate-descent
+# rounds, durations tried per ODE (0, the maximum and uniform samples),
+# values tried per random assignment and loop unrollings.
+GRID_LEVELS = 2
+LOCAL_REFINE_ITERS = 24
+DURATION_SAMPLES_PER_ODE = 4
+VALUES_PER_RANDOM_ASSIGN = 6
+LOOP_COUNTS = (0, 1, 2)
 
 FALSIFIED = "falsified"
 WITNESS_FOUND = "witness_found"
@@ -62,15 +74,14 @@ class UnsupportedObligation(CheckError):
     pass
 
 
+class SelectorError(Exception):
+    """An obligation selector that does not apply to the model."""
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     budget: int = 200_000
     seed: int = 0
-    grid_levels: int = 2
-    local_refine_iters: int = 24
-    duration_samples_per_ode: int = 4
-    values_per_random_assign: int = 6
-    loop_counts: tuple = (0, 1, 2)
     # Optional exhaustive mode: every quantified variable takes values from
     # a finite list; no sampling or refinement happens.
     discrete: dict | None = None
@@ -78,8 +89,6 @@ class SearchConfig:
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.duration_samples_per_ode < 2:
-            raise ValueError("need at least the 0 and max duration samples")
 
 
 @dataclass
@@ -275,7 +284,6 @@ def violation_margin(state, formula) -> float:
 # the search evaluates them millions of times.
 
 def _term_expr(term, consts) -> str:
-    from .syntax import Add, Div, Mul, Neg, Pow, Sub
     if isinstance(term, Var):
         return f"s[{term.name!r}]"
     if isinstance(term, Num):
@@ -289,8 +297,7 @@ def _term_expr(term, consts) -> str:
         return f"({_term_expr(term.left, consts)} * {_term_expr(term.right, consts)})"
     if isinstance(term, Neg):
         return f"(-{_term_expr(term.inner, consts)})"
-    from .syntax import Div as _Div
-    if isinstance(term, _Div):
+    if isinstance(term, Div):
         return f"({_term_expr(term.num, consts)} / {_term_expr(term.den, consts)})"
     if isinstance(term, Pow):
         return f"({_term_expr(term.base, consts)} ** {term.exp})"
@@ -583,7 +590,7 @@ class _Engine:
                     return
             return
         if isinstance(program, Loop):
-            for count in self.config.loop_counts:
+            for count in LOOP_COUNTS:
                 for final_state, script in self._unroll(state, program.body,
                                                         count):
                     yield final_state, [LoopCount(count)] + script
@@ -634,7 +641,7 @@ class _Engine:
         if following_test is not None:
             values.extend(self._pins(state, var, following_test))
         values.extend([lo, hi])
-        for _ in range(self.config.values_per_random_assign):
+        for _ in range(VALUES_PER_RANDOM_ASSIGN):
             values.append(self._uniform(lo, hi))
         seen = set()
         out = []
@@ -697,7 +704,7 @@ class _Engine:
         if maximum <= 0:
             return [Fraction(0)]
         out = [maximum, Fraction(0)]
-        for _ in range(self.config.duration_samples_per_ode - 2):
+        for _ in range(DURATION_SAMPLES_PER_ODE - 2):
             out.append(self._uniform(Fraction(0), maximum))
         return out
 
@@ -743,7 +750,7 @@ def _candidates(search_vars, box, config, rng):
     if not search_vars:
         yield {}
         return
-    for level in range(config.grid_levels + 1):
+    for level in range(GRID_LEVELS + 1):
         axes = [_grid_points(*box[v], level) for v in search_vars]
         for combo in itertools.product(*axes):
             if level > 0 and all(i % 2 == 0 for _, i in combo):
@@ -821,13 +828,9 @@ class _Replayer:
         return False
 
     def _eval_exact(self, state, formula) -> bool:
-        truth = eval_fol(state, formula)
         if any(not is_exact(v) for v in state.values()):
             self.numeric_only = True
-            # float replay tolerates boundary wobble within the padding
-            if abs(violation_margin(state, formula)) <= NUMERIC_PADDING:
-                return truth
-        return truth
+        return eval_fol(state, formula)
 
 
 def _operands(formula, target, both):
@@ -852,9 +855,9 @@ def certify(counterexample: Counterexample, obligation: Obligation) -> bool:
     """Replay the certificate with exact rational arithmetic.
 
     Returns True iff the recorded truth value is reproduced.  When a
-    non-closed-form ODE forces floating point, the replay downgrades to
-    numeric with interval padding and the certificate is marked
-    `numeric_only`.
+    non-closed-form ODE forces floating point, that part of the replay is
+    plain float evaluation and the certificate is marked `numeric_only`
+    (`"exact": false` in its JSON).
     """
     target = obligation.kind == FIND_WITNESS
     state = {}
@@ -986,7 +989,7 @@ def _refine(engine, base_state, candidate, matrix, target, obligation,
     """Coordinate descent on the violation margin around the best sample."""
     box = obligation.search_box
     steps = {v: (box[v][1] - box[v][0]) / 8 for v in candidate}
-    for _ in range(engine.config.local_refine_iters):
+    for _ in range(LOCAL_REFINE_ITERS):
         if engine.over_budget():
             return None
         improved = False
@@ -1024,30 +1027,40 @@ def _found(obligation, config, engine, cex, start):
 # ---------------------------------------------------------------------------
 # Obligation selection
 
-def obligations_for(model, zeta_name: str, kind):
-    from . import obligations as ob
+_ALL_SELECTORS = ("loop", "rho", "exploit", "chi", "not-chi", "friendly")
+
+
+def obligations_for(model, zeta_name: str, selector: str) -> list:
+    """The obligations of one `--obligation` selector (loop, gamma, rho,
+    exploit, chi, not-chi, psi, friendly or all) or suite conjunct name
+    (not_chi) for the model's invariant `zeta_name`."""
     if zeta_name not in model.invariants:
-        raise CheckError(f"unknown invariant {zeta_name!r}")
+        raise SelectorError(f"unknown invariant {zeta_name!r}")
     zeta = model.invariants[zeta_name]
-    if isinstance(kind, tuple) and kind[0] == "psi":
-        _, general_name, inst_var, inst_term = kind
-        from .parser import parse_term
-        term = inst_term if not isinstance(inst_term, str) else parse_term(inst_term)
-        return [ob.psi_obligation(model, model.invariants[general_name],
-                                  inst_var, term)]
-    if kind == "loop":
-        return ob.loop_obligations(model, zeta)
-    if kind == "rho":
-        return [ob.rho_obligation(model, zeta)]
-    if kind == "exploit":
-        return [ob.exploit_witness_formula(model, zeta)]
-    if kind == "chi":
-        return [ob.chi_obligation(model, zeta)[0]]
-    if kind == "not_chi":
-        return [ob.chi_obligation(model, zeta)[1]]
-    if kind == "friendly":
-        return [ob.friendliness_probe(model)]
-    raise CheckError(f"unknown obligation selector {kind!r}")
+    if selector == "all":
+        return [ob for name in _ALL_SELECTORS
+                for ob in obligations_for(model, zeta_name, name)]
+    if selector == "loop":
+        return loop_obligations(model, zeta)
+    if selector == "gamma":
+        return loop_obligations(model, zeta)[1:2]  # preservation branch only
+    if selector == "rho":
+        return [rho_obligation(model, zeta)]
+    if selector == "exploit":
+        return [exploit_witness_formula(model, zeta)]
+    if selector == "chi":
+        return [chi_obligation(model, zeta)[0]]
+    if selector in ("not-chi", "not_chi"):
+        return [chi_obligation(model, zeta)[1]]
+    if selector == "psi":
+        # controller necessity of the braking instantiation a := -anmin
+        if "zeta_iter" not in model.invariants:
+            raise SelectorError("psi needs an invariant named zeta_iter")
+        return [psi_obligation(model, model.invariants["zeta_iter"],
+                               model.action_var, parse_term("-anmin"))]
+    if selector == "friendly":
+        return [friendliness_probe(model)]
+    raise SelectorError(f"unknown obligation selector {selector!r}")
 
 
 def derive_controller_witness(model, zeta_instantiated, psi_verdict):
@@ -1060,7 +1073,6 @@ def derive_controller_witness(model, zeta_instantiated, psi_verdict):
     removed, so it certifies the negated preservation existential.
     Returns the (obligation, certified verdict) pair.
     """
-    from .obligations import chi_obligation
     if not psi_verdict.found or psi_verdict.counterexample is None:
         raise CheckError("necessity witness required")
     psi_cex = psi_verdict.counterexample

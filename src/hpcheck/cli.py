@@ -19,20 +19,19 @@ from fractions import Fraction
 
 from . import __version__
 from .checker import (
-    FALSIFIED, NO_WITNESS_FOUND, NOT_FALSIFIED, VERDICT_VOCABULARY,
-    WITNESS_FOUND, CheckError, SearchConfig, UnsupportedObligation, certify,
-    check, obligations_for,
+    NOT_FALSIFIED, VERDICT_VOCABULARY, WITNESS_FOUND, CheckError,
+    SearchConfig, SelectorError, check, obligations_for,
 )
-from .model import Model
-from .models import MODEL_IDS, builtin, table2_suite
+from .model import Constant, Model
+from .models import MODEL_IDS, builtin, fig2_script, table2_suite
 from .obligations import FALSIFY_UNIVERSAL, MissingRelation
 from .parser import ParseError, parse_model, parse_term
-from .printer import print_model
+from .printer import print_formula, print_model
 from .semantics import (
-    Aborted, Branch, Duration, Final, LoopCount, RandomValue, ScriptError,
-    eval_fol, eval_term, max_admissible_duration, parse_script, run,
+    Aborted, Branch, Duration, Final, LoopCount, RandomValue, ScriptCursor,
+    ScriptError, eval_fol, eval_term, max_admissible_duration, parse_script,
+    run,
 )
-from .syntax import Choice, Loop, ODE, RandomAssign, Seq, Test
 
 EXIT_OK = 0
 EXIT_FOUND = 1
@@ -56,10 +55,10 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (UsageError, ParseError, ScriptError, MissingRelation,
-            FileNotFoundError) as exc:
+            SelectorError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CheckError, UnsupportedObligation) as exc:
+    except CheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:
@@ -233,59 +232,33 @@ def _num_str(value):
     return repr(value)
 
 
-def _random_script(model: Model, initial, rng, max_loops=3):
-    """Resolve every nondeterminism point uniformly at random."""
-    decisions = []
+class _RandomCursor(ScriptCursor):
+    """Resolves each nondeterminism point uniformly at random as the run
+    reaches it: a value from the variable's search interval, a duration up
+    to the ODE's maximum (half the time the maximum itself), a branch and
+    a loop count of 0 to 3."""
 
-    def walk(state, program):
-        if isinstance(program, RandomAssign):
-            lo, hi = model.search_interval(program.var)
-            value = lo + (hi - lo) * Fraction(rng.randrange(1 << 16), 1 << 16)
-            decisions.append(RandomValue(value))
-            out = dict(state)
-            out[program.var] = value
-            return Final(out)
-        if isinstance(program, ODE):
+    def __init__(self, model: Model, rng):
+        super().__init__(())
+        self.model = model
+        self.rng = rng
+
+    def take(self, kind, state, program):
+        rng = self.rng
+        if kind is RandomValue:
+            lo, hi = self.model.search_interval(program.var)
+            return RandomValue(
+                lo + (hi - lo) * Fraction(rng.randrange(1 << 16), 1 << 16))
+        if kind is Duration:
             maximum = max_admissible_duration(state, program)
             duration = maximum * Fraction(rng.randrange(1 << 16), 1 << 16) \
                 if maximum > 0 else Fraction(0)
             if rng.random() < 0.5 and maximum > 0:
                 duration = maximum
-            decisions.append(Duration(duration))
-            from .semantics import evolve_plant
-            return evolve_plant(state, program, duration)
-        if isinstance(program, Choice):
-            side = rng.choice(("left", "right"))
-            decisions.append(Branch(side))
-            chosen = program.left if side == "left" else program.right
-            return walk(state, chosen)
-        if isinstance(program, Seq):
-            outcome = walk(state, program.first)
-            if isinstance(outcome, Aborted):
-                return outcome
-            return walk(outcome.state, program.second)
-        if isinstance(program, Loop):
-            count = rng.randrange(max_loops + 1)
-            decisions.append(LoopCount(count))
-            for _ in range(count):
-                outcome = walk(state, program.body)
-                if isinstance(outcome, Aborted):
-                    return outcome
-                state = outcome.state
-            return Final(state)
-        if isinstance(program, Test):
-            if eval_fol(state, program.condition):
-                return Final(state)
-            return Aborted(program.condition, state)
-        from .syntax import Assign
-        if isinstance(program, Assign):
-            out = dict(state)
-            out[program.var] = eval_term(state, program.term)
-            return Final(out)
-        raise TypeError(program)
-
-    outcome = walk(dict(initial), model.loop_program())
-    return decisions, outcome
+            return Duration(duration)
+        if kind is Branch:
+            return Branch(rng.choice(("left", "right")))
+        return LoopCount(rng.randrange(4))
 
 
 def cmd_simulate(args) -> int:
@@ -304,7 +277,6 @@ def cmd_simulate(args) -> int:
         raise UsageError("--script and --random are mutually exclusive")
     if args.script:
         if args.script == "fig2":
-            from .models import fig2_script
             script = fig2_script()
         else:
             with open(args.script) as fh:
@@ -315,13 +287,11 @@ def cmd_simulate(args) -> int:
         if args.trace:
             _write_trace(args.trace, model, trace)
     elif args.random is not None:
-        rng = random.Random(args.seed)
+        cursor = _RandomCursor(model, random.Random(args.seed))
         aborted = violations = 0
         last_trace = []
         for _ in range(args.random):
-            script, _ = _random_script(model, state, rng)
-            outcome, trace = run(state, model.loop_program(), script)
-            last_trace = trace
+            outcome, last_trace = run(state, model.loop_program(), cursor)
             if isinstance(outcome, Aborted):
                 aborted += 1
             elif not eval_fol(outcome.state, model.guarantee):
@@ -346,7 +316,6 @@ def _run_json(model, outcome):
         return {"outcome": "final",
                 "state": {k: _num_str(v)
                           for k, v in sorted(outcome.state.items())}}
-    from .printer import print_formula
     return {"outcome": "aborted",
             "failed_test": print_formula(outcome.failed_test),
             "state": {k: _num_str(v) for k, v in sorted(outcome.state.items())}}
@@ -357,7 +326,6 @@ def _run_lines(model, outcome):
         vals = ", ".join(f"{v} = {_num_str(outcome.state[v])}"
                          for v in _trace_vars(model) if v in outcome.state)
         return [f"final: {vals}"]
-    from .printer import print_formula
     vals = ", ".join(f"{v} = {_num_str(outcome.state[v])}"
                      for v in _trace_vars(model) if v in outcome.state)
     return [f"aborted at test {print_formula(outcome.failed_test)}",
@@ -366,29 +334,6 @@ def _run_lines(model, outcome):
 
 # ---------------------------------------------------------------------------
 # check
-
-def _selector_kinds(selector: str, model: Model):
-    if selector == "gamma":
-        return [("loop", (1,))]  # preservation branch only
-    if selector == "psi":
-        if "zeta_iter" not in model.invariants:
-            raise UsageError("psi needs an invariant named zeta_iter")
-        return [("psi", "zeta_iter", model.action_var, "-anmin")]
-    mapping = {"loop": "loop", "rho": "rho", "exploit": "exploit",
-               "chi": "chi", "not-chi": "not_chi", "friendly": "friendly"}
-    if selector in mapping:
-        return [mapping[selector]]
-    if selector == "all":
-        return ["loop", "rho", "exploit", "chi", "not_chi", "friendly"]
-    raise UsageError(f"unknown obligation selector {selector!r}")
-
-
-def _row_obligations(model, invariant, kind):
-    if isinstance(kind, tuple) and kind[0] == "loop":
-        obs = obligations_for(model, invariant, "loop")
-        return [obs[i] for i in kind[1]]
-    return obligations_for(model, invariant, kind)
-
 
 def _make_config(args) -> SearchConfig:
     try:
@@ -406,11 +351,8 @@ def cmd_check(args) -> int:
         raise UsageError(f"unknown invariant {args.invariant!r}; "
                          f"model has {sorted(model.invariants)}")
     config = _make_config(args)
-    kinds = _selector_kinds(args.obligation, model)
-    verdicts = []
-    for kind in kinds:
-        for obligation in _row_obligations(model, args.invariant, kind):
-            verdicts.append(check(obligation, config))
+    verdicts = [check(obligation, config) for obligation in
+                obligations_for(model, args.invariant, args.obligation)]
     report = {
         "version": __version__,
         "model": model.name,
@@ -441,7 +383,6 @@ def cmd_check(args) -> int:
 
 
 def _override_constants(model: Model, consts):
-    from .model import Constant
     replaced = []
     for c in model.constants:
         if c.name in consts:
@@ -455,17 +396,11 @@ def _override_constants(model: Model, consts):
 # ---------------------------------------------------------------------------
 # table2
 
-def _conjunct_kind(name: str):
-    return {"rho": "rho", "not_chi": "not_chi", "psi":
-            ("psi", "zeta_iter", "a", "-anmin")}[name]
-
-
 def _table2_obligations(row):
     model = builtin(row.model_id)
     obligations = list(obligations_for(model, row.invariant, "loop"))
     for conjunct in row.conjuncts:
-        obligations.extend(
-            obligations_for(model, row.invariant, _conjunct_kind(conjunct)))
+        obligations.extend(obligations_for(model, row.invariant, conjunct))
     return obligations
 
 

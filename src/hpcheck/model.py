@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .syntax import (
-    And, Assign, BoolLit, Choice, Cmp, Formula, Loop, Not, Num, ODE,
-    Program, RandomAssign, Seq, Test, Var, conjuncts, free_variables, seq,
+    Assign, Choice, Cmp, Formula, Loop, Not, Num, ODE, Program,
+    RandomAssign, Seq, Test, Var, conjuncts, free_variables, seq,
 )
 
 

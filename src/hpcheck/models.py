@@ -1,23 +1,19 @@
 """Bundled stop-before-obstacle models and the eight-row result suite.
 
 The `.hpmodel` files under `data/` are the source of truth; this module
-loads them and also rebuilds the key formulas from raw constructors so
-tests can assert the files say what they are supposed to say.
+loads them.  The tests rebuild their key formulas from raw constructors
+(tests/golden.py) to assert the files say what they are supposed to say.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
 from .model import Model
 from .parser import parse_formula, parse_model
 from .semantics import parse_script
-from .syntax import (
-    Add, And, Cmp, Div, Implies, Mul, Neg, Num, Pow, Sub, Var, desugar_if,
-)
 
 MODEL_IDS = ("m2", "m3", "m4")
 
@@ -68,80 +64,3 @@ def table2_suite() -> list:
     rows = json.loads(_data_text("suite_table2.json"))["rows"]
     return [SuiteRow(r["model"], r["invariant"], tuple(r["conjuncts"]),
                      r["expected"], r["reason"]) for r in rows]
-
-
-# ---------------------------------------------------------------------------
-# Golden constructions, for auditing the data files.
-
-def _n(value) -> Num:
-    return Num(Fraction(value))
-
-
-_X, _V, _XC, _A = Var("x"), Var("v"), Var("xc"), Var("a")
-_T, _ANMAX, _ANMIN, _ASMIN = Var("T"), Var("anmax"), Var("anmin"), Var("asmin")
-
-
-def env_test():
-    # xc - x >= v^2 / (2 * anmin)
-    return Cmp(">=", Sub(_XC, _X), Div(Pow(_V, 2), Mul(_n(2), _ANMIN)))
-
-
-def aux_bounds():
-    # -anmin <= a <= anmax, as two conjuncts
-    return And(Cmp("<=", Neg(_ANMIN), _A), Cmp("<=", _A, _ANMAX))
-
-
-def aux_requirement():
-    # the braking-distance promise added in m3
-    v_plus_at = Add(_V, Mul(_A, _T))
-    travel = Add(Mul(_V, _T), Div(Mul(_A, Pow(_T, 2)), _n(2)))
-    brake = Div(Pow(_V, 2), Mul(_n(2), _ANMIN))
-    return And(
-        Implies(Cmp(">=", v_plus_at, _n(0)), Cmp("<=", travel, brake)),
-        Implies(Cmp("<", v_plus_at, _n(0)), Cmp("<=", _A, Neg(_ANMIN))))
-
-
-def safe_condition(lookahead: bool):
-    # xc - x >= v*T + anmax*T^2/2 (+ (v + anmax*T)^2 / (2*anmin) for m4)
-    rhs = Add(Mul(_V, _T), Div(Mul(_ANMAX, Pow(_T, 2)), _n(2)))
-    if lookahead:
-        rhs = Add(rhs, Div(Pow(Add(_V, Mul(_ANMAX, _T)), 2),
-                           Mul(_n(2), _ANMIN)))
-    return Cmp(">=", Sub(_XC, _X), rhs)
-
-
-def override_law():
-    return Cmp("=", _A, Neg(_ASMIN))
-
-
-def zeta1():
-    return Cmp("<=", _X, _XC)
-
-
-def zeta2():
-    return Cmp("<=", Pow(_V, 2), Mul(Mul(_n(2), _ANMIN), Sub(_XC, _X)))
-
-
-def zeta_iter():
-    v_plus_at = Add(_V, Mul(_A, _T))
-    gap = Sub(Sub(Sub(_XC, _X), Mul(_V, _T)), Div(Mul(_A, Pow(_T, 2)), _n(2)))
-    return And(
-        Implies(Cmp(">=", v_plus_at, _n(0)),
-                Cmp("<=", Pow(v_plus_at, 2), Mul(Mul(_n(2), _ANMIN), gap))),
-        Implies(Cmp("<", v_plus_at, _n(0)),
-                Cmp("<=", Pow(_V, 2), Mul(Mul(_n(2), _ANMIN), Sub(_XC, _X)))))
-
-
-def golden_ctrl(lookahead: bool):
-    from .syntax import RandomAssign, Seq, Test
-    body = Seq(RandomAssign("a"), Test(override_law()))
-    from .syntax import Not
-    return desugar_if(Not(safe_condition(lookahead)), body)
-
-
-SAMPLE_CONSTANTS = {
-    "T": Fraction(1),
-    "anmax": Fraction(2),
-    "anmin": Fraction(3),
-    "asmin": Fraction(4),
-}

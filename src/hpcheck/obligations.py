@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .model import Model
+from .printer import print_formula
 from .syntax import (
     And, Box, Cmp, Diamond, Exists, Forall, Formula, Implies, Not, Num,
     Seq, Var, conjuncts, free_variables, substitute,
@@ -52,7 +53,6 @@ class Obligation:
         return vars_, node
 
     def to_json(self):
-        from .printer import print_formula
         return {
             "name": self.name,
             "kind": self.kind,

@@ -14,8 +14,10 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .model import Constant, Model, detect_shape
+from .semantics import eval_term
 from .syntax import (
-    Add, And, Assign, BoolLit, Box, Choice, Cmp, Diamond, Div, Exists,
+    Add, And, Assign, Box, Choice, Cmp, Diamond, Div, Exists,
     Forall, Formula, Iff, Implies, Loop, Mul, Neg, Not, Num, ODE, Or, Pow,
     Program, RandomAssign, Seq, Sub, Term, Test, Var, TRUE, FALSE,
     desugar_if, free_variables, conjuncts,
@@ -433,8 +435,6 @@ def parse_model(text: str, name: str = "model"):
     variables, duplicate sections, and division by a symbolic constant
     that has no sign constraint.
     """
-    from .model import Constant, Model, detect_shape
-
     src = split_sections(text)
     constants = []
     domains = {}
@@ -506,7 +506,6 @@ def parse_model(text: str, name: str = "model"):
 
 
 def _const_value(term, lineno) -> Fraction:
-    from .semantics import eval_term
     try:
         return Fraction(eval_term({}, term))
     except Exception:

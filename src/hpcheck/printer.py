@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .model import Model
 from .syntax import (
     Add, And, Assign, BoolLit, Box, Choice, Cmp, Diamond, Div, Exists,
     Forall, Iff, Implies, Loop, Mul, Neg, Not, Num, ODE, Or, Pow,
@@ -127,7 +128,6 @@ def print_program(program, level: int = 0) -> str:
 
 def pretty_print(node) -> str:
     """Print a formula, program or model deterministically."""
-    from .model import Model
     if isinstance(node, Model):
         return print_model(node)
     try:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .syntax import (
     Add, And, Assign, BoolLit, Box, Choice, Cmp, Diamond, Div, Exists,
     Forall, Iff, Implies, Loop, Mul, Neg, Not, Num, ODE, Or, Pow,
-    RandomAssign, Seq, Sub, Test, Var, conjuncts,
+    RandomAssign, Seq, Sub, Test, Var, conjuncts, free_variables,
 )
 
 # States are plain dicts: name -> Fraction (exact) or float (approximate).
@@ -38,9 +38,10 @@ class NumericBlowup(Exception):
     pass
 
 
-# Fixed-step integrator and evolution-domain grid defaults.
-DEFAULT_ODE_STEP = 1 / 64
-DEFAULT_GRID_POINTS = 64
+# Fixed-step integrator, evolution-domain grid and duration bisection.
+ODE_STEP = 1 / 64
+GRID_POINTS = 64
+DURATION_TOL = 1e-9
 DEFAULT_HORIZON = Fraction(100)
 
 
@@ -193,11 +194,15 @@ def format_script(decisions) -> str:
 
 
 class ScriptCursor:
+    """Hands `run` its decisions in order.  `take` also gets the state and
+    the program construct that asks, so a subclass can make each decision
+    as the run reaches it."""
+
     def __init__(self, decisions):
         self.decisions = list(decisions)
         self.index = 0
 
-    def take(self, kind):
+    def take(self, kind, state, program):
         if self.index >= len(self.decisions):
             raise ScriptError(f"script exhausted; expected {kind.__name__}")
         decision = self.decisions[self.index]
@@ -319,12 +324,10 @@ def _domain_conjuncts_affine(ode: ODE, template) -> bool:
 
 
 def _vars_of_cmp(c: Cmp):
-    from .syntax import free_variables
     return free_variables(c.left) | free_variables(c.right)
 
 
-def evolve_plant(state: State, ode: ODE, duration, *,
-                 step=DEFAULT_ODE_STEP, grid_points=DEFAULT_GRID_POINTS):
+def evolve_plant(state: State, ode: ODE, duration):
     """Evolve an ODE for a fixed duration.
 
     Returns Final(state at duration) when the evolution domain holds
@@ -344,7 +347,7 @@ def evolve_plant(state: State, ode: ODE, duration, *,
         if not eval_fol(end_state, ode.domain):
             return Aborted(ode.domain, end_state)
         return Final(end_state)
-    return _evolve_numeric(state, ode, duration, step, grid_points)
+    return _evolve_numeric(state, ode, duration, ODE_STEP, GRID_POINTS)
 
 
 def _derivatives(state, ode):
@@ -395,9 +398,7 @@ def _evolve_numeric(state, ode, duration, step, grid_points):
     return Final(current)
 
 
-def max_admissible_duration(state: State, ode: ODE, *,
-                            horizon=DEFAULT_HORIZON, step=DEFAULT_ODE_STEP,
-                            grid_points=DEFAULT_GRID_POINTS, tol=1e-9):
+def max_admissible_duration(state: State, ode: ODE, *, horizon=DEFAULT_HORIZON):
     """Supremum of durations for which the domain holds throughout.
 
     Exact (a Fraction) for the closed-form template with affine domain
@@ -412,11 +413,11 @@ def max_admissible_duration(state: State, ode: ODE, *,
     if not eval_fol(state, ode.domain):
         return Fraction(0)
     lo, hi = 0.0, float(horizon)
-    if isinstance(_evolve_numeric(state, ode, hi, step, grid_points), Final):
+    if isinstance(_evolve_numeric(state, ode, hi, ODE_STEP, GRID_POINTS), Final):
         return hi
-    while hi - lo > tol:
+    while hi - lo > DURATION_TOL:
         mid = (lo + hi) / 2
-        outcome = _evolve_numeric(state, ode, mid, step, grid_points)
+        outcome = _evolve_numeric(state, ode, mid, ODE_STEP, GRID_POINTS)
         if isinstance(outcome, Final):
             lo = mid
         else:
@@ -472,74 +473,64 @@ def _affine_conjunct_bound(at0, at1, c: Cmp):
 # ---------------------------------------------------------------------------
 # Program execution
 
-def run(state: State, program, script, *, collect_trace=True,
-        step=DEFAULT_ODE_STEP, grid_points=DEFAULT_GRID_POINTS):
+def run(state: State, program, script):
     """Deterministic replay of a program under a choice script.
 
-    Returns (Outcome, trace).  The trace is a list of TraceStep with
-    nondecreasing times, starting at the initial state; it is empty when
-    collect_trace is False.
+    `script` is a list of decisions or a ScriptCursor.  Returns (Outcome,
+    trace).  The trace is a list of TraceStep with nondecreasing times,
+    starting at the initial state.
     """
     cursor = script if isinstance(script, ScriptCursor) else ScriptCursor(script)
-    trace = []
     clock = [Fraction(0)]
-    if collect_trace:
-        trace.append(TraceStep(clock[0], "init", dict(state)))
-    outcome = _exec(dict(state), program, cursor, trace, clock,
-                    collect_trace, step, grid_points)
+    trace = [TraceStep(clock[0], "init", dict(state))]
+    outcome = _exec(dict(state), program, cursor, trace, clock)
     if isinstance(outcome, Final) and not cursor.exhausted():
         raise ScriptError(
             f"surplus script decisions from position {cursor.index}")
     return outcome, trace
 
 
-def _record(trace, clock, label, state, collect):
-    if collect:
-        trace.append(TraceStep(clock[0], label, dict(state)))
+def _record(trace, clock, label, state):
+    trace.append(TraceStep(clock[0], label, dict(state)))
 
 
-def _exec(state, program, cursor, trace, clock, collect, step, grid_points):
+def _exec(state, program, cursor, trace, clock):
     if isinstance(program, Assign):
         state = dict(state)
         state[program.var] = eval_term(state, program.term)
-        _record(trace, clock, f"{program.var} := ...", state, collect)
+        _record(trace, clock, f"{program.var} := ...", state)
         return Final(state)
     if isinstance(program, RandomAssign):
-        decision = cursor.take(RandomValue)
+        decision = cursor.take(RandomValue, state, program)
         state = dict(state)
         state[program.var] = decision.value
-        _record(trace, clock, f"{program.var} := *", state, collect)
+        _record(trace, clock, f"{program.var} := *", state)
         return Final(state)
     if isinstance(program, Test):
         if eval_fol(state, program.condition):
-            _record(trace, clock, "test", state, collect)
+            _record(trace, clock, "test", state)
             return Final(state)
         return Aborted(program.condition, state)
     if isinstance(program, ODE):
-        decision = cursor.take(Duration)
-        outcome = evolve_plant(state, program, decision.value,
-                               step=step, grid_points=grid_points)
+        decision = cursor.take(Duration, state, program)
+        outcome = evolve_plant(state, program, decision.value)
         if isinstance(outcome, Final):
             clock[0] = clock[0] + decision.value
-            _record(trace, clock, "ode", outcome.state, collect)
+            _record(trace, clock, "ode", outcome.state)
         return outcome
     if isinstance(program, Choice):
-        decision = cursor.take(Branch)
+        decision = cursor.take(Branch, state, program)
         chosen = program.left if decision.side == "left" else program.right
-        return _exec(state, chosen, cursor, trace, clock, collect, step,
-                     grid_points)
+        return _exec(state, chosen, cursor, trace, clock)
     if isinstance(program, Seq):
-        outcome = _exec(state, program.first, cursor, trace, clock, collect,
-                        step, grid_points)
+        outcome = _exec(state, program.first, cursor, trace, clock)
         if isinstance(outcome, Aborted):
             return outcome
-        return _exec(outcome.state, program.second, cursor, trace, clock,
-                     collect, step, grid_points)
+        return _exec(outcome.state, program.second, cursor, trace, clock)
     if isinstance(program, Loop):
-        decision = cursor.take(LoopCount)
+        decision = cursor.take(LoopCount, state, program)
         for _ in range(decision.count):
-            outcome = _exec(state, program.body, cursor, trace, clock,
-                            collect, step, grid_points)
+            outcome = _exec(state, program.body, cursor, trace, clock)
             if isinstance(outcome, Aborted):
                 return outcome
             state = outcome.state

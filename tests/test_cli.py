@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -239,3 +240,60 @@ def test_table2_checks_each_distinct_obligation_once(monkeypatch, capsys,
         assert code == 0
         assert sum(len(row["verdicts"]) for row in report["rows"]) == 31
         assert len(calls) == 14
+
+
+# (model, seed, runs) -> (aborted, guarantee violations, sha256 of the
+# --trace CSV of the last run) of `simulate --random`.  The pins fix the
+# order in which decisions are drawn from the seeded generator, so sampled
+# runs stay reproducible from their seed.
+RANDOM_SIMULATION_PINS = [
+    ("m2", 0, 20, 13, 0,
+     "5af781ac82b6c27f422168f15f475627b21a2fc72c771dd6848e09f187c4d630"),
+    ("m2", 3, 20, 11, 0,
+     "b68173d900316c921bc82ab7acb9db51fdca230cc782e0e74bfc537893cc1c06"),
+    ("m2", 3, 25, 13, 0,
+     "178e4daa8fb5ae033d08dd0c7b1d17bd063ac43579be94153b94c377bb0772fd"),
+    ("m3", 0, 20, 18, 0,
+     "bd17d0b5bac601f5d19b5789295153398b71176dedadac1f85317567821de8dc"),
+    ("m3", 3, 20, 16, 0,
+     "b68173d900316c921bc82ab7acb9db51fdca230cc782e0e74bfc537893cc1c06"),
+    ("m4", 0, 20, 13, 0,
+     "5af781ac82b6c27f422168f15f475627b21a2fc72c771dd6848e09f187c4d630"),
+    ("m4", 3, 20, 11, 0,
+     "b68173d900316c921bc82ab7acb9db51fdca230cc782e0e74bfc537893cc1c06"),
+    ("drag", 0, 20, 13, 0,
+     "5af781ac82b6c27f422168f15f475627b21a2fc72c771dd6848e09f187c4d630"),
+    ("drag", 3, 20, 11, 0,
+     "b68173d900316c921bc82ab7acb9db51fdca230cc782e0e74bfc537893cc1c06"),
+    ("drag", 3, 25, 13, 0,
+     "d687db25549e9685fdc73bc5737fd75968f4be6ced1a8cc1e3ef68982c208bc6"),
+]
+
+
+@pytest.mark.parametrize("model, seed, runs, aborted, violations, digest",
+                         RANDOM_SIMULATION_PINS)
+def test_simulate_random_is_pinned(tmp_path, capsys, model, seed, runs,
+                                   aborted, violations, digest):
+    if model == "drag":
+        # outside the closed-form template: numeric durations and states
+        from hpcheck.models import builtin
+        model = tmp_path / "drag.hpmodel"
+        model.write_text(builtin("m2").source.replace("v' = a,",
+                                                      "v' = a - v / 4,"))
+    trace_path = tmp_path / "trace.csv"
+    code, out, _ = run_cli(capsys, "simulate", str(model), "--random",
+                           str(runs), "--seed", str(seed), "--format", "json",
+                           "--trace", str(trace_path))
+    assert code == 0
+    [summary] = json.loads(out)["runs"]
+    assert (summary["aborted"], summary["guarantee_violations"]) \
+        == (aborted, violations)
+    assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == digest
+
+
+def test_check_psi_needs_zeta_iter(capsys):
+    code, out, err = run_cli(capsys, "check", "m2", "--invariant", "zeta1",
+                             "--obligation", "psi")
+    assert code == 2
+    assert out == ""
+    assert err == "error: psi needs an invariant named zeta_iter\n"

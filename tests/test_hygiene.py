@@ -1,0 +1,44 @@
+"""Static checks of the package source, standard library only."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hpcheck"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _imported_names(tree):
+    """(bound name, line) of every import except `from __future__`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                yield bound, node.lineno
+
+
+def _used_names(tree):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        # names a package re-exports through __all__ count as used
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+def test_package_modules_found():
+    assert {p.name for p in MODULES} >= {"__init__.py", "checker.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used_names(tree)
+    unused = [f"{path.name}:{line} {name}"
+              for name, line in _imported_names(tree) if name not in used]
+    assert not unused, f"imported but never used: {unused}"

@@ -1,12 +1,11 @@
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from hpcheck import models
+import golden
+from golden import SAMPLE_CONSTANTS
 from hpcheck.models import (
-    MODEL_IDS, SAMPLE_CONSTANTS, builtin, fig2_script, invariant_catalog,
-    table2_suite,
+    MODEL_IDS, builtin, fig2_script, invariant_catalog, table2_suite,
 )
 from hpcheck.parser import parse_model
 from hpcheck.printer import print_model
@@ -16,10 +15,6 @@ from hpcheck.semantics import (
 from hpcheck.syntax import (
     And, Cmp, Num, RandomAssign, Seq, Test, Var, conjuncts,
 )
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-DATA_DIR = REPO_ROOT / "src" / "hpcheck" / "data"
-MODELS_DIR = REPO_ROOT / "models"
 
 
 @pytest.mark.parametrize("model_id", MODEL_IDS)
@@ -38,47 +33,42 @@ def test_builtin_constants(model_id):
     assert builtin(model_id).constant_values() == SAMPLE_CONSTANTS
 
 
-def test_repo_copies_match_package_data():
-    for name in sorted(p.name for p in DATA_DIR.iterdir()):
-        assert (MODELS_DIR / name).read_bytes() == (DATA_DIR / name).read_bytes()
-
-
 def test_env_section_matches_golden():
     for model_id in MODEL_IDS:
         model = builtin(model_id)
-        assert model.env == Seq(RandomAssign("xc"), Test(models.env_test()))
+        assert model.env == Seq(RandomAssign("xc"), Test(golden.env_test()))
 
 
 def test_aux_sections_match_golden():
     for model_id in ("m2", "m4"):
         model = builtin(model_id)
-        assert model.aux == Seq(RandomAssign("a"), Test(models.aux_bounds()))
+        assert model.aux == Seq(RandomAssign("a"), Test(golden.aux_bounds()))
     m3 = builtin("m3")
     assert isinstance(m3.aux, Seq)
     got = conjuncts(m3.aux.second.condition)
-    want = conjuncts(models.aux_bounds()) + conjuncts(models.aux_requirement())
+    want = conjuncts(golden.aux_bounds()) + conjuncts(golden.aux_requirement())
     assert got == want
 
 
 def test_ctrl_sections_match_golden():
-    assert builtin("m2").ctrl == models.golden_ctrl(lookahead=False)
-    assert builtin("m3").ctrl == models.golden_ctrl(lookahead=False)
-    assert builtin("m4").ctrl == models.golden_ctrl(lookahead=True)
+    assert builtin("m2").ctrl == golden.golden_ctrl(lookahead=False)
+    assert builtin("m3").ctrl == golden.golden_ctrl(lookahead=False)
+    assert builtin("m4").ctrl == golden.golden_ctrl(lookahead=True)
 
 
 def test_invariants_match_golden():
     for model_id in MODEL_IDS:
         model = builtin(model_id)
-        assert model.invariants["zeta1"] == models.zeta1()
-        assert model.invariants["zeta2"] == models.zeta2()
-    assert builtin("m4").invariants["zeta_iter"] == models.zeta_iter()
+        assert model.invariants["zeta1"] == golden.zeta1()
+        assert model.invariants["zeta2"] == golden.zeta2()
+    assert builtin("m4").invariants["zeta_iter"] == golden.zeta_iter()
 
 
 def test_invariant_catalog_matches_models():
     catalog = invariant_catalog()
-    assert catalog["zeta1"] == models.zeta1()
-    assert catalog["zeta2"] == models.zeta2()
-    assert catalog["zeta_iter"] == models.zeta_iter()
+    assert catalog["zeta1"] == golden.zeta1()
+    assert catalog["zeta2"] == golden.zeta2()
+    assert catalog["zeta_iter"] == golden.zeta_iter()
 
 
 def test_init_guarantee_relation():
@@ -86,7 +76,7 @@ def test_init_guarantee_relation():
         model = builtin(model_id)
         assert model.init == And(Cmp("=", Var("v"), Num(0)),
                                  Cmp("<=", Var("x"), Var("xc")))
-        assert model.guarantee == models.zeta1()
+        assert model.guarantee == golden.zeta1()
         assert model.relation == Cmp("<=", Var("xc"), Var("xc_post"))
 
 
@@ -109,7 +99,7 @@ def test_table2_suite_shape():
 
 def test_zeta2_holds_initially_but_not_after_first_iteration():
     state = dict(SAMPLE_CONSTANTS)
-    zeta2 = models.zeta2()
+    zeta2 = golden.zeta2()
     state.update({"x": Fraction(0), "v": Fraction(0), "xc": Fraction(0)})
     assert eval_fol(state, zeta2)
     state.update({"x": Fraction(9, 10), "v": Fraction(9, 5), "xc": Fraction(1)})

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from golden import SAMPLE_CONSTANTS
 from hpcheck.checker import compile_fol
-from hpcheck.models import MODEL_IDS, SAMPLE_CONSTANTS, builtin, fig2_script
+from hpcheck.models import MODEL_IDS, builtin, fig2_script
 from hpcheck.parser import parse_formula, parse_program
 from hpcheck.semantics import (
     Aborted, Branch, Duration, Final, LoopCount, RandomValue, ScriptError,
