@@ -24,13 +24,14 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .model import DEFAULT_DOMAIN
 from .obligations import (
     FIND_WITNESS, Obligation, chi_obligation, exploit_witness_formula,
     friendliness_probe, loop_obligations, psi_obligation, rho_obligation,
 )
-from .parser import DEFAULT_DOMAIN, parse_term
+from .parser import parse_term
 from .semantics import (
-    Aborted, Branch, Duration, Final, LoopCount, RandomValue,
+    _CMP, Aborted, Branch, Duration, Final, LoopCount, RandomValue,
     _domain_conjuncts_affine, _template_state_at, closed_form_template,
     eval_fol, eval_term, evolve_plant, is_exact, max_admissible_duration,
     run, template_max_duration,
@@ -280,63 +281,143 @@ def violation_margin(state, formula) -> float:
     raise CheckError("violation margin requires a quantifier-free formula")
 
 
-# Quantifier-free formulas are compiled to closures once per obligation;
-# the search evaluates them millions of times.
+# Exact kernel.  The search evaluates each quantifier-free formula of an
+# obligation tens of thousands of times, so it is compiled once into a tree
+# of closures.  A term node returns its exact value as a (numerator,
+# denominator > 0) pair of Python ints: sums and products are a few integer
+# operations, comparisons cross-multiply, and nothing is reduced by a gcd
+# inside a formula, so no Fraction is built.  A state that holds a float
+# (the numeric-plant path) is evaluated by eval_fol/eval_term instead,
+# with their float semantics.
 
-def _term_expr(term, consts) -> str:
+class _Inexact(Exception):
+    """A state value is a float, which the kernel does not evaluate."""
+
+
+def _ratio_term(term):
+    """Closure state -> (numerator, denominator > 0) of `term`."""
     if isinstance(term, Var):
-        return f"s[{term.name!r}]"
+        name = term.name
+
+        def var(s):
+            value = s[name]
+            if type(value) is float:
+                raise _Inexact
+            return value.as_integer_ratio()
+        return var
     if isinstance(term, Num):
-        consts.append(term.value)
-        return f"_C[{len(consts) - 1}]"
-    if isinstance(term, Add):
-        return f"({_term_expr(term.left, consts)} + {_term_expr(term.right, consts)})"
-    if isinstance(term, Sub):
-        return f"({_term_expr(term.left, consts)} - {_term_expr(term.right, consts)})"
-    if isinstance(term, Mul):
-        return f"({_term_expr(term.left, consts)} * {_term_expr(term.right, consts)})"
+        pair = term.value.as_integer_ratio()
+        return lambda s: pair
     if isinstance(term, Neg):
-        return f"(-{_term_expr(term.inner, consts)})"
-    if isinstance(term, Div):
-        return f"({_term_expr(term.num, consts)} / {_term_expr(term.den, consts)})"
+        inner = _ratio_term(term.inner)
+
+        def neg(s):
+            n, d = inner(s)
+            return -n, d
+        return neg
     if isinstance(term, Pow):
-        return f"({_term_expr(term.base, consts)} ** {term.exp})"
+        base, k = _ratio_term(term.base), term.exp
+
+        def power(s):
+            n, d = base(s)
+            return n ** k, d ** k
+        return power
+    if isinstance(term, Div):
+        left, right = _ratio_term(term.num), _ratio_term(term.den)
+
+        def div(s):
+            a, b = left(s)
+            c, d = right(s)
+            if c > 0:
+                return a * d, b * c
+            if c < 0:
+                return -a * d, -b * c
+            # the message Fraction gives for x / 0
+            raise ZeroDivisionError(f"Fraction({(a > 0) - (a < 0)}, 0)")
+        return div
+    if isinstance(term, Mul):
+        left, right = _ratio_term(term.left), _ratio_term(term.right)
+
+        def mul(s):
+            a, b = left(s)
+            c, d = right(s)
+            return a * c, b * d
+        return mul
+    if isinstance(term, Add):
+        left, right = _ratio_term(term.left), _ratio_term(term.right)
+
+        def add(s):
+            a, b = left(s)
+            c, d = right(s)
+            return a * d + c * b, b * d
+        return add
+    if isinstance(term, Sub):
+        left, right = _ratio_term(term.left), _ratio_term(term.right)
+
+        def sub(s):
+            a, b = left(s)
+            c, d = right(s)
+            return a * d - c * b, b * d
+        return sub
     raise TypeError(term)
 
 
-_PYOP = {"<=": "<=", "<": "<", ">=": ">=", ">": ">", "=": "==", "!=": "!="}
-
-
-def _fol_expr(formula, consts) -> str:
+def _ratio_fol(formula):
+    """Closure state -> bool of a quantifier-free formula, evaluated in the
+    order of eval_fol so that a zero divisor raises exactly where it does."""
     if isinstance(formula, BoolLit):
-        return "True" if formula.value else "False"
+        value = formula.value
+        return lambda s: value
     if isinstance(formula, Cmp):
-        return (f"({_term_expr(formula.left, consts)} {_PYOP[formula.op]} "
-                f"{_term_expr(formula.right, consts)})")
+        left, right = _ratio_term(formula.left), _ratio_term(formula.right)
+        holds = _CMP[formula.op]
+
+        def cmp(s):
+            a, b = left(s)
+            c, d = right(s)
+            return holds(a * d, c * b)
+        return cmp
     if isinstance(formula, Not):
-        return f"(not {_fol_expr(formula.inner, consts)})"
-    if isinstance(formula, And):
-        return f"({_fol_expr(formula.left, consts)} and {_fol_expr(formula.right, consts)})"
-    if isinstance(formula, Or):
-        return f"({_fol_expr(formula.left, consts)} or {_fol_expr(formula.right, consts)})"
-    if isinstance(formula, Implies):
-        return f"((not {_fol_expr(formula.left, consts)}) or {_fol_expr(formula.right, consts)})"
-    if isinstance(formula, Iff):
-        return f"({_fol_expr(formula.left, consts)} == {_fol_expr(formula.right, consts)})"
+        inner = _ratio_fol(formula.inner)
+        return lambda s: not inner(s)
+    if isinstance(formula, (And, Or, Implies, Iff)):
+        left, right = _ratio_fol(formula.left), _ratio_fol(formula.right)
+        if isinstance(formula, And):
+            return lambda s: left(s) and right(s)
+        if isinstance(formula, Or):
+            return lambda s: left(s) or right(s)
+        if isinstance(formula, Implies):
+            return lambda s: not left(s) or right(s)
+        return lambda s: left(s) == right(s)
     raise TypeError(formula)
 
 
 def compile_fol(formula):
-    """state -> bool, equivalent to eval_fol on quantifier-free input."""
-    consts = []
-    expr = _fol_expr(formula, consts)
-    return eval(f"lambda s: {expr}", {"_C": consts})
+    """state -> bool, equal to eval_fol(state, formula) on a quantifier-free
+    `formula`, evaluated by the exact kernel.  A ZeroDivisionError is
+    raised exactly when eval_fol raises one; states holding a float are
+    handed to eval_fol."""
+    exact = _ratio_fol(formula)
+
+    def evaluate(s):
+        try:
+            return exact(s)
+        except _Inexact:
+            return eval_fol(s, formula)
+    return evaluate
 
 
 def compile_term(term):
-    consts = []
-    expr = _term_expr(term, consts)
-    return eval(f"lambda s: {expr}", {"_C": consts})
+    """state -> value, equal to eval_term(state, term): a Fraction on exact
+    states, eval_term's float on states holding a float."""
+    exact = _ratio_term(term)
+
+    def evaluate(s):
+        try:
+            return Fraction(*exact(s))
+        except _Inexact:
+            return eval_term(s, term)
+    return evaluate
 
 
 def _has_modality(formula, memo) -> bool:

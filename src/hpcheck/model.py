@@ -17,6 +17,9 @@ from .syntax import (
     RandomAssign, Seq, Test, Var, conjuncts, free_variables, seq,
 )
 
+# Search box of a variable the model gives no interval.
+DEFAULT_DOMAIN = (Fraction(-100), Fraction(100))
+
 
 @dataclass(frozen=True)
 class Constant:
@@ -82,7 +85,6 @@ class Model:
         for suffix in ("_post", "_prev"):
             if var.endswith(suffix) and var[: -len(suffix)] in self.domains:
                 return self.domains[var[: -len(suffix)]]
-        from .parser import DEFAULT_DOMAIN
         return DEFAULT_DOMAIN
 
 

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import Constant, Model, detect_shape
+from .model import DEFAULT_DOMAIN, Constant, Model, detect_shape
 from .semantics import eval_term
 from .syntax import (
     Add, And, Assign, Box, Choice, Cmp, Diamond, Div, Exists,
@@ -366,8 +366,6 @@ def parse_term(text: str) -> Term:
 MANDATORY_SECTIONS = ("CONSTANTS", "DOMAINS", "INIT", "GUARANTEE",
                       "ENV", "AUX", "CTRL", "PLANT")
 OPTIONAL_SECTIONS = ("INVARIANT", "RELATION")
-
-DEFAULT_DOMAIN = (Fraction(-100), Fraction(100))
 
 
 @dataclass

@@ -9,6 +9,7 @@ numeric ODE fallback path.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,14 +77,8 @@ def eval_term(state: State, term):
     raise TypeError(f"not a term: {term!r}")
 
 
-_CMP = {
-    "<=": lambda a, b: a <= b,
-    "<": lambda a, b: a < b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
+_CMP = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
+        ">": operator.gt, "=": operator.eq, "!=": operator.ne}
 
 
 def eval_fol(state: State, formula) -> bool:
@@ -302,9 +297,23 @@ def _template_state_at(state, template, t):
     pos, vel, clock, accel = template
     a = eval_term(state, accel)
     out = dict(state)
-    out[pos] = state[pos] + state[vel] * t + a * t * t / 2
-    out[vel] = state[vel] + a * t
-    out[clock] = state[clock] + t
+    p, v, c = state[pos], state[vel], state[clock]
+    if not (type(p) is type(v) is type(c) is type(a) is type(t) is Fraction):
+        out[pos] = p + v * t + a * t * t / 2
+        out[vel] = v + a * t
+        out[clock] = c + t
+        return out
+    # the same polynomial on (numerator, denominator) ints, one Fraction
+    # (one gcd) per variable: pos = p + t * h with h = v + a * t / 2
+    pn, pd = p.as_integer_ratio()
+    vn, vd = v.as_integer_ratio()
+    cn, cd = c.as_integer_ratio()
+    an, ad = a.as_integer_ratio()
+    tn, td = t.as_integer_ratio()
+    hn, hd = 2 * vn * ad * td + an * tn * vd, 2 * vd * ad * td
+    out[pos] = Fraction(pn * td * hd + tn * hn * pd, pd * td * hd)
+    out[vel] = Fraction(vn * ad * td + an * tn * vd, vd * ad * td)
+    out[clock] = Fraction(cn * td + tn * cd, cd * td)
     return out
 
 

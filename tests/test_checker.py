@@ -4,20 +4,22 @@ from fractions import Fraction
 import pytest
 
 from gen import (
-    ORACLE_VARS, brute_force_decide, random_finite_obligation, random_formula,
+    ORACLE_VARS, VAR_POOL, brute_force_decide, random_finite_obligation,
+    random_formula, random_term,
 )
 from hpcheck.checker import (
     FALSIFIED, NO_WITNESS_FOUND, NOT_FALSIFIED, WITNESS_FOUND, CheckError,
     SearchConfig, UnsupportedObligation, certify, check, compile_fol,
-    derive_controller_witness, obligations_for, violation_margin,
+    compile_term, derive_controller_witness, obligations_for,
+    violation_margin,
 )
 from hpcheck.models import builtin
 from hpcheck.obligations import (
     FALSIFY_UNIVERSAL, FIND_WITNESS, Obligation, psi_obligation,
 )
 from hpcheck.parser import parse_formula, parse_term
-from hpcheck.semantics import eval_fol
-from hpcheck.syntax import Exists, Forall, is_quantifier_free
+from hpcheck.semantics import eval_fol, eval_term
+from hpcheck.syntax import Exists, Forall, is_fol, is_quantifier_free
 
 
 def F(numerator, denominator=1):
@@ -83,6 +85,73 @@ def test_compile_fol_matches_interpreter():
             continue
         checked += 1
         assert compile_fol(formula)(state) == expected
+
+
+def _mixed_state(rng, floats=False):
+    """Values with denominators 1, 3 and 2^16 * k, negative values and
+    zeros, some held as Python ints; with `floats`, some held as floats."""
+    state = {}
+    for var in VAR_POOL:
+        shape = rng.randrange(5)
+        if shape == 0:
+            value = rng.randint(-6, 6)  # a Python int
+        elif shape == 1:
+            value = F(rng.randint(-20, 20), 3)
+        elif shape == 2:
+            value = F(0)
+        else:
+            value = F(rng.randint(-1 << 18, 1 << 18),
+                      (1 << 16) * rng.choice((1, 3, 5)))
+        if floats and rng.random() < 0.4:
+            value = float(value)
+        state[var] = value
+    return state
+
+
+def _outcome(fn, *args):
+    """The value, or ZeroDivisionError and its message."""
+    try:
+        return fn(*args)
+    except ZeroDivisionError as exc:
+        return ZeroDivisionError, str(exc)
+
+
+def test_compile_fol_parity_with_eval_fol():
+    rng = random.Random(41)
+    formulas = raised = fell_back = 0
+    while formulas < 400:
+        formula = random_formula(rng, 4)
+        if not (is_fol(formula) and is_quantifier_free(formula)):
+            continue
+        formulas += 1
+        compiled = compile_fol(formula)
+        for floats in (False, False, True):
+            state = _mixed_state(rng, floats)
+            expected = _outcome(eval_fol, state, formula)
+            assert _outcome(compiled, state) == expected, (formula, state)
+            raised += not floats and isinstance(expected, tuple)
+            fell_back += floats and any(type(v) is float
+                                        for v in state.values())
+    assert raised > 30 and fell_back > 300
+
+
+def test_compile_term_parity_with_eval_term():
+    rng = random.Random(42)
+    exact = raised = 0
+    for _ in range(600):
+        term = random_term(rng, 4)
+        compiled = compile_term(term)
+        floats = rng.random() < 0.3
+        state = _mixed_state(rng, floats)
+        expected = _outcome(eval_term, state, term)
+        got = _outcome(compiled, state)
+        assert got == expected, (term, state)
+        if isinstance(expected, tuple):
+            raised += 1
+        elif not any(type(v) is float for v in state.values()):
+            assert type(got) is Fraction
+            exact += 1
+    assert raised > 0 and exact > 300
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,22 @@ def test_simulate_random_is_pinned(tmp_path, capsys, model, seed, runs,
     assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == digest
 
 
+# sha256 of `table2 --format json --budget 2000` stdout, taken before the
+# exact integer-ratio kernel replaced the Fraction closures of the search
+TABLE2_PINS = [
+    (0, "230c569a481b8a7a54bf794e6beaa0a03f7ff3f26418d1923fa9c8f24bd6f2b0"),
+    (7, "ad35494f48d899124ff021ac06eef3dc6c9541aaa6358d9b233f2d7e27f599ac"),
+]
+
+
+@pytest.mark.parametrize("seed, digest", TABLE2_PINS)
+def test_table2_json_is_pinned(capsys, seed, digest):
+    code, out, err = run_cli(capsys, "table2", "--format", "json",
+                             "--budget", "2000", "--seed", str(seed))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_check_psi_needs_zeta_iter(capsys):
     code, out, err = run_cli(capsys, "check", "m2", "--invariant", "zeta1",
                              "--obligation", "psi")

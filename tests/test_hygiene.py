@@ -42,3 +42,13 @@ def test_no_unused_imports(path):
     unused = [f"{path.name}:{line} {name}"
               for name, line in _imported_names(tree) if name not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_eval_or_exec(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [f"{path.name}:{node.lineno} {node.func.id}"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("eval", "exec")]
+    assert not calls, f"calls of eval/exec: {calls}"

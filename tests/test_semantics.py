@@ -204,6 +204,39 @@ def test_max_admissible_duration_numeric_fallback():
     assert d == 5.0  # converges to 1 < 2, domain never violated
 
 
+def _random_ratio(rng):
+    return F(rng.randint(-1 << 18, 1 << 18),
+             rng.choice((1, 3, 7, 1 << 16, 3 << 16)))
+
+
+def test_template_state_at_is_the_closed_form_polynomial():
+    template = closed_form_template(PLANT_ODE)
+    literal = ("x", "v", "tau", Num(F(-5, 2)))  # a literal acceleration
+    rng = random.Random(5)
+    for case in range(400):
+        state = {var: _random_ratio(rng) for var in ("x", "v", "a", "tau")}
+        t = F(0) if case % 4 == 0 else abs(_random_ratio(rng))
+        for tmpl, a in ((template, state["a"]), (literal, F(-5, 2))):
+            out = _template_state_at(state, tmpl, t)
+            x, v, tau = state["x"], state["v"], state["tau"]
+            assert out["x"] == x + v * t + a * t * t / 2
+            assert out["v"] == v + a * t
+            assert out["tau"] == tau + t
+            assert out["a"] == state["a"]
+            assert all(type(out[k]) is Fraction for k in ("x", "v", "tau"))
+        if t == 0:
+            assert out == state
+    # a float input keeps the float expression
+    state = {"x": 0.5, "v": F(3), "a": F(-1), "tau": F(0)}
+    out = _template_state_at(state, template, F(1, 4))
+    assert out["x"] == 0.5 + F(3) * F(1, 4) + F(-1) * F(1, 4) * F(1, 4) / 2
+    assert type(out["x"]) is float and type(out["v"]) is Fraction
+    state["x"] = F(1, 2)
+    out = _template_state_at(state, template, 0.1)
+    assert out["x"] == F(1, 2) + F(3) * 0.1 + F(-1) * 0.1 * 0.1 / 2
+    assert all(type(out[k]) is float for k in ("x", "v", "tau"))
+
+
 def test_numeric_integration_matches_closed_form():
     template = closed_form_template(PLANT_ODE)
     rng = random.Random(0)
