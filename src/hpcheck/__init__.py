@@ -10,12 +10,13 @@ __version__ = "0.1.0"
 
 from .parser import ParseError, parse_formula, parse_model, parse_program, parse_term
 from .printer import pretty_print
-from .semantics import run
-from .checker import SearchConfig, certify, check
+from .semantics import evolve_plant, format_script, run
+from .checker import SearchConfig, certify, check, derive_controller_witness
 from .models import builtin, table2_suite
 
 __all__ = [
     "ParseError", "parse_formula", "parse_model", "parse_program",
-    "parse_term", "pretty_print", "run", "SearchConfig", "certify", "check",
+    "parse_term", "pretty_print", "evolve_plant", "format_script", "run",
+    "SearchConfig", "certify", "check", "derive_controller_witness",
     "builtin", "table2_suite", "__version__",
 ]

@@ -31,16 +31,13 @@ from .obligations import (
 )
 from .parser import parse_term
 from .semantics import (
-    _CMP, Aborted, Branch, Duration, Final, LoopCount, RandomValue,
-    _domain_conjuncts_affine, _template_state_at, closed_form_template,
-    eval_fol, eval_term, evolve_plant, is_exact, max_admissible_duration,
-    run, template_max_duration,
+    Aborted, Branch, Duration, Final, LoopCount, Plant, RandomValue,
+    compile_fol, compile_term, eval_fol, eval_term, is_exact, run,
 )
 from .syntax import (
-    Add, And, Assign, BoolLit, Box, Choice, Cmp, Diamond, Div, Forall,
-    Exists, Iff, Implies, Loop, Mul, Neg, Not, Num, ODE, Or, Pow,
-    RandomAssign, Seq, Sub, Test, Var, assigned_variables, conjuncts,
-    free_variables,
+    And, Assign, BoolLit, Box, Choice, Cmp, Diamond, Forall, Exists, Iff,
+    Implies, Loop, Not, ODE, Or, RandomAssign, Seq, Sub, Test, Var,
+    assigned_variables, conjuncts, free_variables,
 )
 
 STRICT_EPS = 1e-12
@@ -134,11 +131,6 @@ class EvLeaf:
 
 
 @dataclass
-class EvNot:
-    inner: object
-
-
-@dataclass
 class EvBoth:
     left: object
     right: object
@@ -166,7 +158,6 @@ class EvGoalFail:
 class Counterexample:
     assignment: dict
     evidence: object
-    leaf: tuple  # (innermost quantifier-free formula, truth value)
     scripts: list = field(default_factory=list)
     trace: list = field(default_factory=list)
     numeric_only: bool = False
@@ -204,35 +195,12 @@ def flatten_scripts(evidence) -> list:
             stack.insert(0, node.inner)
         elif isinstance(node, EvGoalFail):
             out.append([RandomValue(node.value)])
-        elif isinstance(node, EvNot):
-            stack.insert(0, node.inner)
         elif isinstance(node, EvBoth):
             stack.insert(0, node.right)
             stack.insert(0, node.left)
         elif isinstance(node, EvPick):
             stack.insert(0, node.inner)
     return out
-
-
-def innermost_leaf(evidence):
-    node = evidence
-    last = None
-    while node is not None:
-        if isinstance(node, EvLeaf):
-            last = (node.formula, node.value)
-            node = None
-        elif isinstance(node, EvNot):
-            node = node.inner
-        elif isinstance(node, EvBoth):
-            last_right = innermost_leaf(node.right)
-            return last_right if last_right is not None else innermost_leaf(node.left)
-        elif isinstance(node, (EvPick, EvScript)):
-            node = node.inner
-        elif isinstance(node, EvGoalFail):
-            return None
-        else:
-            node = None
-    return last
 
 
 # ---------------------------------------------------------------------------
@@ -279,145 +247,6 @@ def violation_margin(state, formula) -> float:
         b = violation_margin(state, formula.right)
         return min(max(-a, b), max(a, -b))
     raise CheckError("violation margin requires a quantifier-free formula")
-
-
-# Exact kernel.  The search evaluates each quantifier-free formula of an
-# obligation tens of thousands of times, so it is compiled once into a tree
-# of closures.  A term node returns its exact value as a (numerator,
-# denominator > 0) pair of Python ints: sums and products are a few integer
-# operations, comparisons cross-multiply, and nothing is reduced by a gcd
-# inside a formula, so no Fraction is built.  A state that holds a float
-# (the numeric-plant path) is evaluated by eval_fol/eval_term instead,
-# with their float semantics.
-
-class _Inexact(Exception):
-    """A state value is a float, which the kernel does not evaluate."""
-
-
-def _ratio_term(term):
-    """Closure state -> (numerator, denominator > 0) of `term`."""
-    if isinstance(term, Var):
-        name = term.name
-
-        def var(s):
-            value = s[name]
-            if type(value) is float:
-                raise _Inexact
-            return value.as_integer_ratio()
-        return var
-    if isinstance(term, Num):
-        pair = term.value.as_integer_ratio()
-        return lambda s: pair
-    if isinstance(term, Neg):
-        inner = _ratio_term(term.inner)
-
-        def neg(s):
-            n, d = inner(s)
-            return -n, d
-        return neg
-    if isinstance(term, Pow):
-        base, k = _ratio_term(term.base), term.exp
-
-        def power(s):
-            n, d = base(s)
-            return n ** k, d ** k
-        return power
-    if isinstance(term, Div):
-        left, right = _ratio_term(term.num), _ratio_term(term.den)
-
-        def div(s):
-            a, b = left(s)
-            c, d = right(s)
-            if c > 0:
-                return a * d, b * c
-            if c < 0:
-                return -a * d, -b * c
-            # the message Fraction gives for x / 0
-            raise ZeroDivisionError(f"Fraction({(a > 0) - (a < 0)}, 0)")
-        return div
-    if isinstance(term, Mul):
-        left, right = _ratio_term(term.left), _ratio_term(term.right)
-
-        def mul(s):
-            a, b = left(s)
-            c, d = right(s)
-            return a * c, b * d
-        return mul
-    if isinstance(term, Add):
-        left, right = _ratio_term(term.left), _ratio_term(term.right)
-
-        def add(s):
-            a, b = left(s)
-            c, d = right(s)
-            return a * d + c * b, b * d
-        return add
-    if isinstance(term, Sub):
-        left, right = _ratio_term(term.left), _ratio_term(term.right)
-
-        def sub(s):
-            a, b = left(s)
-            c, d = right(s)
-            return a * d - c * b, b * d
-        return sub
-    raise TypeError(term)
-
-
-def _ratio_fol(formula):
-    """Closure state -> bool of a quantifier-free formula, evaluated in the
-    order of eval_fol so that a zero divisor raises exactly where it does."""
-    if isinstance(formula, BoolLit):
-        value = formula.value
-        return lambda s: value
-    if isinstance(formula, Cmp):
-        left, right = _ratio_term(formula.left), _ratio_term(formula.right)
-        holds = _CMP[formula.op]
-
-        def cmp(s):
-            a, b = left(s)
-            c, d = right(s)
-            return holds(a * d, c * b)
-        return cmp
-    if isinstance(formula, Not):
-        inner = _ratio_fol(formula.inner)
-        return lambda s: not inner(s)
-    if isinstance(formula, (And, Or, Implies, Iff)):
-        left, right = _ratio_fol(formula.left), _ratio_fol(formula.right)
-        if isinstance(formula, And):
-            return lambda s: left(s) and right(s)
-        if isinstance(formula, Or):
-            return lambda s: left(s) or right(s)
-        if isinstance(formula, Implies):
-            return lambda s: not left(s) or right(s)
-        return lambda s: left(s) == right(s)
-    raise TypeError(formula)
-
-
-def compile_fol(formula):
-    """state -> bool, equal to eval_fol(state, formula) on a quantifier-free
-    `formula`, evaluated by the exact kernel.  A ZeroDivisionError is
-    raised exactly when eval_fol raises one; states holding a float are
-    handed to eval_fol."""
-    exact = _ratio_fol(formula)
-
-    def evaluate(s):
-        try:
-            return exact(s)
-        except _Inexact:
-            return eval_fol(s, formula)
-    return evaluate
-
-
-def compile_term(term):
-    """state -> value, equal to eval_term(state, term): a Fraction on exact
-    states, eval_term's float on states holding a float."""
-    exact = _ratio_term(term)
-
-    def evaluate(s):
-        try:
-            return Fraction(*exact(s))
-        except _Inexact:
-            return eval_term(s, term)
-    return evaluate
 
 
 def _has_modality(formula, memo) -> bool:
@@ -467,7 +296,8 @@ class _Engine:
         self.memo = {}
         self.want_margin = True  # cleared for most stream candidates
         self._fol_cache = {}
-        self._ode_cache = {}
+        self._plants = {}
+        self._pin_cache = {}
         self._goal_cache = {}
         self._binop_cache = {}
         self._sampler_cache = {}
@@ -639,8 +469,12 @@ class _Engine:
                 yield state, []
             return
         if isinstance(program, ODE):
-            for duration in self._durations(state, program):
-                outcome = self._evolve(state, program, duration)
+            plant = self._plants.get(id(program))
+            if plant is None:
+                plant = self._plants[id(program)] = Plant(program)
+            for duration in self._durations(state, plant):
+                self._count(2)
+                outcome = plant.evolve(state, duration)
                 if isinstance(outcome, Final):
                     yield outcome.state, [Duration(duration)]
             return
@@ -692,29 +526,6 @@ class _Engine:
             for final_state, script2 in self._unroll(mid_state, body, count - 1):
                 yield final_state, script1 + script2
 
-    def _ode_info(self, ode):
-        info = self._ode_cache.get(id(ode))
-        if info is None:
-            template = closed_form_template(ode)
-            if template is not None and _domain_conjuncts_affine(ode, template):
-                info = (template, self._fol(ode.domain))
-            else:
-                info = (None, None)
-            self._ode_cache[id(ode)] = info
-        return info
-
-    def _evolve(self, state, ode, duration):
-        self._count(2)
-        template, domain_fn = self._ode_info(ode)
-        if template is None:
-            return evolve_plant(state, ode, duration)
-        if not domain_fn(state):
-            return Aborted(ode.domain, state)
-        end = _template_state_at(state, template, duration)
-        if not domain_fn(end):
-            return Aborted(ode.domain, end)
-        return Final(end)
-
     def _random_values(self, state, var, following_test):
         lo, hi = self.obligation.search_box.get(
             var, self._box_fallback(var))
@@ -762,7 +573,7 @@ class _Engine:
 
     def _pin_diffs(self, test, var):
         key = (id(test), var)
-        fns = self._ode_cache.get(key)
+        fns = self._pin_cache.get(key)
         if fns is None:
             fns = []
             for c in conjuncts(test):
@@ -770,18 +581,14 @@ class _Engine:
                     continue
                 if var in free_variables(c.left) | free_variables(c.right):
                     fns.append(compile_term(Sub(c.left, c.right)))
-            self._ode_cache[key] = fns
+            self._pin_cache[key] = fns
         return fns
 
-    def _durations(self, state, ode):
+    def _durations(self, state, plant):
         self._count(2)
-        template, domain_fn = self._ode_info(ode)
-        if template is None:
-            # the numeric fallback returns a float; the sampler needs an
-            # exact bound, and Fraction(float) is exact
-            maximum = Fraction(max_admissible_duration(state, ode))
-        else:
-            maximum = template_max_duration(state, ode, template, domain_fn)
+        # the numeric path returns a float; the sampler needs an exact
+        # bound, and Fraction(float) is exact
+        maximum = Fraction(plant.max_duration(state))
         if maximum <= 0:
             return [Fraction(0)]
         out = [maximum, Fraction(0)]
@@ -850,22 +657,14 @@ class _Replayer:
     def __init__(self):
         self.trace = []
         self.numeric_only = False
-        self.last_leaf = None
 
     def replay(self, state, formula, target, evidence) -> bool:
         # search walks through Not without recording a node of its own
         while isinstance(formula, Not) and not isinstance(evidence, EvLeaf):
-            if isinstance(evidence, EvNot):
-                evidence = evidence.inner
             formula, target = formula.inner, not target
         if isinstance(evidence, EvLeaf):
             truth = self._eval_exact(state, evidence.formula)
-            self.last_leaf = (evidence.formula, truth)
             return truth == target and truth == evidence.value
-        if isinstance(evidence, EvNot):
-            if not isinstance(formula, Not):
-                return False
-            return self.replay(state, formula.inner, not target, evidence.inner)
         if isinstance(evidence, EvBoth):
             left, right = _operands(formula, target, both=True)
             if left is None:
@@ -898,13 +697,12 @@ class _Replayer:
             goal = _env_goal_pattern(formula)
             if goal is None:
                 return False
-            x, test, pin_term = goal
+            _, _, pin_term = goal
             if evidence.value != eval_term(state, pin_term):
                 return False
             outcome, trace = run(state, formula.program,
                                  [RandomValue(evidence.value)])
             self.trace.extend(trace)
-            self.last_leaf = (test, False)
             return isinstance(outcome, Aborted)
         return False
 
@@ -958,8 +756,6 @@ def certify(counterexample: Counterexample, obligation: Obligation) -> bool:
         return False
     counterexample.trace = replayer.trace
     counterexample.numeric_only = replayer.numeric_only
-    if replayer.last_leaf is not None:
-        counterexample.leaf = replayer.last_leaf
     return True
 
 
@@ -1055,8 +851,7 @@ def _try_candidate(engine, base_state, candidate, matrix, target, obligation,
     if evidence is None:
         return margin
     assignment = {v: state[v] for v in quantified}
-    leaf = innermost_leaf(evidence) or (matrix, target)
-    cex = Counterexample(assignment, evidence, leaf,
+    cex = Counterexample(assignment, evidence,
                          scripts=flatten_scripts(evidence),
                          margin=margin if margin not in (_INF, -_INF) else 0.0)
     if certify(cex, obligation):
@@ -1174,8 +969,7 @@ def derive_controller_witness(model, zeta_instantiated, psi_verdict):
         if var not in assignment:
             lo, hi = not_chi.search_box[var]
             assignment[var] = (lo + hi) / 2
-    cex = Counterexample(assignment, evidence, (post, True),
-                         scripts=[combined])
+    cex = Counterexample(assignment, evidence, scripts=[combined])
     if not certify(cex, not_chi):
         raise CheckError("derived witness failed certification")
     verdict = Verdict(WITNESS_FOUND, cex, Stats(), not_chi, psi_verdict.seed)

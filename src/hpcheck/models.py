@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .model import Model
-from .parser import parse_formula, parse_model
+from .parser import parse_model
 from .semantics import parse_script
 
 MODEL_IDS = ("m2", "m3", "m4")
@@ -32,18 +32,6 @@ def builtin(model_id: str) -> Model:
         _cache[model_id] = parse_model(_data_text(f"{model_id}.hpmodel"),
                                        name=model_id)
     return _cache[model_id]
-
-
-def invariant_catalog() -> dict:
-    """Named invariant formulas from the bundled fragment file."""
-    out = {}
-    for raw in _data_text("invariants.hpfrag").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        name, text = line.split(":", 1)
-        out[name.strip()] = parse_formula(text.strip())
-    return out
 
 
 def fig2_script() -> list:

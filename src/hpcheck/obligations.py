@@ -10,13 +10,12 @@ symbolic constants, ready for the checker.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .model import Model
 from .printer import print_formula
 from .syntax import (
-    And, Box, Cmp, Diamond, Exists, Forall, Formula, Implies, Not, Num,
-    Seq, Var, conjuncts, free_variables, substitute,
+    And, Box, Cmp, Diamond, Exists, Forall, Formula, Implies, Not, Seq, Var,
+    free_variables, substitute,
 )
 
 FALSIFY_UNIVERSAL = "falsify_universal"
@@ -77,49 +76,20 @@ def _ordered_vars(model: Model, names) -> list:
 
 
 def _close(model: Model, name: str, matrix: Formula, kind: str,
-           quantified=None, search_constants=False) -> Obligation:
+           quantified=None) -> Obligation:
     constants = model.constant_values()
     if quantified is None:
         quantified = free_variables(matrix) - set(constants) - {model.time_var}
     quantified = _ordered_vars(model, set(quantified))
-    fixed = dict(constants)
     box = {v: model.search_interval(v) for v in quantified}
-    if search_constants:
-        for c in model.constants:
-            if c.name in free_variables(matrix):
-                box[c.name] = _constant_bounds(c)
-                quantified.append(c.name)
-                del fixed[c.name]
     ctor = Forall if kind == FALSIFY_UNIVERSAL else Exists
     formula = matrix
     for v in reversed(quantified):
         formula = ctor(v, formula)
-    return Obligation(name, formula, kind, box, fixed)
+    return Obligation(name, formula, kind, box, dict(constants))
 
 
-def _constant_bounds(constant):
-    """Search interval for a constant, from its own constraint conjuncts."""
-    lo, hi = Fraction(-100), Fraction(100)
-    for c in conjuncts(constant.constraint):
-        if not isinstance(c, Cmp):
-            continue
-        if isinstance(c.left, Var) and c.left.name == constant.name \
-                and isinstance(c.right, Num):
-            if c.op in (">", ">="):
-                lo = max(lo, c.right.value)
-            elif c.op in ("<", "<="):
-                hi = min(hi, c.right.value)
-        elif isinstance(c.right, Var) and c.right.name == constant.name \
-                and isinstance(c.left, Num):
-            if c.op in (">", ">="):
-                hi = min(hi, c.left.value)
-            elif c.op in ("<", "<="):
-                lo = max(lo, c.left.value)
-    return (lo, hi)
-
-
-def loop_obligations(model: Model, zeta: Formula, *,
-                     search_constants=False) -> list:
+def loop_obligations(model: Model, zeta: Formula) -> list:
     """The three loop-rule branches, all universally closed."""
     _require_declared(model, zeta)
     step_vars = set(model.state_vars) | free_variables(zeta) - set(
@@ -130,13 +100,11 @@ def loop_obligations(model: Model, zeta: Formula, *,
         step_vars.add(model.action_var)
     step_vars.discard(model.time_var)
     return [
-        _close(model, "loop_i", Implies(model.init, zeta), FALSIFY_UNIVERSAL,
-               search_constants=search_constants),
+        _close(model, "loop_i", Implies(model.init, zeta), FALSIFY_UNIVERSAL),
         _close(model, "loop_ii", Implies(zeta, Box(model.loop_body(), zeta)),
-               FALSIFY_UNIVERSAL, quantified=step_vars,
-               search_constants=search_constants),
+               FALSIFY_UNIVERSAL, quantified=step_vars),
         _close(model, "loop_iii", Implies(zeta, model.guarantee),
-               FALSIFY_UNIVERSAL, search_constants=search_constants),
+               FALSIFY_UNIVERSAL),
     ]
 
 
@@ -156,8 +124,7 @@ def _relation_vars(model: Model):
     return e, f"{e}_post", f"{e}_prev"
 
 
-def rho_obligation(model: Model, zeta: Formula, *,
-                   search_constants=False) -> Obligation:
+def rho_obligation(model: Model, zeta: Formula) -> Obligation:
     """For every next env action related to the current one, env can take it.
 
     Falsification witnesses of this obligation are exactly the
@@ -167,12 +134,10 @@ def rho_obligation(model: Model, zeta: Formula, *,
     e, e_post, _ = _relation_vars(model)
     matrix = Implies(And(zeta, model.relation),
                      Diamond(model.env, Cmp("=", Var(e), Var(e_post))))
-    return _close(model, "rho", matrix, FALSIFY_UNIVERSAL,
-                  search_constants=search_constants)
+    return _close(model, "rho", matrix, FALSIFY_UNIVERSAL)
 
 
-def exploit_witness_formula(model: Model, zeta: Formula, *,
-                            search_constants=False) -> Obligation:
+def exploit_witness_formula(model: Model, zeta: Formula) -> Obligation:
     """Existential whose witness certifies an exploiting controller."""
     e, e_post, e_prev = _relation_vars(model)
     zeta_prev = substitute(zeta, e, Var(e_prev))
@@ -180,12 +145,10 @@ def exploit_witness_formula(model: Model, zeta: Formula, *,
                                e_post, Var(e))
     after_env = Seq(model.aux, Seq(model.ctrl, model.plant))
     matrix = And(And(zeta_prev, relation_prev), Diamond(after_env, Not(zeta)))
-    return _close(model, "exploit", matrix, FIND_WITNESS,
-                  search_constants=search_constants)
+    return _close(model, "exploit", matrix, FIND_WITNESS)
 
 
-def chi_obligation(model: Model, zeta: Formula, *,
-                   search_constants=False):
+def chi_obligation(model: Model, zeta: Formula):
     """Invariant preservation with ctrl removed, and its negation."""
     uncontrolled = Seq(model.env, Seq(model.aux, model.plant))
     chi_matrix = Implies(zeta, Box(uncontrolled, zeta))
@@ -197,14 +160,14 @@ def chi_obligation(model: Model, zeta: Formula, *,
     if model.action_var:
         step_vars.add(model.action_var)
     chi = _close(model, "chi", chi_matrix, FALSIFY_UNIVERSAL,
-                 quantified=step_vars, search_constants=search_constants)
+                 quantified=step_vars)
     not_chi = _close(model, "not_chi", not_chi_matrix, FIND_WITNESS,
-                     quantified=step_vars, search_constants=search_constants)
+                     quantified=step_vars)
     return chi, not_chi
 
 
 def psi_obligation(model: Model, zeta_general: Formula, instantiation_var: str,
-                   instantiation_term, *, search_constants=False) -> Obligation:
+                   instantiation_term) -> Obligation:
     """Controller-necessity existential: env and aux can break the
     instantiated invariant and the plant does not reestablish it."""
     if instantiation_var not in free_variables(zeta_general):
@@ -221,11 +184,10 @@ def psi_obligation(model: Model, zeta_general: Formula, instantiation_var: str,
     quantified.discard(instantiation_var)
     if model.action_var:
         quantified.discard(model.action_var)
-    return _close(model, "psi", matrix, FIND_WITNESS, quantified=quantified,
-                  search_constants=search_constants)
+    return _close(model, "psi", matrix, FIND_WITNESS, quantified=quantified)
 
 
-def friendliness_probe(model: Model, *, search_constants=False) -> Obligation:
+def friendliness_probe(model: Model) -> Obligation:
     """A witness exhibits friendliness of env w.r.t. the relation."""
     e, e_post, _ = _relation_vars(model)
     matrix = And(model.relation,
@@ -233,19 +195,4 @@ def friendliness_probe(model: Model, *, search_constants=False) -> Obligation:
     quantified = (model.declared_variables() | {e_post}) \
         - set(model.constant_values()) - {model.time_var}
     return _close(model, "friendly", matrix, FIND_WITNESS,
-                  quantified=quantified, search_constants=search_constants)
-
-
-def negate_obligation(obligation: Obligation) -> Obligation:
-    """Structural negation: swap quantifier kind and negate the matrix."""
-    vars_, matrix = obligation.split()
-    if obligation.kind == FALSIFY_UNIVERSAL:
-        kind, ctor = FIND_WITNESS, Exists
-    else:
-        kind, ctor = FALSIFY_UNIVERSAL, Forall
-    formula = Not(matrix)
-    for v in reversed(vars_):
-        formula = ctor(v, formula)
-    return Obligation(f"not_{obligation.name}", formula, kind,
-                      dict(obligation.search_box),
-                      dict(obligation.fixed_constants))
+                  quantified=quantified)

@@ -105,6 +105,146 @@ def eval_fol(state: State, formula) -> bool:
     raise TypeError(f"not a formula: {formula!r}")
 
 
+# Exact kernel.  The search evaluates each quantifier-free formula of an
+# obligation tens of thousands of times, so it is compiled once into a tree
+# of closures.  A term node returns its exact value as a (numerator,
+# denominator > 0) pair of Python ints: sums and products are a few integer
+# operations, comparisons cross-multiply, and nothing is reduced by a gcd
+# inside a formula, so no Fraction is built.  A state that holds a float
+# (the numeric-plant path), or lacks a variable, is evaluated by
+# eval_fol/eval_term instead, with their float semantics and their
+# UndeclaredVariable.
+
+class _Inexact(Exception):
+    """A state value is a float, which the kernel does not evaluate."""
+
+
+def _ratio_term(term):
+    """Closure state -> (numerator, denominator > 0) of `term`."""
+    if isinstance(term, Var):
+        name = term.name
+
+        def var(s):
+            value = s[name]
+            if type(value) is float:
+                raise _Inexact
+            return value.as_integer_ratio()
+        return var
+    if isinstance(term, Num):
+        pair = term.value.as_integer_ratio()
+        return lambda s: pair
+    if isinstance(term, Neg):
+        inner = _ratio_term(term.inner)
+
+        def neg(s):
+            n, d = inner(s)
+            return -n, d
+        return neg
+    if isinstance(term, Pow):
+        base, k = _ratio_term(term.base), term.exp
+
+        def power(s):
+            n, d = base(s)
+            return n ** k, d ** k
+        return power
+    if isinstance(term, Div):
+        left, right = _ratio_term(term.num), _ratio_term(term.den)
+
+        def div(s):
+            a, b = left(s)
+            c, d = right(s)
+            if c > 0:
+                return a * d, b * c
+            if c < 0:
+                return -a * d, -b * c
+            # the message Fraction gives for x / 0
+            raise ZeroDivisionError(f"Fraction({(a > 0) - (a < 0)}, 0)")
+        return div
+    if isinstance(term, Mul):
+        left, right = _ratio_term(term.left), _ratio_term(term.right)
+
+        def mul(s):
+            a, b = left(s)
+            c, d = right(s)
+            return a * c, b * d
+        return mul
+    if isinstance(term, Add):
+        left, right = _ratio_term(term.left), _ratio_term(term.right)
+
+        def add(s):
+            a, b = left(s)
+            c, d = right(s)
+            return a * d + c * b, b * d
+        return add
+    if isinstance(term, Sub):
+        left, right = _ratio_term(term.left), _ratio_term(term.right)
+
+        def sub(s):
+            a, b = left(s)
+            c, d = right(s)
+            return a * d - c * b, b * d
+        return sub
+    raise TypeError(term)
+
+
+def _ratio_fol(formula):
+    """Closure state -> bool of a quantifier-free formula, evaluated in the
+    order of eval_fol so that a zero divisor raises exactly where it does."""
+    if isinstance(formula, BoolLit):
+        value = formula.value
+        return lambda s: value
+    if isinstance(formula, Cmp):
+        left, right = _ratio_term(formula.left), _ratio_term(formula.right)
+        holds = _CMP[formula.op]
+
+        def cmp(s):
+            a, b = left(s)
+            c, d = right(s)
+            return holds(a * d, c * b)
+        return cmp
+    if isinstance(formula, Not):
+        inner = _ratio_fol(formula.inner)
+        return lambda s: not inner(s)
+    if isinstance(formula, (And, Or, Implies, Iff)):
+        left, right = _ratio_fol(formula.left), _ratio_fol(formula.right)
+        if isinstance(formula, And):
+            return lambda s: left(s) and right(s)
+        if isinstance(formula, Or):
+            return lambda s: left(s) or right(s)
+        if isinstance(formula, Implies):
+            return lambda s: not left(s) or right(s)
+        return lambda s: left(s) == right(s)
+    raise TypeError(formula)
+
+
+def compile_fol(formula):
+    """state -> bool, equal to eval_fol(state, formula) on a quantifier-free
+    `formula`, evaluated by the exact kernel.  A ZeroDivisionError is
+    raised exactly when eval_fol raises one; states holding a float or
+    lacking a variable are handed to eval_fol."""
+    exact = _ratio_fol(formula)
+
+    def evaluate(s):
+        try:
+            return exact(s)
+        except (_Inexact, KeyError):
+            return eval_fol(s, formula)
+    return evaluate
+
+
+def compile_term(term):
+    """state -> value, equal to eval_term(state, term): a Fraction on exact
+    states, eval_term's float or UndeclaredVariable otherwise."""
+    exact = _ratio_term(term)
+
+    def evaluate(s):
+        try:
+            return Fraction(*exact(s))
+        except (_Inexact, KeyError):
+            return eval_term(s, term)
+    return evaluate
+
+
 # ---------------------------------------------------------------------------
 # Choice scripts
 
@@ -336,27 +476,72 @@ def _vars_of_cmp(c: Cmp):
     return free_variables(c.left) | free_variables(c.right)
 
 
-def evolve_plant(state: State, ode: ODE, duration):
-    """Evolve an ODE for a fixed duration.
+class Plant:
+    """How one ODE evolves, decided once.  The double-integrator template
+    with affine domain conjuncts uses the exact polynomial solution, checks
+    the domain at both endpoints and gives an exact maximal duration; any
+    other ODE integrates with fixed-step RK4, checks the domain on a dense
+    grid and bisects for its maximal duration."""
 
-    Returns Final(state at duration) when the evolution domain holds
-    throughout [0, duration], else Aborted.  The double-integrator
-    template uses the exact polynomial solution with endpoint domain
-    checks; other ODEs integrate with fixed-step RK4 and check the domain
-    on a dense grid.
-    """
-    if duration < 0:
-        raise ValueError("negative duration")
-    template = closed_form_template(ode)
-    if template is not None and _domain_conjuncts_affine(ode, template):
-        start_ok = eval_fol(state, ode.domain)
-        end_state = _template_state_at(state, template, duration)
-        if not start_ok:
-            return Aborted(ode.domain, state)
-        if not eval_fol(end_state, ode.domain):
-            return Aborted(ode.domain, end_state)
-        return Final(end_state)
-    return _evolve_numeric(state, ode, duration, ODE_STEP, GRID_POINTS)
+    def __init__(self, ode: ODE):
+        self.ode = ode
+        self.template = closed_form_template(ode)
+        if self.template is not None \
+                and not _domain_conjuncts_affine(ode, self.template):
+            self.template = None
+        self.domain = compile_fol(ode.domain)
+
+    def evolve(self, state: State, duration):
+        """Final(state at duration) when the evolution domain holds
+        throughout [0, duration], else Aborted."""
+        if duration < 0:
+            raise ValueError("negative duration")
+        if self.template is None:
+            return _evolve_numeric(state, self.ode, duration, ODE_STEP,
+                                   GRID_POINTS)
+        if not self.domain(state):
+            return Aborted(self.ode.domain, state)
+        end = _template_state_at(state, self.template, duration)
+        if not self.domain(end):
+            return Aborted(self.ode.domain, end)
+        return Final(end)
+
+    def max_duration(self, state: State):
+        """Supremum of durations for which the domain holds throughout, up
+        to DEFAULT_HORIZON: a Fraction on the template path, a float from
+        bisection on the grid-checked predicate otherwise."""
+        if not self.domain(state):
+            return Fraction(0)
+        if self.template is None:
+            return self._bisect(state)
+        at1 = _template_state_at(state, self.template, Fraction(1))
+        bounds = [_affine_conjunct_bound(state, at1, c)
+                  for c in conjuncts(self.ode.domain)
+                  if not isinstance(c, BoolLit)]
+        bounds = [b for b in bounds if b is not None]
+        return min(bounds) if bounds else DEFAULT_HORIZON
+
+    def _bisect(self, state):
+        lo, hi = 0.0, float(DEFAULT_HORIZON)
+        if isinstance(self.evolve(state, hi), Final):
+            return hi
+        while hi - lo > DURATION_TOL:
+            mid = (lo + hi) / 2
+            if isinstance(self.evolve(state, mid), Final):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+
+def evolve_plant(state: State, ode: ODE, duration):
+    """Plant(ode).evolve(state, duration)."""
+    return Plant(ode).evolve(state, duration)
+
+
+def max_admissible_duration(state: State, ode: ODE):
+    """Plant(ode).max_duration(state)."""
+    return Plant(ode).max_duration(state)
 
 
 def _derivatives(state, ode):
@@ -407,53 +592,6 @@ def _evolve_numeric(state, ode, duration, step, grid_points):
     return Final(current)
 
 
-def max_admissible_duration(state: State, ode: ODE, *, horizon=DEFAULT_HORIZON):
-    """Supremum of durations for which the domain holds throughout.
-
-    Exact (a Fraction) for the closed-form template with affine domain
-    conjuncts; a float from bisection on the grid-checked predicate
-    otherwise.
-    """
-    template = closed_form_template(ode)
-    if template is not None and _domain_conjuncts_affine(ode, template):
-        return template_max_duration(state, ode, template,
-                                     lambda s: eval_fol(s, ode.domain),
-                                     horizon=horizon)
-    if not eval_fol(state, ode.domain):
-        return Fraction(0)
-    lo, hi = 0.0, float(horizon)
-    if isinstance(_evolve_numeric(state, ode, hi, ODE_STEP, GRID_POINTS), Final):
-        return hi
-    while hi - lo > DURATION_TOL:
-        mid = (lo + hi) / 2
-        outcome = _evolve_numeric(state, ode, mid, ODE_STEP, GRID_POINTS)
-        if isinstance(outcome, Final):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def template_max_duration(state: State, ode: ODE, template, domain_fn, *,
-                          horizon=DEFAULT_HORIZON):
-    """max_admissible_duration for an ODE that matches `template`, the
-    closed_form_template of `ode`, and whose domain conjuncts are affine
-    (_domain_conjuncts_affine).  `domain_fn(state)` must decide ode.domain;
-    callers that evaluate many states pass a compiled one.
-    """
-    if not domain_fn(state):
-        return Fraction(0)
-    bound = None
-    at1 = _template_state_at(state, template, Fraction(1))
-    for c in conjuncts(ode.domain):
-        if isinstance(c, BoolLit):
-            continue
-        b = _affine_conjunct_bound(state, at1, c)
-        if b is not None:
-            bound = b if bound is None else min(bound, b)
-    return bound if bound is not None else horizon
-
-
 def _affine_conjunct_bound(at0, at1, c: Cmp):
     """Latest time an affine conjunct still holds, or None if unbounded."""
     def diff(state):
@@ -492,7 +630,8 @@ def run(state: State, program, script):
     cursor = script if isinstance(script, ScriptCursor) else ScriptCursor(script)
     clock = [Fraction(0)]
     trace = [TraceStep(clock[0], "init", dict(state))]
-    outcome = _exec(dict(state), program, cursor, trace, clock)
+    plants = {}  # id(ode) -> Plant, built once per distinct ODE
+    outcome = _exec(dict(state), program, cursor, trace, clock, plants)
     if isinstance(outcome, Final) and not cursor.exhausted():
         raise ScriptError(
             f"surplus script decisions from position {cursor.index}")
@@ -503,7 +642,7 @@ def _record(trace, clock, label, state):
     trace.append(TraceStep(clock[0], label, dict(state)))
 
 
-def _exec(state, program, cursor, trace, clock):
+def _exec(state, program, cursor, trace, clock, plants):
     if isinstance(program, Assign):
         state = dict(state)
         state[program.var] = eval_term(state, program.term)
@@ -522,7 +661,10 @@ def _exec(state, program, cursor, trace, clock):
         return Aborted(program.condition, state)
     if isinstance(program, ODE):
         decision = cursor.take(Duration, state, program)
-        outcome = evolve_plant(state, program, decision.value)
+        plant = plants.get(id(program))
+        if plant is None:
+            plant = plants[id(program)] = Plant(program)
+        outcome = plant.evolve(state, decision.value)
         if isinstance(outcome, Final):
             clock[0] = clock[0] + decision.value
             _record(trace, clock, "ode", outcome.state)
@@ -530,16 +672,16 @@ def _exec(state, program, cursor, trace, clock):
     if isinstance(program, Choice):
         decision = cursor.take(Branch, state, program)
         chosen = program.left if decision.side == "left" else program.right
-        return _exec(state, chosen, cursor, trace, clock)
+        return _exec(state, chosen, cursor, trace, clock, plants)
     if isinstance(program, Seq):
-        outcome = _exec(state, program.first, cursor, trace, clock)
+        outcome = _exec(state, program.first, cursor, trace, clock, plants)
         if isinstance(outcome, Aborted):
             return outcome
-        return _exec(outcome.state, program.second, cursor, trace, clock)
+        return _exec(outcome.state, program.second, cursor, trace, clock, plants)
     if isinstance(program, Loop):
         decision = cursor.take(LoopCount, state, program)
         for _ in range(decision.count):
-            outcome = _exec(state, program.body, cursor, trace, clock)
+            outcome = _exec(state, program.body, cursor, trace, clock, plants)
             if isinstance(outcome, Aborted):
                 return outcome
             state = outcome.state

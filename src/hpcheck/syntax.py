@@ -2,8 +2,7 @@
 
 All nodes are immutable (frozen dataclasses) and safe to share freely.
 Formulas cover plain first-order real arithmetic as well as the modal
-operators over hybrid programs; helpers below distinguish the
-quantifier-free / modality-free fragment where needed.
+operators over hybrid programs.
 """
 
 from __future__ import annotations
@@ -225,13 +224,6 @@ def seq(*programs: Program) -> Program:
     return out
 
 
-def conj(*formulas: Formula) -> Formula:
-    out = formulas[0]
-    for f in formulas[1:]:
-        out = And(out, f)
-    return out
-
-
 def conjuncts(formula: Formula):
     """Flatten nested conjunctions into a list."""
     if isinstance(formula, And):
@@ -340,37 +332,6 @@ def _rename_free(formula: Formula, old: str, new: str) -> Formula:
     return substitute(formula, old, Var(new))
 
 
-def forall(var: str, body: Formula) -> Formula:
-    """Forall with inner same-named binders renamed away."""
-    return Forall(var, _distinct_binders(body, {var}))
-
-
-def exists(var: str, body: Formula) -> Formula:
-    return Exists(var, _distinct_binders(body, {var}))
-
-
-def _distinct_binders(formula: Formula, taken: set) -> Formula:
-    """Rename binders so names are distinct along any root-to-leaf path."""
-    if isinstance(formula, (Forall, Exists)):
-        ctor = Forall if isinstance(formula, Forall) else Exists
-        var, body = formula.var, formula.body
-        if var in taken:
-            new = fresh_name(var, taken | free_variables(body) | bound_variables(body))
-            body = _rename_free(body, var, new)
-            var = new
-        return ctor(var, _distinct_binders(body, taken | {var}))
-    if isinstance(formula, Not):
-        return Not(_distinct_binders(formula.inner, taken))
-    if isinstance(formula, (And, Or, Implies, Iff)):
-        ctor = type(formula)
-        return ctor(_distinct_binders(formula.left, taken),
-                    _distinct_binders(formula.right, taken))
-    if isinstance(formula, (Box, Diamond)):
-        ctor = type(formula)
-        return ctor(formula.program, _distinct_binders(formula.post, taken))
-    return formula
-
-
 def substitute_term(term: Term, var: str, replacement: Term) -> Term:
     if isinstance(term, Var):
         return replacement if term.name == var else term
@@ -453,31 +414,3 @@ def substitute_program(program: Program, var: str, replacement: Term) -> Program
     if isinstance(program, Loop):
         return Loop(substitute_program(program.body, var, replacement))
     raise TypeError(f"not a program: {program!r}")
-
-
-# ---------------------------------------------------------------------------
-# Fragment checks
-
-def is_quantifier_free(formula: Formula) -> bool:
-    if isinstance(formula, (Forall, Exists)):
-        return False
-    if isinstance(formula, Not):
-        return is_quantifier_free(formula.inner)
-    if isinstance(formula, (And, Or, Implies, Iff)):
-        return is_quantifier_free(formula.left) and is_quantifier_free(formula.right)
-    if isinstance(formula, (Box, Diamond)):
-        return is_quantifier_free(formula.post)
-    return True
-
-
-def is_fol(formula: Formula) -> bool:
-    """No modalities anywhere."""
-    if isinstance(formula, (Box, Diamond)):
-        return False
-    if isinstance(formula, Not):
-        return is_fol(formula.inner)
-    if isinstance(formula, (And, Or, Implies, Iff)):
-        return is_fol(formula.left) and is_fol(formula.right)
-    if isinstance(formula, (Forall, Exists)):
-        return is_fol(formula.body)
-    return True

@@ -76,6 +76,31 @@ def random_formula(rng, depth: int, in_program: bool = False):
                 random_formula(rng, depth - 1, in_program=False))
 
 
+def is_quantifier_free(formula) -> bool:
+    if isinstance(formula, (Forall, Exists)):
+        return False
+    if isinstance(formula, Not):
+        return is_quantifier_free(formula.inner)
+    if isinstance(formula, (And, Or, Implies, Iff)):
+        return is_quantifier_free(formula.left) and is_quantifier_free(formula.right)
+    if isinstance(formula, (Box, Diamond)):
+        return is_quantifier_free(formula.post)
+    return True
+
+
+def is_fol(formula) -> bool:
+    """No modalities anywhere."""
+    if isinstance(formula, (Box, Diamond)):
+        return False
+    if isinstance(formula, Not):
+        return is_fol(formula.inner)
+    if isinstance(formula, (And, Or, Implies, Iff)):
+        return is_fol(formula.left) and is_fol(formula.right)
+    if isinstance(formula, (Forall, Exists)):
+        return is_fol(formula.body)
+    return True
+
+
 def random_program(rng, depth: int):
     if depth <= 0 or rng.random() < 0.3:
         kind = rng.choice(("assign", "random", "test"))

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from gen import (
-    ORACLE_VARS, VAR_POOL, brute_force_decide, random_finite_obligation,
-    random_formula, random_term,
+    ORACLE_VARS, VAR_POOL, brute_force_decide, is_fol, is_quantifier_free,
+    random_finite_obligation, random_formula, random_term,
 )
 from hpcheck.checker import (
     FALSIFIED, NO_WITNESS_FOUND, NOT_FALSIFIED, WITNESS_FOUND, CheckError,
@@ -19,7 +19,7 @@ from hpcheck.obligations import (
 )
 from hpcheck.parser import parse_formula, parse_term
 from hpcheck.semantics import eval_fol, eval_term
-from hpcheck.syntax import Exists, Forall, is_fol, is_quantifier_free
+from hpcheck.syntax import Exists, Forall
 
 
 def F(numerator, denominator=1):

@@ -52,3 +52,47 @@ def test_no_eval_or_exec(path):
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id in ("eval", "exec")]
     assert not calls, f"calls of eval/exec: {calls}"
+
+
+BENCH = PACKAGE.parent.parent / "bench"
+
+
+def _names_in(node):
+    """Identifiers a node reads: plain names and attribute names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def _exported():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_public_definitions_are_used():
+    # every public top-level function or class is used by the package or
+    # the benchmark outside its own body, or is exported by __all__
+    sources = MODULES + sorted(BENCH.glob("*.py"))
+    statements = []  # (path, top-level statement, names it reads)
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        statements.extend((path, node, set(_names_in(node)))
+                          for node in tree.body)
+    exported = _exported()
+    unused = []
+    for path, node, _ in statements:
+        if (path.parent != PACKAGE
+                or not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                or node.name.startswith("_") or node.name in exported):
+            continue
+        if not any(node.name in names for _, other, names in statements
+                   if other is not node):
+            unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unused, f"public but unused outside tests: {unused}"

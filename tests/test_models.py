@@ -5,7 +5,7 @@ import pytest
 import golden
 from golden import SAMPLE_CONSTANTS
 from hpcheck.models import (
-    MODEL_IDS, builtin, fig2_script, invariant_catalog, table2_suite,
+    MODEL_IDS, builtin, fig2_script, table2_suite,
 )
 from hpcheck.parser import parse_model
 from hpcheck.printer import print_model
@@ -62,13 +62,6 @@ def test_invariants_match_golden():
         assert model.invariants["zeta1"] == golden.zeta1()
         assert model.invariants["zeta2"] == golden.zeta2()
     assert builtin("m4").invariants["zeta_iter"] == golden.zeta_iter()
-
-
-def test_invariant_catalog_matches_models():
-    catalog = invariant_catalog()
-    assert catalog["zeta1"] == golden.zeta1()
-    assert catalog["zeta2"] == golden.zeta2()
-    assert catalog["zeta_iter"] == golden.zeta_iter()
 
 
 def test_init_guarantee_relation():

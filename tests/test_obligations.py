@@ -6,11 +6,11 @@ from hpcheck.models import builtin
 from hpcheck.obligations import (
     FALSIFY_UNIVERSAL, FIND_WITNESS, MissingRelation, chi_obligation,
     exploit_witness_formula, friendliness_probe, loop_obligations,
-    negate_obligation, psi_obligation, rho_obligation,
+    psi_obligation, rho_obligation,
 )
 from hpcheck.parser import parse_model, parse_term
 from hpcheck.syntax import (
-    And, Box, Cmp, Diamond, Exists, Forall, Implies, Not, Seq, Var,
+    And, Box, Cmp, Diamond, Forall, Implies, Not, Seq, Var,
     free_variables,
 )
 
@@ -135,29 +135,10 @@ def test_friendliness_probe_shape(m2):
     assert isinstance(matrix.right.inner, Diamond)
 
 
-def test_negate_obligation_round_trip(m2):
-    ob = rho_obligation(m2, m2.invariants["zeta1"])
-    neg = negate_obligation(ob)
-    assert neg.kind == FIND_WITNESS
-    assert isinstance(neg.formula, Exists)
-    assert neg.matrix() == Not(ob.matrix())
-    back = negate_obligation(neg)
-    assert back.kind == ob.kind
-    assert back.quantified_vars() == ob.quantified_vars()
-
-
 def test_fixed_constants_carry_sample_values(m2):
     ob = rho_obligation(m2, m2.invariants["zeta1"])
     assert ob.fixed_constants == {"T": Fraction(1), "anmax": Fraction(2),
                                   "anmin": Fraction(3), "asmin": Fraction(4)}
-
-
-def test_search_constants_mode(m2):
-    ob = rho_obligation(m2, m2.invariants["zeta1"], search_constants=True)
-    assert "anmin" in ob.quantified_vars()
-    assert "anmin" not in ob.fixed_constants
-    lo, hi = ob.search_box["anmin"]
-    assert lo >= 0  # the sign constraint bounds the interval
 
 
 def test_undeclared_invariant_variable_rejected(m2):

@@ -4,14 +4,14 @@ from fractions import Fraction
 import pytest
 
 from golden import SAMPLE_CONSTANTS
-from hpcheck.checker import compile_fol
+from hpcheck import semantics
 from hpcheck.models import MODEL_IDS, builtin, fig2_script
-from hpcheck.parser import parse_formula, parse_program
+from hpcheck.parser import parse_formula, parse_program, parse_term
 from hpcheck.semantics import (
     Aborted, Branch, Duration, Final, LoopCount, RandomValue, ScriptError,
-    _evolve_numeric, _template_state_at, closed_form_template, eval_fol,
-    eval_term, evolve_plant, format_script, max_admissible_duration,
-    parse_script, run, template_max_duration,
+    UndeclaredVariable, _evolve_numeric, _template_state_at,
+    closed_form_template, compile_fol, compile_term, eval_fol, eval_term,
+    evolve_plant, format_script, max_admissible_duration, parse_script, run,
 )
 from hpcheck.syntax import ODE, Num, Var
 
@@ -149,6 +149,13 @@ def test_full_bundled_script_aborts_at_env():
 PLANT_ODE = parse_program("{x' = v, v' = a, tau' = 1 & v >= 0 & tau <= T}")
 
 
+def test_compiled_kernel_reports_undeclared_variables():
+    formula, term = parse_formula("x <= y"), parse_term("x + y")
+    for compiled in (compile_fol(formula), compile_term(term)):
+        with pytest.raises(UndeclaredVariable):
+            compiled({"x": F(1)})
+
+
 def test_closed_form_template_detected():
     assert closed_form_template(PLANT_ODE) == ("x", "v", "tau", Var("a"))
 
@@ -174,34 +181,57 @@ def test_max_admissible_duration_affine():
 
 
 def test_template_max_duration_matches_max_admissible_duration():
-    # the checker's path: template and compiled domain cached per ODE
+    # the exact maximal duration of the template is where evolution stops:
+    # the plant evolves for exactly that long and aborts just after it
     rng = random.Random(11)
     checked = outside = 0  # some states must start outside the domain
     for model_id in MODEL_IDS:
         model = builtin(model_id)
         ode = model.plant.second
-        template = closed_form_template(ode)
-        domain_fn = compile_fol(ode.domain)
         for _ in range(300):
             state = {k: F(v) for k, v in model.constant_values().items()}
             state["T"] = F(rng.randint(1, 12), rng.choice((1, 2, 3, 4)))
             for var in ("x", "v", "a", "tau"):
                 state[var] = F(rng.randint(-24, 24), rng.choice((1, 2, 3, 8)))
-            expected = max_admissible_duration(state, ode)
-            got = template_max_duration(state, ode, template, domain_fn)
-            assert type(got) is Fraction
-            assert got == expected
+            m = max_admissible_duration(state, ode)
+            assert type(m) is Fraction
             checked += 1
-            outside += not eval_fol(state, ode.domain)
+            if not eval_fol(state, ode.domain):
+                outside += 1
+                assert m == 0
+                assert isinstance(evolve_plant(state, ode, m), Aborted)
+                continue
+            assert isinstance(evolve_plant(state, ode, m), Final)
+            if 0 < m < semantics.DEFAULT_HORIZON:
+                later = evolve_plant(state, ode, m + F(1, 10**6))
+                assert isinstance(later, Aborted)
     assert 0 < outside < checked
 
 
+def test_run_matches_each_plant_template_once(monkeypatch):
+    calls = []
+    original = semantics.closed_form_template
+
+    def counting(ode):
+        calls.append(ode)
+        return original(ode)
+    monkeypatch.setattr(semantics, "closed_form_template", counting)
+    model = builtin("m2")
+    script = [LoopCount(2),
+              RandomValue(F(5)), RandomValue(F(0)), Branch("right"), Duration(F(1)),
+              RandomValue(F(5)), RandomValue(F(0)), Branch("right"), Duration(F(1))]
+    outcome, trace = run(base_state(xc=5), model.loop_program(), script)
+    assert isinstance(outcome, Final)
+    assert [step.label for step in trace].count("ode") == 2
+    assert calls == [model.plant.second]
+
+
 def test_max_admissible_duration_numeric_fallback():
-    # x' = -x never leaves x >= 0, so the bisection hits the horizon
+    # x' = 1 - x^2 converges to 1 < 2, so the bisection hits the horizon
     ode = parse_program("{x' = 1 - x * x & x <= 2}")
     assert isinstance(ode, ODE)
-    d = max_admissible_duration({"x": F(0)}, ode, horizon=F(5))
-    assert d == 5.0  # converges to 1 < 2, domain never violated
+    d = max_admissible_duration({"x": F(0)}, ode)
+    assert d == 100.0  # the default horizon, domain never violated
 
 
 def _random_ratio(rng):

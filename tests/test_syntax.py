@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from gen import is_fol, is_quantifier_free
 from hpcheck.syntax import (
     Add, And, Assign, BoolLit, Box, Choice, Cmp, Diamond, Div, Exists,
     Forall, Implies, Loop, Mul, Neg, Not, Num, ODE, Or, Pow, RandomAssign,
-    Seq, Sub, Test, Var, assigned_variables, bound_variables, conj,
-    conjuncts, desugar_if, exists, forall, free_variables, fresh_name,
-    is_fol, is_quantifier_free, seq, substitute,
+    Seq, Sub, Test, Var, assigned_variables, bound_variables, conjuncts,
+    desugar_if, free_variables, fresh_name, seq, substitute,
 )
 
 
@@ -79,16 +79,6 @@ def test_fresh_name_avoids_collisions():
     assert fresh_name("y", {"x"}) == "y_1"
 
 
-def test_smart_quantifiers_rename_duplicate_binders():
-    inner = exists("x", Cmp("=", Var("x"), Num(0)))
-    outer = forall("x", And(Cmp(">=", Var("x"), Num(0)), inner))
-    # the inner binder must not capture the outer variable
-    assert isinstance(outer, Forall)
-    inner_q = outer.body.right
-    assert isinstance(inner_q, Exists)
-    assert inner_q.var != "x"
-
-
 def test_substitute_simple():
     f = Cmp("<=", Var("x"), Var("y"))
     g = substitute(f, "x", Num(3))
@@ -118,7 +108,8 @@ def test_conjuncts_flatten():
     a = Cmp("<=", Var("x"), Num(0))
     b = Cmp(">=", Var("y"), Num(1))
     c = Cmp("=", Var("z"), Num(2))
-    assert conjuncts(conj(a, b, c)) == [a, b, c]
+    assert conjuncts(And(And(a, b), c)) == [a, b, c]
+    assert conjuncts(And(a, And(b, c))) == [a, b, c]
 
 
 def test_is_fol_and_quantifier_free():
