@@ -10,13 +10,16 @@ __version__ = "0.1.0"
 
 from .parser import ParseError, parse_formula, parse_model, parse_program, parse_term
 from .printer import pretty_print
-from .semantics import evolve_plant, format_script, run
+from .semantics import (
+    evolve_plant, format_script, max_admissible_duration, run,
+)
 from .checker import SearchConfig, certify, check, derive_controller_witness
 from .models import builtin, table2_suite
 
 __all__ = [
     "ParseError", "parse_formula", "parse_model", "parse_program",
-    "parse_term", "pretty_print", "evolve_plant", "format_script", "run",
+    "parse_term", "pretty_print", "evolve_plant", "format_script",
+    "max_admissible_duration", "run",
     "SearchConfig", "certify", "check", "derive_controller_witness",
     "builtin", "table2_suite", "__version__",
 ]

@@ -2,8 +2,9 @@
 
 Universal obligations are attacked by searching for a falsifying
 assignment of the quantified variables; existential obligations by
-searching for a witness.  Candidates come from a coarse-to-fine grid,
-seeded uniform sampling and coordinate-descent refinement.  Modalities
+searching for a witness.  Candidates come from a coarse-to-fine grid and
+seeded uniform sampling; they stay integer (numerator, denominator) pairs
+until a value enters a program state or a certificate.  Modalities
 are decided by script enumeration; the diamond-over-env pattern
 `<e := *; ?P> e = e1` is decided goal-directed (bind e := e1, evaluate P)
 with no search.  Every candidate success is re-checked by exact rational
@@ -32,7 +33,7 @@ from .obligations import (
 from .parser import parse_term
 from .semantics import (
     Aborted, Branch, Duration, Final, LoopCount, Plant, RandomValue,
-    compile_fol, compile_term, eval_fol, eval_term, is_exact, run,
+    _Inexact, _ratio_term, compile_fol, eval_fol, eval_term, is_exact, run,
 )
 from .syntax import (
     And, Assign, BoolLit, Box, Choice, Cmp, Diamond, Forall, Exists, Iff,
@@ -42,11 +43,10 @@ from .syntax import (
 
 STRICT_EPS = 1e-12
 
-# Search shape: grid refinement levels before sampling, coordinate-descent
-# rounds, durations tried per ODE (0, the maximum and uniform samples),
-# values tried per random assignment and loop unrollings.
+# Search shape: grid refinement levels before sampling, durations tried per
+# ODE (0, the maximum and uniform samples), values tried per random
+# assignment and loop unrollings.
 GRID_LEVELS = 2
-LOCAL_REFINE_ITERS = 24
 DURATION_SAMPLES_PER_ODE = 4
 VALUES_PER_RANDOM_ASSIGN = 6
 LOOP_COUNTS = (0, 1, 2)
@@ -81,7 +81,7 @@ class SearchConfig:
     budget: int = 200_000
     seed: int = 0
     # Optional exhaustive mode: every quantified variable takes values from
-    # a finite list; no sampling or refinement happens.
+    # a finite list; no grid or sampling happens.
     discrete: dict | None = None
 
     def __post_init__(self):
@@ -213,7 +213,8 @@ def violation_margin(state, formula) -> float:
     """Signed margin: > 0 implies true, < 0 implies false.
 
     Strict comparisons and equalities get an epsilon tie-break; exact
-    truth decisions never rely on this margin, it only guides refinement.
+    truth decisions never rely on this margin, it only fills the
+    certificate's `margin`.
     """
     if isinstance(formula, BoolLit):
         return _INF if formula.value else -_INF
@@ -300,7 +301,7 @@ class _Engine:
         self._pin_cache = {}
         self._goal_cache = {}
         self._binop_cache = {}
-        self._sampler_cache = {}
+        self._draws = {}  # var -> (lo, hi, sampler) of its search interval
         self._rng = None
         self._rng_key = ("", 0)
 
@@ -527,19 +528,25 @@ class _Engine:
                 yield final_state, script1 + script2
 
     def _random_values(self, state, var, following_test):
-        lo, hi = self.obligation.search_box.get(
-            var, self._box_fallback(var))
+        draws = self._draws.get(var)
+        if draws is None:
+            lo, hi = self.obligation.search_box.get(
+                var, self._box_fallback(var))
+            draws = self._draws[var] = (lo, hi, _sampler(lo, hi))
+        lo, hi, sample = draws
         values = []
         if following_test is not None:
             values.extend(self._pins(state, var, following_test))
         values.extend([lo, hi])
+        bits = self.rng.getrandbits
         for _ in range(VALUES_PER_RANDOM_ASSIGN):
-            values.append(self._uniform(lo, hi))
+            values.append(Fraction(*sample(bits(16))))
         seen = set()
         out = []
         for v in values:
-            if v not in seen:
-                seen.add(v)
+            key = v.as_integer_ratio()
+            if key not in seen:
+                seen.add(key)
                 out.append(v)
         return out
 
@@ -552,56 +559,76 @@ class _Engine:
         return DEFAULT_DOMAIN
 
     def _pins(self, state, var, test):
-        """Boundary values of `var` from affine conjuncts of the test."""
-        pins = []
-        for diff_fn in self._pin_diffs(test, var):
-            probe = dict(state)
-            try:
-                probe[var] = Fraction(0)
-                d0 = diff_fn(probe)
-                probe[var] = Fraction(1)
-                d1 = diff_fn(probe)
-            except Exception:
-                continue
-            slope = d1 - d0
-            if slope != 0:
-                probe[var] = Fraction(2)
-                d2 = diff_fn(probe)
-                if d2 - d1 == d1 - d0:  # affine in var, boundary is exact
-                    pins.append(-Fraction(d0) / Fraction(slope))
-        return pins
+        """Boundary values of `var` from affine conjuncts of the test: the
+        zero of each conjunct's left - right, one Fraction per pin."""
+        probe = dict(state)
+        pins = [_pin(probe, var, diff, exact)
+                for diff, exact in self._pin_diffs(test, var)]
+        return [pin for pin in pins if pin is not None]
 
     def _pin_diffs(self, test, var):
         key = (id(test), var)
-        fns = self._pin_cache.get(key)
-        if fns is None:
-            fns = []
+        diffs = self._pin_cache.get(key)
+        if diffs is None:
+            diffs = []
             for c in conjuncts(test):
                 if not isinstance(c, Cmp):
                     continue
                 if var in free_variables(c.left) | free_variables(c.right):
-                    fns.append(compile_term(Sub(c.left, c.right)))
-            self._pin_cache[key] = fns
-        return fns
+                    diff = Sub(c.left, c.right)
+                    diffs.append((diff, _ratio_term(diff)))
+            self._pin_cache[key] = diffs
+        return diffs
 
     def _durations(self, state, plant):
         self._count(2)
-        # the numeric path returns a float; the sampler needs an exact
-        # bound, and Fraction(float) is exact
+        # the numeric path returns a float; the maximum is itself a
+        # duration to try, and Fraction(float) is exact
         maximum = Fraction(plant.max_duration(state))
         if maximum <= 0:
             return [Fraction(0)]
         out = [maximum, Fraction(0)]
+        sample = _sampler(0, maximum)
+        bits = self.rng.getrandbits
         for _ in range(DURATION_SAMPLES_PER_ODE - 2):
-            out.append(self._uniform(Fraction(0), maximum))
+            out.append(Fraction(*sample(bits(16))))
         return out
 
-    def _uniform(self, lo, hi):
-        mk = self._sampler_cache.get((lo, hi))
-        if mk is None:
-            mk = _sampler(lo, hi)
-            self._sampler_cache[(lo, hi)] = mk
-        return mk(self.rng.getrandbits(16))
+
+def _pin(probe, var, diff, exact):
+    """The zero -d0 / slope of `diff` = d0 + slope * var, when probing var =
+    0, 1, 2 on int pairs finds it affine with a nonzero slope; else None.
+    A state holding a float probes with eval_term instead and keeps its
+    float arithmetic up to the slope."""
+    try:
+        probe[var] = (0, 1)
+        n0, d0 = exact(probe)
+        probe[var] = (1, 1)
+        n1, d1 = exact(probe)
+    except _Inexact:
+        try:
+            probe[var] = Fraction(0)
+            f0 = eval_term(probe, diff)
+            probe[var] = Fraction(1)
+            f1 = eval_term(probe, diff)
+        except Exception:
+            return None
+        slope = f1 - f0
+        probe[var] = Fraction(2)
+        if slope == 0 or eval_term(probe, diff) - f1 != slope:
+            return None
+        (n0, d0), (sn, sd) = f0.as_integer_ratio(), slope.as_integer_ratio()
+        return Fraction(-n0 * sd, d0 * sn)
+    except Exception:
+        return None  # undefined at a probe
+    sn, sd = n1 * d0 - n0 * d1, d0 * d1
+    if sn == 0:
+        return None
+    probe[var] = (2, 1)
+    n2, d2 = exact(probe)
+    if (n2 * d1 - n1 * d2) * sd != sn * d1 * d2:
+        return None  # not affine: the step from 1 to 2 is not the slope
+    return Fraction(-n0 * sd, d0 * sn)
 
 
 # ---------------------------------------------------------------------------
@@ -613,25 +640,27 @@ def _derive_seed(seed, name, salt=""):
     return int.from_bytes(digest, "big")
 
 
-def _grid_points(lo, hi, level):
-    n = 1 << (level + 1)
-    return [(lo + (hi - lo) * Fraction(i, n), i) for i in range(n + 1)]
+def _sampler(lo, hi, bits=16):
+    """n -> lo + (hi - lo) * n / 2^bits as an unreduced (numerator,
+    denominator) int pair; a uniform n < 2^bits samples [lo, hi]
+    exactly."""
+    ln, ld = lo.as_integer_ratio()
+    hn, hd = hi.as_integer_ratio()
+    d = math.lcm(ld, hd)
+    base = ln * (d // ld)
+    step = hn * (d // hd) - base
+    base, den = base << bits, d << bits
+    return lambda n: (base + n * step, den)
 
 
-def _sampler(lo, hi):
-    """Fast exact uniform sampler over [lo, hi] with denominator 2^16."""
-    span = hi - lo
-    d = lo.denominator * span.denominator // math.gcd(lo.denominator,
-                                                      span.denominator)
-    base = int(lo * d) << 16
-    step = int(span * d)
-    den = d << 16
-    return lambda n: Fraction(base + n * step, den)
-
-
-def _candidates(search_vars, box, config, rng):
+def _candidates(search_vars, box, config, rng, pairs):
+    """Candidate assignments of `search_vars`: the `discrete` product,
+    which ends, or the coarse-to-fine grid followed by endless seeded
+    samples.  Values are int pairs when `pairs`, else Fractions."""
     if config.discrete is not None:
         lists = [config.discrete[v] for v in search_vars]
+        if pairs:
+            lists = [[x.as_integer_ratio() for x in xs] for xs in lists]
         for combo in itertools.product(*lists):
             yield dict(zip(search_vars, combo))
         return
@@ -639,15 +668,23 @@ def _candidates(search_vars, box, config, rng):
         yield {}
         return
     for level in range(GRID_LEVELS + 1):
-        axes = [_grid_points(*box[v], level) for v in search_vars]
+        n = 1 << (level + 1)
+        axes = []
+        for v in search_vars:
+            point = _sampler(*box[v], bits=level + 1)
+            axes.append([(point(i) if pairs else Fraction(*point(i)), i)
+                         for i in range(n + 1)])
         for combo in itertools.product(*axes):
             if level > 0 and all(i % 2 == 0 for _, i in combo):
                 continue  # already visited at the previous level
             yield {v: value for v, (value, _) in zip(search_vars, combo)}
     samplers = [(v, _sampler(*box[v])) for v in search_vars]
     bits = rng.getrandbits
+    if pairs:
+        while True:
+            yield {v: sample(bits(16)) for v, sample in samplers}
     while True:
-        yield {v: mk(bits(16)) for v, mk in samplers}
+        yield {v: Fraction(*sample(bits(16))) for v, sample in samplers}
 
 
 # ---------------------------------------------------------------------------
@@ -795,33 +832,32 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
     for v in _assigned_in(matrix) - set(base_state) - set(search_vars):
         base_state[v] = Fraction(0)
 
-    best_margin = -_INF
-    best_candidate = None
-    exhaustive = config.discrete is not None
+    # A modality-free matrix is decided on int pairs, with no Fraction per
+    # candidate; only a hit goes through establish and certify on Fractions.
+    pairs = not _has_modality(matrix, engine.memo)
+    if pairs:
+        decide = engine._fol(matrix)
+        pair_base = {k: v.as_integer_ratio() for k, v in base_state.items()}
     for index, candidate in enumerate(_candidates(search_vars, box, config,
-                                                  stream_rng)):
+                                                  stream_rng, pairs)):
         if engine.over_budget():
             break
         engine.stats.candidates += 1
-        # margins are only needed to seed refinement; skip the float work
-        # for most candidates
+        if pairs:
+            state = pair_base.copy()
+            state.update(candidate)
+            if decide(state) != target:
+                engine._count()  # the evaluation establish would count
+                continue
+            candidate = {v: Fraction(*p) for v, p in candidate.items()}
+        # the certificate's margin is measured for one candidate in 64;
+        # skip the float work for the rest
         engine.want_margin = index % 64 == 0
         engine.reset_rng(str(index))
-        verdict = _try_candidate(engine, base_state, candidate, matrix, target,
-                                 obligation, quantified)
-        if isinstance(verdict, Counterexample):
-            return _found(obligation, config, engine, verdict, start)
-        if verdict > best_margin:
-            best_margin = verdict
-            best_candidate = candidate
-
-    engine.want_margin = True
-    if not exhaustive and best_candidate is not None \
-            and not engine.over_budget():
-        found = _refine(engine, base_state, dict(best_candidate), matrix,
-                        target, obligation, quantified, best_margin)
-        if found is not None:
-            return _found(obligation, config, engine, found, start)
+        cex = _try_candidate(engine, base_state, candidate, matrix, target,
+                             obligation, quantified)
+        if cex is not None:
+            return _found(obligation, config, engine, cex, start)
 
     engine.stats.wall_time = time.perf_counter() - start
     status = NO_WITNESS_FOUND if target else NOT_FALSIFIED
@@ -845,11 +881,12 @@ def _assigned_in(matrix):
 
 def _try_candidate(engine, base_state, candidate, matrix, target, obligation,
                    quantified):
+    """The certified counterexample or witness at `candidate`, or None."""
     state = dict(base_state)
     state.update(candidate)
     evidence, margin = engine.establish(state, matrix, target)
     if evidence is None:
-        return margin
+        return None
     assignment = {v: state[v] for v in quantified}
     cex = Counterexample(assignment, evidence,
                          scripts=flatten_scripts(evidence),
@@ -857,41 +894,7 @@ def _try_candidate(engine, base_state, candidate, matrix, target, obligation,
     if certify(cex, obligation):
         return cex
     engine.stats.discarded_certificates += 1
-    return margin
-
-
-def _refine(engine, base_state, candidate, matrix, target, obligation,
-            quantified, margin):
-    """Coordinate descent on the violation margin around the best sample."""
-    box = obligation.search_box
-    steps = {v: (box[v][1] - box[v][0]) / 8 for v in candidate}
-    for _ in range(LOCAL_REFINE_ITERS):
-        if engine.over_budget():
-            return None
-        improved = False
-        for v in candidate:
-            for direction in (1, -1):
-                trial = dict(candidate)
-                trial[v] = _clamp(candidate[v] + direction * steps[v], *box[v])
-                if trial[v] == candidate[v]:
-                    continue
-                result = _try_candidate(engine, base_state, trial, matrix,
-                                        target, obligation, quantified)
-                if isinstance(result, Counterexample):
-                    return result
-                if result > margin:
-                    margin = result
-                    candidate = trial
-                    improved = True
-                    break
-        if not improved:
-            for v in steps:
-                steps[v] = steps[v] / 2
     return None
-
-
-def _clamp(value, lo, hi):
-    return max(lo, min(hi, value))
 
 
 def _found(obligation, config, engine, cex, start):

@@ -110,10 +110,11 @@ def eval_fol(state: State, formula) -> bool:
 # of closures.  A term node returns its exact value as a (numerator,
 # denominator > 0) pair of Python ints: sums and products are a few integer
 # operations, comparisons cross-multiply, and nothing is reduced by a gcd
-# inside a formula, so no Fraction is built.  A state that holds a float
-# (the numeric-plant path), or lacks a variable, is evaluated by
-# eval_fol/eval_term instead, with their float semantics and their
-# UndeclaredVariable.
+# inside a formula, so no Fraction is built.  A state may hold such pairs
+# itself (the search's first-order candidates do), which a variable returns
+# as they are.  A state that holds a float (the numeric-plant path), or
+# lacks a variable, is evaluated by eval_fol/eval_term instead, with their
+# float semantics and their UndeclaredVariable.
 
 class _Inexact(Exception):
     """A state value is a float, which the kernel does not evaluate."""
@@ -126,7 +127,10 @@ def _ratio_term(term):
 
         def var(s):
             value = s[name]
-            if type(value) is float:
+            kind = type(value)
+            if kind is tuple:
+                return value
+            if kind is float:
                 raise _Inexact
             return value.as_integer_ratio()
         return var
@@ -229,19 +233,6 @@ def compile_fol(formula):
             return exact(s)
         except (_Inexact, KeyError):
             return eval_fol(s, formula)
-    return evaluate
-
-
-def compile_term(term):
-    """state -> value, equal to eval_term(state, term): a Fraction on exact
-    states, eval_term's float or UndeclaredVariable otherwise."""
-    exact = _ratio_term(term)
-
-    def evaluate(s):
-        try:
-            return Fraction(*exact(s))
-        except (_Inexact, KeyError):
-            return eval_term(s, term)
     return evaluate
 
 
@@ -490,6 +481,7 @@ class Plant:
                 and not _domain_conjuncts_affine(ode, self.template):
             self.template = None
         self.domain = compile_fol(ode.domain)
+        self._lines = None  # compiled by the first template max_duration
 
     def evolve(self, state: State, duration):
         """Final(state at duration) when the evolution domain holds
@@ -514,12 +506,50 @@ class Plant:
             return Fraction(0)
         if self.template is None:
             return self._bisect(state)
-        at1 = _template_state_at(state, self.template, Fraction(1))
-        bounds = [_affine_conjunct_bound(state, at1, c)
-                  for c in conjuncts(self.ode.domain)
-                  if not isinstance(c, BoolLit)]
-        bounds = [b for b in bounds if b is not None]
-        return min(bounds) if bounds else DEFAULT_HORIZON
+        best = None
+        for line in self._domain_lines(state):
+            bound = _affine_conjunct_bound(*line)
+            if bound is None:
+                continue
+            if best is None or bound[0] * best[1] < best[0] * bound[1]:
+                best = bound
+        return DEFAULT_HORIZON if best is None else Fraction(*best)
+
+    def _domain_lines(self, state):
+        """(op, n0, d0, sn, sd) per domain conjunct: along the closed-form
+        solution its left - right is n0/d0 + (sn/sd) * t, as the conjuncts
+        are affine in velocity and clock.  Both are read on int pairs; a
+        state holding a float takes them from eval_term at t = 0 and t = 1
+        instead, with its float arithmetic."""
+        _, vel, clock, accel = self.template
+        if self._lines is None:
+            motion = [_ratio_term(t) for t in (Var(vel), Var(clock), accel)]
+            diffs = [(c.op, Sub(c.left, c.right))
+                     for c in conjuncts(self.ode.domain)
+                     if not isinstance(c, BoolLit)]
+            self._lines = motion, [(op, diff, _ratio_term(diff))
+                                   for op, diff in diffs]
+        motion, diffs = self._lines
+        try:
+            (vn, vd), (cn, cd), (an, ad) = [fn(state) for fn in motion]
+            at1 = dict(state)
+            at1[vel] = (vn * ad + an * vd, vd * ad)
+            at1[clock] = (cn + cd, cd)
+            lines = []
+            for op, _, diff in diffs:
+                n0, d0 = diff(state)
+                n1, d1 = diff(at1)
+                lines.append((op, n0, d0, n1 * d0 - n0 * d1, d0 * d1))
+            return lines
+        except (_Inexact, KeyError):
+            at1 = _template_state_at(state, self.template, Fraction(1))
+            lines = []
+            for op, diff, _ in diffs:
+                d0 = eval_term(state, diff)
+                slope = eval_term(at1, diff) - d0
+                lines.append((op, *d0.as_integer_ratio(),
+                              *slope.as_integer_ratio()))
+            return lines
 
     def _bisect(self, state):
         lo, hi = 0.0, float(DEFAULT_HORIZON)
@@ -592,29 +622,23 @@ def _evolve_numeric(state, ode, duration, step, grid_points):
     return Final(current)
 
 
-def _affine_conjunct_bound(at0, at1, c: Cmp):
-    """Latest time an affine conjunct still holds, or None if unbounded."""
-    def diff(state):
-        return eval_term(state, c.left) - eval_term(state, c.right)
-
-    d0 = diff(at0)
-    slope = diff(at1) - d0
-    if c.op in (">=", ">"):
-        sign = 1
-    elif c.op in ("<=", "<"):
-        sign = -1
-        d0, slope = -d0, -slope
-    elif c.op == "=":
-        return None if slope == 0 else Fraction(0)
-    else:  # '!='
-        if slope == 0:
+def _affine_conjunct_bound(op, n0, d0, sn, sd):
+    """Latest time t >= 0 at which `n0/d0 + (sn/sd) * t op 0` still holds,
+    as an int pair, or None if unbounded."""
+    if op in ("<=", "<"):
+        n0, sn = -n0, -sn  # sign-normalized: need n0/d0 + slope * t >= 0
+    elif op == "=":
+        return None if sn == 0 else (0, 1)
+    elif op == "!=":
+        if sn == 0:
             return None
-        crossing = -Fraction(d0) / Fraction(slope)
-        return crossing if crossing > 0 else None
-    # need sign-normalized margin d0 + slope*t >= 0 (or > 0)
-    if slope >= 0:
+        num, den = -n0 * sd, d0 * sn  # the crossing -d0 / slope
+        if den < 0:
+            num, den = -num, -den
+        return (num, den) if num > 0 else None
+    if sn >= 0:
         return None
-    return Fraction(d0) / Fraction(-slope)
+    return n0 * sd, -sn * d0
 
 
 # ---------------------------------------------------------------------------

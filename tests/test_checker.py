@@ -7,19 +7,23 @@ from gen import (
     ORACLE_VARS, VAR_POOL, brute_force_decide, is_fol, is_quantifier_free,
     random_finite_obligation, random_formula, random_term,
 )
+from hpcheck import checker
 from hpcheck.checker import (
     FALSIFIED, NO_WITNESS_FOUND, NOT_FALSIFIED, WITNESS_FOUND, CheckError,
-    SearchConfig, UnsupportedObligation, certify, check, compile_fol,
-    compile_term, derive_controller_witness, obligations_for,
+    SearchConfig, UnsupportedObligation, _Engine, certify, check,
+    compile_fol, derive_controller_witness, obligations_for,
     violation_margin,
 )
-from hpcheck.models import builtin
+from hpcheck.models import MODEL_IDS, builtin
 from hpcheck.obligations import (
     FALSIFY_UNIVERSAL, FIND_WITNESS, Obligation, psi_obligation,
 )
 from hpcheck.parser import parse_formula, parse_term
-from hpcheck.semantics import eval_fol, eval_term
-from hpcheck.syntax import Exists, Forall
+from hpcheck.semantics import _Inexact, _ratio_term, eval_fol, eval_term
+from hpcheck.syntax import (
+    Cmp, Exists, Forall, RandomAssign, Seq, Sub, Test, conjuncts,
+    free_variables,
+)
 
 
 def F(numerator, denominator=1):
@@ -108,6 +112,17 @@ def _mixed_state(rng, floats=False):
     return state
 
 
+def _pair_state(rng, state):
+    """The exact state as unreduced (numerator, denominator) int pairs,
+    each scaled by a random positive factor."""
+    out = {}
+    for var, value in state.items():
+        n, d = value.as_integer_ratio()
+        k = rng.choice((1, 2, 3, 6, 1 << 16, 7 << 20))
+        out[var] = (n * k, d * k)
+    return out
+
+
 def _outcome(fn, *args):
     """The value, or ZeroDivisionError and its message."""
     try:
@@ -129,29 +144,135 @@ def test_compile_fol_parity_with_eval_fol():
             state = _mixed_state(rng, floats)
             expected = _outcome(eval_fol, state, formula)
             assert _outcome(compiled, state) == expected, (formula, state)
+            if not floats:
+                # the same values held as int pairs, as the search holds
+                # its first-order candidates
+                pairs = _pair_state(rng, state)
+                assert _outcome(compiled, pairs) == expected, (formula, pairs)
             raised += not floats and isinstance(expected, tuple)
             fell_back += floats and any(type(v) is float
                                         for v in state.values())
     assert raised > 30 and fell_back > 300
 
 
-def test_compile_term_parity_with_eval_term():
+def test_ratio_term_parity_with_eval_term():
     rng = random.Random(42)
-    exact = raised = 0
+    exact = raised = inexact = 0
     for _ in range(600):
         term = random_term(rng, 4)
-        compiled = compile_term(term)
+        kernel = _ratio_term(term)
         floats = rng.random() < 0.3
         state = _mixed_state(rng, floats)
         expected = _outcome(eval_term, state, term)
-        got = _outcome(compiled, state)
-        assert got == expected, (term, state)
+        if any(type(state[v]) is float for v in free_variables(term)):
+            # a float is read: the kernel hands the term to eval_term
+            with pytest.raises((_Inexact, ZeroDivisionError)):
+                kernel(state)
+            inexact += 1
+            continue
+        for held in (state, _pair_state(rng, state)):
+            got = _outcome(kernel, held)
+            if isinstance(expected, tuple):
+                assert got == expected, (term, held)
+            else:
+                n, d = got
+                assert d > 0 and Fraction(n, d) == expected, (term, held)
         if isinstance(expected, tuple):
             raised += 1
-        elif not any(type(v) is float for v in state.values()):
-            assert type(got) is Fraction
+        else:
             exact += 1
-    assert raised > 0 and exact > 300
+    assert raised > 0 and exact > 300 and inexact > 50
+
+
+def _reference_pins(state, var, test):
+    """The pins as Fraction (or, on a float state, float) arithmetic
+    computes them: probe each conjunct's left - right at var = 0, 1, 2."""
+    pins = []
+    for c in conjuncts(test):
+        if not (isinstance(c, Cmp)
+                and var in free_variables(c.left) | free_variables(c.right)):
+            continue
+        diff, probe = Sub(c.left, c.right), dict(state)
+        try:
+            probe[var] = F(0)
+            d0 = eval_term(probe, diff)
+            probe[var] = F(1)
+            d1 = eval_term(probe, diff)
+        except Exception:
+            continue
+        slope = d1 - d0
+        if slope != 0:
+            probe[var] = F(2)
+            if eval_term(probe, diff) - d1 == slope:
+                pins.append(-Fraction(d0) / Fraction(slope))
+    return pins
+
+
+def _assign_tests(program):
+    """(var, test) of each `var := *; ?test` in a program."""
+    if isinstance(program, Seq):
+        if isinstance(program.first, RandomAssign) \
+                and isinstance(program.second, Test):
+            return [(program.first.var, program.second.condition)]
+        return _assign_tests(program.first) + _assign_tests(program.second)
+    return [pair for part in getattr(program, "__dict__", {}).values()
+            if hasattr(part, "__dataclass_fields__")
+            for pair in _assign_tests(part)]
+
+
+def test_pins_parity_with_fraction_reference():
+    rng = random.Random(43)
+    # non-affine, zero-slope, '!=' and var-free conjuncts besides the models'
+    extra = ("a", parse_formula("a * a <= 4 & a - a <= 1 & 2 * a + x != 3"
+                                " & x <= 1 & a / 3 - x / 5 >= v"))
+    checked = pinned = 0
+    for model_id in MODEL_IDS:
+        model = builtin(model_id)
+        engine = _Engine(obligations_for(model, "zeta1", "gamma")[0],
+                         SearchConfig())
+        cases = _assign_tests(model.loop_program()) + [extra]
+        assert len(cases) >= 3
+        for _ in range(100):
+            for var, test in cases:
+                state = {k: F(v) for k, v in model.constant_values().items()}
+                for name in free_variables(test) - set(state):
+                    state[name] = F(rng.randint(-40, 40),
+                                    rng.choice((1, 2, 3, 1 << 16)))
+                pins = engine._pins(state, var, test)
+                assert pins == _reference_pins(state, var, test)
+                assert all(type(p) is Fraction for p in pins)
+                checked += 1
+                pinned += len(pins)
+    assert checked == 1200 and pinned > 1500
+    # a float in the state: float arithmetic up to the slope, as before
+    model = builtin("m2")
+    engine = _Engine(obligations_for(model, "zeta1", "gamma")[0],
+                     SearchConfig())
+    [(var, test), *_] = _assign_tests(model.loop_program())
+    state = {k: F(v) for k, v in model.constant_values().items()}
+    state.update({"x": 0.3, "v": 0.7, "xc": F(0)})  # a slope that rounds
+    exact = dict(state, x=Fraction(0.3), v=Fraction(0.7))
+    pins = engine._pins(state, var, test)
+    assert pins == _reference_pins(state, var, test)
+    assert pins and pins != _reference_pins(exact, var, test)
+
+
+def test_first_order_search_builds_few_fractions(monkeypatch):
+    # candidates stay int pairs: the Fractions built are the fixed
+    # constants and midpoints, not one per sampled value
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+    monkeypatch.setattr(checker, "Fraction", counting)
+    ob = obligations_for(builtin("m2"), "zeta2", "loop")[2]
+    assert ob.name == "loop_iii"
+    verdict = check(ob, SearchConfig(budget=5000))
+    assert verdict.status == NOT_FALSIFIED
+    # one evaluation per candidate of a modality-free matrix
+    assert verdict.stats.evaluations == verdict.stats.candidates == 5000
+    assert len(built) < 100
 
 
 # ---------------------------------------------------------------------------

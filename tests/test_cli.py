@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hpcheck import cli, semantics
 from hpcheck.cli import main
 
 BROKEN_MODEL = "CONSTANTS\n  T = 1 : T > 0\nDOMAINS\n  x = [0, 1\n"
@@ -291,6 +292,31 @@ def test_simulate_random_is_pinned(tmp_path, capsys, model, seed, runs,
     assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == digest
 
 
+def test_simulate_random_builds_one_cursor_plant_per_ode(monkeypatch, capsys):
+    # each run matches its plant's template once; drawing durations adds
+    # one more match per ODE for the whole simulation, not one per decision
+    matches, per_run = [], []
+    original, original_run = semantics.closed_form_template, cli.run
+
+    def counting(ode):
+        matches.append(ode)
+        return original(ode)
+
+    def counting_run(*args):
+        before = len(matches)
+        outcome = original_run(*args)
+        per_run.append(len(matches) - before)
+        return outcome
+    monkeypatch.setattr(semantics, "closed_form_template", counting)
+    monkeypatch.setattr(cli, "run", counting_run)
+    code, _, _ = run_cli(capsys, "simulate", "m2", "--random", "100",
+                         "--seed", "3")
+    assert code == 0 and len(per_run) == 100
+    reached = sum(1 for n in per_run if n)  # runs that evolved the plant
+    assert reached > 20
+    assert len(matches) - reached == 1
+
+
 # sha256 of `table2 --format json --budget 2000` stdout, taken before the
 # exact integer-ratio kernel replaced the Fraction closures of the search
 TABLE2_PINS = [
@@ -305,6 +331,16 @@ def test_table2_json_is_pinned(capsys, seed, digest):
                              "--budget", "2000", "--seed", str(seed))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_table2_json_is_pinned_at_the_benchmark_budget(capsys):
+    # the benchmark's table2 configuration; taken before search candidates
+    # became integer pairs
+    code, out, err = run_cli(capsys, "table2", "--format", "json",
+                             "--budget", "5000", "--seed", "0")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == "cba59651cbf6acfa245055051f1955014650e09ae8150372aea499fde2ed8da0"
 
 
 def test_check_psi_needs_zeta_iter(capsys):

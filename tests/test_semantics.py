@@ -8,12 +8,12 @@ from hpcheck import semantics
 from hpcheck.models import MODEL_IDS, builtin, fig2_script
 from hpcheck.parser import parse_formula, parse_program, parse_term
 from hpcheck.semantics import (
-    Aborted, Branch, Duration, Final, LoopCount, RandomValue, ScriptError,
-    UndeclaredVariable, _evolve_numeric, _template_state_at,
-    closed_form_template, compile_fol, compile_term, eval_fol, eval_term,
-    evolve_plant, format_script, max_admissible_duration, parse_script, run,
+    Aborted, Branch, Duration, Final, LoopCount, Plant, RandomValue,
+    ScriptError, UndeclaredVariable, _evolve_numeric, _template_state_at,
+    closed_form_template, compile_fol, eval_fol, eval_term, evolve_plant,
+    format_script, max_admissible_duration, parse_script, run,
 )
-from hpcheck.syntax import ODE, Num, Var
+from hpcheck.syntax import ODE, BoolLit, Num, Var, conjuncts
 
 
 def F(numerator, denominator=1):
@@ -150,10 +150,8 @@ PLANT_ODE = parse_program("{x' = v, v' = a, tau' = 1 & v >= 0 & tau <= T}")
 
 
 def test_compiled_kernel_reports_undeclared_variables():
-    formula, term = parse_formula("x <= y"), parse_term("x + y")
-    for compiled in (compile_fol(formula), compile_term(term)):
-        with pytest.raises(UndeclaredVariable):
-            compiled({"x": F(1)})
+    with pytest.raises(UndeclaredVariable):
+        compile_fol(parse_formula("x <= y"))({"x": F(1)})
 
 
 def test_closed_form_template_detected():
@@ -224,6 +222,72 @@ def test_run_matches_each_plant_template_once(monkeypatch):
     assert isinstance(outcome, Final)
     assert [step.label for step in trace].count("ode") == 2
     assert calls == [model.plant.second]
+
+
+def _reference_max_duration(state, ode):
+    """The template plant's maximal duration in Fraction (or, on a float
+    state, float) arithmetic: each affine domain conjunct's left - right
+    evaluated at t = 0 and t = 1, then its last admissible time."""
+    if not eval_fol(state, ode.domain):
+        return F(0)
+    at1 = _template_state_at(state, closed_form_template(ode), F(1))
+    bounds = []
+    for c in conjuncts(ode.domain):
+        if isinstance(c, BoolLit):
+            continue
+        d0 = eval_term(state, c.left) - eval_term(state, c.right)
+        slope = eval_term(at1, c.left) - eval_term(at1, c.right) - d0
+        if c.op in ("<=", "<"):
+            d0, slope = -d0, -slope
+        if c.op == "=":
+            bounds.append(None if slope == 0 else F(0))
+        elif c.op == "!=":
+            crossing = None if slope == 0 \
+                else -Fraction(d0) / Fraction(slope)
+            bounds.append(crossing if crossing and crossing > 0 else None)
+        else:
+            bounds.append(None if slope >= 0
+                          else Fraction(d0) / Fraction(-slope))
+    bounds = [b for b in bounds if b is not None]
+    return min(bounds) if bounds else semantics.DEFAULT_HORIZON
+
+
+def test_template_max_duration_parity_with_fraction_reference():
+    odes = [builtin(m).plant.second for m in MODEL_IDS] + [
+        parse_program("{x' = v, v' = a, tau' = 1 & v >= 0 & tau <= T"
+                      " & tau != 1/2 & v != 1/3 & 2 * v - tau > -3}"),
+        parse_program("{x' = v, v' = a, tau' = 1 & tau <= T & v = w}"),
+    ]
+    rng = random.Random(12)
+    held = bounded = zero = 0
+    for ode in odes:
+        plant = Plant(ode)
+        assert plant.template is not None
+        for _ in range(300):
+            state = dict(SAMPLE_CONSTANTS)
+            for var in ("x", "v", "a", "tau", "T", "w"):
+                state[var] = F(rng.randint(-24, 24), rng.choice((1, 2, 3, 8)))
+            if rng.random() < 0.7:  # mostly inside the domain
+                state["v"] = abs(state["v"])
+                state["tau"] = abs(state["tau"]) / 8
+                state["T"] = abs(state["T"]) + 3
+                state["w"] = state["v"]
+            m = plant.max_duration(state)
+            assert type(m) is Fraction
+            assert m == _reference_max_duration(state, ode)
+            held += eval_fol(state, ode.domain)
+            bounded += 0 < m < semantics.DEFAULT_HORIZON
+            zero += m == 0 and eval_fol(state, ode.domain)
+    assert held > 900 and bounded > 600 and zero > 20
+    # a float in the state keeps the float arithmetic up to the slope
+    ode = odes[0]
+    state = base_state(v=1, a=-1, T=1000)
+    state["v"] = 0.3
+    state["a"] = -0.9  # 0.3 + -0.9 rounds in float arithmetic
+    exact = dict(state, v=Fraction(0.3), a=Fraction(-0.9))
+    m = Plant(ode).max_duration(state)
+    assert m == _reference_max_duration(state, ode)
+    assert m != _reference_max_duration(exact, ode)
 
 
 def test_max_admissible_duration_numeric_fallback():
