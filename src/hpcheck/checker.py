@@ -21,7 +21,6 @@ import hashlib
 import itertools
 import math
 import random
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,12 +35,10 @@ from .semantics import (
     _Inexact, _ratio_term, compile_fol, eval_fol, eval_term, is_exact, run,
 )
 from .syntax import (
-    And, Assign, BoolLit, Box, Choice, Cmp, Diamond, Forall, Exists, Iff,
+    And, Assign, Box, Choice, Cmp, Diamond, Forall, Exists, Iff,
     Implies, Loop, Not, ODE, Or, RandomAssign, Seq, Sub, Test, Var,
     assigned_variables, conjuncts, free_variables,
 )
-
-STRICT_EPS = 1e-12
 
 # Search shape: grid refinement levels before sampling, durations tried per
 # ODE (0, the maximum and uniform samples), values tried per random
@@ -93,7 +90,6 @@ class SearchConfig:
 class Stats:
     evaluations: int = 0
     candidates: int = 0
-    wall_time: float = 0.0
     discarded_certificates: int = 0
 
 
@@ -161,14 +157,12 @@ class Counterexample:
     scripts: list = field(default_factory=list)
     trace: list = field(default_factory=list)
     numeric_only: bool = False
-    margin: float = 0.0
 
     def to_json(self):
         return {
             "assignment": {k: str(v) for k, v in sorted(self.assignment.items())},
             "scripts": [[_decision_json(d) for d in script]
                         for script in self.scripts],
-            "margin": self.margin,
             "exact": not self.numeric_only,
         }
 
@@ -201,53 +195,6 @@ def flatten_scripts(evidence) -> list:
         elif isinstance(node, EvPick):
             stack.insert(0, node.inner)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Violation margin
-
-_INF = float("inf")
-
-
-def violation_margin(state, formula) -> float:
-    """Signed margin: > 0 implies true, < 0 implies false.
-
-    Strict comparisons and equalities get an epsilon tie-break; exact
-    truth decisions never rely on this margin, it only fills the
-    certificate's `margin`.
-    """
-    if isinstance(formula, BoolLit):
-        return _INF if formula.value else -_INF
-    if isinstance(formula, Cmp):
-        left = float(eval_term(state, formula.left))
-        right = float(eval_term(state, formula.right))
-        if formula.op == ">=":
-            return left - right
-        if formula.op == ">":
-            return left - right - STRICT_EPS
-        if formula.op == "<=":
-            return right - left
-        if formula.op == "<":
-            return right - left - STRICT_EPS
-        if formula.op == "=":
-            return -abs(left - right)
-        return abs(left - right) - STRICT_EPS  # '!='
-    if isinstance(formula, Not):
-        return -violation_margin(state, formula.inner)
-    if isinstance(formula, And):
-        return min(violation_margin(state, formula.left),
-                   violation_margin(state, formula.right))
-    if isinstance(formula, Or):
-        return max(violation_margin(state, formula.left),
-                   violation_margin(state, formula.right))
-    if isinstance(formula, Implies):
-        return max(-violation_margin(state, formula.left),
-                   violation_margin(state, formula.right))
-    if isinstance(formula, Iff):
-        a = violation_margin(state, formula.left)
-        b = violation_margin(state, formula.right)
-        return min(max(-a, b), max(a, -b))
-    raise CheckError("violation margin requires a quantifier-free formula")
 
 
 def _has_modality(formula, memo) -> bool:
@@ -295,7 +242,6 @@ class _Engine:
         self.config = config
         self.stats = Stats()
         self.memo = {}
-        self.want_margin = True  # cleared for most stream candidates
         self._fol_cache = {}
         self._plants = {}
         self._pin_cache = {}
@@ -337,24 +283,15 @@ class _Engine:
 
     def _leaf(self, state, formula, target):
         self._count()
-        truth = self._fol(formula)(state)
-        if self.want_margin:
-            margin = violation_margin(state, formula)
-            oriented = margin if target else -margin
-        else:
-            oriented = 1.0 if truth == target else -1.0
-        if truth == target:
-            return EvLeaf(formula, truth), oriented
-        return None, oriented
+        if self._fol(formula)(state) == target:
+            return EvLeaf(formula, target)
+        return None
 
     # establish ------------------------------------------------------------
 
     def establish(self, state, formula, target):
-        """Try to make `formula` evaluate to `target` in `state`.
-
-        Returns (evidence or None, oriented margin); larger margin means
-        closer to success.
-        """
+        """Evidence that `formula` evaluates to `target` in `state`, or
+        None when search finds none."""
         if not _has_modality(formula, self.memo):
             return self._leaf(state, formula, target)
         if isinstance(formula, Not):
@@ -378,39 +315,35 @@ class _Engine:
             if target:
                 raise UnsupportedObligation(
                     "cannot establish a box by search; negate the obligation")
-            return self._refute_box(state, formula)
+            return self._search_runs(state, formula, False)
         if isinstance(formula, Diamond):
             return self._diamond(state, formula, target)
         raise CheckError(f"unexpected formula {formula!r}")
 
     def _binary(self, state, left, right, target, both_needed):
+        ev_l = self.establish(state, left, target)
         if both_needed:
-            ev_l, m_l = self.establish(state, left, target)
             if ev_l is None and _has_modality(right, self.memo):
-                return None, m_l  # skip an expensive doomed operand
-            ev_r, m_r = self.establish(state, right, target)
-            margin = min(m_l, m_r)
+                return None  # skip an expensive doomed operand
+            ev_r = self.establish(state, right, target)
             if ev_l is not None and ev_r is not None:
-                return EvBoth(ev_l, ev_r), margin
-            return None, margin
-        ev_l, m_l = self.establish(state, left, target)
+                return EvBoth(ev_l, ev_r)
+            return None
         if ev_l is not None:
-            return EvPick("left", ev_l), m_l
-        ev_r, m_r = self.establish(state, right, target)
-        if ev_r is not None:
-            return EvPick("right", ev_r), max(m_l, m_r)
-        return None, max(m_l, m_r)
+            return EvPick("left", ev_l)
+        ev_r = self.establish(state, right, target)
+        return None if ev_r is None else EvPick("right", ev_r)
 
-    def _refute_box(self, state, box: Box):
-        best = -_INF
-        for final_state, script in self._runs(state, box.program):
-            ev, margin = self.establish(final_state, box.post, False)
-            best = max(best, margin)
+    def _search_runs(self, state, modality, target):
+        """A run of the modality's program after which its post evaluates
+        to `target`: refutes a box (False) or witnesses a diamond (True)."""
+        for final_state, script in self._runs(state, modality.program):
+            ev = self.establish(final_state, modality.post, target)
             if ev is not None:
-                return EvScript(script, ev), margin
+                return EvScript(script, ev)
             if self.over_budget():
                 break
-        return None, best
+        return None
 
     def _diamond(self, state, diamond: Diamond, target):
         if id(diamond) in self._goal_cache:
@@ -425,28 +358,16 @@ class _Engine:
             bound[x] = value
             self._count()
             holds = self._fol(test)(bound)
-            margin = violation_margin(bound, test) if self.want_margin \
-                else (1.0 if holds else -1.0)
-            if target:
-                if holds:
-                    return EvScript([RandomValue(value)],
-                                    EvLeaf(diamond.post, True)), margin
-                return None, margin
-            if not holds:
-                return EvGoalFail(value), -margin
-            return None, -margin
+            if holds and target:
+                return EvScript([RandomValue(value)],
+                                EvLeaf(diamond.post, True))
+            if not holds and not target:
+                return EvGoalFail(value)
+            return None
         if not target:
             raise UnsupportedObligation(
                 "cannot refute a general diamond by search")
-        best = -_INF
-        for final_state, script in self._runs(state, diamond.program):
-            ev, margin = self.establish(final_state, diamond.post, True)
-            best = max(best, margin)
-            if ev is not None:
-                return EvScript(script, ev), margin
-            if self.over_budget():
-                break
-        return None, best
+        return self._search_runs(state, diamond, True)
 
     # run enumeration ------------------------------------------------------
 
@@ -782,8 +703,8 @@ def certify(counterexample: Counterexample, obligation: Obligation) -> bool:
     for k, v in counterexample.assignment.items():
         state[k] = Fraction(v)
     _, matrix = obligation.split()
-    for var in _plumbing_vars(obligation, state):
-        state.setdefault(var, Fraction(0))
+    for var in free_variables(obligation.formula) - set(state):
+        state[var] = Fraction(0)
     replayer = _Replayer()
     try:
         ok = replayer.replay(state, matrix, target, counterexample.evidence)
@@ -796,10 +717,6 @@ def certify(counterexample: Counterexample, obligation: Obligation) -> bool:
     return True
 
 
-def _plumbing_vars(obligation, state):
-    return free_variables(obligation.formula) - set(state)
-
-
 # ---------------------------------------------------------------------------
 # Main entry points
 
@@ -810,7 +727,6 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
     FindWitness: search for an assignment making the matrix true.
     Deterministic in (obligation, config) including the seed.
     """
-    start = time.perf_counter()
     target = obligation.kind == FIND_WITNESS
     quantified, matrix = obligation.split()
     uncovered = (free_variables(obligation.formula)
@@ -850,16 +766,13 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
                 engine._count()  # the evaluation establish would count
                 continue
             candidate = {v: Fraction(*p) for v, p in candidate.items()}
-        # the certificate's margin is measured for one candidate in 64;
-        # skip the float work for the rest
-        engine.want_margin = index % 64 == 0
         engine.reset_rng(str(index))
         cex = _try_candidate(engine, base_state, candidate, matrix, target,
                              obligation, quantified)
         if cex is not None:
-            return _found(obligation, config, engine, cex, start)
+            status = WITNESS_FOUND if target else FALSIFIED
+            return Verdict(status, cex, engine.stats, obligation, config.seed)
 
-    engine.stats.wall_time = time.perf_counter() - start
     status = NO_WITNESS_FOUND if target else NOT_FALSIFIED
     return Verdict(status, None, engine.stats, obligation, config.seed)
 
@@ -884,23 +797,16 @@ def _try_candidate(engine, base_state, candidate, matrix, target, obligation,
     """The certified counterexample or witness at `candidate`, or None."""
     state = dict(base_state)
     state.update(candidate)
-    evidence, margin = engine.establish(state, matrix, target)
+    evidence = engine.establish(state, matrix, target)
     if evidence is None:
         return None
     assignment = {v: state[v] for v in quantified}
     cex = Counterexample(assignment, evidence,
-                         scripts=flatten_scripts(evidence),
-                         margin=margin if margin not in (_INF, -_INF) else 0.0)
+                         scripts=flatten_scripts(evidence))
     if certify(cex, obligation):
         return cex
     engine.stats.discarded_certificates += 1
     return None
-
-
-def _found(obligation, config, engine, cex, start):
-    engine.stats.wall_time = time.perf_counter() - start
-    status = WITNESS_FOUND if obligation.kind == FIND_WITNESS else FALSIFIED
-    return Verdict(status, cex, engine.stats, obligation, config.seed)
 
 
 # ---------------------------------------------------------------------------

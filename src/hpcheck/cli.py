@@ -147,8 +147,10 @@ def _apply_overrides(model: Model, args):
     for var, spec in _parse_pairs(args.box, "box").items():
         if ":" not in spec:
             raise UsageError(f"bad box {spec!r}; expected LO:HI")
-        lo, hi = spec.split(":", 1)
-        boxes[var] = (_parse_const_value(lo), _parse_const_value(hi))
+        lo, hi = (_parse_const_value(end) for end in spec.split(":", 1))
+        if lo > hi:
+            raise UsageError(f"empty box interval {spec!r}")
+        boxes[var] = (lo, hi)
     consts = {name: _parse_const_value(value)
               for name, value in _parse_pairs(args.const, "const").items()}
     model.domains.update(boxes)
@@ -387,6 +389,10 @@ def cmd_check(args) -> int:
 
 
 def _override_constants(model: Model, consts):
+    names = sorted(c.name for c in model.constants)
+    for name in consts:
+        if name not in names:
+            raise UsageError(f"unknown constant {name!r}; model has {names}")
     replaced = []
     for c in model.constants:
         if c.name in consts:

@@ -10,16 +10,18 @@ from gen import (
 from hpcheck import checker
 from hpcheck.checker import (
     FALSIFIED, NO_WITNESS_FOUND, NOT_FALSIFIED, WITNESS_FOUND, CheckError,
+    Counterexample, EvBoth, EvGoalFail, EvLeaf, EvPick, EvScript,
     SearchConfig, UnsupportedObligation, _Engine, certify, check,
     compile_fol, derive_controller_witness, obligations_for,
-    violation_margin,
 )
 from hpcheck.models import MODEL_IDS, builtin
 from hpcheck.obligations import (
     FALSIFY_UNIVERSAL, FIND_WITNESS, Obligation, psi_obligation,
 )
 from hpcheck.parser import parse_formula, parse_term
-from hpcheck.semantics import _Inexact, _ratio_term, eval_fol, eval_term
+from hpcheck.semantics import (
+    Branch, RandomValue, _Inexact, _ratio_term, eval_fol, eval_term,
+)
 from hpcheck.syntax import (
     Cmp, Exists, Forall, RandomAssign, Seq, Sub, Test, conjuncts,
     free_variables,
@@ -40,37 +42,7 @@ def close(text, kind, box):
 
 
 # ---------------------------------------------------------------------------
-# margins and compiled evaluation
-
-def test_violation_margin_orientation():
-    state = {"x": F(3)}
-    assert violation_margin(state, parse_formula("x >= 1")) == 2.0
-    assert violation_margin(state, parse_formula("x <= 1")) == -2.0
-    assert violation_margin(state, parse_formula("!(x >= 1)")) == -2.0
-    assert violation_margin(state, parse_formula("x <= 1 | x >= 2")) == 1.0
-    assert violation_margin(state, parse_formula("x <= 1 & x >= 2")) == -2.0
-
-
-def test_violation_margin_agrees_with_truth_sign():
-    rng = random.Random(5)
-    checked = 0
-    while checked < 300:
-        formula = random_formula(rng, 3, in_program=True)
-        if not is_quantifier_free(formula):
-            continue
-        state = {v: F(rng.randint(-40, 40), rng.choice((1, 2, 4)))
-                 for v in ("x", "v", "a", "xc", "w", "t1")}
-        try:
-            truth = eval_fol(state, formula)
-            margin = violation_margin(state, formula)
-        except ZeroDivisionError:
-            continue
-        checked += 1
-        if margin > 0:
-            assert truth
-        elif margin < 0:
-            assert not truth
-
+# compiled evaluation
 
 def test_compile_fol_matches_interpreter():
     rng = random.Random(6)
@@ -417,13 +389,67 @@ def test_tampered_script_fails_certification():
     assert not certify(cex, ob)
 
 
+# One obligation per evidence kind that search builds: (matrix, kind, box,
+# the evidence found, a perturbation of that evidence).  Found evidence
+# must certify and the perturbed evidence must not.
+EVIDENCE_CASES = {
+    "leaf": (
+        "x <= 5", FALSIFY_UNIVERSAL,
+        EvLeaf(parse_formula("x <= 5"), False),
+        lambda ev: EvLeaf(ev.formula, not ev.value)),
+    "both-and": (
+        "x >= 3 & <y := x + 1> y >= 5", FIND_WITNESS,
+        EvBoth(EvLeaf(parse_formula("x >= 3"), True),
+               EvScript([], EvLeaf(parse_formula("y >= 5"), True))),
+        lambda ev: EvBoth(ev.right, ev.left)),
+    "pick-or": (
+        "x >= 8 | <y := x + 1> y <= 2", FIND_WITNESS,
+        EvPick("right", EvScript([], EvLeaf(parse_formula("y <= 2"), True))),
+        lambda ev: EvPick("left", ev.inner)),
+    "pick-implies": (
+        "x >= 0 -> <y := x + 1> y >= 3", FIND_WITNESS,
+        EvPick("right", EvScript([], EvLeaf(parse_formula("y >= 3"), True))),
+        lambda ev: EvPick("left", ev.inner)),
+    "script-box": (
+        "[{y := x ++ y := x + 5}; z := y] z <= 3", FALSIFY_UNIVERSAL,
+        EvScript([Branch("right")], EvLeaf(parse_formula("z <= 3"), False)),
+        lambda ev: EvScript([Branch("left")], ev.inner)),
+    "script-diamond": (
+        "<y := x ++ y := -x> y <= -1", FIND_WITNESS,
+        EvScript([Branch("right")], EvLeaf(parse_formula("y <= -1"), True)),
+        lambda ev: EvScript([Branch("left")], ev.inner)),
+    "goal-witness": (
+        "<v := *; ?v >= x> v = x + 1", FIND_WITNESS,
+        EvScript([RandomValue(F(1))],
+                 EvLeaf(parse_formula("v = x + 1"), True)),
+        lambda ev: EvScript([RandomValue(ev.script[0].value + 1)], ev.inner)),
+    "goal-refutation": (
+        "<v := *; ?v >= 2> v = x", FALSIFY_UNIVERSAL,
+        EvGoalFail(F(0)),
+        lambda ev: EvGoalFail(ev.value + 1)),
+}
+
+
+@pytest.mark.parametrize("case", EVIDENCE_CASES)
+def test_each_evidence_kind_is_found_and_certified(case):
+    text, kind, expected, perturb = EVIDENCE_CASES[case]
+    ob = close(text, kind, {"x": (F(0), F(10))})
+    verdict = check(ob, SearchConfig(budget=1000))
+    assert verdict.found
+    cex = verdict.counterexample
+    assert cex.evidence == expected
+    assert certify(cex, ob)
+    assert not certify(Counterexample(cex.assignment, perturb(cex.evidence)),
+                       ob)
+
+
 def test_verdict_json_schema():
     ob = close("x <= 5", FALSIFY_UNIVERSAL, {"x": (F(0), F(10))})
     blob = check(ob).to_json()
     assert set(blob) == {"obligation", "kind", "verdict", "evaluations",
                          "seed", "certificate"}
     cert = blob["certificate"]
-    assert set(cert) == {"assignment", "scripts", "margin", "exact"}
+    assert set(cert) == {"assignment", "scripts", "exact"}
     assert cert["exact"] is True
 
 

@@ -76,9 +76,25 @@ def _exported():
     return set()
 
 
+def _defined_name(node):
+    """The name a top-level statement defines for the check below: any
+    function or class, public or private, and a module constant (an
+    UPPER_CASE name, with or without a leading underscore)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    if len(targets) == 1 and isinstance(targets[0], ast.Name):
+        name = targets[0].id
+        if name.lstrip("_").isupper():
+            return name
+    return None
+
+
 def test_public_definitions_are_used():
-    # every public top-level function or class is used by the package or
-    # the benchmark outside its own body, or is exported by __all__
+    # every top-level function, class or constant of the package is used
+    # by the package or the benchmark outside its own statement, or is
+    # exported by __all__
     sources = MODULES + sorted(BENCH.glob("*.py"))
     statements = []  # (path, top-level statement, names it reads)
     for path in sources:
@@ -88,11 +104,10 @@ def test_public_definitions_are_used():
     exported = _exported()
     unused = []
     for path, node, _ in statements:
-        if (path.parent != PACKAGE
-                or not isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                or node.name.startswith("_") or node.name in exported):
+        name = _defined_name(node)
+        if path.parent != PACKAGE or name is None or name in exported:
             continue
-        if not any(node.name in names for _, other, names in statements
+        if not any(name in names for _, other, names in statements
                    if other is not node):
-            unused.append(f"{path.name}:{node.lineno} {node.name}")
-    assert not unused, f"public but unused outside tests: {unused}"
+            unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, f"defined but unused outside tests: {unused}"
