@@ -356,6 +356,29 @@ def test_table2_json_is_pinned_at_the_benchmark_budget(capsys):
         == "fbd63a5815863015abba2031350d1a865b53c485477b858ba52bfce9d93619c3"
 
 
+def test_check_json_is_pinned(tmp_path, capsys):
+    # one sha256 over the exit code and `check --format json` stdout of
+    # every built-in model x invariant x selector at budget 1 000, error
+    # exits included, and of the drag m2, whose numeric plant puts floats
+    # in the states that pins are taken on, x zeta1 x every selector at
+    # budget 300; taken before the checker compiled each matrix once
+    from hpcheck.models import MODEL_IDS, builtin
+    drag = tmp_path / "drag.hpmodel"
+    drag.write_text(builtin("m2").source.replace("v' = a,", "v' = a - v / 4,"))
+    runs = [(model, zeta, "1000") for model in MODEL_IDS
+            for zeta in ("zeta1", "zeta2", "zeta_iter")]
+    runs.append((str(drag), "zeta1", "300"))
+    digest = hashlib.sha256()
+    for model, zeta, budget in runs:
+        for selector in cli.SELECTORS:
+            code, out, _ = run_cli(capsys, "check", model, "--invariant", zeta,
+                                   "--obligation", selector, "--budget",
+                                   budget, "--format", "json")
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() \
+        == "b2ada2de13aa112a8540782efd8365bd674ea7cf4b84ff111705a35a733cadbc"
+
+
 def test_check_psi_needs_zeta_iter(capsys):
     code, out, err = run_cli(capsys, "check", "m2", "--invariant", "zeta1",
                              "--obligation", "psi")
