@@ -2,14 +2,16 @@
 
 Universal obligations are attacked by searching for a falsifying
 assignment of the quantified variables; existential obligations by
-searching for a witness.  Candidates come from a coarse-to-fine grid and
-seeded uniform sampling; they stay integer (numerator, denominator) pairs
-until a value enters a program state or a certificate.  Modalities
-are decided by script enumeration; the diamond-over-env pattern
-`<e := *; ?P> e = e1` is decided goal-directed (bind e := e1, evaluate P)
-with no search.  Every candidate success is re-checked by exact rational
-replay before a verdict is emitted, so found-verdicts carry certificates
-that cannot be false alarms.
+searching for a witness.  The matrix is compiled once per check into
+closures with their polarity fixed, and one loop tries every candidate.
+Candidates come from a coarse-to-fine grid and seeded uniform sampling;
+they stay integer (numerator, denominator) pairs until a value enters a
+program state or a certificate.  Modalities are decided by script
+enumeration; the diamond-over-env pattern `<e := *; ?P> e = e1` is
+decided goal-directed (bind e := e1, evaluate P) with no search.  Every
+candidate success is re-checked by exact rational replay before a
+verdict is emitted, so found-verdicts carry certificates that cannot be
+false alarms.
 
 Search cannot prove validity of quantified nonlinear arithmetic:
 NotFalsified / NoWitnessFound are budget-exhausted non-results.
@@ -24,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import DEFAULT_DOMAIN
+from .model import DEFAULT_DOMAIN, _assign_then_test, domain_key
 from .obligations import (
     FIND_WITNESS, Obligation, chi_obligation, exploit_witness_formula,
     friendliness_probe, loop_obligations, psi_obligation, rho_obligation,
@@ -197,39 +199,40 @@ def flatten_scripts(evidence) -> list:
     return out
 
 
-def _has_modality(formula, memo) -> bool:
-    key = id(formula)
-    if key in memo:
-        return memo[key]
+def _has_modality(formula) -> bool:
     if isinstance(formula, (Box, Diamond)):
-        out = True
-    elif isinstance(formula, Not):
-        out = _has_modality(formula.inner, memo)
-    elif isinstance(formula, (And, Or, Implies, Iff)):
-        out = (_has_modality(formula.left, memo)
-               or _has_modality(formula.right, memo))
-    elif isinstance(formula, (Forall, Exists)):
+        return True
+    if isinstance(formula, Not):
+        return _has_modality(formula.inner)
+    if isinstance(formula, (And, Or, Implies, Iff)):
+        return _has_modality(formula.left) or _has_modality(formula.right)
+    if isinstance(formula, (Forall, Exists)):
         raise UnsupportedObligation(
             "inner quantifiers are not supported; close the formula instead")
-    else:
-        out = False
-    memo[key] = out
-    return out
+    return False
+
+
+def _connective(formula, target):
+    """(left, right, both needed) of a binary connective at the target
+    polarity, with the left of `->` negated; None for any other node."""
+    if isinstance(formula, And):
+        return formula.left, formula.right, target
+    if isinstance(formula, Or):
+        return formula.left, formula.right, not target
+    if isinstance(formula, Implies):
+        return Not(formula.left), formula.right, not target
+    return None
 
 
 def _env_goal_pattern(diamond: Diamond):
     """Match <x := *; ?P> (x = t) with x not free in t; return (x, P, t)."""
-    p = diamond.program
-    if not (isinstance(p, Seq) and isinstance(p.first, RandomAssign)
-            and isinstance(p.second, Test)):
+    fused, post = _assign_then_test(diamond.program), diamond.post
+    if fused is None or not (isinstance(post, Cmp) and post.op == "="):
         return None
-    post = diamond.post
-    if not (isinstance(post, Cmp) and post.op == "="):
-        return None
-    x = p.first.var
+    x, test = fused
     for pinned, other in ((post.left, post.right), (post.right, post.left)):
         if pinned == Var(x) and x not in free_variables(other):
-            return x, p.second.condition, other
+            return x, test, other
     return None
 
 
@@ -237,21 +240,26 @@ def _env_goal_pattern(diamond: Diamond):
 # Search engine
 
 class _Engine:
-    def __init__(self, obligation: Obligation, config: SearchConfig):
+    """One obligation's search, compiled once.  A formula node becomes a
+    closure state -> evidence that it evaluates to the polarity it has in
+    the matrix, or None; a program node becomes a closure state ->
+    iterator of (final state, script) over the runs the search tries.  The
+    candidate state holds the search variables as int pairs; a modality
+    that is not nested in another one rebuilds them as Fractions on top of
+    the Fraction base state when it is entered, since programs and plants
+    compute on Fractions."""
+
+    def __init__(self, obligation: Obligation, config: SearchConfig,
+                 base_state, search_vars):
         self.obligation = obligation
         self.config = config
         self.stats = Stats()
-        self.memo = {}
-        self._fol_cache = {}
-        self._plants = {}
-        self._pin_cache = {}
-        self._goal_cache = {}
-        self._binop_cache = {}
-        self._draws = {}  # var -> (lo, hi, sampler) of its search interval
+        self.base_state = base_state
+        self.search_vars = search_vars
         self._rng = None
-        self._rng_key = ("", 0)
+        self._rng_key = 0
 
-    def reset_rng(self, salt: str):
+    def reset_rng(self, salt):
         """Reseed lazily; most candidates never draw a sample."""
         self._rng = None
         self._rng_key = salt
@@ -264,245 +272,222 @@ class _Engine:
                              self._rng_key))
         return self._rng
 
-    def _fol(self, formula):
-        fn = self._fol_cache.get(id(formula))
-        if fn is None:
-            fn = compile_fol(formula)
-            self._fol_cache[id(formula)] = fn
-        return fn
-
-    # budget ---------------------------------------------------------------
-
-    def _count(self, n=1):
-        self.stats.evaluations += n
-
     def over_budget(self) -> bool:
         return self.stats.evaluations >= self.config.budget
 
-    # leaf evaluation ------------------------------------------------------
+    # formulas -------------------------------------------------------------
 
-    def _leaf(self, state, formula, target):
-        self._count()
-        if self._fol(formula)(state) == target:
-            return EvLeaf(formula, target)
-        return None
-
-    # establish ------------------------------------------------------------
-
-    def establish(self, state, formula, target):
-        """Evidence that `formula` evaluates to `target` in `state`, or
+    def formula(self, node, target, nested=False):
+        """Closure state -> evidence that `node` evaluates to `target`, or
         None when search finds none."""
-        if not _has_modality(formula, self.memo):
-            return self._leaf(state, formula, target)
-        if isinstance(formula, Not):
-            return self.establish(state, formula.inner, not target)
-        if isinstance(formula, (And, Or, Implies)):
-            ops = self._binop_cache.get(id(formula))
-            if ops is None:
-                if isinstance(formula, And):
-                    ops = (formula.left, formula.right, True)
-                elif isinstance(formula, Or):
-                    ops = (formula.left, formula.right, False)
-                else:
-                    ops = (Not(formula.left), formula.right, False)
-                self._binop_cache[id(formula)] = ops
-            left, right, both_on_true = ops
-            return self._binary(state, left, right, target,
-                                both_needed=both_on_true == target)
-        if isinstance(formula, Iff):
+        stats = self.stats
+        if not _has_modality(node):
+            holds = compile_fol(node)
+
+            def leaf(state):
+                stats.evaluations += 1
+                return EvLeaf(node, target) if holds(state) == target else None
+            return leaf
+        if isinstance(node, Not):
+            return self.formula(node.inner, not target, nested)
+        if isinstance(node, Iff):
             raise UnsupportedObligation("modal <-> is not supported")
-        if isinstance(formula, Box):
-            if target:
-                raise UnsupportedObligation(
-                    "cannot establish a box by search; negate the obligation")
-            return self._search_runs(state, formula, False)
-        if isinstance(formula, Diamond):
-            return self._diamond(state, formula, target)
-        raise CheckError(f"unexpected formula {formula!r}")
+        if not isinstance(node, (Box, Diamond)):
+            return self._binary(node, target, nested)
+        goal = _env_goal_pattern(node) if isinstance(node, Diamond) else None
+        if goal is not None:
+            decide = self._goal(node, goal, target)
+        elif isinstance(node, Box) and target:
+            raise UnsupportedObligation(
+                "cannot establish a box by search; negate the obligation")
+        elif isinstance(node, Diamond) and not target:
+            raise UnsupportedObligation(
+                "cannot refute a general diamond by search")
+        else:
+            decide = self._search_runs(node, target)
+        if nested:
+            return decide
+        base, search_vars = self.base_state, self.search_vars
 
-    def _binary(self, state, left, right, target, both_needed):
-        ev_l = self.establish(state, left, target)
+        def enter(state):
+            exact = base.copy()
+            for v in search_vars:
+                exact[v] = Fraction(*state[v])
+            return decide(exact)
+        return enter
+
+    def _binary(self, node, target, nested):
+        left, right, both_needed = _connective(node, target)
+        right_modal = _has_modality(right)
+        left = self.formula(left, target, nested)
+        right = self.formula(right, target, nested)
         if both_needed:
-            if ev_l is None and _has_modality(right, self.memo):
-                return None  # skip an expensive doomed operand
-            ev_r = self.establish(state, right, target)
-            if ev_l is not None and ev_r is not None:
-                return EvBoth(ev_l, ev_r)
-            return None
-        if ev_l is not None:
-            return EvPick("left", ev_l)
-        ev_r = self.establish(state, right, target)
-        return None if ev_r is None else EvPick("right", ev_r)
+            def both(state):
+                ev_l = left(state)
+                if ev_l is None and right_modal:
+                    return None  # skip an expensive doomed operand
+                ev_r = right(state)
+                if ev_l is not None and ev_r is not None:
+                    return EvBoth(ev_l, ev_r)
+                return None
+            return both
 
-    def _search_runs(self, state, modality, target):
+        def pick(state):
+            ev = left(state)
+            if ev is not None:
+                return EvPick("left", ev)
+            ev = right(state)
+            return None if ev is None else EvPick("right", ev)
+        return pick
+
+    def _search_runs(self, modality, target):
         """A run of the modality's program after which its post evaluates
         to `target`: refutes a box (False) or witnesses a diamond (True)."""
-        for final_state, script in self._runs(state, modality.program):
-            ev = self.establish(final_state, modality.post, target)
-            if ev is not None:
-                return EvScript(script, ev)
-            if self.over_budget():
-                break
-        return None
+        runs = self.program(modality.program)
+        post = self.formula(modality.post, target, nested=True)
+        over_budget = self.over_budget
 
-    def _diamond(self, state, diamond: Diamond, target):
-        if id(diamond) in self._goal_cache:
-            goal = self._goal_cache[id(diamond)]
-        else:
-            goal = _env_goal_pattern(diamond)
-            self._goal_cache[id(diamond)] = goal
-        if goal is not None:
-            x, test, pin_term = goal
+        def search(state):
+            for final_state, script in runs(state):
+                ev = post(final_state)
+                if ev is not None:
+                    return EvScript(script, ev)
+                if over_budget():
+                    break
+            return None
+        return search
+
+    def _goal(self, diamond, goal, target):
+        """<x := *; ?P> x = t decided goal-directed: bind x := t, test P."""
+        x, test, pin_term = goal
+        holds, stats, post = compile_fol(test), self.stats, diamond.post
+
+        def decide(state):
             value = eval_term(state, pin_term)
             bound = dict(state)
             bound[x] = value
-            self._count()
-            holds = self._fol(test)(bound)
-            if holds and target:
-                return EvScript([RandomValue(value)],
-                                EvLeaf(diamond.post, True))
-            if not holds and not target:
-                return EvGoalFail(value)
-            return None
-        if not target:
-            raise UnsupportedObligation(
-                "cannot refute a general diamond by search")
-        return self._search_runs(state, diamond, True)
+            stats.evaluations += 1
+            if holds(bound) != target:
+                return None
+            if target:
+                return EvScript([RandomValue(value)], EvLeaf(post, True))
+            return EvGoalFail(value)
+        return decide
 
-    # run enumeration ------------------------------------------------------
+    # programs -------------------------------------------------------------
 
-    def _runs(self, state, program):
-        """Enumerate non-aborting runs as (final state, script)."""
-        if isinstance(program, Assign):
-            out = dict(state)
-            out[program.var] = eval_term(state, program.term)
-            yield out, []
-            return
-        if isinstance(program, RandomAssign):
-            following = None
-            for value in self._random_values(state, program.var, following):
+    def program(self, node):
+        """Closure state -> iterator of the non-aborting runs as (final
+        state, script)."""
+        stats, over_budget = self.stats, self.over_budget
+        if isinstance(node, Assign):
+            var, term = node.var, node.term
+
+            def assign(state):
                 out = dict(state)
-                out[program.var] = value
-                yield out, [RandomValue(value)]
-            return
-        if isinstance(program, Test):
-            self._count()
-            if self._fol(program.condition)(state):
-                yield state, []
-            return
-        if isinstance(program, ODE):
-            plant = self._plants.get(id(program))
-            if plant is None:
-                plant = self._plants[id(program)] = Plant(program)
-            for duration in self._durations(state, plant):
-                self._count(2)
-                outcome = plant.evolve(state, duration)
-                if isinstance(outcome, Final):
-                    yield outcome.state, [Duration(duration)]
-            return
-        if isinstance(program, Choice):
-            yield from self._prefixed(state, program.left, Branch("left"))
-            if not self.over_budget():
-                yield from self._prefixed(state, program.right, Branch("right"))
-            return
-        if isinstance(program, Seq):
-            first, second = program.first, program.second
-            # fuse `x := *; ?P` so the test can pin candidate values
-            if isinstance(first, RandomAssign) and isinstance(second, Test):
-                test_fn = self._fol(second.condition)
-                for value in self._random_values(state, first.var,
-                                                 second.condition):
+                out[var] = eval_term(state, term)
+                yield out, []
+            return assign
+        fused = _assign_then_test(node)
+        if isinstance(node, RandomAssign) or fused is not None:
+            # a fused `x := *; ?P` lets the test pin candidate values
+            var, condition = fused or (node.var, None)
+            values = self._values(var, condition)
+            holds = None if condition is None else compile_fol(condition)
+
+            def draw(state):
+                for value in values(state):
                     out = dict(state)
-                    out[first.var] = value
-                    self._count()
-                    if test_fn(out):
-                        yield out, [RandomValue(value)]
-                return
-            for mid_state, script1 in self._runs(state, first):
-                for final_state, script2 in self._runs(mid_state, second):
-                    yield final_state, script1 + script2
-                    if self.over_budget():
+                    out[var] = value
+                    if holds:
+                        stats.evaluations += 1
+                        if not holds(out):
+                            continue
+                    yield out, [RandomValue(value)]
+            return draw
+        if isinstance(node, Test):
+            holds = compile_fol(node.condition)
+
+            def test(state):
+                stats.evaluations += 1
+                if holds(state):
+                    yield state, []
+            return test
+        if isinstance(node, ODE):
+            plant = Plant(node)
+
+            def evolve(state):
+                for duration in self._durations(state, plant):
+                    stats.evaluations += 2
+                    outcome = plant.evolve(state, duration)
+                    if isinstance(outcome, Final):
+                        yield outcome.state, [Duration(duration)]
+            return evolve
+        if isinstance(node, Choice):
+            left, right = self.program(node.left), self.program(node.right)
+
+            def choice(state):
+                for final_state, script in left(state):
+                    yield final_state, [Branch("left")] + script
+                if not over_budget():
+                    for final_state, script in right(state):
+                        yield final_state, [Branch("right")] + script
+            return choice
+        if isinstance(node, Seq):
+            first, second = self.program(node.first), self.program(node.second)
+
+            def sequence(state):
+                for mid_state, script1 in first(state):
+                    for final_state, script2 in second(mid_state):
+                        yield final_state, script1 + script2
+                        if over_budget():
+                            return
+                    if over_budget():
                         return
-                if self.over_budget():
+            return sequence
+        if isinstance(node, Loop):
+            body = self.program(node.body)
+
+            def unroll(state, count):
+                if count == 0:
+                    yield state, []
                     return
-            return
-        if isinstance(program, Loop):
-            for count in LOOP_COUNTS:
-                for final_state, script in self._unroll(state, program.body,
-                                                        count):
-                    yield final_state, [LoopCount(count)] + script
-                if self.over_budget():
-                    return
-            return
-        raise CheckError(f"unexpected program {program!r}")
+                for mid_state, script1 in body(state):
+                    for final_state, script2 in unroll(mid_state, count - 1):
+                        yield final_state, script1 + script2
 
-    def _prefixed(self, state, program, decision):
-        for final_state, script in self._runs(state, program):
-            yield final_state, [decision] + script
+            def loop(state):
+                for count in LOOP_COUNTS:
+                    for final_state, script in unroll(state, count):
+                        yield final_state, [LoopCount(count)] + script
+                    if over_budget():
+                        return
+            return loop
+        raise CheckError(f"unexpected program {node!r}")
 
-    def _unroll(self, state, body, count):
-        if count == 0:
-            yield state, []
-            return
-        for mid_state, script1 in self._runs(state, body):
-            for final_state, script2 in self._unroll(mid_state, body, count - 1):
-                yield final_state, script1 + script2
+    def _values(self, var, test):
+        """Closure state -> the values `var := *` tries, each once: the
+        pins of a following test, the ends of var's search interval and
+        seeded samples from it."""
+        box = self.obligation.search_box
+        lo, hi = box.get(domain_key(box, var), DEFAULT_DOMAIN)
+        sample = _sampler(lo, hi)
+        pins = None if test is None else _pinner(var, test)
 
-    def _random_values(self, state, var, following_test):
-        draws = self._draws.get(var)
-        if draws is None:
-            lo, hi = self.obligation.search_box.get(
-                var, self._box_fallback(var))
-            draws = self._draws[var] = (lo, hi, _sampler(lo, hi))
-        lo, hi, sample = draws
-        values = []
-        if following_test is not None:
-            values.extend(self._pins(state, var, following_test))
-        values.extend([lo, hi])
-        bits = self.rng.getrandbits
-        for _ in range(VALUES_PER_RANDOM_ASSIGN):
-            values.append(Fraction(*sample(bits(16))))
-        seen = set()
-        out = []
-        for v in values:
-            key = v.as_integer_ratio()
-            if key not in seen:
-                seen.add(key)
-                out.append(v)
-        return out
-
-    def _box_fallback(self, var):
-        for suffix in ("_post", "_prev"):
-            if var.endswith(suffix):
-                base = var[: -len(suffix)]
-                if base in self.obligation.search_box:
-                    return self.obligation.search_box[base]
-        return DEFAULT_DOMAIN
-
-    def _pins(self, state, var, test):
-        """Boundary values of `var` from affine conjuncts of the test: the
-        zero of each conjunct's left - right, one Fraction per pin."""
-        probe = dict(state)
-        pins = [_pin(probe, var, diff, exact)
-                for diff, exact in self._pin_diffs(test, var)]
-        return [pin for pin in pins if pin is not None]
-
-    def _pin_diffs(self, test, var):
-        key = (id(test), var)
-        diffs = self._pin_cache.get(key)
-        if diffs is None:
-            diffs = []
-            for c in conjuncts(test):
-                if not isinstance(c, Cmp):
-                    continue
-                if var in free_variables(c.left) | free_variables(c.right):
-                    diff = Sub(c.left, c.right)
-                    diffs.append((diff, _ratio_term(diff)))
-            self._pin_cache[key] = diffs
-        return diffs
+        def values(state):
+            out = pins(state) if pins else []
+            out += (lo, hi)
+            bits = self.rng.getrandbits
+            for _ in range(VALUES_PER_RANDOM_ASSIGN):
+                out.append(Fraction(*sample(bits(16))))
+            unique = {}
+            for v in out:
+                unique.setdefault(v.as_integer_ratio(), v)
+            return list(unique.values())
+        return values
 
     def _durations(self, state, plant):
-        self._count(2)
+        self.stats.evaluations += 2
         # the numeric path returns a float; the maximum is itself a
         # duration to try, and Fraction(float) is exact
         maximum = Fraction(plant.max_duration(state))
@@ -514,6 +499,24 @@ class _Engine:
         for _ in range(DURATION_SAMPLES_PER_ODE - 2):
             out.append(Fraction(*sample(bits(16))))
         return out
+
+
+def _pinner(var, test):
+    """Closure state -> the boundary values of `var` from the affine
+    conjuncts of `test`: the zero of each conjunct's left - right, one
+    Fraction per pin."""
+    diffs = []
+    for c in conjuncts(test):
+        if isinstance(c, Cmp) \
+                and var in free_variables(c.left) | free_variables(c.right):
+            diff = Sub(c.left, c.right)
+            diffs.append((diff, _ratio_term(diff)))
+
+    def pins(state):
+        probe = dict(state)
+        found = [_pin(probe, var, diff, exact) for diff, exact in diffs]
+        return [pin for pin in found if pin is not None]
+    return pins
 
 
 def _pin(probe, var, diff, exact):
@@ -574,14 +577,13 @@ def _sampler(lo, hi, bits=16):
     return lambda n: (base + n * step, den)
 
 
-def _candidates(search_vars, box, config, rng, pairs):
-    """Candidate assignments of `search_vars`: the `discrete` product,
-    which ends, or the coarse-to-fine grid followed by endless seeded
-    samples.  Values are int pairs when `pairs`, else Fractions."""
+def _candidates(search_vars, box, config, rng):
+    """Candidate assignments of `search_vars` as int pairs: the `discrete`
+    product, which ends, or the coarse-to-fine grid followed by endless
+    seeded samples."""
     if config.discrete is not None:
-        lists = [config.discrete[v] for v in search_vars]
-        if pairs:
-            lists = [[x.as_integer_ratio() for x in xs] for xs in lists]
+        lists = [[x.as_integer_ratio() for x in config.discrete[v]]
+                 for v in search_vars]
         for combo in itertools.product(*lists):
             yield dict(zip(search_vars, combo))
         return
@@ -593,19 +595,15 @@ def _candidates(search_vars, box, config, rng, pairs):
         axes = []
         for v in search_vars:
             point = _sampler(*box[v], bits=level + 1)
-            axes.append([(point(i) if pairs else Fraction(*point(i)), i)
-                         for i in range(n + 1)])
+            axes.append([(point(i), i) for i in range(n + 1)])
         for combo in itertools.product(*axes):
             if level > 0 and all(i % 2 == 0 for _, i in combo):
                 continue  # already visited at the previous level
             yield {v: value for v, (value, _) in zip(search_vars, combo)}
     samplers = [(v, _sampler(*box[v])) for v in search_vars]
     bits = rng.getrandbits
-    if pairs:
-        while True:
-            yield {v: sample(bits(16)) for v, sample in samplers}
     while True:
-        yield {v: Fraction(*sample(bits(16))) for v, sample in samplers}
+        yield {v: sample(bits(16)) for v, sample in samplers}
 
 
 # ---------------------------------------------------------------------------
@@ -623,16 +621,15 @@ class _Replayer:
         if isinstance(evidence, EvLeaf):
             truth = self._eval_exact(state, evidence.formula)
             return truth == target and truth == evidence.value
-        if isinstance(evidence, EvBoth):
-            left, right = _operands(formula, target, both=True)
-            if left is None:
+        if isinstance(evidence, (EvBoth, EvPick)):
+            operands = _connective(formula, target)
+            if operands is None \
+                    or operands[2] != isinstance(evidence, EvBoth):
                 return False
-            return (self.replay(state, left, target, evidence.left)
-                    and self.replay(state, right, target, evidence.right))
-        if isinstance(evidence, EvPick):
-            left, right = _operands(formula, target, both=False)
-            if left is None:
-                return False
+            left, right, _ = operands
+            if isinstance(evidence, EvBoth):
+                return (self.replay(state, left, target, evidence.left)
+                        and self.replay(state, right, target, evidence.right))
             chosen = left if evidence.side == "left" else right
             return self.replay(state, chosen, target, evidence.inner)
         if isinstance(evidence, EvScript):
@@ -668,24 +665,6 @@ class _Replayer:
         if any(not is_exact(v) for v in state.values()):
             self.numeric_only = True
         return eval_fol(state, formula)
-
-
-def _operands(formula, target, both):
-    """Operand pair of a binary connective for the given target polarity."""
-    if isinstance(formula, And):
-        needs_both = target
-        left, right = formula.left, formula.right
-    elif isinstance(formula, Or):
-        needs_both = not target
-        left, right = formula.left, formula.right
-    elif isinstance(formula, Implies):
-        needs_both = not target
-        left, right = Not(formula.left), formula.right
-    else:
-        return None, None
-    if needs_both != both:
-        return None, None
-    return left, right
 
 
 def certify(counterexample: Counterexample, obligation: Obligation) -> bool:
@@ -735,7 +714,6 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
     if uncovered:
         raise CheckError(f"uncoverable free symbols: {sorted(uncovered)}")
 
-    engine = _Engine(obligation, config)
     matrix_vars = free_variables(matrix)
     search_vars = [v for v in quantified if v in matrix_vars]
     box = obligation.search_box
@@ -748,30 +726,27 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
     for v in _assigned_in(matrix) - set(base_state) - set(search_vars):
         base_state[v] = Fraction(0)
 
-    # A modality-free matrix is decided on int pairs, with no Fraction per
-    # candidate; only a hit goes through establish and certify on Fractions.
-    pairs = not _has_modality(matrix, engine.memo)
-    if pairs:
-        decide = engine._fol(matrix)
-        pair_base = {k: v.as_integer_ratio() for k, v in base_state.items()}
+    engine = _Engine(obligation, config, base_state, search_vars)
+    decide = engine.formula(matrix, target)
+    pair_base = {k: v.as_integer_ratio() for k, v in base_state.items()}
     for index, candidate in enumerate(_candidates(search_vars, box, config,
-                                                  stream_rng, pairs)):
+                                                  stream_rng)):
         if engine.over_budget():
             break
         engine.stats.candidates += 1
-        if pairs:
-            state = pair_base.copy()
-            state.update(candidate)
-            if decide(state) != target:
-                engine._count()  # the evaluation establish would count
-                continue
-            candidate = {v: Fraction(*p) for v, p in candidate.items()}
-        engine.reset_rng(str(index))
-        cex = _try_candidate(engine, base_state, candidate, matrix, target,
-                             obligation, quantified)
-        if cex is not None:
+        state = pair_base.copy()
+        state.update(candidate)
+        engine.reset_rng(index)
+        evidence = decide(state)
+        if evidence is None:
+            continue
+        assignment = {v: Fraction(*state[v]) for v in quantified}
+        cex = Counterexample(assignment, evidence,
+                             scripts=flatten_scripts(evidence))
+        if certify(cex, obligation):
             status = WITNESS_FOUND if target else FALSIFIED
             return Verdict(status, cex, engine.stats, obligation, config.seed)
+        engine.stats.discarded_certificates += 1
 
     status = NO_WITNESS_FOUND if target else NOT_FALSIFIED
     return Verdict(status, None, engine.stats, obligation, config.seed)
@@ -790,23 +765,6 @@ def _assigned_in(matrix):
         elif isinstance(node, (And, Or, Implies, Iff)):
             stack.extend((node.left, node.right))
     return out
-
-
-def _try_candidate(engine, base_state, candidate, matrix, target, obligation,
-                   quantified):
-    """The certified counterexample or witness at `candidate`, or None."""
-    state = dict(base_state)
-    state.update(candidate)
-    evidence = engine.establish(state, matrix, target)
-    if evidence is None:
-        return None
-    assignment = {v: state[v] for v in quantified}
-    cex = Counterexample(assignment, evidence,
-                         scripts=flatten_scripts(evidence))
-    if certify(cex, obligation):
-        return cex
-    engine.stats.discarded_certificates += 1
-    return None
 
 
 # ---------------------------------------------------------------------------

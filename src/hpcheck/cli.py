@@ -22,7 +22,7 @@ from .checker import (
     NOT_FALSIFIED, VERDICT_VOCABULARY, WITNESS_FOUND, CheckError,
     SearchConfig, SelectorError, check, obligations_for,
 )
-from .model import Constant, Model
+from .model import Constant, Model, domain_key
 from .models import MODEL_IDS, builtin, fig2_script, table2_suite
 from .obligations import FALSIFY_UNIVERSAL, MissingRelation
 from .parser import ParseError, parse_model, parse_term
@@ -76,7 +76,7 @@ def _build_parser():
 
     p = sub.add_parser("parse", help="parse a model file and echo it back")
     p.add_argument("model")
-    _common_flags(p)
+    _add_flags(p, "--format")
     p.set_defaults(handler=cmd_parse)
 
     p = sub.add_parser("simulate", help="replay or sample executions")
@@ -84,29 +84,36 @@ def _build_parser():
     p.add_argument("--script", help="choice script file")
     p.add_argument("--random", type=int, metavar="N",
                    help="sample N random executions")
-    _common_flags(p)
+    _add_flags(p, *_FLAGS)
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("check", help="check obligations for one invariant")
     p.add_argument("model")
     p.add_argument("--invariant", required=True)
     p.add_argument("--obligation", default="all", choices=SELECTORS)
-    _common_flags(p)
+    _add_flags(p, *_FLAGS)
     p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("table2", help="run the bundled eight-row suite")
-    _common_flags(p)
+    _add_flags(p, "--seed", "--budget", "--format")
     p.set_defaults(handler=cmd_table2)
     return parser
 
 
-def _common_flags(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=200_000)
-    p.add_argument("--box", action="append", default=[], metavar="VAR=LO:HI")
-    p.add_argument("--const", action="append", default=[], metavar="NAME=VALUE")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--trace", metavar="PATH")
+_FLAGS = {
+    "--seed": dict(type=int, default=0),
+    "--budget": dict(type=int, default=200_000),
+    "--box": dict(action="append", default=[], metavar="VAR=LO:HI"),
+    "--const": dict(action="append", default=[], metavar="NAME=VALUE"),
+    "--format": dict(choices=("text", "json"), default="text"),
+    "--trace": dict(metavar="PATH"),
+}
+
+
+def _add_flags(p, *names):
+    """Give a subcommand the flags of `_FLAGS` that it reads."""
+    for name in names:
+        p.add_argument(name, **_FLAGS[name])
 
 
 def _load_model(path: str) -> Model:
@@ -145,6 +152,9 @@ def _apply_overrides(model: Model, args):
     """Return (box overrides, constant overrides) from CLI flags."""
     boxes = {}
     for var, spec in _parse_pairs(args.box, "box").items():
+        if domain_key(model.domains, var) is None:
+            raise UsageError(f"unknown box variable {var!r}; "
+                             f"model has {sorted(model.domains)}")
         if ":" not in spec:
             raise UsageError(f"bad box {spec!r}; expected LO:HI")
         lo, hi = (_parse_const_value(end) for end in spec.split(":", 1))
@@ -167,11 +177,18 @@ def _config_echo(args, boxes, consts):
 
 
 def _emit(args, report: dict, text_lines):
-    if args.format == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+    try:
+        if args.format == "json":
+            print(json.dumps(report, sort_keys=True, indent=2))
+        else:
+            for line in text_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone, which is no fault of the program: stop the
+        # output and keep the command's exit code; stdout now points at
+        # devnull so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # ---------------------------------------------------------------------------

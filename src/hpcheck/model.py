@@ -80,12 +80,19 @@ class Model:
     def search_interval(self, var: str):
         """Search box for a variable; derived variables such as `xc_post`
         inherit the interval of the variable they are derived from."""
-        if var in self.domains:
-            return self.domains[var]
-        for suffix in ("_post", "_prev"):
-            if var.endswith(suffix) and var[: -len(suffix)] in self.domains:
-                return self.domains[var[: -len(suffix)]]
-        return DEFAULT_DOMAIN
+        return self.domains.get(domain_key(self.domains, var), DEFAULT_DOMAIN)
+
+
+def domain_key(domains: dict, var: str):
+    """The key of `domains` whose interval `var` is searched in: `var`
+    itself, or the variable a `_post`/`_prev` name derives from; None when
+    neither is a key."""
+    if var in domains:
+        return var
+    for suffix in ("_post", "_prev"):
+        if var.endswith(suffix) and var[: -len(suffix)] in domains:
+            return var[: -len(suffix)]
+    return None
 
 
 def _assign_then_test(program: Program):

@@ -11,7 +11,7 @@ from hpcheck import checker
 from hpcheck.checker import (
     FALSIFIED, NO_WITNESS_FOUND, NOT_FALSIFIED, WITNESS_FOUND, CheckError,
     Counterexample, EvBoth, EvGoalFail, EvLeaf, EvPick, EvScript,
-    SearchConfig, UnsupportedObligation, _Engine, certify, check,
+    SearchConfig, UnsupportedObligation, _pinner, certify, check,
     compile_fol, derive_controller_witness, obligations_for,
 )
 from hpcheck.models import MODEL_IDS, builtin
@@ -200,8 +200,6 @@ def test_pins_parity_with_fraction_reference():
     checked = pinned = 0
     for model_id in MODEL_IDS:
         model = builtin(model_id)
-        engine = _Engine(obligations_for(model, "zeta1", "gamma")[0],
-                         SearchConfig())
         cases = _assign_tests(model.loop_program()) + [extra]
         assert len(cases) >= 3
         for _ in range(100):
@@ -210,7 +208,7 @@ def test_pins_parity_with_fraction_reference():
                 for name in free_variables(test) - set(state):
                     state[name] = F(rng.randint(-40, 40),
                                     rng.choice((1, 2, 3, 1 << 16)))
-                pins = engine._pins(state, var, test)
+                pins = _pinner(var, test)(state)
                 assert pins == _reference_pins(state, var, test)
                 assert all(type(p) is Fraction for p in pins)
                 checked += 1
@@ -218,13 +216,11 @@ def test_pins_parity_with_fraction_reference():
     assert checked == 1200 and pinned > 1500
     # a float in the state: float arithmetic up to the slope, as before
     model = builtin("m2")
-    engine = _Engine(obligations_for(model, "zeta1", "gamma")[0],
-                     SearchConfig())
     [(var, test), *_] = _assign_tests(model.loop_program())
     state = {k: F(v) for k, v in model.constant_values().items()}
     state.update({"x": 0.3, "v": 0.7, "xc": F(0)})  # a slope that rounds
     exact = dict(state, x=Fraction(0.3), v=Fraction(0.7))
-    pins = engine._pins(state, var, test)
+    pins = _pinner(var, test)(state)
     assert pins == _reference_pins(state, var, test)
     assert pins and pins != _reference_pins(exact, var, test)
 

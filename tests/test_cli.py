@@ -1,12 +1,17 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hpcheck import cli, semantics
 from hpcheck.cli import main
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 BROKEN_MODEL = "CONSTANTS\n  T = 1 : T > 0\nDOMAINS\n  x = [0, 1\n"
 
 
@@ -163,13 +168,48 @@ def test_check_const_override_changes_result(capsys):
 
 
 def test_bad_box_flag_exits_2(capsys):
-    # a malformed interval, and an empty one as DOMAINS rejects it
+    # a malformed interval, an empty one as DOMAINS rejects it, and a
+    # variable that neither DOMAINS nor a `_post`/`_prev` name of it gives
     for box, message in (("x=oops", "bad box"),
-                         ("v=2:1", "empty box interval")):
+                         ("v=2:1", "empty box interval"),
+                         ("Q=0:1", "unknown box variable")):
         code, out, err = run_cli(capsys, "check", "m2", "--invariant", "zeta1",
                                  "--box", box)
         assert (code, out) == (2, "")
         assert message in err
+
+
+def test_flags_a_command_does_not_read_exit_2(capsys):
+    # table2 reads only --seed, --budget and --format; parse only --format
+    for argv in (("table2", "--const", "Tx=5"), ("table2", "--trace", "t.csv"),
+                 ("table2", "--box", "v=0:1"), ("parse", "m2", "--budget", "7"),
+                 ("parse", "m2", "--box", "v=2:1"), ("parse", "m2", "--seed", "1"),
+                 ("parse", "m2", "--const", "T=1"),
+                 ("parse", "m2", "--trace", "t.csv")):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+
+def test_closed_stdout_keeps_the_exit_code():
+    # a reader that has gone away is no fault of the program: the output
+    # stops quietly and the command's own exit code (1, a finding) stands
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from hpcheck.cli import main; sys.exit(main())",
+             "check", "m2", "--invariant", "zeta1", "--obligation", "rho",
+             "--budget", "20000", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC)))
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_unknown_const_exits_2(capsys):

@@ -1,6 +1,7 @@
 """Static checks of the package source, standard library only."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -91,23 +92,37 @@ def _defined_name(node):
     return None
 
 
+def _methods(node):
+    """The non-dunder methods of a top-level class statement."""
+    if not isinstance(node, ast.ClassDef):
+        return []
+    return [m for m in node.body if isinstance(m, ast.FunctionDef)
+            and not (m.name.startswith("__") and m.name.endswith("__"))]
+
+
 def test_public_definitions_are_used():
-    # every top-level function, class or constant of the package is used
-    # by the package or the benchmark outside its own statement, or is
-    # exported by __all__
+    # every top-level function, class or constant of the package, and
+    # every non-dunder method of a package class, is used by the package
+    # or the benchmark outside its own definition, or is exported by
+    # __all__
     sources = MODULES + sorted(BENCH.glob("*.py"))
     statements = []  # (path, top-level statement, names it reads)
     for path in sources:
         tree = ast.parse(path.read_text(), filename=str(path))
-        statements.extend((path, node, set(_names_in(node)))
+        statements.extend((path, node, Counter(_names_in(node)))
                           for node in tree.body)
+    reads = sum((names for _, _, names in statements), Counter())
     exported = _exported()
     unused = []
-    for path, node, _ in statements:
-        name = _defined_name(node)
-        if path.parent != PACKAGE or name is None or name in exported:
+    for path, node, names in statements:
+        if path.parent != PACKAGE:
             continue
-        if not any(name in names for _, other, names in statements
-                   if other is not node):
+        name = _defined_name(node)
+        if name is not None and name not in exported \
+                and reads[name] == names[name]:
             unused.append(f"{path.name}:{node.lineno} {name}")
+        for method in _methods(node):
+            if reads[method.name] == Counter(_names_in(method))[method.name]:
+                unused.append(f"{path.name}:{method.lineno} "
+                              f"{node.name}.{method.name}")
     assert not unused, f"defined but unused outside tests: {unused}"
