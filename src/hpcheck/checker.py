@@ -280,9 +280,8 @@ class _Engine:
     def formula(self, node, target, nested=False):
         """Closure state -> evidence that `node` evaluates to `target`, or
         None when search finds none."""
-        stats = self.stats
         if not _has_modality(node):
-            holds = compile_fol(node)
+            holds, stats = compile_fol(node), self.stats
 
             def leaf(state):
                 stats.evaluations += 1
