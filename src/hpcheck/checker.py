@@ -11,7 +11,10 @@ enumeration; the diamond-over-env pattern `<e := *; ?P> e = e1` is
 decided goal-directed (bind e := e1, evaluate P) with no search.  Every
 candidate success is re-checked by exact rational replay before a
 verdict is emitted, so found-verdicts carry certificates that cannot be
-false alarms.
+false alarms.  A certificate is what the report prints: the assignment
+of the quantified variables and one choice script per modality decided
+by a run.  `certify` replays the obligation's own matrix from these
+alone.
 
 Search cannot prove validity of quantified nonlinear arithmetic:
 NotFalsified / NoWitnessFound are budget-exhausted non-results.
@@ -120,43 +123,14 @@ class Verdict:
         return out
 
 
-# Evidence trees mirror the matrix structure along the established path.
-
-@dataclass
-class EvLeaf:
-    formula: object
-    value: bool
-
-
-@dataclass
-class EvBoth:
-    left: object
-    right: object
-
-
-@dataclass
-class EvPick:
-    side: str  # 'left' | 'right'
-    inner: object
-
-
-@dataclass
-class EvScript:
-    script: list
-    inner: object
-
-
-@dataclass
-class EvGoalFail:
-    """Goal-directed refutation of <e := *; ?P> e = e1: P fails at e1."""
-    value: object
-
-
 @dataclass
 class Counterexample:
+    """A certificate: the values of the quantified variables and one choice
+    script per modality that the replay of the matrix decides by a run, in
+    the order `certify` takes them.  `certify` needs nothing else; it sets
+    `trace` and `numeric_only`."""
     assignment: dict
-    evidence: object
-    scripts: list = field(default_factory=list)
+    scripts: list
     trace: list = field(default_factory=list)
     numeric_only: bool = False
 
@@ -179,24 +153,6 @@ def _decision_json(decision):
     if isinstance(decision, LoopCount):
         return {"loop": decision.count}
     raise TypeError(decision)
-
-
-def flatten_scripts(evidence) -> list:
-    out = []
-    stack = [evidence]
-    while stack:
-        node = stack.pop(0)
-        if isinstance(node, EvScript):
-            out.append(node.script)
-            stack.insert(0, node.inner)
-        elif isinstance(node, EvGoalFail):
-            out.append([RandomValue(node.value)])
-        elif isinstance(node, EvBoth):
-            stack.insert(0, node.right)
-            stack.insert(0, node.left)
-        elif isinstance(node, EvPick):
-            stack.insert(0, node.inner)
-    return out
 
 
 def _has_modality(formula) -> bool:
@@ -241,13 +197,13 @@ def _env_goal_pattern(diamond: Diamond):
 
 class _Engine:
     """One obligation's search, compiled once.  A formula node becomes a
-    closure state -> evidence that it evaluates to the polarity it has in
-    the matrix, or None; a program node becomes a closure state ->
-    iterator of (final state, script) over the runs the search tries.  The
-    candidate state holds the search variables as int pairs; a modality
-    that is not nested in another one rebuilds them as Fractions on top of
-    the Fraction base state when it is entered, since programs and plants
-    compute on Fractions."""
+    closure state -> the tuple of choice scripts that shows it evaluates
+    to the polarity it has in the matrix, or None; a program node becomes
+    a closure state -> iterator of (final state, script) over the runs the
+    search tries.  The candidate state holds the search variables as int
+    pairs; a modality that is not nested in another one rebuilds them as
+    Fractions on top of the Fraction base state when it is entered, since
+    programs and plants compute on Fractions."""
 
     def __init__(self, obligation: Obligation, config: SearchConfig,
                  base_state, search_vars):
@@ -278,14 +234,16 @@ class _Engine:
     # formulas -------------------------------------------------------------
 
     def formula(self, node, target, nested=False):
-        """Closure state -> evidence that `node` evaluates to `target`, or
-        None when search finds none."""
+        """Closure state -> the scripts, in `certify`'s order, that show
+        `node` evaluates to `target`, or None when search finds none: () for
+        a modality-free node, left then right for both operands, the side
+        that held for one, and (script,) + the post's for a modality."""
         if not _has_modality(node):
             holds, stats = compile_fol(node), self.stats
 
             def leaf(state):
                 stats.evaluations += 1
-                return EvLeaf(node, target) if holds(state) == target else None
+                return () if holds(state) == target else None
             return leaf
         if isinstance(node, Not):
             return self.formula(node.inner, not target, nested)
@@ -295,7 +253,7 @@ class _Engine:
             return self._binary(node, target, nested)
         goal = _env_goal_pattern(node) if isinstance(node, Diamond) else None
         if goal is not None:
-            decide = self._goal(node, goal, target)
+            decide = self._goal(goal, target)
         elif isinstance(node, Box) and target:
             raise UnsupportedObligation(
                 "cannot establish a box by search; negate the obligation")
@@ -322,21 +280,18 @@ class _Engine:
         right = self.formula(right, target, nested)
         if both_needed:
             def both(state):
-                ev_l = left(state)
-                if ev_l is None and right_modal:
+                shown = left(state)
+                if shown is None and right_modal:
                     return None  # skip an expensive doomed operand
-                ev_r = right(state)
-                if ev_l is not None and ev_r is not None:
-                    return EvBoth(ev_l, ev_r)
-                return None
+                rest = right(state)
+                if shown is None or rest is None:
+                    return None
+                return shown + rest
             return both
 
         def pick(state):
-            ev = left(state)
-            if ev is not None:
-                return EvPick("left", ev)
-            ev = right(state)
-            return None if ev is None else EvPick("right", ev)
+            shown = left(state)
+            return right(state) if shown is None else shown
         return pick
 
     def _search_runs(self, modality, target):
@@ -348,18 +303,19 @@ class _Engine:
 
         def search(state):
             for final_state, script in runs(state):
-                ev = post(final_state)
-                if ev is not None:
-                    return EvScript(script, ev)
+                rest = post(final_state)
+                if rest is not None:
+                    return (script,) + rest
                 if over_budget():
                     break
             return None
         return search
 
-    def _goal(self, diamond, goal, target):
-        """<x := *; ?P> x = t decided goal-directed: bind x := t, test P."""
+    def _goal(self, goal, target):
+        """<x := *; ?P> x = t decided goal-directed: bind x := t, test P.
+        The one script picks t, whether it witnesses or refutes."""
         x, test, pin_term = goal
-        holds, stats, post = compile_fol(test), self.stats, diamond.post
+        holds, stats = compile_fol(test), self.stats
 
         def decide(state):
             value = eval_term(state, pin_term)
@@ -368,9 +324,7 @@ class _Engine:
             stats.evaluations += 1
             if holds(bound) != target:
                 return None
-            if target:
-                return EvScript([RandomValue(value)], EvLeaf(post, True))
-            return EvGoalFail(value)
+            return ([RandomValue(value)],)
         return decide
 
     # programs -------------------------------------------------------------
@@ -609,70 +563,73 @@ def _candidates(search_vars, box, config, rng):
 # Certification (exact replay)
 
 class _Replayer:
-    def __init__(self):
+    """Walks the obligation's own matrix at its polarity and takes the
+    certificate's scripts in the order the search lists them."""
+
+    def __init__(self, scripts):
+        self.scripts = scripts
+        self.position = 0
         self.trace = []
         self.numeric_only = False
 
-    def replay(self, state, formula, target, evidence) -> bool:
-        # search walks through Not without recording a node of its own
-        while isinstance(formula, Not) and not isinstance(evidence, EvLeaf):
-            formula, target = formula.inner, not target
-        if isinstance(evidence, EvLeaf):
-            truth = self._eval_exact(state, evidence.formula)
-            return truth == target and truth == evidence.value
-        if isinstance(evidence, (EvBoth, EvPick)):
-            operands = _connective(formula, target)
-            if operands is None \
-                    or operands[2] != isinstance(evidence, EvBoth):
-                return False
-            left, right, _ = operands
-            if isinstance(evidence, EvBoth):
-                return (self.replay(state, left, target, evidence.left)
-                        and self.replay(state, right, target, evidence.right))
-            chosen = left if evidence.side == "left" else right
-            return self.replay(state, chosen, target, evidence.inner)
-        if isinstance(evidence, EvScript):
-            if isinstance(formula, Box) and not target:
-                program, post, post_target = formula.program, formula.post, False
-            elif isinstance(formula, Diamond) and target:
-                program, post, post_target = formula.program, formula.post, True
-            else:
-                return False
-            outcome, trace = run(state, program, evidence.script)
+    def replay(self, state, formula, target) -> bool:
+        if not _has_modality(formula):
+            if any(not is_exact(v) for v in state.values()):
+                self.numeric_only = True
+            return eval_fol(state, formula) == target
+        if isinstance(formula, Not):
+            return self.replay(state, formula.inner, not target)
+        operands = _connective(formula, target)
+        if operands is not None:
+            left, right, both_needed = operands
+            if both_needed:
+                return (self.replay(state, left, target)
+                        and self.replay(state, right, target))
+            position, steps, numeric_only = \
+                self.position, len(self.trace), self.numeric_only
+            try:
+                if self.replay(state, left, target):
+                    return True
+            except Exception:
+                pass  # a left operand that raises has failed
+            self.position, self.numeric_only = position, numeric_only
+            del self.trace[steps:]
+            return self.replay(state, right, target)
+        if self.position >= len(self.scripts) \
+                or not isinstance(formula, (Box, Diamond)):
+            return False
+        script = self.scripts[self.position]
+        self.position += 1
+        if isinstance(formula, Box) != target:
+            # a box refuted or a diamond witnessed: one run, then the post
+            outcome, trace = run(state, formula.program, script)
             self.trace.extend(trace)
             if not isinstance(outcome, Final):
                 return False
             if any(not is_exact(v) for v in outcome.state.values()):
                 self.numeric_only = True
-            return self.replay(outcome.state, post, post_target, evidence.inner)
-        if isinstance(evidence, EvGoalFail):
-            if not (isinstance(formula, Diamond) and not target):
-                return False
-            goal = _env_goal_pattern(formula)
-            if goal is None:
-                return False
-            _, _, pin_term = goal
-            if evidence.value != eval_term(state, pin_term):
-                return False
-            outcome, trace = run(state, formula.program,
-                                 [RandomValue(evidence.value)])
-            self.trace.extend(trace)
-            return isinstance(outcome, Aborted)
-        return False
-
-    def _eval_exact(self, state, formula) -> bool:
-        if any(not is_exact(v) for v in state.values()):
-            self.numeric_only = True
-        return eval_fol(state, formula)
+            return self.replay(outcome.state, formula.post, target)
+        if isinstance(formula, Box):
+            return False
+        # a diamond refuted: only <x := *; ?P> x = t, where P fails at t
+        goal = _env_goal_pattern(formula)
+        if goal is None \
+                or list(script) != [RandomValue(eval_term(state, goal[2]))]:
+            return False
+        outcome, trace = run(state, formula.program, script)
+        self.trace.extend(trace)
+        return isinstance(outcome, Aborted)
 
 
 def certify(counterexample: Counterexample, obligation: Obligation) -> bool:
     """Replay the certificate with exact rational arithmetic.
 
-    Returns True iff the recorded truth value is reproduced.  When a
-    non-closed-form ODE forces floating point, that part of the replay is
-    plain float evaluation and the certificate is marked `numeric_only`
-    (`"exact": false` in its JSON).
+    Reads only the obligation, the assignment and the scripts; returns True
+    iff the obligation's matrix evaluates to the polarity the verdict
+    claims and every script is used.  When a non-closed-form ODE forces
+    floating point, that part of the replay is plain float evaluation and
+    the certificate is marked `numeric_only` (`"exact": false` in its
+    JSON).
     """
     target = obligation.kind == FIND_WITNESS
     state = {}
@@ -683,12 +640,12 @@ def certify(counterexample: Counterexample, obligation: Obligation) -> bool:
     _, matrix = obligation.split()
     for var in free_variables(obligation.formula) - set(state):
         state[var] = Fraction(0)
-    replayer = _Replayer()
+    replayer = _Replayer(counterexample.scripts)
     try:
-        ok = replayer.replay(state, matrix, target, counterexample.evidence)
+        ok = replayer.replay(state, matrix, target)
     except Exception:
         return False
-    if not ok:
+    if not ok or replayer.position != len(counterexample.scripts):
         return False
     counterexample.trace = replayer.trace
     counterexample.numeric_only = replayer.numeric_only
@@ -736,12 +693,11 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
         state = pair_base.copy()
         state.update(candidate)
         engine.reset_rng(index)
-        evidence = decide(state)
-        if evidence is None:
+        scripts = decide(state)
+        if scripts is None:
             continue
         assignment = {v: Fraction(*state[v]) for v in quantified}
-        cex = Counterexample(assignment, evidence,
-                             scripts=flatten_scripts(evidence))
+        cex = Counterexample(assignment, list(scripts))
         if certify(cex, obligation):
             status = WITNESS_FOUND if target else FALSIFIED
             return Verdict(status, cex, engine.stats, obligation, config.seed)
@@ -818,24 +774,17 @@ def derive_controller_witness(model, zeta_instantiated, psi_verdict):
     if not psi_verdict.found or psi_verdict.counterexample is None:
         raise CheckError("necessity witness required")
     psi_cex = psi_verdict.counterexample
-    scripts = psi_cex.scripts
-    if len(scripts) != 2:
+    if len(psi_cex.scripts) != 2:
         raise CheckError("unexpected witness shape")
-    env_aux_script, plant_script = scripts
+    env_aux_script, plant_script = psi_cex.scripts
     combined = list(env_aux_script) + list(plant_script)
     _, not_chi = chi_obligation(model, zeta_instantiated)
-    matrix = not_chi.matrix()
-    if not isinstance(matrix, And) or not isinstance(matrix.right, Diamond):
-        raise CheckError("unexpected obligation shape")
-    post = matrix.right.post  # Not(zeta)
-    evidence = EvBoth(EvLeaf(matrix.left, True),
-                      EvScript(combined, EvLeaf(post, True)))
     assignment = dict(psi_cex.assignment)
     for var in not_chi.quantified_vars():
         if var not in assignment:
             lo, hi = not_chi.search_box[var]
             assignment[var] = (lo + hi) / 2
-    cex = Counterexample(assignment, evidence, scripts=[combined])
+    cex = Counterexample(assignment, [combined])
     if not certify(cex, not_chi):
         raise CheckError("derived witness failed certification")
     verdict = Verdict(WITNESS_FOUND, cex, Stats(), not_chi, psi_verdict.seed)

@@ -84,7 +84,7 @@ def _build_parser():
     p.add_argument("--script", help="choice script file")
     p.add_argument("--random", type=int, metavar="N",
                    help="sample N random executions")
-    _add_flags(p, *_FLAGS)
+    _add_flags(p, "--seed", "--box", "--const", "--format", "--trace")
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("check", help="check obligations for one invariant")
@@ -168,12 +168,14 @@ def _apply_overrides(model: Model, args):
 
 
 def _config_echo(args, boxes, consts):
-    return {
+    echo = {
         "seed": args.seed,
-        "budget": args.budget,
         "boxes": {v: [str(lo), str(hi)] for v, (lo, hi) in sorted(boxes.items())},
         "constants": {k: str(v) for k, v in sorted(consts.items())},
     }
+    if "budget" in vars(args):  # simulate takes no budget
+        echo["budget"] = args.budget
+    return echo
 
 
 def _emit(args, report: dict, text_lines):
@@ -398,10 +400,11 @@ def cmd_check(args) -> int:
     _emit(args, report, lines)
     found = any(v.found for v in verdicts)
     if args.trace:
-        for v in verdicts:
-            if v.counterexample is not None and v.counterexample.trace:
-                _write_trace(args.trace, model, v.counterexample.trace)
-                break
+        # the first certificate's trace, or the header alone, so that no
+        # file from an earlier run is left looking like this run's
+        traces = [v.counterexample.trace for v in verdicts
+                  if v.counterexample is not None and v.counterexample.trace]
+        _write_trace(args.trace, model, traces[0] if traces else [])
     return EXIT_FOUND if found else EXIT_OK
 
 

@@ -11,7 +11,7 @@ possible.  `#` starts a line comment.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import DEFAULT_DOMAIN, Constant, Model, detect_shape
@@ -368,19 +368,14 @@ MANDATORY_SECTIONS = ("CONSTANTS", "DOMAINS", "INIT", "GUARANTEE",
 OPTIONAL_SECTIONS = ("INVARIANT", "RELATION")
 
 
-@dataclass
-class ModelSource:
-    """A sectioned `.hpmodel` document split into raw section bodies."""
-    text: str
-    sections: list = field(default_factory=list)  # (keyword, argument, body, line)
-
-
 _SECTION_RE = re.compile(r"^(" + "|".join(MANDATORY_SECTIONS + OPTIONAL_SECTIONS)
                          + r")\b(.*)$")
 
 
-def split_sections(text: str) -> ModelSource:
-    src = ModelSource(text)
+def split_sections(text: str) -> list:
+    """A sectioned `.hpmodel` document as its raw sections, each [keyword,
+    argument, body as (line number, text) pairs, line number]."""
+    sections = []
     current = None
     offset = 0
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -388,7 +383,7 @@ def split_sections(text: str) -> ModelSource:
         m = _SECTION_RE.match(stripped)
         if m is not None:
             current = [m.group(1), m.group(2).strip(), [], lineno]
-            src.sections.append(current)
+            sections.append(current)
         elif stripped.strip():
             if current is None:
                 span = SourceSpan(offset, offset + len(line), lineno, 1)
@@ -396,7 +391,7 @@ def split_sections(text: str) -> ModelSource:
             current[2].append((lineno, stripped))
         offset += len(line) + 1
     seen = {}
-    for keyword, arg, _, lineno in src.sections:
+    for keyword, arg, _, lineno in sections:
         if keyword == "INVARIANT":
             if not arg:
                 raise ParseError("INVARIANT requires a name",
@@ -411,14 +406,14 @@ def split_sections(text: str) -> ModelSource:
     for keyword in MANDATORY_SECTIONS:
         if (keyword, None) not in seen:
             raise ParseError(f"missing section {keyword}", SourceSpan(0, 0, 1, 1))
-    return src
+    return sections
 
 
 def _section_text(section) -> str:
     return "\n".join(line for _, line in section[2])
 
 
-def _parse_in_section(parse, section, what):
+def _parse_in_section(parse, section):
     text = _section_text(section)
     p = _Parser(tokenize(text, line_offset=section[3]))
     out = parse(p)
@@ -433,14 +428,13 @@ def parse_model(text: str, name: str = "model"):
     variables, duplicate sections, and division by a symbolic constant
     that has no sign constraint.
     """
-    src = split_sections(text)
     constants = []
     domains = {}
     invariants = {}
     relation = None
     parts = {}
     warnings = []
-    for section in src.sections:
+    for section in split_sections(text):
         keyword = section[0]
         if keyword == "CONSTANTS":
             for lineno, line in section[2]:
@@ -473,14 +467,13 @@ def parse_model(text: str, name: str = "model"):
                                      SourceSpan(0, 0, lineno, 1))
                 domains[m.group(1)] = (lo, hi)
         elif keyword in ("INIT", "GUARANTEE"):
-            parts[keyword] = _parse_in_section(_Parser.formula, section, keyword)
+            parts[keyword] = _parse_in_section(_Parser.formula, section)
         elif keyword in ("ENV", "AUX", "CTRL", "PLANT"):
-            parts[keyword] = _parse_in_section(_Parser.program, section, keyword)
+            parts[keyword] = _parse_in_section(_Parser.program, section)
         elif keyword == "INVARIANT":
-            invariants[section[1]] = _parse_in_section(_Parser.formula, section,
-                                                       keyword)
+            invariants[section[1]] = _parse_in_section(_Parser.formula, section)
         elif keyword == "RELATION":
-            relation = _parse_in_section(_Parser.formula, section, keyword)
+            relation = _parse_in_section(_Parser.formula, section)
 
     model = Model(
         name=name,

@@ -470,9 +470,10 @@ def _vars_of_cmp(c: Cmp):
 class Plant:
     """How one ODE evolves, decided once.  The double-integrator template
     with affine domain conjuncts uses the exact polynomial solution, checks
-    the domain at both endpoints and gives an exact maximal duration; any
-    other ODE integrates with fixed-step RK4, checks the domain on a dense
-    grid and bisects for its maximal duration."""
+    the domain at both endpoints and at any crossing of a `!=` conjunct
+    between them, and gives an exact maximal duration; any other ODE
+    integrates with fixed-step RK4, checks the domain on a dense grid and
+    bisects for its maximal duration."""
 
     def __init__(self, ode: ODE):
         self.ode = ode
@@ -481,7 +482,11 @@ class Plant:
                 and not _domain_conjuncts_affine(ode, self.template):
             self.template = None
         self.domain = compile_fol(ode.domain)
-        self._lines = None  # compiled by the first template max_duration
+        # along the solution an affine `!=` conjunct fails at one instant,
+        # which the endpoints miss; every other conjunct holds on an interval
+        self._punctured = any(isinstance(c, Cmp) and c.op == "!="
+                              for c in conjuncts(ode.domain))
+        self._lines = None  # compiled on first use
 
     def evolve(self, state: State, duration):
         """Final(state at duration) when the evolution domain holds
@@ -496,6 +501,15 @@ class Plant:
         end = _template_state_at(state, self.template, duration)
         if not self.domain(end):
             return Aborted(self.ode.domain, end)
+        if self._punctured:
+            crossings = [_affine_conjunct_bound(*line)
+                         for line in self._domain_lines(state)
+                         if line[0] == "!="]
+            first = min((Fraction(*c) for c in crossings if c is not None),
+                        default=None)
+            if first is not None and first <= duration:
+                return Aborted(self.ode.domain, _template_state_at(
+                    state, self.template, first))
         return Final(end)
 
     def max_duration(self, state: State):

@@ -10,8 +10,7 @@ from gen import (
 from hpcheck import checker
 from hpcheck.checker import (
     FALSIFIED, NO_WITNESS_FOUND, NOT_FALSIFIED, WITNESS_FOUND, CheckError,
-    Counterexample, EvBoth, EvGoalFail, EvLeaf, EvPick, EvScript,
-    SearchConfig, UnsupportedObligation, _pinner, certify, check,
+    Counterexample, SearchConfig, UnsupportedObligation, _pinner, certify, check,
     compile_fol, derive_controller_witness, obligations_for,
 )
 from hpcheck.models import MODEL_IDS, builtin
@@ -379,50 +378,53 @@ def test_tampered_script_fails_certification():
     verdict = check(ob)
     cex = verdict.counterexample
     assert certify(cex, ob)
-    from hpcheck.checker import EvScript
-    assert isinstance(cex.evidence, EvScript)
-    cex.evidence.script[0] = type(cex.evidence.script[0])("left")
+    assert cex.scripts == [[Branch("right")]]
+    cex.scripts[0][0] = Branch("left")
     assert not certify(cex, ob)
 
 
-# One obligation per evidence kind that search builds: (matrix, kind, box,
-# the evidence found, a perturbation of that evidence).  Found evidence
-# must certify and the perturbed evidence must not.
+def test_certify_takes_back_a_left_operand_that_fails():
+    # the left diamond runs on the script that witnesses the right one and
+    # fails; the replay takes that run back, its trace included
+    ob = close("(<y := x> y >= 100) | <y := x + 1> y <= 2", FIND_WITNESS,
+               {"x": (F(0), F(10))})
+    cex = check(ob, SearchConfig(budget=1000)).counterexample
+    assert cex.scripts == [[]]
+    assert certify(cex, ob)
+    assert [step.label for step in cex.trace] == ["init", "y := ..."]
+    assert cex.trace[-1].state["y"] == cex.assignment["x"] + 1
+
+
+# One obligation per kind of node that search decides: (matrix, kind, the
+# scripts found, a perturbation of the certificate as (assignment,
+# scripts) -> (assignment, scripts)).  The found certificate must certify
+# and the perturbed one must not.
 EVIDENCE_CASES = {
-    "leaf": (
-        "x <= 5", FALSIFY_UNIVERSAL,
-        EvLeaf(parse_formula("x <= 5"), False),
-        lambda ev: EvLeaf(ev.formula, not ev.value)),
+    "leaf": (  # holds no formula of its own: x = 1 does not refute x <= 5
+        "x <= 5", FALSIFY_UNIVERSAL, [],
+        lambda a, s: ({"x": F(1)}, s)),
     "both-and": (
-        "x >= 3 & <y := x + 1> y >= 5", FIND_WITNESS,
-        EvBoth(EvLeaf(parse_formula("x >= 3"), True),
-               EvScript([], EvLeaf(parse_formula("y >= 5"), True))),
-        lambda ev: EvBoth(ev.right, ev.left)),
+        "x >= 3 & <y := x + 1> y >= 5", FIND_WITNESS, [[]],
+        lambda a, s: (a, [])),
     "pick-or": (
-        "x >= 8 | <y := x + 1> y <= 2", FIND_WITNESS,
-        EvPick("right", EvScript([], EvLeaf(parse_formula("y <= 2"), True))),
-        lambda ev: EvPick("left", ev.inner)),
+        "x >= 8 | <y := x + 1> y <= 2", FIND_WITNESS, [[]],
+        lambda a, s: ({"x": F(5)}, s)),
     "pick-implies": (
-        "x >= 0 -> <y := x + 1> y >= 3", FIND_WITNESS,
-        EvPick("right", EvScript([], EvLeaf(parse_formula("y >= 3"), True))),
-        lambda ev: EvPick("left", ev.inner)),
+        "x >= 0 -> <y := x + 1> y >= 3", FIND_WITNESS, [[]],
+        lambda a, s: (a, s + [[]])),
     "script-box": (
         "[{y := x ++ y := x + 5}; z := y] z <= 3", FALSIFY_UNIVERSAL,
-        EvScript([Branch("right")], EvLeaf(parse_formula("z <= 3"), False)),
-        lambda ev: EvScript([Branch("left")], ev.inner)),
+        [[Branch("right")]],
+        lambda a, s: (a, [[Branch("left")]])),
     "script-diamond": (
-        "<y := x ++ y := -x> y <= -1", FIND_WITNESS,
-        EvScript([Branch("right")], EvLeaf(parse_formula("y <= -1"), True)),
-        lambda ev: EvScript([Branch("left")], ev.inner)),
+        "<y := x ++ y := -x> y <= -1", FIND_WITNESS, [[Branch("right")]],
+        lambda a, s: (a, [[Branch("left")]])),
     "goal-witness": (
-        "<v := *; ?v >= x> v = x + 1", FIND_WITNESS,
-        EvScript([RandomValue(F(1))],
-                 EvLeaf(parse_formula("v = x + 1"), True)),
-        lambda ev: EvScript([RandomValue(ev.script[0].value + 1)], ev.inner)),
+        "<v := *; ?v >= x> v = x + 1", FIND_WITNESS, [[RandomValue(F(1))]],
+        lambda a, s: (a, [[RandomValue(s[0][0].value + 1)]])),
     "goal-refutation": (
-        "<v := *; ?v >= 2> v = x", FALSIFY_UNIVERSAL,
-        EvGoalFail(F(0)),
-        lambda ev: EvGoalFail(ev.value + 1)),
+        "<v := *; ?v >= 2> v = x", FALSIFY_UNIVERSAL, [[RandomValue(F(0))]],
+        lambda a, s: (a, [[RandomValue(s[0][0].value + 1)]])),
 }
 
 
@@ -433,9 +435,9 @@ def test_each_evidence_kind_is_found_and_certified(case):
     verdict = check(ob, SearchConfig(budget=1000))
     assert verdict.found
     cex = verdict.counterexample
-    assert cex.evidence == expected
+    assert cex.scripts == expected
     assert certify(cex, ob)
-    assert not certify(Counterexample(cex.assignment, perturb(cex.evidence)),
+    assert not certify(Counterexample(*perturb(cex.assignment, cex.scripts)),
                        ob)
 
 

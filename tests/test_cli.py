@@ -99,7 +99,9 @@ def test_simulate_random(capsys):
     code, out, _ = run_cli(capsys, "simulate", "m2", "--random", "5",
                            "--format", "json")
     assert code == 0
-    [summary] = json.loads(out)["runs"]
+    report = json.loads(out)
+    assert report["config"] == {"seed": 0, "boxes": {}, "constants": {}}
+    [summary] = report["runs"]
     assert summary["sampled"] == 5
     assert summary["aborted"] + summary["guarantee_violations"] <= 5
 
@@ -132,6 +134,25 @@ def test_check_loop_consistent_exits_0(capsys):
     assert code == 0
     report = json.loads(out)
     assert [v["verdict"] for v in report["verdicts"]] == ["not_falsified"] * 3
+
+
+def test_check_trace_is_written_when_nothing_is_found(tmp_path, capsys):
+    # a finding writes its certificate's trace; a later run that finds
+    # nothing leaves the header alone, not the earlier run's file
+    trace_path = tmp_path / "trace.csv"
+    code, _, _ = run_cli(capsys, "check", "m2", "--invariant", "zeta1",
+                         "--obligation", "rho", "--budget", "2000",
+                         "--trace", str(trace_path))
+    assert code == 1
+    assert len(trace_path.read_text().splitlines()) > 1
+    code, _, _ = run_cli(capsys, "check", "m2", "--invariant", "zeta1",
+                         "--obligation", "gamma", "--budget", "200",
+                         "--trace", str(trace_path))
+    assert code == 0
+    with open(trace_path) as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["step", "construct", "t",
+                     "x", "v", "xc", "xc_post", "a", "tau"]]
 
 
 def test_check_psi_witness(capsys):
@@ -180,12 +201,14 @@ def test_bad_box_flag_exits_2(capsys):
 
 
 def test_flags_a_command_does_not_read_exit_2(capsys):
-    # table2 reads only --seed, --budget and --format; parse only --format
+    # table2 reads only --seed, --budget and --format; parse only --format;
+    # simulate no --budget
     for argv in (("table2", "--const", "Tx=5"), ("table2", "--trace", "t.csv"),
                  ("table2", "--box", "v=0:1"), ("parse", "m2", "--budget", "7"),
                  ("parse", "m2", "--box", "v=2:1"), ("parse", "m2", "--seed", "1"),
                  ("parse", "m2", "--const", "T=1"),
-                 ("parse", "m2", "--trace", "t.csv")):
+                 ("parse", "m2", "--trace", "t.csv"),
+                 ("simulate", "m2", "--random", "1", "--budget", "7")):
         with pytest.raises(SystemExit) as info:
             main(list(argv))
         assert info.value.code == 2
@@ -425,3 +448,57 @@ def test_check_psi_needs_zeta_iter(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: psi needs an invariant named zeta_iter\n"
+
+
+def _certificate_from_json(blob):
+    """The Counterexample a certificate's JSON describes: Fractions from
+    their strings, one decision per JSON object."""
+    from fractions import Fraction
+    from hpcheck.checker import Counterexample
+    kinds = {"branch": semantics.Branch, "loop": semantics.LoopCount,
+             "value": lambda text: semantics.RandomValue(Fraction(text)),
+             "duration": lambda text: semantics.Duration(Fraction(text))}
+    scripts = [[kinds[key](arg) for decision in script
+                for key, arg in decision.items()]
+               for script in blob["scripts"]]
+    assignment = {k: Fraction(v) for k, v in blob["assignment"].items()}
+    return Counterexample(assignment, scripts)
+
+
+def test_printed_certificates_certify_from_the_json_alone(tmp_path, capsys):
+    # what the report prints is the whole certificate: every certificate
+    # of table2 and of the drag plant's numeric not-chi witness certifies
+    # again from its JSON, with the exactness it was printed with
+    from hpcheck.checker import certify, obligations_for
+    from hpcheck.models import builtin
+    from hpcheck.parser import parse_model
+    pairs = []
+    code, out, _ = run_cli(capsys, "table2", "--format", "json",
+                           "--budget", "2000")
+    assert code == 0
+    for row in json.loads(out)["rows"]:
+        model = builtin(row["model"])
+        obligations = obligations_for(model, row["invariant"], "loop")
+        for conjunct in row["conjuncts"]:
+            obligations += obligations_for(model, row["invariant"], conjunct)
+        assert len(obligations) == len(row["verdicts"])
+        pairs.extend(zip(obligations, row["verdicts"]))
+    drag = tmp_path / "drag.hpmodel"
+    drag.write_text(builtin("m2").source.replace("v' = a,", "v' = a - v / 4,"))
+    code, out, _ = run_cli(capsys, "check", str(drag), "--invariant", "zeta1",
+                           "--obligation", "not-chi", "--budget", "2000",
+                           "--format", "json")
+    assert code == 1
+    [ob] = obligations_for(parse_model(drag.read_text()), "zeta1", "not-chi")
+    pairs.extend(zip([ob], json.loads(out)["verdicts"]))
+    exactness = []
+    for ob, verdict in pairs:
+        assert ob.name == verdict["obligation"]
+        if "certificate" not in verdict:
+            continue
+        cex = _certificate_from_json(verdict["certificate"])
+        assert certify(cex, ob), ob.name
+        assert verdict["certificate"]["exact"] == (not cex.numeric_only)
+        exactness.append(verdict["certificate"]["exact"])
+    # table2's five findings are exact; the drag plant's is numeric
+    assert exactness == [True] * 5 + [False]

@@ -172,6 +172,28 @@ def test_plant_aborts_outside_domain():
     assert isinstance(outcome, Aborted)  # v would become negative
 
 
+def test_plant_aborts_at_a_disequality_crossing_between_the_ends():
+    # v != 0 holds at both ends of [0, 2] from v = 1, a = -1, but fails at
+    # t = 1 between them; the run stops there
+    ode = parse_program("{x' = v, v' = a, t' = 1 & v != 0}")
+    plant = Plant(ode)
+    assert plant.template is not None
+    state = {"x": F(0), "v": F(1), "a": F(-1), "t": F(0)}
+    assert plant.max_duration(state) == F(1)
+    outcome = plant.evolve(state, F(2))
+    assert isinstance(outcome, Aborted)
+    assert (outcome.state["v"], outcome.state["t"]) == (F(0), F(1))
+    assert isinstance(plant.evolve(state, F(1)), Aborted)
+    assert isinstance(plant.evolve(state, F(1, 2)), Final)
+    # no crossing ahead: moving away from v = 0, or never reaching it
+    assert isinstance(plant.evolve(dict(state, a=F(1)), F(200)), Final)
+    assert isinstance(plant.evolve(dict(state, a=F(0)), F(200)), Final)
+    # a float state finds the same crossing
+    numeric = {k: float(v) for k, v in state.items()}
+    assert isinstance(plant.evolve(numeric, 2.0), Aborted)
+    assert isinstance(plant.evolve(numeric, 0.5), Final)
+
+
 def test_max_admissible_duration_affine():
     assert max_admissible_duration(base_state(v=2, a=-3), PLANT_ODE) == F(2, 3)
     assert max_admissible_duration(base_state(v=2, a=1), PLANT_ODE) == F(1)
