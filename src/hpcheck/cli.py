@@ -83,7 +83,7 @@ def _build_parser():
     p.add_argument("model")
     p.add_argument("--script", help="choice script file")
     p.add_argument("--random", type=int, metavar="N",
-                   help="sample N random executions")
+                   help="sample N >= 1 random executions")
     _add_flags(p, "--seed", "--box", "--const", "--format", "--trace")
     p.set_defaults(handler=cmd_simulate)
 
@@ -309,14 +309,13 @@ def cmd_simulate(args) -> int:
         outcome, trace = run(state, model.loop_program(), script)
         report["runs"].append(_run_json(model, outcome))
         lines.extend(_run_lines(model, outcome))
-        if args.trace:
-            _write_trace(args.trace, model, trace)
     elif args.random is not None:
+        if args.random < 1:
+            raise UsageError("--random needs N >= 1")
         cursor = _RandomCursor(model, random.Random(args.seed))
         aborted = violations = 0
-        last_trace = []
         for _ in range(args.random):
-            outcome, last_trace = run(state, model.loop_program(), cursor)
+            outcome, trace = run(state, model.loop_program(), cursor)
             if isinstance(outcome, Aborted):
                 aborted += 1
             elif not eval_fol(outcome.state, model.guarantee):
@@ -328,10 +327,10 @@ def cmd_simulate(args) -> int:
         })
         lines.append(f"{args.random} runs: {aborted} aborted, "
                      f"{violations} guarantee violations")
-        if args.trace and last_trace:
-            _write_trace(args.trace, model, last_trace)
     else:
         raise UsageError("simulate needs --script or --random")
+    if args.trace:  # the (last) run's trace, which starts with its initial state
+        _write_trace(args.trace, model, trace)
     _emit(args, report, lines)
     return EXIT_OK
 

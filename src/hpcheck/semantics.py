@@ -4,7 +4,8 @@ All nondeterminism (random assignments, choices, ODE durations, loop
 counts) is externalized into a ChoiceScript consumed left to right, so a
 run is a pure function of (state, program, script).  States map variable
 names to exact rationals where possible; floats appear only on the
-numeric ODE fallback path.
+numeric ODE fallback path, the RK4 kernel a Plant outside the closed-form
+template compiles once.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 
 from .syntax import (
     Add, And, Assign, BoolLit, Box, Choice, Cmp, Diamond, Div, Exists,
@@ -191,26 +193,21 @@ def _ratio_term(term):
     raise TypeError(term)
 
 
-def _ratio_fol(formula):
+def _fol_closure(formula, comparison):
     """Closure state -> bool of a quantifier-free formula, evaluated in the
-    order of eval_fol so that a zero divisor raises exactly where it does."""
+    order of eval_fol so that a zero divisor raises exactly where it does;
+    `comparison` compiles each comparison."""
     if isinstance(formula, BoolLit):
         value = formula.value
         return lambda s: value
     if isinstance(formula, Cmp):
-        left, right = _ratio_term(formula.left), _ratio_term(formula.right)
-        holds = _CMP[formula.op]
-
-        def cmp(s):
-            a, b = left(s)
-            c, d = right(s)
-            return holds(a * d, c * b)
-        return cmp
+        return comparison(formula)
     if isinstance(formula, Not):
-        inner = _ratio_fol(formula.inner)
+        inner = _fol_closure(formula.inner, comparison)
         return lambda s: not inner(s)
     if isinstance(formula, (And, Or, Implies, Iff)):
-        left, right = _ratio_fol(formula.left), _ratio_fol(formula.right)
+        left = _fol_closure(formula.left, comparison)
+        right = _fol_closure(formula.right, comparison)
         if isinstance(formula, And):
             return lambda s: left(s) and right(s)
         if isinstance(formula, Or):
@@ -221,12 +218,23 @@ def _ratio_fol(formula):
     raise TypeError(formula)
 
 
+def _ratio_cmp(formula):
+    left, right = _ratio_term(formula.left), _ratio_term(formula.right)
+    holds = _CMP[formula.op]
+
+    def cmp(s):
+        a, b = left(s)
+        c, d = right(s)
+        return holds(a * d, c * b)
+    return cmp
+
+
 def compile_fol(formula):
     """state -> bool, equal to eval_fol(state, formula) on a quantifier-free
     `formula`, evaluated by the exact kernel.  A ZeroDivisionError is
     raised exactly when eval_fol raises one; states holding a float or
     lacking a variable are handed to eval_fol."""
-    exact = _ratio_fol(formula)
+    exact = _fol_closure(formula, _ratio_cmp)
 
     def evaluate(s):
         try:
@@ -471,9 +479,12 @@ class Plant:
     """How one ODE evolves, decided once.  The double-integrator template
     with affine domain conjuncts uses the exact polynomial solution, checks
     the domain at both endpoints and at any crossing of a `!=` conjunct
-    between them, and gives an exact maximal duration; any other ODE
-    integrates with fixed-step RK4, checks the domain on a dense grid and
-    bisects for its maximal duration."""
+    between them, and gives an exact maximal duration.  Any other ODE is
+    integrated in floats by fixed-step RK4 with step 1/64 (ODE_STEP),
+    checks the domain at the start and at 65 evenly spaced times up to the
+    duration (GRID_POINTS + 1) and bisects for its maximal duration; its
+    right-hand sides and domain are compiled into closures once, on the
+    first evolution."""
 
     def __init__(self, ode: ODE):
         self.ode = ode
@@ -486,7 +497,7 @@ class Plant:
         # which the endpoints miss; every other conjunct holds on an interval
         self._punctured = any(isinstance(c, Cmp) and c.op == "!="
                               for c in conjuncts(ode.domain))
-        self._lines = None  # compiled on first use
+        self._lines = self._numeric = None  # compiled on first use
 
     def evolve(self, state: State, duration):
         """Final(state at duration) when the evolution domain holds
@@ -494,8 +505,9 @@ class Plant:
         if duration < 0:
             raise ValueError("negative duration")
         if self.template is None:
-            return _evolve_numeric(state, self.ode, duration, ODE_STEP,
-                                   GRID_POINTS)
+            if self._numeric is None:
+                self._numeric = _compile_numeric(self.ode)
+            return self._numeric(state, duration)
         if not self.domain(state):
             return Aborted(self.ode.domain, state)
         end = _template_state_at(state, self.template, duration)
@@ -588,52 +600,140 @@ def max_admissible_duration(state: State, ode: ODE):
     return Plant(ode).max_duration(state)
 
 
-def _derivatives(state, ode):
-    return {v: eval_term(state, rhs) for v, rhs in ode.equations}
+# Float kernel.  A plant outside the closed-form template is integrated by
+# fixed-step RK4 on a state that holds a float per variable.  Its right-hand
+# sides and domain are compiled once into closures that compute what
+# eval_term and eval_fol compute on such a state: a variable-free subterm
+# is folded to its exact Fraction, and where it meets a float it enters as
+# float(c), which is what Fraction arithmetic with a float does.
+
+_FLOAT_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+              Div: operator.truediv}
 
 
-def _rk4_step(state, ode, h):
-    def shifted(base, deriv, factor):
-        out = dict(base)
-        for v in deriv:
-            out[v] = base[v] + factor * deriv[v]
-        return out
-
-    k1 = _derivatives(state, ode)
-    k2 = _derivatives(shifted(state, k1, h / 2), ode)
-    k3 = _derivatives(shifted(state, k2, h / 2), ode)
-    k4 = _derivatives(shifted(state, k3, h), ode)
-    out = dict(state)
-    for v in k1:
-        out[v] = state[v] + (h / 6) * (k1[v] + 2 * k2[v] + 2 * k3[v] + k4[v])
-        if not _finite(out[v]):
-            raise NumericBlowup(v)
-    return out
+def _float_operand(c):
+    """float(c) for a Fraction c, or c itself where that overflows, so that
+    the operation raises as Fraction arithmetic does."""
+    try:
+        return float(c)
+    except OverflowError:
+        return c
 
 
-def _finite(value) -> bool:
-    if isinstance(value, float):
-        return value == value and abs(value) != float("inf")
-    return True
+def _float_term(term):
+    """The exact Fraction of a variable-free `term`, else a closure
+    state -> float."""
+    if isinstance(term, Var):
+        name = term.name
+
+        def var(s):
+            try:
+                return s[name]
+            except KeyError:
+                raise UndeclaredVariable(name) from None
+        return var
+    if isinstance(term, Num):
+        return term.value
+    if isinstance(term, Neg):
+        inner = _float_term(term.inner)
+        if not callable(inner):
+            return -inner
+        return lambda s: -inner(s)
+    if isinstance(term, Pow):
+        base, k = _float_term(term.base), term.exp
+        if not callable(base):
+            return base ** k
+        return lambda s: base(s) ** k
+    op = _FLOAT_OPS[type(term)]
+    if isinstance(term, Div):
+        left, right = _float_term(term.num), _float_term(term.den)
+    else:
+        left, right = _float_term(term.left), _float_term(term.right)
+    if not callable(left) and not callable(right):
+        try:
+            return op(left, right)
+        except ZeroDivisionError:  # raised when evaluated, as eval_term does
+            return lambda s: op(left, right)
+    if not callable(left):
+        c = _float_operand(left)
+        return lambda s: op(c, right(s))
+    if not callable(right):
+        c = _float_operand(right)
+        return lambda s: op(left(s), c)
+    return lambda s: op(left(s), right(s))
 
 
-def _evolve_numeric(state, ode, duration, step, grid_points):
-    duration = float(duration)
-    current = {k: float(v) for k, v in state.items()}
-    if not eval_fol(current, ode.domain):
-        return Aborted(ode.domain, current)
-    # integrate on a uniform grid of grid_points + 2 samples incl. endpoints
-    samples = grid_points + 1
-    t = 0.0
-    for i in range(1, samples + 1):
-        target = duration * i / samples
-        while t < target - 1e-15:
-            h = min(step, target - t)
-            current = _rk4_step(current, ode, h)
-            t += h
-        if not eval_fol(current, ode.domain):
+def _float_cmp(formula):
+    """A comparison on a state of floats.  A float compares exactly with a
+    Fraction, so a constant side enters as float(c) only where that is c."""
+    sides = []
+    for term in (formula.left, formula.right):
+        side = _float_term(term)
+        if not callable(side):
+            c = _float_operand(side)
+            value = c if c == side else side
+            side = lambda s, value=value: value
+        sides.append(side)
+    left, right = sides
+    holds = _CMP[formula.op]
+    return lambda s: holds(left(s), right(s))
+
+
+def _compile_numeric(ode: ODE):
+    """evolve(state, duration) of `ode` by RK4 in floats with step ODE_STEP:
+    Final(state at duration) when the domain holds at the start and at
+    GRID_POINTS + 1 evenly spaced times up to duration, else Aborted at the
+    first time it fails.  Only the evolved variables are integrated.  A
+    constant rate c shifts the stages by half or all of the step times
+    float(c), and its update is a sixth of the step times float(6 c), as
+    in Fraction arithmetic with a float."""
+    names, rates, constants = [], [], []
+    for name, rhs in ode.equations:
+        rate = _float_term(rhs)
+        if callable(rate):
+            names.append(name)
+            rates.append(rate)
+        else:  # k1 + 2 k2 + 2 k3 + k4 = 6 c, summed exactly
+            constants.append((name, _float_operand(rate),
+                              _float_operand(6 * rate)))
+    domain = _fol_closure(ode.domain, _float_cmp)
+    samples = GRID_POINTS + 1
+
+    def evolve(state, duration):
+        duration = float(duration)
+        current = {k: float(v) for k, v in state.items()}
+        if not domain(current):
             return Aborted(ode.domain, current)
-    return Final(current)
+        work = dict(current)  # the state at each RK4 stage
+        t = 0.0
+        for i in range(1, samples + 1):
+            target = duration * i / samples
+            while t < target - 1e-15:
+                h = min(ODE_STEP, target - t)
+                half = h / 2
+                ks = [[rate(current) for rate in rates]]
+                for factor in (half, half, h):
+                    for name, k in zip(names, ks[-1]):
+                        work[name] = current[name] + factor * k
+                    for name, c, _ in constants:
+                        work[name] = current[name] + factor * c
+                    ks.append([rate(work) for rate in rates])
+                sixth = h / 6
+                for name, a, b, c, d in zip(names, *ks):
+                    value = current[name] + sixth * (a + 2 * b + 2 * c + d)
+                    if not isfinite(value):
+                        raise NumericBlowup(name)
+                    current[name] = value
+                for name, _, six in constants:
+                    value = current[name] + sixth * six
+                    if not isfinite(value):
+                        raise NumericBlowup(name)
+                    current[name] = value
+                t += h
+            if not domain(current):
+                return Aborted(ode.domain, current)
+        return Final(current)
+    return evolve
 
 
 def _affine_conjunct_bound(op, n0, d0, sn, sd):

@@ -112,6 +112,19 @@ def test_simulate_needs_mode(capsys):
     assert "script or --random" in err
 
 
+def test_simulate_random_needs_a_positive_count(tmp_path, capsys):
+    # no run means no report and no trace, so an earlier file stays as is
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text("stale\n")
+    for count in ("0", "-3"):
+        code, out, err = run_cli(capsys, "simulate", "m2", "--random", count,
+                                 "--format", "json", "--trace",
+                                 str(trace_path))
+        assert (code, out) == (2, "")
+        assert "--random needs N >= 1" in err
+    assert trace_path.read_text() == "stale\n"
+
+
 def test_check_rho_counterexample_exits_1(capsys):
     code, out, _ = run_cli(capsys, "check", "m2", "--invariant", "zeta1",
                            "--obligation", "rho", "--budget", "20000",
@@ -440,6 +453,23 @@ def test_check_json_is_pinned(tmp_path, capsys):
             digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() \
         == "b2ada2de13aa112a8540782efd8365bd674ea7cf4b84ff111705a35a733cadbc"
+
+
+def test_drag_zeta2_check_json_is_pinned(tmp_path, capsys):
+    # one sha256, as above, over the drag m2 x zeta2 x every selector at
+    # budget 300: durations, states and certificates of the numeric plant;
+    # taken before the numeric path compiled its kernel
+    from hpcheck.models import builtin
+    drag = tmp_path / "drag.hpmodel"
+    drag.write_text(builtin("m2").source.replace("v' = a,", "v' = a - v / 4,"))
+    digest = hashlib.sha256()
+    for selector in cli.SELECTORS:
+        code, out, _ = run_cli(capsys, "check", str(drag), "--invariant",
+                               "zeta2", "--obligation", selector, "--budget",
+                               "300", "--format", "json")
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() \
+        == "4afcc70ce7a7745bd993d25b82d0334fea1a70cf01a1026bcababd5cde96d95d"
 
 
 def test_check_psi_needs_zeta_iter(capsys):

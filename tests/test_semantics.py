@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hpcheck.models import MODEL_IDS, builtin, fig2_script
 from hpcheck.parser import parse_formula, parse_program, parse_term
 from hpcheck.semantics import (
     Aborted, Branch, Duration, Final, LoopCount, Plant, RandomValue,
-    ScriptError, UndeclaredVariable, _evolve_numeric, _template_state_at,
+    ScriptError, UndeclaredVariable, _compile_numeric, _template_state_at,
     closed_form_template, compile_fol, eval_fol, eval_term, evolve_plant,
     format_script, max_admissible_duration, parse_script, run,
 )
@@ -354,7 +355,9 @@ def test_template_state_at_is_the_closed_form_polynomial():
 
 
 def test_numeric_integration_matches_closed_form():
+    # the RK4 kernel of plants outside the template, on the template's ODE
     template = closed_form_template(PLANT_ODE)
+    evolve = _compile_numeric(PLANT_ODE)
     rng = random.Random(0)
     for _ in range(50):
         v0 = F(rng.randint(0, 40), 8)
@@ -364,10 +367,76 @@ def test_numeric_integration_matches_closed_form():
             continue
         state = base_state(v=v0, a=a)
         exact = _template_state_at(state, template, d)
-        numeric = _evolve_numeric(state, PLANT_ODE, d, F(1, 64), 64)
+        numeric = evolve(state, d)
         assert isinstance(numeric, Final)
         for var in ("x", "v", "tau"):
             assert abs(float(exact[var]) - numeric.state[var]) < 1e-6
+
+
+# ODEs outside the closed-form template, each with the variables a state
+# gives it: the drag plant, a non-dyadic constant rate, a literal rate
+# folded from `2 * 3 / 7`, Pow and Div by a variable, a rate that reads a
+# variable the ODE does not evolve, a domain with a non-dyadic bound that
+# aborts, and constants that fail only once a step is taken: one too large
+# for a float and a zero divisor
+NUMERIC_PLANTS = [
+    ("{x' = v, v' = a - v / 4, tau' = 1 & v >= 0 & tau <= T}",
+     ("x", "v", "a", "tau", "T")),
+    ("{x' = y, t' = 1/3 & t <= 1}", ("y", "x", "t")),
+    ("{x' = 2 * 3 / 7, y' = x & y <= 5}", ("x", "y")),
+    ("{x' = y / (x ^ 2 + 1), y' = -x ^ 3 / 2 & x <= 3}", ("x", "y")),
+    ("{p' = q - p, r' = q * r & r <= q + 2}", ("q", "p", "r")),
+    ("{x' = -1 - x / 2 & x >= 1/3}", ("x",)),
+    ("{x' = 10 ^ 400 - x & x <= 1}", ("x",)),
+    ("{y' = 1 / (2 - 2) & y <= 1}", ("y",)),
+]
+
+
+def test_numeric_plant_outcomes_are_pinned():
+    # one sha256 over repr of every evolve and max_duration outcome (or its
+    # exception) of seeded cases of NUMERIC_PLANTS, the x' = x * x blowup
+    # and states that lack a variable; taken before the numeric path
+    # compiled its kernel: floats, key order, failed tests and exceptions
+    # stay as they were
+    rng = random.Random(10)
+    records = []
+
+    def record(call, *args):
+        try:
+            records.append(repr(call(*args)))
+        except (semantics.NumericBlowup, UndeclaredVariable, OverflowError,
+                ZeroDivisionError) as exc:
+            records.append(repr(exc))
+        return records[-1]
+
+    def value():
+        if rng.random() < 0.5:
+            return F(rng.randint(-4, 16), rng.choice((1, 3, 8)))
+        return rng.uniform(-0.5, 2.0)
+    for text, names in NUMERIC_PLANTS:
+        plant = Plant(parse_program(text))
+        assert plant.template is None
+        for index in range(12):
+            state = {name: value() for name in names}
+            duration = (F(rng.randint(0, 96), 32) if index % 2
+                        else rng.uniform(0, 3))
+            record(plant.evolve, state, duration)
+            if index < 2:
+                record(plant.max_duration, state)
+    blowup = Plant(parse_program("{x' = x * x}"))
+    for start in (F(1), 1.5):
+        assert record(blowup.evolve, {"x": start}, 2) \
+            == "NumericBlowup('x')"
+    assert record(blowup.max_duration, {"x": F(1)}) == "NumericBlowup('x')"
+    drag = Plant(parse_program(NUMERIC_PLANTS[0][0]))
+    full = {"x": F(0), "v": F(1), "a": F(-1), "tau": F(0), "T": F(2)}
+    for missing in ("v", "a"):
+        state = {k: v for k, v in full.items() if k != missing}
+        assert record(drag.evolve, state, F(1, 2)) \
+            == f"UndeclaredVariable('{missing}')"
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest \
+        == "a0905a04dd79436f233dd985306818638a73508167453ec59c743b5f55fbaf13"
 
 
 def test_run_counts_time_across_iterations():
