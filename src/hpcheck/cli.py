@@ -394,6 +394,8 @@ def cmd_check(args) -> int:
             assignment = ", ".join(
                 f"{k} = {val}" for k, val in sorted(
                     v.counterexample.assignment.items()))
+            if v.counterexample.numeric_only:
+                assignment += "  (not exact: replayed with float RK4)"
             lines.append(f"    certificate: {assignment}")
     lines.append(CAVEAT)
     _emit(args, report, lines)

@@ -6,18 +6,25 @@ choice and a `*` loop postfix on braced or parenthesized groups.
 Precedence: `!` > `&` > `|` > `->` > `<->`; `->` and `<->` associate to
 the right; quantifiers and modalities extend to the right as far as
 possible.  `#` starts a line comment.
+
+Text is tokenized in one regular-expression pass and parsed in one pass
+without backtracking.  Binary operators are parsed by precedence climbing
+over one table per sort (Pratt, "Top Down Operator Precedence", 1973).  A
+`(` where a formula may start opens a term when the tokens up to its
+matching `)` can all occur in a term, and a formula otherwise.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import DEFAULT_DOMAIN, Constant, Model, detect_shape
 from .semantics import eval_term
 from .syntax import (
-    Add, And, Assign, Box, Choice, Cmp, Diamond, Div, Exists,
+    CMP_OPS, Add, And, Assign, Box, Choice, Cmp, Diamond, Div, Exists,
     Forall, Formula, Iff, Implies, Loop, Mul, Neg, Not, Num, ODE, Or, Pow,
     Program, RandomAssign, Seq, Sub, Term, Test, Var, TRUE, FALSE,
     desugar_if, free_variables, conjuncts,
@@ -45,232 +52,252 @@ class ParseError(Exception):
 
 KEYWORDS = {"true", "false", "forall", "exists", "if", "then", "fi"}
 
+# Each match is (the blanks and comments before a token, the token): a
+# number, a name, an operator, a newline, any other character (an error) or
+# the empty string at the end of the text.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+|\#[^\n]*)
-  | (?P<num>\d+(?:\.\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op><->|->|:=|<=|>=|!=|\+\+|[()\[\]{}<>=!&|;,?*+\-/^':])
+    ((?:[^\S\n]|\#[^\n]*)*)
+    (\d+(?:\.\d+)?
+    | [A-Za-z_][A-Za-z0-9_]*
+    | <-> | -> | := | <= | >= | != | \+\+ | [()\[\]{}<>=!&|;,?*+\-/^':]
+    | \n | . | \Z)
 """, re.VERBOSE)
 
+# A token's kind by its first character; any other token is a number when
+# it starts with a non-ASCII decimal digit, else an unexpected character.
+_KINDS = {**dict.fromkeys(string.digits, "num"),
+          **dict.fromkeys(string.ascii_letters + "_", "ident"),
+          **dict.fromkeys("()[]{}<>=!&|;,?*+-/^':", "op")}
 
-@dataclass
+
 class Token:
-    kind: str  # 'num' | 'ident' | 'op' | 'eof'
-    text: str
-    span: SourceSpan
+    """A token: kind 'num', 'ident', 'op' (keywords included) or 'eof', its
+    text, and where it starts (offset, line and column)."""
+    __slots__ = ("kind", "text", "start", "line", "column")
+
+    def __init__(self, kind, text, start, line, column):
+        self.kind = kind
+        self.text = text
+        self.start = start
+        self.line = line
+        self.column = column
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.start, self.start + len(self.text), self.line,
+                          self.column)
 
 
-def tokenize(text: str, line_offset: int = 0) -> list:
+def tokenize(text: str, line_offset: int = 0, column_offset: int = 0) -> list:
+    """The tokens of `text`, ending with an 'eof' token.  The text starts at
+    line 1 + `line_offset`, with its first line shifted by `column_offset`
+    columns."""
     tokens = []
-    pos = 0
     line = 1 + line_offset
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            span = SourceSpan(pos, pos + 1, line, pos - line_start + 1)
-            raise ParseError(f"unexpected character {text[pos]!r}", span)
-        kind = m.lastgroup
-        value = m.group()
-        if kind == "ws":
-            line += value.count("\n")
-            if "\n" in value:
-                line_start = m.start() + value.rindex("\n") + 1
-        else:
-            span = SourceSpan(m.start(), m.end(), line, m.start() - line_start + 1)
-            if kind == "ident" and value in KEYWORDS:
-                tokens.append(Token("op", value, span))
-            else:
-                tokens.append(Token(kind, value, span))
-        pos = m.end()
-    end_span = SourceSpan(len(text), len(text), line, len(text) - line_start + 1)
-    tokens.append(Token("eof", "", end_span))
+    line_start = -column_offset
+    start = 0
+    for blanks, value in _TOKEN_RE.findall(text):
+        start += len(blanks)
+        if value == "\n":
+            line += 1
+            start += 1
+            line_start = start
+            continue
+        if not value:  # the end of the text
+            break
+        kind = _KINDS.get(value[0]) or ("num" if value[0].isdecimal() else None)
+        if kind is None:
+            raise ParseError(f"unexpected character {value!r}",
+                             SourceSpan(start, start + 1, line,
+                                        start - line_start + 1))
+        if kind == "ident" and value in KEYWORDS:
+            kind = "op"
+        tokens.append(Token(kind, value, start, line, start - line_start + 1))
+        start += len(value)
+    tokens.append(Token("eof", "", len(text), line, len(text) - line_start + 1))
     return tokens
 
 
+def _number(text: str) -> Fraction:
+    # int() is much cheaper than Fraction's parser of decimal strings
+    return Fraction(text) if "." in text else Fraction(int(text))
+
+
+# Binary operators by token text: (precedence, least precedence of the
+# right operand, constructor).  A right operand of the same precedence
+# makes the operator right-associative.
+_FORMULA_OPS = {"<->": (1, 1, Iff), "->": (2, 2, Implies),
+                "|": (3, 4, Or), "&": (4, 5, And)}
+_TERM_OPS = {"+": (1, 2, Add), "-": (1, 2, Sub),
+             "*": (2, 3, Mul), "/": (2, 3, Div)}
+_PROGRAM_OPS = {"++": (1, 2, Choice), ";": (2, 3, Seq)}
+_FORMULA_PREFIXES = frozenset(("!", "forall", "exists", "[", "<"))
+
+
 class _Parser:
-    def __init__(self, tokens):
+    """Recursive descent with precedence climbing over a token list; the
+    current token is `tok`.  For the checks of a model, `names` collects
+    the free variables of what is parsed (`syntax.free_variables`), and
+    `divisors` the divisor of each `Div` that has a variable, with its
+    first token."""
+
+    def __init__(self, tokens, names=None, divisors=None):
         self.tokens = tokens
         self.pos = 0
+        self.tok = tokens[0]
+        self.names = set() if names is None else names
+        self.divisors = [] if divisors is None else divisors
 
-    def peek(self, ahead=0) -> Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+    def advance(self) -> Token:
+        # never called on the eof token: callers match the token first
+        tok = self.tok
+        self.pos += 1
+        self.tok = self.tokens[self.pos]
         return tok
 
     def accept(self, text: str):
-        if self.peek().kind == "op" and self.peek().text == text:
-            return self.next()
+        if self.tok.text == text:
+            return self.advance()
         return None
 
     def expect(self, text: str) -> Token:
-        tok = self.accept(text)
-        if tok is None:
-            raise ParseError(f"expected {text!r}, got {self.peek().text!r}",
-                             self.peek().span)
-        return tok
+        if self.tok.text != text:
+            self.fail(f"expected {text!r}, got {self.tok.text!r}")
+        return self.advance()
 
-    def fail(self, message: str):
-        raise ParseError(message, self.peek().span)
+    def fail(self, message: str, tok=None):
+        raise ParseError(message, (tok or self.tok).span)
+
+    def binary(self, operand, ops, floor=1):
+        """Operands joined by the operators of `ops` of precedence `floor`
+        or more."""
+        left = operand(self)
+        while True:
+            op = ops.get(self.tok.text)
+            if op is None or op[0] < floor:
+                return left
+            self.advance()
+            first = self.tok
+            right = self.binary(operand, ops, op[1])
+            if op[2] is Div:
+                left = self.divide(left, right, first)
+            else:
+                left = op[2](left, right)
 
     # -- terms --------------------------------------------------------------
 
     def term(self) -> Term:
-        left = self.term_mul()
-        while True:
-            if self.accept("+"):
-                left = Add(left, self.term_mul())
-            elif self.accept("-"):
-                left = Sub(left, self.term_mul())
-            else:
-                return left
-
-    def term_mul(self) -> Term:
-        left = self.term_unary()
-        while True:
-            if self.accept("*"):
-                left = Mul(left, self.term_unary())
-            elif self.accept("/"):
-                right = self.term_unary()
-                if isinstance(left, Num) and isinstance(right, Num):
-                    if right.value == 0:
-                        self.fail("division by zero constant")
-                    left = Num(left.value / right.value)
-                else:
-                    left = Div(left, right)
-            else:
-                return left
+        return self.binary(_Parser.term_unary, _TERM_OPS)
 
     def term_unary(self) -> Term:
-        if self.accept("-"):
-            if self.peek().kind == "num":
-                tok = self.next()
-                return self.term_pow_tail(Num(-Fraction(tok.text)))
-            return Neg(self.term_unary())
-        return self.term_power()
-
-    def term_power(self) -> Term:
-        base = self.term_atom()
-        return self.term_pow_tail(base)
-
-    def term_pow_tail(self, base: Term) -> Term:
-        if self.accept("^"):
-            tok = self.peek()
-            if tok.kind != "num" or "." in tok.text:
-                self.fail("exponent must be a natural number literal")
-            self.next()
-            return Pow(base, int(tok.text))
-        return base
-
-    def term_atom(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.next()
-            return Num(Fraction(tok.text))
+        tok = self.tok
         if tok.kind == "ident":
-            self.next()
-            return Var(tok.text)
-        if self.accept("("):
-            inner = self.term()
+            self.advance()
+            self.names.add(tok.text)
+            base = Var(tok.text)
+        elif tok.kind == "num":
+            self.advance()
+            base = Num(_number(tok.text))
+        elif tok.text == "-":
+            self.advance()
+            if self.tok.kind != "num":
+                return Neg(self.term_unary())
+            base = Num(-_number(self.advance().text))
+        elif tok.text == "(":
+            self.advance()
+            base = self.term()
             self.expect(")")
-            return inner
-        self.fail(f"expected term, got {tok.text!r}")
+        else:
+            self.fail(f"expected term, got {tok.text!r}")
+        if self.tok.text != "^":
+            return base
+        self.advance()
+        exp = self.tok
+        if exp.kind != "num" or "." in exp.text:
+            self.fail("exponent must be a natural number literal")
+        self.advance()
+        return Pow(base, int(exp.text))
+
+    def divide(self, num: Term, den: Term, first: Token) -> Term:
+        if not isinstance(den, Num):
+            self.divisors.append((den, first))
+        elif den.value == 0:
+            self.fail("division by zero constant", first)
+        elif isinstance(num, Num):
+            return Num(num.value / den.value)
+        return Div(num, den)
 
     # -- formulas -----------------------------------------------------------
 
     def formula(self) -> Formula:
-        left = self.formula_implies()
-        if self.accept("<->"):
-            return Iff(left, self.formula())
-        return left
-
-    def formula_implies(self) -> Formula:
-        left = self.formula_or()
-        if self.accept("->"):
-            return Implies(left, self.formula_implies())
-        return left
-
-    def formula_or(self) -> Formula:
-        left = self.formula_and()
-        while self.accept("|"):
-            left = Or(left, self.formula_and())
-        return left
-
-    def formula_and(self) -> Formula:
-        left = self.formula_unary()
-        while self.accept("&"):
-            left = And(left, self.formula_unary())
-        return left
+        return self.binary(_Parser.formula_unary, _FORMULA_OPS)
 
     def formula_unary(self) -> Formula:
-        tok = self.peek()
-        if self.accept("!"):
+        tok = self.tok
+        if tok.text not in _FORMULA_PREFIXES:
+            return self.formula_atom()
+        self.advance()
+        if tok.text == "!":
             return Not(self.formula_unary())
-        if tok.kind == "op" and tok.text in ("forall", "exists"):
-            self.next()
-            var = self.peek()
-            if var.kind != "ident":
-                self.fail("expected quantified variable name")
-            self.next()
-            body = self.formula()
-            return (Forall if tok.text == "forall" else Exists)(var.text, body)
-        if tok.kind == "op" and tok.text == "[":
-            self.next()
+        if tok.text == "[":
             prog = self.program()
             self.expect("]")
             return Box(prog, self.formula())
-        if tok.kind == "op" and tok.text == "<":
-            self.next()
+        if tok.text == "<":
             prog = self.program()
             self.expect(">")
             return Diamond(prog, self.formula())
-        return self.formula_atom()
+        var = self.tok
+        if var.kind != "ident":
+            self.fail("expected quantified variable name")
+        self.advance()
+        outer, self.names = self.names, set()
+        body = self.formula()
+        outer |= self.names - {var.text}  # the quantifier binds its variable
+        self.names = outer
+        return (Forall if tok.text == "forall" else Exists)(var.text, body)
 
     def formula_atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "true":
-            self.next()
+        text = self.tok.text
+        if text == "true":
+            self.advance()
             return TRUE
-        if tok.kind == "op" and tok.text == "false":
-            self.next()
+        if text == "false":
+            self.advance()
             return FALSE
-        # Try a comparison first; fall back to a parenthesized formula.
-        save = self.pos
-        try:
-            left = self.term()
-            op_tok = self.peek()
-            if op_tok.kind == "op" and op_tok.text in ("<=", "<", ">=", ">", "=", "!="):
-                self.next()
-                right = self.term()
-                return Cmp(op_tok.text, left, right)
-            if self.pos != save and tok.text == "(":
-                self.fail("expected comparison operator")
-        except ParseError:
-            self.pos = save
-        if self.accept("("):
+        if text == "(" and not self.opens_term():
+            self.advance()
             inner = self.formula()
             self.expect(")")
             return inner
-        self.fail(f"expected formula, got {tok.text!r}")
+        left = self.term()
+        op = self.tok.text
+        if op not in CMP_OPS:
+            self.fail(f"expected comparison operator, got {op!r}")
+        self.advance()
+        return Cmp(op, left, self.term())
+
+    def opens_term(self) -> bool:
+        """Whether the `(` at the current token opens a term: up to its
+        matching `)` it holds only numbers, names and term operators."""
+        depth = 0
+        for i in range(self.pos, len(self.tokens)):
+            tok = self.tokens[i]
+            if tok.text == "(":
+                depth += 1
+            elif tok.text == ")":
+                depth -= 1
+                if depth == 0:
+                    return True
+            elif tok.kind == "op" and tok.text not in _TERM_OPS \
+                    and tok.text != "^":
+                return False
+        return True  # unbalanced: the term reports the missing `)`
 
     # -- programs -----------------------------------------------------------
 
     def program(self) -> Program:
-        left = self.program_seq()
-        while self.accept("++"):
-            left = Choice(left, self.program_seq())
-        return left
-
-    def program_seq(self) -> Program:
-        left = self.program_postfix()
-        while self.accept(";"):
-            left = Seq(left, self.program_postfix())
-        return left
+        return self.binary(_Parser.program_postfix, _PROGRAM_OPS)
 
     def program_postfix(self) -> Program:
         prog = self.program_primary()
@@ -279,11 +306,19 @@ class _Parser:
         return prog
 
     def program_primary(self) -> Program:
-        tok = self.peek()
-        if self.accept("?"):
+        tok = self.tok
+        if tok.kind == "ident":
+            self.advance()
+            self.names.add(tok.text)
+            self.expect(":=")
+            if self.accept("*"):
+                return RandomAssign(tok.text)
+            return Assign(tok.text, self.term())
+        if tok.text == "?":
+            self.advance()
             return Test(self.formula())
-        if tok.kind == "op" and tok.text == "if":
-            self.next()
+        if tok.text == "if":
+            self.advance()
             self.expect("(")
             cond = self.formula()
             self.expect(")")
@@ -291,34 +326,31 @@ class _Parser:
             body = self.program()
             self.expect("fi")
             return desugar_if(cond, body)
-        if self.accept("("):
+        if tok.text == "(":
+            self.advance()
             inner = self.program()
             self.expect(")")
             return inner
-        if tok.kind == "op" and tok.text == "{":
+        if tok.text == "{":
             # ODE if the brace is followed by `ident '`, else a program group
-            if self.peek(1).kind == "ident" and self.peek(2).text == "'":
+            after = self.tokens[self.pos + 1]
+            if after.kind == "ident" and self.tokens[self.pos + 2].text == "'":
                 return self.ode()
-            self.next()
+            self.advance()
             inner = self.program()
             self.expect("}")
             return inner
-        if tok.kind == "ident":
-            self.next()
-            self.expect(":=")
-            if self.accept("*"):
-                return RandomAssign(tok.text)
-            return Assign(tok.text, self.term())
         self.fail(f"expected program, got {tok.text!r}")
 
     def ode(self) -> Program:
         self.expect("{")
         equations = []
         while True:
-            name = self.peek()
+            name = self.tok
             if name.kind != "ident":
                 self.fail("expected ODE variable")
-            self.next()
+            self.advance()
+            self.names.add(name.text)
             self.expect("'")
             self.expect("=")
             equations.append((name.text, self.term()))
@@ -327,37 +359,36 @@ class _Parser:
         domain = TRUE
         if self.accept("&"):
             domain = self.formula()
-        span = self.peek().span
-        self.expect("}")
+        close = self.expect("}")
         try:
             return ODE(tuple(equations), domain)
         except ValueError as exc:
-            raise ParseError(str(exc), span) from None
+            raise ParseError(str(exc), close.span) from None
 
     def done(self):
-        if self.peek().kind != "eof":
-            self.fail(f"unexpected trailing input {self.peek().text!r}")
+        if self.tok.kind != "eof":
+            self.fail(f"unexpected trailing input {self.tok.text!r}")
+
+
+def _parse(parse, text: str, line_offset=0, column_offset=0, names=None,
+           divisors=None):
+    """`parse` (an unbound _Parser method) over all of `text`."""
+    p = _Parser(tokenize(text, line_offset, column_offset), names, divisors)
+    out = parse(p)
+    p.done()
+    return out
 
 
 def parse_formula(text: str) -> Formula:
-    p = _Parser(tokenize(text))
-    out = p.formula()
-    p.done()
-    return out
+    return _parse(_Parser.formula, text)
 
 
 def parse_program(text: str) -> Program:
-    p = _Parser(tokenize(text))
-    out = p.program()
-    p.done()
-    return out
+    return _parse(_Parser.program, text)
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(tokenize(text))
-    out = p.term()
-    p.done()
-    return out
+    return _parse(_Parser.term, text)
 
 
 # ---------------------------------------------------------------------------
@@ -410,70 +441,73 @@ def split_sections(text: str) -> list:
 
 
 def _section_text(section) -> str:
-    return "\n".join(line for _, line in section[2])
+    """The section's body, with blank lines where the document has blank or
+    comment lines, so that line 1 of it is the line after the keyword."""
+    lines = []
+    for lineno, line in section[2]:
+        lines.extend([""] * (lineno - section[3] - 1 - len(lines)))
+        lines.append(line)
+    return "\n".join(lines)
 
 
-def _parse_in_section(parse, section):
-    text = _section_text(section)
-    p = _Parser(tokenize(text, line_offset=section[3]))
-    out = parse(p)
-    p.done()
-    return out
+_DOMAIN_RE = re.compile(r"^\s*([A-Za-z_]\w*)\s*=\s*\[([^,\]]+),([^\]]+)\]\s*$")
 
 
 def parse_model(text: str, name: str = "model"):
     """Parse a `.hpmodel` document into a Model.
 
     Raises ParseError with a SourceSpan on syntax errors, unknown DOMAINS
-    variables, duplicate sections, and division by a symbolic constant
-    that has no sign constraint.
+    variables, duplicate sections, and division by a zero literal, by a
+    state variable or by a symbolic constant that has no sign constraint.
     """
     constants = []
     domains = {}
+    domain_spans = {}
     invariants = {}
-    relation = None
     parts = {}
     warnings = []
+    names = set()  # the free variables of every formula and program
+    divisors = []  # (divisor, its first token) of each Div with a variable
     for section in split_sections(text):
         keyword = section[0]
         if keyword == "CONSTANTS":
             for lineno, line in section[2]:
-                if ":" in line:
-                    decl, constraint_text = line.split(":", 1)
-                else:
-                    decl, constraint_text = line, ""
+                decl, _, constraint_text = line.partition(":")
                 if "=" not in decl:
                     raise ParseError("expected `name = value` in CONSTANTS",
-                                     SourceSpan(0, 0, lineno, 1))
-                cname, value_text = decl.split("=", 1)
-                cname = cname.strip()
-                value = parse_term(value_text.strip())
+                                     _field_span(line, lineno, 0))
+                cname, _, value_text = decl.partition("=")
+                value = _parse(_Parser.term, value_text, lineno - 1,
+                               len(cname) + 1)
                 if not isinstance(value, Num):
-                    value = Num(_const_value(value, lineno))
-                constraint = (parse_formula(constraint_text.strip())
+                    value = Num(_const_value(value, line, lineno, len(cname) + 1,
+                                             len(decl)))
+                constraint = (_parse(_Parser.formula, constraint_text, lineno - 1,
+                                     len(decl) + 1, names, divisors)
                               if constraint_text.strip() else TRUE)
-                constants.append(Constant(cname, value.value, constraint))
+                constants.append(Constant(cname.strip(), value.value, constraint))
         elif keyword == "DOMAINS":
             for lineno, line in section[2]:
-                m = re.match(r"^\s*([A-Za-z_]\w*)\s*=\s*\[([^,\]]+),([^\]]+)\]\s*$",
-                             line)
+                m = _DOMAIN_RE.match(line)
                 if m is None:
                     raise ParseError("expected `var = [lo, hi]` in DOMAINS",
-                                     SourceSpan(0, 0, lineno, 1))
-                lo = _literal(m.group(2), lineno)
-                hi = _literal(m.group(3), lineno)
+                                     _field_span(line, lineno, 0))
+                lo = _literal(line, lineno, m.start(2), m.end(2))
+                hi = _literal(line, lineno, m.start(3), m.end(3))
+                span = _field_span(line, lineno, 0)
                 if lo > hi:
-                    raise ParseError("empty domain interval",
-                                     SourceSpan(0, 0, lineno, 1))
+                    raise ParseError("empty domain interval", span)
                 domains[m.group(1)] = (lo, hi)
-        elif keyword in ("INIT", "GUARANTEE"):
-            parts[keyword] = _parse_in_section(_Parser.formula, section)
-        elif keyword in ("ENV", "AUX", "CTRL", "PLANT"):
-            parts[keyword] = _parse_in_section(_Parser.program, section)
-        elif keyword == "INVARIANT":
-            invariants[section[1]] = _parse_in_section(_Parser.formula, section)
-        elif keyword == "RELATION":
-            relation = _parse_in_section(_Parser.formula, section)
+                domain_spans[m.group(1)] = span
+        else:
+            parse = (_Parser.program if keyword in ("ENV", "AUX", "CTRL", "PLANT")
+                     else _Parser.formula)
+            node = _parse(parse, _section_text(section), section[3], 0, names,
+                          divisors)
+            if keyword == "INVARIANT":
+                invariants[section[1]] = node
+            else:
+                parts[keyword] = node
 
     model = Model(
         name=name,
@@ -486,61 +520,59 @@ def parse_model(text: str, name: str = "model"):
         ctrl=parts["CTRL"],
         plant=parts["PLANT"],
         invariants=invariants,
-        relation=relation,
+        relation=parts.get("RELATION"),
         source=text,
         warnings=warnings,
     )
     detect_shape(model)
-    _check_domains(model, warnings)
-    _check_divisors(model)
+    _check_domains(model, names - set(model.constant_values()), domain_spans,
+                   warnings)
+    _check_divisors(model, divisors)
     return model
 
 
-def _const_value(term, lineno) -> Fraction:
+def _field_span(line: str, lineno: int, start: int, end=None) -> SourceSpan:
+    """The span of line[start:end], less its leading blanks."""
+    end = len(line) if end is None else end
+    field = line[start:end]
+    start += len(field) - len(field.lstrip())
+    return SourceSpan(start, end, lineno, start + 1)
+
+
+def _const_value(term, line: str, lineno: int, start: int, end: int) -> Fraction:
+    """The value of `term`, parsed from line[start:end]."""
     try:
         return Fraction(eval_term({}, term))
     except Exception:
         raise ParseError("constant value must be a rational literal",
-                         SourceSpan(0, 0, lineno, 1)) from None
+                         _field_span(line, lineno, start, end)) from None
 
 
-def _literal(text: str, lineno) -> Fraction:
-    term = parse_term(text.strip())
-    return _const_value(term, lineno)
+def _literal(line: str, lineno: int, start: int, end: int) -> Fraction:
+    term = _parse(_Parser.term, line[start:end], lineno - 1, start)
+    return _const_value(term, line, lineno, start, end)
 
 
-def _check_domains(model, warnings):
-    declared = model.declared_variables()
-    for var in model.domains:
+def _check_domains(model, declared, domain_spans, warnings):
+    for var, span in domain_spans.items():
         if var not in declared:
-            raise ParseError(f"unknown variable {var!r} in DOMAINS",
-                             SourceSpan(0, 0, 1, 1))
-    for var in sorted(declared - set(model.domains) - set(model.constant_values())):
+            raise ParseError(f"unknown variable {var!r} in DOMAINS", span)
+    for var in sorted(declared - set(model.domains)):
         if var == model.time_var:
             continue
         warnings.append(f"no DOMAINS entry for {var!r}; defaulting to [-100, 100]")
         model.domains[var] = DEFAULT_DOMAIN
 
 
-def _check_divisors(model):
+def _check_divisors(model, divisors):
     constrained = {c.name for c in model.constants if _has_sign_constraint(c)}
     rationals = set(model.constant_values())
-
-    def walk_term(term):
-        if isinstance(term, Div):
-            for v in sorted(free_variables(term.den)):
-                if v not in rationals:
-                    raise ParseError(f"division by non-constant {v!r}",
-                                     SourceSpan(0, 0, 1, 1))
-                if v not in constrained:
-                    raise ParseError(f"unconstrained divisor {v!r}",
-                                     SourceSpan(0, 0, 1, 1))
-        for child in _term_children(term):
-            walk_term(child)
-
-    for node in model.all_formulas_and_programs():
-        for term in _terms_of(node):
-            walk_term(term)
+    for den, first in divisors:
+        for v in sorted(free_variables(den)):
+            if v not in rationals:
+                raise ParseError(f"division by non-constant {v!r}", first.span)
+            if v not in constrained:
+                raise ParseError(f"unconstrained divisor {v!r}", first.span)
 
 
 def _has_sign_constraint(constant) -> bool:
@@ -551,43 +583,3 @@ def _has_sign_constraint(constant) -> bool:
                     and any(isinstance(s, Num) and s.value == 0 for s in sides):
                 return True
     return False
-
-
-def _term_children(term):
-    if isinstance(term, (Add, Sub, Mul)):
-        return (term.left, term.right)
-    if isinstance(term, Neg):
-        return (term.inner,)
-    if isinstance(term, Div):
-        return (term.num, term.den)
-    if isinstance(term, Pow):
-        return (term.base,)
-    return ()
-
-
-def _terms_of(node):
-    """All top-level terms occurring in a formula or program."""
-    if isinstance(node, Cmp):
-        return [node.left, node.right]
-    if isinstance(node, (And, Or, Implies, Iff)):
-        return _terms_of(node.left) + _terms_of(node.right)
-    if isinstance(node, Not):
-        return _terms_of(node.inner)
-    if isinstance(node, (Forall, Exists)):
-        return _terms_of(node.body)
-    if isinstance(node, (Box, Diamond)):
-        return _terms_of(node.program) + _terms_of(node.post)
-    if isinstance(node, Assign):
-        return [node.term]
-    if isinstance(node, Test):
-        return _terms_of(node.condition)
-    if isinstance(node, ODE):
-        out = [rhs for _, rhs in node.equations]
-        return out + _terms_of(node.domain)
-    if isinstance(node, Choice):
-        return _terms_of(node.left) + _terms_of(node.right)
-    if isinstance(node, Seq):
-        return _terms_of(node.first) + _terms_of(node.second)
-    if isinstance(node, Loop):
-        return _terms_of(node.body)
-    return []

@@ -248,6 +248,15 @@ def test_closed_stdout_keeps_the_exit_code():
     assert (proc.returncode, proc.stderr) == (1, b"")
 
 
+def test_python_dash_m_runs_the_cli(capsys):
+    proc = subprocess.run([sys.executable, "-m", "hpcheck", "parse", "m2"],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    code, out, _ = run_cli(capsys, "parse", "m2")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+    assert code == 0
+
+
 def test_unknown_const_exits_2(capsys):
     code, out, err = run_cli(capsys, "check", "m2", "--invariant", "zeta1",
                              "--obligation", "rho", "--const", "Tx=5")
@@ -300,6 +309,21 @@ def test_check_modal_obligation_on_numeric_plant(tmp_path, capsys):
     [verdict] = json.loads(out)["verdicts"]
     assert verdict["verdict"] == "witness_found"
     assert verdict["certificate"]["exact"] is False
+
+
+def test_text_report_marks_a_float_replayed_certificate(tmp_path, capsys):
+    from hpcheck.models import builtin
+    path = tmp_path / "drag.hpmodel"
+    path.write_text(builtin("m2").source.replace("v' = a,", "v' = a - v / 4,"))
+    code, out, _ = run_cli(capsys, "check", str(path), "--invariant", "zeta1",
+                           "--obligation", "not-chi")
+    assert code == 1
+    assert "    certificate: a = -4, v = 0, x = -1, xc = -1  (not exact: " \
+        "replayed with float RK4)\n" in out
+    # an exactly replayed certificate is printed as before
+    code, out, _ = run_cli(capsys, "check", "m2", "--invariant", "zeta1",
+                           "--obligation", "rho")
+    assert "    certificate: v = 5/2, x = -1, xc = -1, xc_post = -1\n" in out
 
 
 @pytest.mark.parametrize("threads", [None, "4"])

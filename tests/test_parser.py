@@ -1,18 +1,21 @@
+import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from gen import random_formula, random_program, random_term
+from hpcheck.models import MODEL_IDS, builtin
 from hpcheck.parser import (
-    ParseError, parse_formula, parse_model, parse_program, parse_term,
+    ParseError, _Parser, parse_formula, parse_model, parse_program, parse_term,
     split_sections, tokenize,
 )
 from hpcheck.printer import print_formula, print_program, print_term
 from hpcheck.syntax import (
     Add, And, Assign, Box, Choice, Cmp, Diamond, Div, Exists, Forall,
     Implies, Loop, Mul, Neg, Not, Num, ODE, Or, Pow, RandomAssign, Seq,
-    Sub, Test, Var, desugar_if,
+    Sub, Test, Var, desugar_if, free_variables,
 )
 
 
@@ -124,6 +127,53 @@ def test_round_trip_programs_sampled(seed):
         assert parse_program(print_program(p)) == p
 
 
+_WORD = re.compile(r"\d+(?:\.\d+)?|[A-Za-z_]\w*|<->|->|:=|<=|>=|!=|\+\+|\S")
+
+
+def _token_deletions(text):
+    """Every text made by deleting one token from a section's argument or
+    body; the section keywords stay."""
+    lines = text.split("\n")
+    for _, _, body, header in split_sections(text):
+        places = [(header, list(_WORD.finditer(lines[header - 1]))[1:])]
+        places += [(lineno, list(_WORD.finditer(line))) for lineno, line in body]
+        for lineno, words in places:
+            line = lines[lineno - 1]
+            for m in words:
+                mutant = lines[:]
+                mutant[lineno - 1] = line[:m.start()] + line[m.end():]
+                yield "\n".join(mutant)
+
+
+def test_parse_outcomes_are_pinned():
+    # the repr of each parse, or ParseError without its message, over the
+    # bundled models, the round-trip tests' printed formulas and programs,
+    # and the 714 single-token deletions from the bundled models (54 parse)
+    models = [builtin(m).source for m in MODEL_IDS]
+    inputs = [(parse_model, text) for text in models]
+    for seed in range(8):
+        rng = random.Random(seed)
+        inputs += [(parse_formula,
+                    print_formula(random_formula(rng, rng.randint(0, 8))))
+                   for _ in range(200)]
+        rng = random.Random(100 + seed)
+        inputs += [(parse_program,
+                    print_program(random_program(rng, rng.randint(0, 8))))
+                   for _ in range(200)]
+    mutants = [m for text in models for m in _token_deletions(text)]
+    assert len(mutants) == 714
+    inputs += [(parse_model, text) for text in mutants]
+    digest = hashlib.sha256()
+    for parse, text in inputs:
+        try:
+            outcome = repr(parse(text))
+        except ParseError:
+            outcome = "ParseError"
+        digest.update(outcome.encode() + b"\0")
+    assert digest.hexdigest() == (
+        "c49efff177eea0f7bc52cc24c28480ceba598b33794d6e6fb9dd572321759fa4")
+
+
 def test_round_trip_terms_sampled():
     rng = random.Random(7)
     for _ in range(500):
@@ -205,3 +255,77 @@ def test_division_by_state_variable_rejected():
 def test_invariant_section_requires_name():
     with pytest.raises(ParseError):
         parse_model(MINIMAL + "\nINVARIANT\n  x <= 1\n")
+
+
+# ---------------------------------------------------------------------------
+# where model errors point
+
+M2 = builtin("m2").source
+
+
+def _error_at(text):
+    with pytest.raises(ParseError) as info:
+        parse_model(text)
+    return info.value.message, info.value.span.line, info.value.span.column
+
+
+def test_constants_errors_point_into_their_line():
+    assert _error_at(M2.replace("  T = 1 : T > 0", "  T = 1 : T >")) == (
+        "expected term, got ''", 5, 14)
+    assert _error_at(M2.replace("  anmax = 2 :", "  anmax = y :")) == (
+        "constant value must be a rational literal", 6, 11)
+
+
+def test_domains_errors_point_into_their_line():
+    assert _error_at(M2.replace("  v = [0, 5]", "  v = [0, 5 +]")) == (
+        "expected term, got ''", 12, 14)
+    assert _error_at(M2.replace("  v = [0, 5]", "  v = [5, 0]")) == (
+        "empty domain interval", 12, 3)
+
+
+def test_unknown_domain_variable_points_at_its_line():
+    text = M2.replace("  x = [-1, 5]", "  q = [0, 1]\n  x = [-1, 5]")
+    assert _error_at(text) == ("unknown variable 'q' in DOMAINS", 11, 3)
+
+
+def test_section_errors_count_blank_and_comment_lines():
+    text = M2.replace("GUARANTEE\n  x <= xc",
+                      "GUARANTEE\n  # the goal\n\n  x <= xc +")
+    assert _error_at(text) == ("expected term, got ''", 23, 12)
+
+
+def test_divisor_errors_point_at_the_divisor():
+    # ENV, line 24: `xc := *; ?xc - x >= v^2 / (2 * anmin)`
+    assert _error_at(M2.replace("v^2 / (2 * anmin)", "v^2 / (2 * v)")) == (
+        "division by non-constant 'v'", 24, 29)
+    assert _error_at(M2.replace("anmin = 3 : anmin > 0", "anmin = 3")) == (
+        "unconstrained divisor 'anmin'", 24, 29)
+
+
+def test_division_by_a_zero_literal_is_a_parse_error():
+    # a zero divisor under a non-literal numerator raised ValueError
+    for text in ("x / 0", "x / -0", "1 / 0", "(x + 1) / 0.0"):
+        with pytest.raises(ParseError):
+            parse_term(text)
+
+
+def test_a_term_before_a_parenthesized_formula_is_rejected():
+    # `x (y <= 1)` once parsed as `y <= 1`, dropping the term
+    for text in ("x (y <= 1)", "-x^2 (true)", "2 * v (x = 1) & z = 2"):
+        with pytest.raises(ParseError):
+            parse_formula(text)
+    with pytest.raises(ParseError):
+        parse_program("?x (y = 1)")
+
+
+def test_parser_collects_the_free_variables():
+    # parse_model's DOMAINS check reads the names the parser collects in
+    # place of syntax.free_variables
+    rng = random.Random(11)
+    for _ in range(300):
+        for parse, text in (
+                (_Parser.formula, print_formula(random_formula(rng, 5))),
+                (_Parser.program, print_program(random_program(rng, 4)))):
+            p = _Parser(tokenize(text))
+            node = parse(p)
+            assert p.names == free_variables(node), text
