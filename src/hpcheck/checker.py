@@ -37,11 +37,11 @@ from .obligations import (
 from .parser import parse_term
 from .semantics import (
     Aborted, Branch, Duration, Final, LoopCount, Plant, RandomValue,
-    _Inexact, _ratio_term, compile_fol, eval_fol, eval_term, is_exact, run,
+    _ratio_term, compile_fol, eval_fol, eval_term, is_exact, polynomial, run,
 )
 from .syntax import (
     And, Assign, Box, Choice, Cmp, Diamond, Forall, Exists, Iff,
-    Implies, Loop, Not, ODE, Or, RandomAssign, Seq, Sub, Test, Var,
+    Implies, Loop, Not, Num, ODE, Or, RandomAssign, Seq, Sub, Test, Var,
     assigned_variables, conjuncts, free_variables,
 )
 
@@ -455,57 +455,28 @@ class _Engine:
 
 
 def _pinner(var, test):
-    """Closure state -> the boundary values of `var` from the affine
-    conjuncts of `test`: the zero of each conjunct's left - right, one
-    Fraction per pin."""
-    diffs = []
+    """Closure state -> one Fraction per conjunct of `test` whose left -
+    right is c0 + c1 * var with c1 != 0: its zero -c0 / c1, with a float in
+    the state read as its exact ratio."""
+    zeros = []
     for c in conjuncts(test):
-        if isinstance(c, Cmp) \
-                and var in free_variables(c.left) | free_variables(c.right):
-            diff = Sub(c.left, c.right)
-            diffs.append((diff, _ratio_term(diff)))
+        form = polynomial(Sub(c.left, c.right), (var,)) \
+            if isinstance(c, Cmp) else None
+        if form and (var,) in form and form.keys() <= {(), (var,)}:
+            zeros.append((_ratio_term(form.get((), Num(0)), floats=True),
+                          _ratio_term(form[(var,)], floats=True)))
 
     def pins(state):
-        probe = dict(state)
-        found = [_pin(probe, var, diff, exact) for diff, exact in diffs]
-        return [pin for pin in found if pin is not None]
+        found = []
+        for c0, c1 in zeros:
+            try:
+                (n0, d0), (n1, d1) = c0(state), c1(state)
+            except ZeroDivisionError:
+                continue  # undefined in this state
+            if n1:
+                found.append(Fraction(-n0 * d1, d0 * n1))
+        return found
     return pins
-
-
-def _pin(probe, var, diff, exact):
-    """The zero -d0 / slope of `diff` = d0 + slope * var, when probing var =
-    0, 1, 2 on int pairs finds it affine with a nonzero slope; else None.
-    A state holding a float probes with eval_term instead and keeps its
-    float arithmetic up to the slope."""
-    try:
-        probe[var] = (0, 1)
-        n0, d0 = exact(probe)
-        probe[var] = (1, 1)
-        n1, d1 = exact(probe)
-    except _Inexact:
-        try:
-            probe[var] = Fraction(0)
-            f0 = eval_term(probe, diff)
-            probe[var] = Fraction(1)
-            f1 = eval_term(probe, diff)
-        except Exception:
-            return None
-        slope = f1 - f0
-        probe[var] = Fraction(2)
-        if slope == 0 or eval_term(probe, diff) - f1 != slope:
-            return None
-        (n0, d0), (sn, sd) = f0.as_integer_ratio(), slope.as_integer_ratio()
-        return Fraction(-n0 * sd, d0 * sn)
-    except Exception:
-        return None  # undefined at a probe
-    sn, sd = n1 * d0 - n0 * d1, d0 * d1
-    if sn == 0:
-        return None
-    probe[var] = (2, 1)
-    n2, d2 = exact(probe)
-    if (n2 * d1 - n1 * d2) * sd != sn * d1 * d2:
-        return None  # not affine: the step from 1 to 2 is not the slope
-    return Fraction(-n0 * sd, d0 * sn)
 
 
 # ---------------------------------------------------------------------------

@@ -374,7 +374,10 @@ def _parse(parse, text: str, line_offset=0, column_offset=0, names=None,
            divisors=None):
     """`parse` (an unbound _Parser method) over all of `text`."""
     p = _Parser(tokenize(text, line_offset, column_offset), names, divisors)
-    out = parse(p)
+    try:
+        out = parse(p)
+    except RecursionError:  # the descent is as deep as the nesting
+        raise ParseError("nesting too deep", p.tok.span) from None
     p.done()
     return out
 
@@ -477,6 +480,11 @@ def parse_model(text: str, name: str = "model"):
                     raise ParseError("expected `name = value` in CONSTANTS",
                                      _field_span(line, lineno, 0))
                 cname, _, value_text = decl.partition("=")
+                ident = cname.strip()
+                if not (ident.isidentifier() and ident.isascii()) \
+                        or ident in KEYWORDS:
+                    raise ParseError(f"expected a constant name, got {ident!r}",
+                                     _field_span(line, lineno, 0, len(cname)))
                 value = _parse(_Parser.term, value_text, lineno - 1,
                                len(cname) + 1)
                 if not isinstance(value, Num):
@@ -485,7 +493,7 @@ def parse_model(text: str, name: str = "model"):
                 constraint = (_parse(_Parser.formula, constraint_text, lineno - 1,
                                      len(decl) + 1, names, divisors)
                               if constraint_text.strip() else TRUE)
-                constants.append(Constant(cname.strip(), value.value, constraint))
+                constants.append(Constant(ident, value.value, constraint))
         elif keyword == "DOMAINS":
             for lineno, line in section[2]:
                 m = _DOMAIN_RE.match(line)

@@ -122,8 +122,9 @@ class _Inexact(Exception):
     """A state value is a float, which the kernel does not evaluate."""
 
 
-def _ratio_term(term):
-    """Closure state -> (numerator, denominator > 0) of `term`."""
+def _ratio_term(term, floats=False):
+    """Closure state -> (numerator, denominator > 0) of `term`.  A float in
+    the state raises _Inexact, or with `floats` is read as its exact ratio."""
     if isinstance(term, Var):
         name = term.name
 
@@ -132,7 +133,7 @@ def _ratio_term(term):
             kind = type(value)
             if kind is tuple:
                 return value
-            if kind is float:
+            if kind is float and not floats:
                 raise _Inexact
             return value.as_integer_ratio()
         return var
@@ -140,21 +141,21 @@ def _ratio_term(term):
         pair = term.value.as_integer_ratio()
         return lambda s: pair
     if isinstance(term, Neg):
-        inner = _ratio_term(term.inner)
+        inner = _ratio_term(term.inner, floats)
 
         def neg(s):
             n, d = inner(s)
             return -n, d
         return neg
     if isinstance(term, Pow):
-        base, k = _ratio_term(term.base), term.exp
+        base, k = _ratio_term(term.base, floats), term.exp
 
         def power(s):
             n, d = base(s)
             return n ** k, d ** k
         return power
     if isinstance(term, Div):
-        left, right = _ratio_term(term.num), _ratio_term(term.den)
+        left, right = _ratio_term(term.num, floats), _ratio_term(term.den, floats)
 
         def div(s):
             a, b = left(s)
@@ -167,7 +168,7 @@ def _ratio_term(term):
             raise ZeroDivisionError(f"Fraction({(a > 0) - (a < 0)}, 0)")
         return div
     if isinstance(term, Mul):
-        left, right = _ratio_term(term.left), _ratio_term(term.right)
+        left, right = _ratio_term(term.left, floats), _ratio_term(term.right, floats)
 
         def mul(s):
             a, b = left(s)
@@ -175,7 +176,7 @@ def _ratio_term(term):
             return a * c, b * d
         return mul
     if isinstance(term, Add):
-        left, right = _ratio_term(term.left), _ratio_term(term.right)
+        left, right = _ratio_term(term.left, floats), _ratio_term(term.right, floats)
 
         def add(s):
             a, b = left(s)
@@ -183,7 +184,7 @@ def _ratio_term(term):
             return a * d + c * b, b * d
         return add
     if isinstance(term, Sub):
-        left, right = _ratio_term(term.left), _ratio_term(term.right)
+        left, right = _ratio_term(term.left, floats), _ratio_term(term.right, floats)
 
         def sub(s):
             a, b = left(s)
@@ -242,6 +243,83 @@ def compile_fol(formula):
         except (_Inexact, KeyError):
             return eval_fol(s, formula)
     return evaluate
+
+
+# Polynomial form.  A term is read as a polynomial in chosen variables whose
+# coefficients are terms over the others; a coefficient of two literals is
+# folded to one.  The closed-form plant and the search's pins read affine
+# coefficients off this form and compile them with the exact kernel.
+
+_TERM_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+             Div: operator.truediv}
+_ZERO, _ONE = Num(Fraction(0)), Num(Fraction(1))
+
+
+def _fold(node, left, right):
+    """node(left, right), or its Num when both are literals."""
+    if type(left) is Num and type(right) is Num:
+        return Num(_TERM_OPS[node](left.value, right.value))
+    return node(left, right)
+
+
+def _neg(term):
+    if type(term) is not Num:
+        return Neg(term)
+    return Num(-term.value) if term.value else term
+
+
+def _times(left, right):
+    """The product of two polynomial forms."""
+    out = {}
+    for m1, c1 in left.items():
+        for m2, c2 in right.items():
+            m, c = tuple(sorted(m1 + m2)), _fold(Mul, c1, c2)
+            out[m] = _fold(Add, out[m], c) if m in out else c
+    return out
+
+
+def polynomial(term, variables):
+    """`term` as a dict from monomial, the sorted tuple of its factors drawn
+    from `variables`, to coefficient, a term over the other variables.
+    Coefficients that cancel to zero are kept, so the longest monomial is
+    the syntactic degree.  None when a divisor holds one of `variables`."""
+    if isinstance(term, Var):
+        return {(term.name,): _ONE} if term.name in variables else {(): term}
+    if isinstance(term, Num):
+        return {(): term}
+    if isinstance(term, Neg):
+        inner = polynomial(term.inner, variables)
+        return None if inner is None else {m: _neg(c) for m, c in inner.items()}
+    if isinstance(term, Pow):
+        base = polynomial(term.base, variables)
+        if base is None:
+            return None
+        out = base if term.exp else {(): _ONE}
+        for _ in range(term.exp - 1):
+            out = _times(out, base)
+        return out
+    if isinstance(term, Div):
+        num = polynomial(term.num, variables)
+        if num is None or not free_variables(term.den).isdisjoint(variables):
+            return None
+        return {m: _fold(Div, c, term.den) for m, c in num.items()}
+    return _combine(type(term), term.left, term.right, variables)
+
+
+def _combine(node, left, right, variables):
+    """The form of node(left, right) for node Add, Sub or Mul, or None."""
+    left = polynomial(left, variables)
+    right = polynomial(right, variables)
+    if left is None or right is None:
+        return None
+    if node is Mul:
+        return _times(left, right)
+    for m, c in right.items():  # left is a dict of this call's own
+        if m in left:
+            left[m] = _fold(node, left[m], c)
+        else:
+            left[m] = c if node is Add else _neg(c)
+    return left
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +464,7 @@ def closed_form_template(ode: ODE):
     evolved = {v for v, _ in ode.equations}
     pos = vel = clock = accel = None
     for v, rhs in ode.equations:
-        if rhs == Num(Fraction(1)):
+        if rhs == _ONE:
             clock = v
     if clock is None:
         return None
@@ -409,27 +487,6 @@ def closed_form_template(ode: ODE):
     if accel is None:
         return None
     return pos, vel, clock, accel
-
-
-def _linear_in(term, variables) -> bool:
-    """Syntactic check that a term is affine in the given variables."""
-    def degree(t):
-        if isinstance(t, Var):
-            return 1 if t.name in variables else 0
-        if isinstance(t, Num):
-            return 0
-        if isinstance(t, (Add, Sub)):
-            return max(degree(t.left), degree(t.right))
-        if isinstance(t, Neg):
-            return degree(t.inner)
-        if isinstance(t, Mul):
-            return degree(t.left) + degree(t.right)
-        if isinstance(t, Div):
-            return degree(t.num) + 2 * degree(t.den)
-        if isinstance(t, Pow):
-            return degree(t.base) * t.exp
-        return 2
-    return degree(term) <= 1
 
 
 def _template_state_at(state, template, t):
@@ -456,47 +513,39 @@ def _template_state_at(state, template, t):
     return out
 
 
-def _domain_conjuncts_affine(ode: ODE, template) -> bool:
-    pos, vel, clock, _ = template
-    affine_vars = {vel, clock}
-    for c in conjuncts(ode.domain):
-        if isinstance(c, BoolLit):
-            continue
-        if not isinstance(c, Cmp):
-            return False
-        if pos in _vars_of_cmp(c):
-            return False
-        if not (_linear_in(c.left, affine_vars) and _linear_in(c.right, affine_vars)):
-            return False
-    return True
-
-
-def _vars_of_cmp(c: Cmp):
-    return free_variables(c.left) | free_variables(c.right)
-
-
 class Plant:
-    """How one ODE evolves, decided once.  The double-integrator template
-    with affine domain conjuncts uses the exact polynomial solution, checks
-    the domain at both endpoints and at any crossing of a `!=` conjunct
-    between them, and gives an exact maximal duration.  Any other ODE is
-    integrated in floats by fixed-step RK4 with step 1/64 (ODE_STEP),
-    checks the domain at the start and at 65 evenly spaced times up to the
-    duration (GRID_POINTS + 1) and bisects for its maximal duration; its
-    right-hand sides and domain are compiled into closures once, on the
-    first evolution."""
+    """How one ODE evolves, decided once.  The double-integrator template with
+    domain conjuncts affine in velocity and clock, as their polynomial forms
+    show, uses the exact polynomial solution, checks the domain at both
+    endpoints and at any crossing of a `!=` conjunct between them, and gives
+    an exact maximal duration.  Any other ODE is integrated in floats by
+    fixed-step RK4 with step 1/64 (ODE_STEP), checks the domain at the start
+    and at 65 evenly spaced times up to the duration (GRID_POINTS + 1) and
+    bisects for its maximal duration; its right-hand sides and domain are
+    compiled into closures once, on the first evolution."""
 
     def __init__(self, ode: ODE):
         self.ode = ode
         self.template = closed_form_template(ode)
-        if self.template is not None \
-                and not _domain_conjuncts_affine(ode, self.template):
-            self.template = None
+        # the template needs each domain conjunct's left - right affine in
+        # velocity and clock and free of position: (conjunct, form) pairs
+        self._forms = []
+        if self.template is not None:
+            variables = self.template[:3]
+            affine = {(), (variables[1],), (variables[2],)}
+            for c in conjuncts(ode.domain):
+                if isinstance(c, BoolLit):
+                    continue
+                form = (_combine(Sub, c.left, c.right, variables)
+                        if isinstance(c, Cmp) else None)
+                if form is None or not form.keys() <= affine:
+                    self.template, self._forms = None, []
+                    break
+                self._forms.append((c, form))
         self.domain = compile_fol(ode.domain)
         # along the solution an affine `!=` conjunct fails at one instant,
         # which the endpoints miss; every other conjunct holds on an interval
-        self._punctured = any(isinstance(c, Cmp) and c.op == "!="
-                              for c in conjuncts(ode.domain))
+        self._punctured = any(c.op == "!=" for c, _ in self._forms)
         self._lines = self._numeric = None  # compiled on first use
 
     def evolve(self, state: State, duration):
@@ -543,39 +592,23 @@ class Plant:
 
     def _domain_lines(self, state):
         """(op, n0, d0, sn, sd) per domain conjunct: along the closed-form
-        solution its left - right is n0/d0 + (sn/sd) * t, as the conjuncts
-        are affine in velocity and clock.  Both are read on int pairs; a
-        state holding a float takes them from eval_term at t = 0 and t = 1
-        instead, with its float arithmetic."""
-        _, vel, clock, accel = self.template
+        solution its left - right is n0/d0 + (sn/sd) * t, its value in
+        `state` plus t times the rate c_vel * accel + c_clock read off its
+        form.  A float in the state is read as its exact ratio."""
         if self._lines is None:
-            motion = [_ratio_term(t) for t in (Var(vel), Var(clock), accel)]
-            diffs = [(c.op, Sub(c.left, c.right))
-                     for c in conjuncts(self.ode.domain)
-                     if not isinstance(c, BoolLit)]
-            self._lines = motion, [(op, diff, _ratio_term(diff))
-                                   for op, diff in diffs]
-        motion, diffs = self._lines
+            _, vel, clock, accel = self.template
+            self._lines = []
+            for c, form in self._forms:
+                offset = _ratio_term(Sub(c.left, c.right), floats=True)
+                rate = _fold(Add, _fold(Mul, form.get((vel,), _ZERO), accel),
+                             form.get((clock,), _ZERO))
+                self._lines.append((c.op, offset,
+                                    _ratio_term(rate, floats=True)))
         try:
-            (vn, vd), (cn, cd), (an, ad) = [fn(state) for fn in motion]
-            at1 = dict(state)
-            at1[vel] = (vn * ad + an * vd, vd * ad)
-            at1[clock] = (cn + cd, cd)
-            lines = []
-            for op, _, diff in diffs:
-                n0, d0 = diff(state)
-                n1, d1 = diff(at1)
-                lines.append((op, n0, d0, n1 * d0 - n0 * d1, d0 * d1))
-            return lines
-        except (_Inexact, KeyError):
-            at1 = _template_state_at(state, self.template, Fraction(1))
-            lines = []
-            for op, diff, _ in diffs:
-                d0 = eval_term(state, diff)
-                slope = eval_term(at1, diff) - d0
-                lines.append((op, *d0.as_integer_ratio(),
-                              *slope.as_integer_ratio()))
-            return lines
+            return [(op, *offset(state), *rate(state))
+                    for op, offset, rate in self._lines]
+        except KeyError as missing:
+            raise UndeclaredVariable(*missing.args) from None
 
     def _bisect(self, state):
         lo, hi = 0.0, float(DEFAULT_HORIZON)
@@ -606,10 +639,6 @@ def max_admissible_duration(state: State, ode: ODE):
 # eval_term and eval_fol compute on such a state: a variable-free subterm
 # is folded to its exact Fraction, and where it meets a float it enters as
 # float(c), which is what Fraction arithmetic with a float does.
-
-_FLOAT_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
-              Div: operator.truediv}
-
 
 def _float_operand(c):
     """float(c) for a Fraction c, or c itself where that overflows, so that
@@ -644,7 +673,7 @@ def _float_term(term):
         if not callable(base):
             return base ** k
         return lambda s: base(s) ** k
-    op = _FLOAT_OPS[type(term)]
+    op = _TERM_OPS[type(term)]
     if isinstance(term, Div):
         left, right = _float_term(term.num), _float_term(term.den)
     else:

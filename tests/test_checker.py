@@ -213,15 +213,16 @@ def test_pins_parity_with_fraction_reference():
                 checked += 1
                 pinned += len(pins)
     assert checked == 1200 and pinned > 1500
-    # a float in the state: float arithmetic up to the slope, as before
+    # a float in the state is read as its exact ratio: the pins are the
+    # reference's on the exact view, not what float arithmetic rounds to
     model = builtin("m2")
     [(var, test), *_] = _assign_tests(model.loop_program())
     state = {k: F(v) for k, v in model.constant_values().items()}
     state.update({"x": 0.3, "v": 0.7, "xc": F(0)})  # a slope that rounds
     exact = dict(state, x=Fraction(0.3), v=Fraction(0.7))
     pins = _pinner(var, test)(state)
-    assert pins == _reference_pins(state, var, test)
-    assert pins and pins != _reference_pins(exact, var, test)
+    assert pins == _reference_pins(exact, var, test)
+    assert pins and pins != _reference_pins(state, var, test)
 
 
 def test_first_order_search_builds_few_fractions(monkeypatch):

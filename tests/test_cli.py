@@ -55,6 +55,20 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
+    from hpcheck.models import builtin
+    source = builtin("m2").source
+    assert "GUARANTEE\n  x <= xc\n" in source
+    path = tmp_path / "deep.hpmodel"
+    path.write_text(source.replace(
+        "GUARANTEE\n  x <= xc\n",
+        "GUARANTEE\n  " + "(" * 400 + "x <= xc" + ")" * 400 + "\n"))
+    code, out, err = run_cli(capsys, "parse", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: nesting too deep at line")
+    assert "Traceback" not in err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "parse", "/nonexistent/model.hpmodel")
     assert code == 2
@@ -459,9 +473,10 @@ def test_table2_json_is_pinned_at_the_benchmark_budget(capsys):
 def test_check_json_is_pinned(tmp_path, capsys):
     # one sha256 over the exit code and `check --format json` stdout of
     # every built-in model x invariant x selector at budget 1 000, error
-    # exits included, and of the drag m2, whose numeric plant puts floats
-    # in the states that pins are taken on, x zeta1 x every selector at
-    # budget 300; taken before the checker compiled each matrix once
+    # exits included, and of the drag m2, whose numeric plant the search
+    # evolves in floats (its pins are taken in env, before the plant, on
+    # exact states), x zeta1 x every selector at budget 300; taken before
+    # the checker compiled each matrix once
     from hpcheck.models import MODEL_IDS, builtin
     drag = tmp_path / "drag.hpmodel"
     drag.write_text(builtin("m2").source.replace("v' = a,", "v' = a - v / 4,"))

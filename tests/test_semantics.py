@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gen import VAR_POOL, random_term
 from golden import SAMPLE_CONSTANTS
 from hpcheck import semantics
 from hpcheck.models import MODEL_IDS, builtin, fig2_script
@@ -12,9 +13,11 @@ from hpcheck.semantics import (
     Aborted, Branch, Duration, Final, LoopCount, Plant, RandomValue,
     ScriptError, UndeclaredVariable, _compile_numeric, _template_state_at,
     closed_form_template, compile_fol, eval_fol, eval_term, evolve_plant,
-    format_script, max_admissible_duration, parse_script, run,
+    format_script, max_admissible_duration, parse_script, polynomial, run,
 )
-from hpcheck.syntax import ODE, BoolLit, Num, Var, conjuncts
+from hpcheck.syntax import (
+    ODE, BoolLit, Div, Mul, Neg, Num, Pow, Var, conjuncts, free_variables,
+)
 
 
 def F(numerator, denominator=1):
@@ -153,6 +156,10 @@ PLANT_ODE = parse_program("{x' = v, v' = a, tau' = 1 & v >= 0 & tau <= T}")
 def test_compiled_kernel_reports_undeclared_variables():
     with pytest.raises(UndeclaredVariable):
         compile_fol(parse_formula("x <= y"))({"x": F(1)})
+    # the template plant's domain lines read the acceleration `a`
+    with pytest.raises(UndeclaredVariable):
+        max_admissible_duration({"x": F(0), "v": F(0), "tau": F(0),
+                                 "T": F(1)}, PLANT_ODE)
 
 
 def test_closed_form_template_detected():
@@ -247,6 +254,76 @@ def test_run_matches_each_plant_template_once(monkeypatch):
     assert calls == [model.plant.second]
 
 
+def _syntactic_degree(term, variables):
+    """Degree of a term in `variables` counted on its syntax, or None when a
+    divisor holds one of them."""
+    if isinstance(term, Var):
+        return int(term.name in variables)
+    if isinstance(term, Num):
+        return 0
+    if isinstance(term, Neg):
+        return _syntactic_degree(term.inner, variables)
+    if isinstance(term, Pow):
+        base = _syntactic_degree(term.base, variables)
+        return None if base is None else base * term.exp
+    if isinstance(term, Div):
+        if free_variables(term.den) & set(variables):
+            return None
+        return _syntactic_degree(term.num, variables)
+    left = _syntactic_degree(term.left, variables)
+    right = _syntactic_degree(term.right, variables)
+    if left is None or right is None:
+        return None
+    return left + right if isinstance(term, Mul) else max(left, right)
+
+
+def test_polynomial_form_sums_to_the_term():
+    rng = random.Random(21)
+    formed = undefined = divided = 0
+    for _ in range(600):
+        term = random_term(rng, 4)
+        variables = tuple(v for v in VAR_POOL if rng.random() < 0.5)
+        form = polynomial(term, variables)
+        degree = _syntactic_degree(term, variables)
+        assert (form is None) == (degree is None), (term, variables)
+        if form is None:
+            divided += 1
+            continue
+        assert max(map(len, form)) == degree, (term, variables)
+        for monomial, coefficient in form.items():
+            assert list(monomial) == sorted(monomial)
+            assert set(monomial) <= set(variables)
+            assert free_variables(coefficient).isdisjoint(variables)
+        for _ in range(3):
+            state = {v: F(rng.randint(-9, 9), rng.choice((1, 2, 7)))
+                     for v in VAR_POOL}
+            try:
+                expected = eval_term(state, term)
+            except ZeroDivisionError:
+                undefined += 1
+                continue
+            total = F(0)
+            for monomial, coefficient in form.items():
+                product = eval_term(state, coefficient)
+                for factor in monomial:
+                    product *= state[factor]
+                total += product
+            assert total == expected, (term, variables, state)
+            formed += 1
+    assert formed > 1000 and undefined > 10 and divided > 50
+
+
+def test_polynomial_folds_literals_and_keeps_cancelled_monomials():
+    v = ("v", "tau")
+    assert polynomial(parse_term("2 * v - tau / 4 + 3"), v) == {
+        ("v",): Num(F(2)), ("tau",): Num(F(-1, 4)), (): Num(F(3))}
+    assert polynomial(parse_term("v * v - v ^ 2 + a * v"), v) == {
+        ("v", "v"): Num(F(0)), ("v",): Mul(Var("a"), Num(F(1)))}
+    assert polynomial(parse_term("x / v"), v) is None
+    assert polynomial(parse_term("v / T"), v) == {
+        ("v",): Div(Num(F(1)), Var("T"))}
+
+
 def _reference_max_duration(state, ode):
     """The template plant's maximal duration in Fraction (or, on a float
     state, float) arithmetic: each affine domain conjunct's left - right
@@ -302,15 +379,17 @@ def test_template_max_duration_parity_with_fraction_reference():
             bounded += 0 < m < semantics.DEFAULT_HORIZON
             zero += m == 0 and eval_fol(state, ode.domain)
     assert held > 900 and bounded > 600 and zero > 20
-    # a float in the state keeps the float arithmetic up to the slope
+    # a float in the state is read as its exact ratio: the duration is the
+    # reference's on the exact view, not what float arithmetic rounds to
     ode = odes[0]
     state = base_state(v=1, a=-1, T=1000)
     state["v"] = 0.3
     state["a"] = -0.9  # 0.3 + -0.9 rounds in float arithmetic
     exact = dict(state, v=Fraction(0.3), a=Fraction(-0.9))
     m = Plant(ode).max_duration(state)
-    assert m == _reference_max_duration(state, ode)
-    assert m != _reference_max_duration(exact, ode)
+    assert type(m) is Fraction
+    assert m == _reference_max_duration(exact, ode)
+    assert m != _reference_max_duration(state, ode)
 
 
 def test_max_admissible_duration_numeric_fallback():
