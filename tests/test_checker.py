@@ -361,6 +361,26 @@ def test_ode_duration_choice():
     assert not verdict.counterexample.numeric_only
 
 
+def test_draw_after_a_numeric_plant():
+    # the plant leaves every variable a float; the draw then puts an exact
+    # value beside them, which the test and the post compare with floats
+    formula = parse_formula(
+        "forall x (x >= 0 -> [{x' = -x / 4, t' = 1 & t <= 1}; "
+        "y := *; ?y >= x - 1/2] y >= x)")
+    box = {"x": (F(0), F(2)), "y": (F(-3), F(3)), "t": (F(0), F(1))}
+    ob = Obligation("mixed", formula, FALSIFY_UNIVERSAL, box, {})
+    assert check(ob, SearchConfig(budget=300)).to_json() == {
+        "obligation": "mixed", "kind": FALSIFY_UNIVERSAL,
+        "verdict": FALSIFIED, "evaluations": 67, "seed": 0,
+        "certificate": {
+            "assignment": {"x": "1"},
+            "scripts": [[{"duration": "17179869175/17179869184"},
+                         {"value": "387/1024"}]],
+            "exact": False,
+        },
+    }
+
+
 # ---------------------------------------------------------------------------
 # certification
 
