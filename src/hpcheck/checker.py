@@ -5,8 +5,10 @@ assignment of the quantified variables; existential obligations by
 searching for a witness.  The matrix is compiled once per check into
 closures with their polarity fixed, and one loop tries every candidate.
 Candidates come from a coarse-to-fine grid and seeded uniform sampling;
-they stay integer (numerator, denominator) pairs until a value enters a
-program state or a certificate.  Modalities are decided by script
+states stay integer (numerator, denominator) pairs through programs and
+plants, the fixed constants no run assigns are folded into the compiled
+closures, and a Fraction is built only for a certificate.  Modalities
+are decided by script
 enumeration; the diamond-over-env pattern `<e := *; ?P> e = e1` is
 decided goal-directed (bind e := e1, evaluate P) with no search.  Every
 candidate success is re-checked by exact rational replay before a
@@ -37,7 +39,8 @@ from .obligations import (
 from .parser import parse_term
 from .semantics import (
     Aborted, Branch, Duration, Final, LoopCount, Plant, RandomValue,
-    _ratio_term, compile_fol, eval_fol, eval_term, is_exact, polynomial, run,
+    _Inexact, _ratio_term, _reduced, compile_fol, eval_fol, eval_term,
+    exact_view, is_exact, polynomial, run,
 )
 from .syntax import (
     And, Assign, Box, Choice, Cmp, Diamond, Forall, Exists, Iff,
@@ -200,18 +203,19 @@ class _Engine:
     closure state -> the tuple of choice scripts that shows it evaluates
     to the polarity it has in the matrix, or None; a program node becomes
     a closure state -> iterator of (final state, script) over the runs the
-    search tries.  The candidate state holds the search variables as int
-    pairs; a modality that is not nested in another one rebuilds them as
-    Fractions on top of the Fraction base state when it is entered, since
-    programs and plants compute on Fractions."""
+    search tries.  States hold int pairs from the candidate down to the
+    post, and floats after a numeric plant.  A script is a rope of raw
+    decisions (see _decisions), made into a decision list only for a
+    certificate.  `constants` are the fixed constants folded into the
+    compiled closures; `plants` maps id(ode) to the Plant of each ODE."""
 
     def __init__(self, obligation: Obligation, config: SearchConfig,
-                 base_state, search_vars):
+                 constants, plants):
         self.obligation = obligation
         self.config = config
+        self.constants = constants
+        self.plants = plants
         self.stats = Stats()
-        self.base_state = base_state
-        self.search_vars = search_vars
         self._rng = None
         self._rng_key = 0
 
@@ -233,51 +237,40 @@ class _Engine:
 
     # formulas -------------------------------------------------------------
 
-    def formula(self, node, target, nested=False):
+    def formula(self, node, target):
         """Closure state -> the scripts, in `certify`'s order, that show
         `node` evaluates to `target`, or None when search finds none: () for
         a modality-free node, left then right for both operands, the side
         that held for one, and (script,) + the post's for a modality."""
         if not _has_modality(node):
-            holds, stats = compile_fol(node), self.stats
+            holds, stats = compile_fol(node, self.constants), self.stats
 
             def leaf(state):
                 stats.evaluations += 1
                 return () if holds(state) == target else None
             return leaf
         if isinstance(node, Not):
-            return self.formula(node.inner, not target, nested)
+            return self.formula(node.inner, not target)
         if isinstance(node, Iff):
             raise UnsupportedObligation("modal <-> is not supported")
         if not isinstance(node, (Box, Diamond)):
-            return self._binary(node, target, nested)
+            return self._binary(node, target)
         goal = _env_goal_pattern(node) if isinstance(node, Diamond) else None
         if goal is not None:
-            decide = self._goal(goal, target)
-        elif isinstance(node, Box) and target:
+            return self._goal(goal, target)
+        if isinstance(node, Box) and target:
             raise UnsupportedObligation(
                 "cannot establish a box by search; negate the obligation")
-        elif isinstance(node, Diamond) and not target:
+        if isinstance(node, Diamond) and not target:
             raise UnsupportedObligation(
                 "cannot refute a general diamond by search")
-        else:
-            decide = self._search_runs(node, target)
-        if nested:
-            return decide
-        base, search_vars = self.base_state, self.search_vars
+        return self._search_runs(node, target)
 
-        def enter(state):
-            exact = base.copy()
-            for v in search_vars:
-                exact[v] = Fraction(*state[v])
-            return decide(exact)
-        return enter
-
-    def _binary(self, node, target, nested):
+    def _binary(self, node, target):
         left, right, both_needed = _connective(node, target)
         right_modal = _has_modality(right)
-        left = self.formula(left, target, nested)
-        right = self.formula(right, target, nested)
+        left = self.formula(left, target)
+        right = self.formula(right, target)
         if both_needed:
             def both(state):
                 shown = left(state)
@@ -298,7 +291,7 @@ class _Engine:
         """A run of the modality's program after which its post evaluates
         to `target`: refutes a box (False) or witnesses a diamond (True)."""
         runs = self.program(modality.program)
-        post = self.formula(modality.post, target, nested=True)
+        post = self.formula(modality.post, target)
         over_budget = self.over_budget
 
         def search(state):
@@ -315,16 +308,16 @@ class _Engine:
         """<x := *; ?P> x = t decided goal-directed: bind x := t, test P.
         The one script picks t, whether it witnesses or refutes."""
         x, test, pin_term = goal
-        holds, stats = compile_fol(test), self.stats
+        value = _pair_term(pin_term, self.constants)
+        holds, stats = compile_fol(test, self.constants), self.stats
 
         def decide(state):
-            value = eval_term(state, pin_term)
             bound = dict(state)
-            bound[x] = value
+            bound[x] = pick = value(state)
             stats.evaluations += 1
             if holds(bound) != target:
                 return None
-            return ([RandomValue(value)],)
+            return ((RandomValue, pick),)
         return decide
 
     # programs -------------------------------------------------------------
@@ -334,19 +327,20 @@ class _Engine:
         state, script)."""
         stats, over_budget = self.stats, self.over_budget
         if isinstance(node, Assign):
-            var, term = node.var, node.term
+            var, value = node.var, _pair_term(node.term, self.constants)
 
             def assign(state):
                 out = dict(state)
-                out[var] = eval_term(state, term)
-                yield out, []
+                out[var] = value(state)
+                yield out, ()
             return assign
         fused = _assign_then_test(node)
         if isinstance(node, RandomAssign) or fused is not None:
             # a fused `x := *; ?P` lets the test pin candidate values
             var, condition = fused or (node.var, None)
             values = self._values(var, condition)
-            holds = None if condition is None else compile_fol(condition)
+            holds = (None if condition is None
+                     else compile_fol(condition, self.constants))
 
             def draw(state):
                 for value in values(state):
@@ -356,35 +350,35 @@ class _Engine:
                         stats.evaluations += 1
                         if not holds(out):
                             continue
-                    yield out, [RandomValue(value)]
+                    yield out, (RandomValue, value)
             return draw
         if isinstance(node, Test):
-            holds = compile_fol(node.condition)
+            holds = compile_fol(node.condition, self.constants)
 
             def test(state):
                 stats.evaluations += 1
                 if holds(state):
-                    yield state, []
+                    yield state, ()
             return test
         if isinstance(node, ODE):
-            plant = Plant(node)
+            plant = self.plants[id(node)]
 
             def evolve(state):
                 for duration in self._durations(state, plant):
                     stats.evaluations += 2
                     outcome = plant.evolve(state, duration)
                     if isinstance(outcome, Final):
-                        yield outcome.state, [Duration(duration)]
+                        yield outcome.state, (Duration, duration)
             return evolve
         if isinstance(node, Choice):
             left, right = self.program(node.left), self.program(node.right)
 
             def choice(state):
                 for final_state, script in left(state):
-                    yield final_state, [Branch("left")] + script
+                    yield final_state, (_LEFT, script)
                 if not over_budget():
                     for final_state, script in right(state):
-                        yield final_state, [Branch("right")] + script
+                        yield final_state, (_RIGHT, script)
             return choice
         if isinstance(node, Seq):
             first, second = self.program(node.first), self.program(node.second)
@@ -392,7 +386,7 @@ class _Engine:
             def sequence(state):
                 for mid_state, script1 in first(state):
                     for final_state, script2 in second(mid_state):
-                        yield final_state, script1 + script2
+                        yield final_state, (script1, script2)
                         if over_budget():
                             return
                     if over_budget():
@@ -403,68 +397,102 @@ class _Engine:
 
             def unroll(state, count):
                 if count == 0:
-                    yield state, []
+                    yield state, ()
                     return
                 for mid_state, script1 in body(state):
                     for final_state, script2 in unroll(mid_state, count - 1):
-                        yield final_state, script1 + script2
+                        yield final_state, (script1, script2)
 
             def loop(state):
                 for count in LOOP_COUNTS:
                     for final_state, script in unroll(state, count):
-                        yield final_state, [LoopCount(count)] + script
+                        yield final_state, ((LoopCount, count), script)
                     if over_budget():
                         return
             return loop
         raise CheckError(f"unexpected program {node!r}")
 
     def _values(self, var, test):
-        """Closure state -> the values `var := *` tries, each once: the
-        pins of a following test, the ends of var's search interval and
-        seeded samples from it."""
+        """Closure state -> the values, reduced int pairs, that `var := *`
+        tries, each once: the pins of a following test, the ends of var's
+        search interval and seeded samples from it."""
         box = self.obligation.search_box
         lo, hi = box.get(domain_key(box, var), DEFAULT_DOMAIN)
-        sample = _sampler(lo, hi)
-        pins = None if test is None else _pinner(var, test)
+        ends = (lo.as_integer_ratio(), hi.as_integer_ratio())
+        sample = _sampler(*ends)
+        pins = None if test is None else _pinner(var, test, self.constants)
 
         def values(state):
             out = pins(state) if pins else []
-            out += (lo, hi)
+            out += ends
             bits = self.rng.getrandbits
             for _ in range(VALUES_PER_RANDOM_ASSIGN):
-                out.append(Fraction(*sample(bits(16))))
-            unique = {}
-            for v in out:
-                unique.setdefault(v.as_integer_ratio(), v)
-            return list(unique.values())
+                out.append(_reduced(*sample(bits(16))))
+            return list(dict.fromkeys(out))
         return values
 
     def _durations(self, state, plant):
+        """The durations an evolution tries, as int pairs: the maximum
+        (a bisected float read as its exact ratio), 0 and samples."""
         self.stats.evaluations += 2
-        # the numeric path returns a float; the maximum is itself a
-        # duration to try, and Fraction(float) is exact
-        maximum = Fraction(plant.max_duration(state))
-        if maximum <= 0:
-            return [Fraction(0)]
-        out = [maximum, Fraction(0)]
-        sample = _sampler(0, maximum)
+        maximum = plant.duration_bound(state)
+        if type(maximum) is float:
+            maximum = maximum.as_integer_ratio()
+        if maximum[0] <= 0:
+            return [(0, 1)]
+        out = [maximum, (0, 1)]
+        sample = _sampler((0, 1), maximum)
         bits = self.rng.getrandbits
         for _ in range(DURATION_SAMPLES_PER_ODE - 2):
-            out.append(Fraction(*sample(bits(16))))
+            out.append(sample(bits(16)))
         return out
 
 
-def _pinner(var, test):
-    """Closure state -> one Fraction per conjunct of `test` whose left -
-    right is c0 + c1 * var with c1 != 0: its zero -c0 / c1, with a float in
-    the state read as its exact ratio."""
+# A script as the search builds it: () for none, a leaf (decision class,
+# raw value) for one decision, and (first, rest) for two scripts in a row.
+_LEFT, _RIGHT = (Branch, "left"), (Branch, "right")
+
+
+def _decisions(rope, out):
+    """Append the decisions of a script rope to `out`; a raw int pair value
+    becomes its Fraction."""
+    if rope:
+        head, tail = rope
+        if type(head) is tuple:
+            _decisions(head, out)
+            _decisions(tail, out)
+        else:
+            out.append(head(Fraction(*tail) if type(tail) is tuple else tail))
+    return out
+
+
+def _pair_term(term, constants):
+    """Closure state -> the value of `term` as a reduced int pair, by the
+    exact kernel; on a state holding a float, eval_term's value on its
+    exact view, left a float when it is one."""
+    exact = _ratio_term(term, constants=constants)
+
+    def value(state):
+        try:
+            return _reduced(*exact(state))
+        except (_Inexact, KeyError):
+            v = eval_term(exact_view(state), term)
+            return v if type(v) is float else v.as_integer_ratio()
+    return value
+
+
+def _pinner(var, test, constants=None):
+    """Closure state -> one reduced int pair per conjunct of `test` whose
+    left - right is c0 + c1 * var with c1 != 0: its zero -c0 / c1, with a
+    float in the state read as its exact ratio."""
     zeros = []
     for c in conjuncts(test):
         form = polynomial(Sub(c.left, c.right), (var,)) \
             if isinstance(c, Cmp) else None
         if form and (var,) in form and form.keys() <= {(), (var,)}:
-            zeros.append((_ratio_term(form.get((), Num(0)), floats=True),
-                          _ratio_term(form[(var,)], floats=True)))
+            zeros.append((
+                _ratio_term(form.get((), Num(0)), True, constants),
+                _ratio_term(form[(var,)], True, constants)))
 
     def pins(state):
         found = []
@@ -474,7 +502,8 @@ def _pinner(var, test):
             except ZeroDivisionError:
                 continue  # undefined in this state
             if n1:
-                found.append(Fraction(-n0 * d1, d0 * n1))
+                found.append(_reduced(-n0 * d1, d0 * n1) if n1 > 0
+                             else _reduced(n0 * d1, -d0 * n1))
         return found
     return pins
 
@@ -490,10 +519,9 @@ def _derive_seed(seed, name, salt=""):
 
 def _sampler(lo, hi, bits=16):
     """n -> lo + (hi - lo) * n / 2^bits as an unreduced (numerator,
-    denominator) int pair; a uniform n < 2^bits samples [lo, hi]
-    exactly."""
-    ln, ld = lo.as_integer_ratio()
-    hn, hd = hi.as_integer_ratio()
+    denominator) int pair, for lo and hi int pairs with positive
+    denominators; a uniform n < 2^bits samples [lo, hi] exactly."""
+    (ln, ld), (hn, hd) = lo, hi
     d = math.lcm(ld, hd)
     base = ln * (d // ld)
     step = hn * (d // hd) - base
@@ -514,17 +542,18 @@ def _candidates(search_vars, box, config, rng):
     if not search_vars:
         yield {}
         return
+    ends = [[x.as_integer_ratio() for x in box[v]] for v in search_vars]
     for level in range(GRID_LEVELS + 1):
         n = 1 << (level + 1)
         axes = []
-        for v in search_vars:
-            point = _sampler(*box[v], bits=level + 1)
+        for lo, hi in ends:
+            point = _sampler(lo, hi, bits=level + 1)
             axes.append([(point(i), i) for i in range(n + 1)])
         for combo in itertools.product(*axes):
             if level > 0 and all(i % 2 == 0 for _, i in combo):
                 continue  # already visited at the previous level
             yield {v: value for v, (value, _) in zip(search_vars, combo)}
-    samplers = [(v, _sampler(*box[v])) for v in search_vars]
+    samplers = [(v, _sampler(lo, hi)) for v, (lo, hi) in zip(search_vars, ends)]
     bits = rng.getrandbits
     while True:
         yield {v: sample(bits(16)) for v, sample in samplers}
@@ -635,9 +664,11 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
     """
     target = obligation.kind == FIND_WITNESS
     quantified, matrix = obligation.split()
+    programs = list(_modal_programs(matrix))
+    assigned = set().union(*map(assigned_variables, programs))
     uncovered = (free_variables(obligation.formula)
                  - set(obligation.fixed_constants) - set(quantified)
-                 - _assigned_in(matrix))
+                 - assigned)
     if uncovered:
         raise CheckError(f"uncoverable free symbols: {sorted(uncovered)}")
 
@@ -645,30 +676,39 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
     search_vars = [v for v in quantified if v in matrix_vars]
     box = obligation.search_box
     stream_rng = random.Random(_derive_seed(config.seed, obligation.name, "grid"))
-    base_state = {k: Fraction(v) for k, v in obligation.fixed_constants.items()}
+    base = {k: Fraction(v).as_integer_ratio()
+            for k, v in obligation.fixed_constants.items()}
     for v in quantified:
         if v not in search_vars:
             lo, hi = box[v]
-            base_state[v] = (lo + hi) / 2
-    for v in _assigned_in(matrix) - set(base_state) - set(search_vars):
-        base_state[v] = Fraction(0)
+            base[v] = ((lo + hi) / 2).as_integer_ratio()
+    for v in assigned - set(base) - set(search_vars):
+        base[v] = (0, 1)
 
-    engine = _Engine(obligation, config, base_state, search_vars)
+    # fold the constants no run changes; a numeric plant leaves them floats
+    # in its final state, so a matrix with one folds nothing
+    plants = {id(ode): Plant(ode)
+              for program in programs for ode in _odes(program)}
+    constants = {k: base[k] for k in obligation.fixed_constants
+                 if k not in assigned and k not in quantified}
+    if not constants or any(p.template is None for p in plants.values()):
+        constants = None
+    engine = _Engine(obligation, config, constants, plants)
     decide = engine.formula(matrix, target)
-    pair_base = {k: v.as_integer_ratio() for k, v in base_state.items()}
     for index, candidate in enumerate(_candidates(search_vars, box, config,
                                                   stream_rng)):
         if engine.over_budget():
             break
         engine.stats.candidates += 1
-        state = pair_base.copy()
+        state = base.copy()
         state.update(candidate)
         engine.reset_rng(index)
-        scripts = decide(state)
-        if scripts is None:
+        ropes = decide(state)
+        if ropes is None:
             continue
         assignment = {v: Fraction(*state[v]) for v in quantified}
-        cex = Counterexample(assignment, list(scripts))
+        cex = Counterexample(assignment,
+                             [_decisions(rope, []) for rope in ropes])
         if certify(cex, obligation):
             status = WITNESS_FOUND if target else FALSIFIED
             return Verdict(status, cex, engine.stats, obligation, config.seed)
@@ -678,19 +718,32 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
     return Verdict(status, None, engine.stats, obligation, config.seed)
 
 
-def _assigned_in(matrix):
-    out = set()
+def _modal_programs(matrix):
+    """The program of every modality in the matrix."""
     stack = [matrix]
     while stack:
         node = stack.pop()
         if isinstance(node, (Box, Diamond)):
-            out |= assigned_variables(node.program)
+            yield node.program
             stack.append(node.post)
         elif isinstance(node, Not):
             stack.append(node.inner)
         elif isinstance(node, (And, Or, Implies, Iff)):
             stack.extend((node.left, node.right))
-    return out
+
+
+def _odes(program):
+    """Every ODE in the program."""
+    if isinstance(program, ODE):
+        yield program
+    elif isinstance(program, (Seq, Choice)):
+        first, second = ((program.first, program.second)
+                         if isinstance(program, Seq)
+                         else (program.left, program.right))
+        yield from _odes(first)
+        yield from _odes(second)
+    elif isinstance(program, Loop):
+        yield from _odes(program.body)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .checker import (
     NOT_FALSIFIED, VERDICT_VOCABULARY, WITNESS_FOUND, CheckError,
     SearchConfig, SelectorError, check, obligations_for,
 )
-from .model import Constant, Model, domain_key
+from .model import Constant, Model, broken_constraint, domain_key
 from .models import MODEL_IDS, builtin, fig2_script, table2_suite
 from .obligations import FALSIFY_UNIVERSAL, MissingRelation
 from .parser import ParseError, parse_model, parse_term
@@ -163,6 +163,13 @@ def _apply_overrides(model: Model, args):
         boxes[var] = (lo, hi)
     consts = {name: _parse_const_value(value)
               for name, value in _parse_pairs(args.const, "const").items()}
+    values = model.constant_values()
+    values.update((k, Fraction(v)) for k, v in consts.items() if k in values)
+    broken = broken_constraint(model.constants, values)
+    if broken is not None:
+        constant, conjunct = broken
+        raise UsageError(f"--const: {constant.name} = {values[constant.name]}"
+                         f" violates its constraint {print_formula(conjunct)}")
     model.domains.update(boxes)
     return boxes, consts
 

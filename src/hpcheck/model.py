@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .semantics import UndeclaredVariable, eval_fol
 from .syntax import (
     Assign, Choice, Cmp, Formula, Loop, Not, Num, ODE, Program,
     RandomAssign, Seq, Test, Var, conjuncts, free_variables, seq,
@@ -81,6 +82,23 @@ class Model:
         """Search box for a variable; derived variables such as `xc_post`
         inherit the interval of the variable they are derived from."""
         return self.domains.get(domain_key(self.domains, var), DEFAULT_DOMAIN)
+
+
+def broken_constraint(constants, values: dict):
+    """The first (constant, conjunct of its constraint) that is false, or
+    undefined by a zero divisor, when each constant takes its value in
+    `values`; None when every one holds.  A conjunct whose value needs
+    anything but the constants in `values` is not decided here."""
+    for constant in constants:
+        for conjunct in conjuncts(constant.constraint):
+            try:
+                if not eval_fol(values, conjunct):
+                    return constant, conjunct
+            except UndeclaredVariable:
+                continue
+            except ZeroDivisionError:
+                return constant, conjunct
+    return None
 
 
 def domain_key(domains: dict, var: str):

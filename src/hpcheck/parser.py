@@ -21,7 +21,10 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import DEFAULT_DOMAIN, Constant, Model, detect_shape
+from .model import (
+    DEFAULT_DOMAIN, Constant, Model, broken_constraint, detect_shape,
+)
+from .printer import print_formula
 from .semantics import eval_term
 from .syntax import (
     CMP_OPS, Add, And, Assign, Box, Choice, Cmp, Diamond, Div, Exists,
@@ -464,6 +467,7 @@ def parse_model(text: str, name: str = "model"):
     state variable or by a symbolic constant that has no sign constraint.
     """
     constants = []
+    value_places = {}  # name -> the text of its value, for an error
     domains = {}
     domain_spans = {}
     invariants = {}
@@ -494,6 +498,15 @@ def parse_model(text: str, name: str = "model"):
                                      len(decl) + 1, names, divisors)
                               if constraint_text.strip() else TRUE)
                 constants.append(Constant(ident, value.value, constraint))
+                value_places[ident] = line, lineno, len(cname) + 1, len(decl)
+            broken = broken_constraint(
+                constants, {c.name: c.value for c in constants})
+            if broken is not None:
+                constant, conjunct = broken
+                raise ParseError(
+                    f"value {constant.value} of {constant.name} violates "
+                    f"its constraint {print_formula(conjunct)}",
+                    _field_span(*value_places[constant.name]))
         elif keyword == "DOMAINS":
             for lineno, line in section[2]:
                 m = _DOMAIN_RE.match(line)

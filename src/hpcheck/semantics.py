@@ -5,7 +5,9 @@ counts) is externalized into a ChoiceScript consumed left to right, so a
 run is a pure function of (state, program, script).  States map variable
 names to exact rationals where possible; floats appear only on the
 numeric ODE fallback path, the RK4 kernel a Plant outside the closed-form
-template compiles once.
+template compiles once.  The search's states hold each exact rational as
+an int pair instead, which a Plant and the exact kernel below take as
+they are.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite
+from math import gcd, isfinite
 
 from .syntax import (
     Add, And, Assign, BoolLit, Box, Choice, Cmp, Diamond, Div, Exists,
@@ -21,7 +23,8 @@ from .syntax import (
     RandomAssign, Seq, Sub, Test, Var, conjuncts, free_variables,
 )
 
-# States are plain dicts: name -> Fraction (exact) or float (approximate).
+# States are plain dicts: name -> Fraction (exact) or float (approximate);
+# in the search, an exact value is a (numerator, denominator > 0) int pair.
 State = dict
 
 
@@ -113,20 +116,46 @@ def eval_fol(state: State, formula) -> bool:
 # denominator > 0) pair of Python ints: sums and products are a few integer
 # operations, comparisons cross-multiply, and nothing is reduced by a gcd
 # inside a formula, so no Fraction is built.  A state may hold such pairs
-# itself (the search's first-order candidates do), which a variable returns
-# as they are.  A state that holds a float (the numeric-plant path), or
-# lacks a variable, is evaluated by eval_fol/eval_term instead, with their
-# float semantics and their UndeclaredVariable.
+# itself (the search's states do), which a variable returns as they are.
+# Given the values of constants the state never changes, the compiler folds
+# those constants, the literals and every subterm built from them alone
+# into one reduced pair, and a node captures a folded operand instead of
+# calling it (partial evaluation).  A state that holds a float (the
+# numeric-plant path), or lacks a variable, is evaluated by
+# eval_fol/eval_term instead, on its exact view, with their float
+# semantics and their UndeclaredVariable.
 
 class _Inexact(Exception):
     """A state value is a float, which the kernel does not evaluate."""
 
 
-def _ratio_term(term, floats=False):
+def exact_view(state: State) -> State:
+    """`state` with each int pair read as its Fraction."""
+    return {k: Fraction(*v) if type(v) is tuple else v
+            for k, v in state.items()}
+
+
+def _reduced(n, d):
+    g = gcd(n, d)
+    return (n // g, d // g) if g > 1 else (n, d)
+
+
+def _ratio_term(term, floats=False, constants=None):
     """Closure state -> (numerator, denominator > 0) of `term`.  A float in
-    the state raises _Inexact, or with `floats` is read as its exact ratio."""
+    the state raises _Inexact, or with `floats` is read as its exact ratio.
+    `constants` maps the names whose values are fixed to their int pairs;
+    given it, the closure reads none of them from the state."""
+    value = _ratio(term, floats, constants)
+    return value if callable(value) else lambda s: value
+
+
+def _ratio(term, floats, constants):
+    """The reduced pair of a subterm folded at compile time, else a closure
+    as `_ratio_term` gives.  Without `constants`, nothing is folded."""
     if isinstance(term, Var):
         name = term.name
+        if constants is not None and name in constants:
+            return constants[name]
 
         def var(s):
             value = s[name]
@@ -139,59 +168,125 @@ def _ratio_term(term, floats=False):
         return var
     if isinstance(term, Num):
         pair = term.value.as_integer_ratio()
-        return lambda s: pair
+        return pair if constants is not None else lambda s: pair
     if isinstance(term, Neg):
-        inner = _ratio_term(term.inner, floats)
+        inner = _ratio(term.inner, floats, constants)
+        if not callable(inner):
+            return -inner[0], inner[1]
 
         def neg(s):
             n, d = inner(s)
             return -n, d
         return neg
     if isinstance(term, Pow):
-        base, k = _ratio_term(term.base, floats), term.exp
+        base, k = _ratio(term.base, floats, constants), term.exp
+        if not callable(base):
+            return base[0] ** k, base[1] ** k
 
         def power(s):
             n, d = base(s)
             return n ** k, d ** k
         return power
     if isinstance(term, Div):
-        left, right = _ratio_term(term.num, floats), _ratio_term(term.den, floats)
+        left = _ratio(term.num, floats, constants)
+        right = _ratio(term.den, floats, constants)
+    else:
+        left = _ratio(term.left, floats, constants)
+        right = _ratio(term.right, floats, constants)
+    if not callable(left) and not callable(right):
+        try:
+            value = _TERM_OPS[type(term)](Fraction(*left), Fraction(*right))
+        except ZeroDivisionError:
+            pass  # raised when evaluated, as eval_term does
+        else:
+            return value.as_integer_ratio()
+    return _RATIO_NODES[type(term)](left, right)
 
-        def div(s):
-            a, b = left(s)
-            c, d = right(s)
-            if c > 0:
-                return a * d, b * c
-            if c < 0:
-                return -a * d, -b * c
-            # the message Fraction gives for x / 0
-            raise ZeroDivisionError(f"Fraction({(a > 0) - (a < 0)}, 0)")
-        return div
-    if isinstance(term, Mul):
-        left, right = _ratio_term(term.left, floats), _ratio_term(term.right, floats)
+
+def _ratio_div(left, right):
+    if not callable(right):
+        c, d = right
+        if c == 0:  # raised when evaluated, as eval_term does
+            def div(s):
+                _divide_by_zero(*(left(s) if callable(left) else left))
+            return div
+        return _ratio_mul(left, (d, c) if c > 0 else (-d, -c))
+    if not callable(left):
+        left = (lambda a: lambda s: a)(left)
+
+    def div(s):
+        a, b = left(s)
+        c, d = right(s)
+        if c > 0:
+            return a * d, b * c
+        if c < 0:
+            return -a * d, -b * c
+        _divide_by_zero(a, b)
+    return div
+
+
+def _divide_by_zero(a, b):
+    """Raise the ZeroDivisionError that Fraction(a, b) / 0 raises, with the
+    message this Python's Fraction gives it."""
+    Fraction(a, b) / Fraction(0)
+
+
+def _ratio_mul(left, right):
+    if not callable(left):
+        left, right = right, left  # a product commutes
+    if not callable(right):
+        c, d = right
 
         def mul(s):
             a, b = left(s)
-            c, d = right(s)
             return a * c, b * d
         return mul
-    if isinstance(term, Add):
-        left, right = _ratio_term(term.left, floats), _ratio_term(term.right, floats)
+
+    def mul(s):
+        a, b = left(s)
+        c, d = right(s)
+        return a * c, b * d
+    return mul
+
+
+def _ratio_add(left, right):
+    if not callable(left):
+        left, right = right, left  # a sum commutes
+    if not callable(right):
+        c, d = right
 
         def add(s):
             a, b = left(s)
-            c, d = right(s)
             return a * d + c * b, b * d
         return add
-    if isinstance(term, Sub):
-        left, right = _ratio_term(term.left, floats), _ratio_term(term.right, floats)
+
+    def add(s):
+        a, b = left(s)
+        c, d = right(s)
+        return a * d + c * b, b * d
+    return add
+
+
+def _ratio_sub(left, right):
+    if not callable(right):
+        return _ratio_add(left, (-right[0], right[1]))
+    if not callable(left):
+        a, b = left
 
         def sub(s):
-            a, b = left(s)
             c, d = right(s)
             return a * d - c * b, b * d
         return sub
-    raise TypeError(term)
+
+    def sub(s):
+        a, b = left(s)
+        c, d = right(s)
+        return a * d - c * b, b * d
+    return sub
+
+
+_RATIO_NODES = {Add: _ratio_add, Sub: _ratio_sub, Mul: _ratio_mul,
+                Div: _ratio_div}
 
 
 def _fol_closure(formula, comparison):
@@ -219,9 +314,27 @@ def _fol_closure(formula, comparison):
     raise TypeError(formula)
 
 
-def _ratio_cmp(formula):
-    left, right = _ratio_term(formula.left), _ratio_term(formula.right)
+def _ratio_cmp(formula, constants):
+    left = _ratio(formula.left, False, constants)
+    right = _ratio(formula.right, False, constants)
     holds = _CMP[formula.op]
+    if not callable(right):
+        c, d = right
+        if not callable(left):
+            value = holds(left[0] * d, c * left[1])
+            return lambda s: value
+
+        def cmp(s):
+            a, b = left(s)
+            return holds(a * d, c * b)
+        return cmp
+    if not callable(left):
+        a, b = left
+
+        def cmp(s):
+            c, d = right(s)
+            return holds(a * d, c * b)
+        return cmp
 
     def cmp(s):
         a, b = left(s)
@@ -230,18 +343,19 @@ def _ratio_cmp(formula):
     return cmp
 
 
-def compile_fol(formula):
+def compile_fol(formula, constants=None):
     """state -> bool, equal to eval_fol(state, formula) on a quantifier-free
-    `formula`, evaluated by the exact kernel.  A ZeroDivisionError is
-    raised exactly when eval_fol raises one; states holding a float or
-    lacking a variable are handed to eval_fol."""
-    exact = _fol_closure(formula, _ratio_cmp)
+    `formula`, evaluated by the exact kernel, which folds `constants` (see
+    _ratio_term).  A ZeroDivisionError is raised exactly when eval_fol
+    raises one; states holding a float or lacking a variable are handed to
+    eval_fol on their exact view, with `formula` as it is."""
+    exact = _fol_closure(formula, lambda c: _ratio_cmp(c, constants))
 
     def evaluate(s):
         try:
             return exact(s)
         except (_Inexact, KeyError):
-            return eval_fol(s, formula)
+            return eval_fol(exact_view(s), formula)
     return evaluate
 
 
@@ -490,26 +604,37 @@ def closed_form_template(ode: ODE):
 
 
 def _template_state_at(state, template, t):
+    """The state after the template's evolution for time t: reduced int
+    pairs on a state of pairs, Fractions on a state of Fractions and plain
+    arithmetic, a pair read as its Fraction, on any other state."""
     pos, vel, clock, accel = template
     a = eval_term(state, accel)
     out = dict(state)
     p, v, c = state[pos], state[vel], state[clock]
-    if not (type(p) is type(v) is type(c) is type(a) is type(t) is Fraction):
+    if type(p) is type(v) is type(c) is type(t) is tuple \
+            and type(a) is not float:
+        make, (pn, pd), (vn, vd), (cn, cd), (tn, td) = _reduced, p, v, c, t
+        an, ad = a if type(a) is tuple else a.as_integer_ratio()
+    elif type(p) is type(v) is type(c) is type(a) is type(t) is Fraction:
+        make = Fraction
+        pn, pd = p.as_integer_ratio()
+        vn, vd = v.as_integer_ratio()
+        cn, cd = c.as_integer_ratio()
+        an, ad = a.as_integer_ratio()
+        tn, td = t.as_integer_ratio()
+    else:
+        p, v, c, a, t = (Fraction(*x) if type(x) is tuple else x
+                         for x in (p, v, c, a, t))
         out[pos] = p + v * t + a * t * t / 2
         out[vel] = v + a * t
         out[clock] = c + t
         return out
-    # the same polynomial on (numerator, denominator) ints, one Fraction
-    # (one gcd) per variable: pos = p + t * h with h = v + a * t / 2
-    pn, pd = p.as_integer_ratio()
-    vn, vd = v.as_integer_ratio()
-    cn, cd = c.as_integer_ratio()
-    an, ad = a.as_integer_ratio()
-    tn, td = t.as_integer_ratio()
+    # the polynomial on (numerator, denominator) ints, one gcd per
+    # variable: pos = p + t * h with h = v + a * t / 2
     hn, hd = 2 * vn * ad * td + an * tn * vd, 2 * vd * ad * td
-    out[pos] = Fraction(pn * td * hd + tn * hn * pd, pd * td * hd)
-    out[vel] = Fraction(vn * ad * td + an * tn * vd, vd * ad * td)
-    out[clock] = Fraction(cn * td + tn * cd, cd * td)
+    out[pos] = make(pn * td * hd + tn * hn * pd, pd * td * hd)
+    out[vel] = make(vn * ad * td + an * tn * vd, vd * ad * td)
+    out[clock] = make(cn * td + tn * cd, cd * td)
     return out
 
 
@@ -550,8 +675,10 @@ class Plant:
 
     def evolve(self, state: State, duration):
         """Final(state at duration) when the evolution domain holds
-        throughout [0, duration], else Aborted."""
-        if duration < 0:
+        throughout [0, duration], else Aborted.  On a state of int pairs
+        `duration` is a pair too: the template keeps the state pairs, and
+        RK4 reads each pair n, d as the float n / d."""
+        if (duration[0] if type(duration) is tuple else duration) < 0:
             raise ValueError("negative duration")
         if self.template is None:
             if self._numeric is None:
@@ -563,32 +690,35 @@ class Plant:
         if not self.domain(end):
             return Aborted(self.ode.domain, end)
         if self._punctured:
-            crossings = [_affine_conjunct_bound(*line)
-                         for line in self._domain_lines(state)
-                         if line[0] == "!="]
-            first = min((Fraction(*c) for c in crossings if c is not None),
-                        default=None)
-            if first is not None and first <= duration:
-                return Aborted(self.ode.domain, _template_state_at(
-                    state, self.template, first))
+            first = _earliest(_affine_conjunct_bound(*line)
+                              for line in self._domain_lines(state)
+                              if line[0] == "!=")
+            if first is not None:
+                pairs = type(duration) is tuple
+                dn, dd = duration if pairs else duration.as_integer_ratio()
+                if first[0] * dd <= dn * first[1]:
+                    return Aborted(self.ode.domain, _template_state_at(
+                        state, self.template,
+                        first if pairs else Fraction(*first)))
         return Final(end)
 
     def max_duration(self, state: State):
         """Supremum of durations for which the domain holds throughout, up
         to DEFAULT_HORIZON: a Fraction on the template path, a float from
         bisection on the grid-checked predicate otherwise."""
+        bound = self.duration_bound(state)
+        return Fraction(*bound) if type(bound) is tuple else bound
+
+    def duration_bound(self, state: State):
+        """max_duration, with a reduced int pair for its Fraction."""
         if not self.domain(state):
-            return Fraction(0)
+            return 0, 1
         if self.template is None:
             return self._bisect(state)
-        best = None
-        for line in self._domain_lines(state):
-            bound = _affine_conjunct_bound(*line)
-            if bound is None:
-                continue
-            if best is None or bound[0] * best[1] < best[0] * bound[1]:
-                best = bound
-        return DEFAULT_HORIZON if best is None else Fraction(*best)
+        best = _earliest(_affine_conjunct_bound(*line)
+                         for line in self._domain_lines(state))
+        return (DEFAULT_HORIZON.as_integer_ratio() if best is None
+                else _reduced(*best))
 
     def _domain_lines(self, state):
         """(op, n0, d0, sn, sd) per domain conjunct: along the closed-form
@@ -729,8 +859,10 @@ def _compile_numeric(ode: ODE):
     samples = GRID_POINTS + 1
 
     def evolve(state, duration):
-        duration = float(duration)
-        current = {k: float(v) for k, v in state.items()}
+        duration = (duration[0] / duration[1] if type(duration) is tuple
+                    else float(duration))
+        current = {k: v[0] / v[1] if type(v) is tuple else float(v)
+                   for k, v in state.items()}
         if not domain(current):
             return Aborted(ode.domain, current)
         work = dict(current)  # the state at each RK4 stage
@@ -763,6 +895,17 @@ def _compile_numeric(ode: ODE):
                 return Aborted(ode.domain, current)
         return Final(current)
     return evolve
+
+
+def _earliest(bounds):
+    """The least of int pairs with positive denominators, skipping None;
+    None when there is none."""
+    best = None
+    for bound in bounds:
+        if bound is not None and (
+                best is None or bound[0] * best[1] < best[0] * bound[1]):
+            best = bound
+    return best
 
 
 def _affine_conjunct_bound(op, n0, d0, sn, sd):

@@ -7,7 +7,7 @@ from gen import (
     ORACLE_VARS, VAR_POOL, brute_force_decide, is_fol, is_quantifier_free,
     random_finite_obligation, random_formula, random_term,
 )
-from hpcheck import checker
+from hpcheck import checker, semantics
 from hpcheck.checker import (
     FALSIFIED, NO_WITNESS_FOUND, NOT_FALSIFIED, WITNESS_FOUND, CheckError,
     Counterexample, SearchConfig, UnsupportedObligation, _pinner, certify, check,
@@ -155,6 +155,107 @@ def test_ratio_term_parity_with_eval_term():
     assert raised > 0 and exact > 300 and inexact > 50
 
 
+def test_compile_fol_folds_constants_to_the_same_outcome():
+    # a random subset of the variables fixed as constants, with the values
+    # the state holds; zeros among them fold some divisors to zero, which
+    # raise where eval_fol raises
+    rng = random.Random(44)
+    formulas = folded_zero = fell_back = 0
+    while formulas < 400:
+        formula = random_formula(rng, 4)
+        if not (is_fol(formula) and is_quantifier_free(formula)):
+            continue
+        formulas += 1
+        plain = compile_fol(formula)
+        for floats in (False, True):
+            state = _mixed_state(rng)
+            fixed = rng.sample(VAR_POOL, rng.randint(1, len(VAR_POOL)))
+            constants = {v: state[v].as_integer_ratio() for v in fixed}
+            for v in VAR_POOL:
+                if floats and v not in constants and rng.random() < 0.5:
+                    state[v] = float(state[v])
+            folded = compile_fol(formula, constants)
+            expected = _outcome(eval_fol, state, formula)
+            assert _outcome(plain, state) == expected
+            assert _outcome(folded, state) == expected, (formula, fixed)
+            if not floats:
+                pairs = _pair_state(rng, state)
+                assert _outcome(folded, pairs) == expected, (formula, fixed)
+            folded_zero += isinstance(expected, tuple) and any(
+                constants.get(v) == (0, 1) for v in free_variables(formula))
+            fell_back += floats
+    assert folded_zero > 10 and fell_back == 400
+    # the fold of 1 / (c - c) is a closure: short-circuited, it never raises
+    formula = parse_formula("y > 0 | x / (c - c) > 1")
+    folded = compile_fol(formula, {"c": (2, 1)})
+    state = {"x": (1, 1), "y": (1, 1), "c": (2, 1)}
+    assert folded(state) is True
+    state["y"] = (-1, 1)
+    assert _outcome(folded, state) == _outcome(
+        eval_fol, {k: F(*v) for k, v in state.items()}, formula) \
+        == (ZeroDivisionError, "Fraction(1, 0)")
+
+
+def test_search_folds_only_the_constants_no_run_changes(monkeypatch):
+    seen = []
+
+    def recording(formula, constants=None):
+        seen.append(constants)
+        return compile_fol(formula, constants)
+    monkeypatch.setattr(checker, "compile_fol", recording)
+    [ob] = obligations_for(builtin("m2"), "zeta1", "gamma")
+    check(ob, SearchConfig(budget=50))
+    assert seen and all(c == {"T": (1, 1), "anmax": (2, 1), "anmin": (3, 1),
+                              "asmin": (4, 1)} for c in seen)
+    # c := c + x assigns the constant c: folding it would hold c <= 1
+    seen.clear()
+    ob = Obligation("assigned", parse_formula("forall x [c := c + x] c <= 1"),
+                    FALSIFY_UNIVERSAL, {"x": (F(0), F(1))}, {"c": F(1)})
+    verdict = check(ob, SearchConfig(budget=50))
+    assert verdict.status == FALSIFIED
+    assert verdict.counterexample.assignment["x"] > 0
+    assert seen == [None]
+    # a numeric plant leaves the constants floats in its final state
+    seen.clear()
+    ob = Obligation("drag", parse_formula(
+        "forall x [{x' = -x / c, t' = 1 & t <= 1}; y := *; ?y >= c] y >= x"),
+        FALSIFY_UNIVERSAL, {"x": (F(0), F(2))}, {"c": F(4)})
+    check(ob, SearchConfig(budget=50))
+    assert seen and set(map(type, seen)) == {type(None)}
+
+
+def test_modal_search_builds_no_fraction_per_evolution(monkeypatch):
+    # states stay int pairs through programs and plants: Fractions are
+    # built for folds at compile time and for certificates, so as many at
+    # budget 5000 as at 1000, for hundreds more evolutions
+    built = {"checker": 0, "semantics": 0}
+    evolutions = []
+
+    def counting(module):
+        def build(*args):
+            built[module] += 1
+            return Fraction(*args)
+        return build
+    monkeypatch.setattr(checker, "Fraction", counting("checker"))
+    monkeypatch.setattr(semantics, "Fraction", counting("semantics"))
+    evolve = semantics.Plant.evolve
+    monkeypatch.setattr(semantics.Plant, "evolve", lambda plant, state, t: (
+        evolutions.append(t), evolve(plant, state, t))[1])
+    [ob] = obligations_for(builtin("m4"), "zeta1", "gamma")
+    assert ob.name == "loop_ii"
+    runs = []
+    for budget in (1000, 5000):
+        built.update(checker=0, semantics=0)
+        evolutions.clear()
+        verdict = check(ob, SearchConfig(budget=budget))
+        assert verdict.status == NOT_FALSIFIED
+        assert all(type(t) is tuple for t in evolutions)
+        runs.append((dict(built), len(evolutions)))
+    (small, few), (large, many) = runs
+    assert small == large and many - few > 500
+    assert large["checker"] < 10 and large["semantics"] < 30
+
+
 def _reference_pins(state, var, test):
     """The pins as Fraction (or, on a float state, float) arithmetic
     computes them: probe each conjunct's left - right at var = 0, 1, 2."""
@@ -201,6 +302,8 @@ def test_pins_parity_with_fraction_reference():
         model = builtin(model_id)
         cases = _assign_tests(model.loop_program()) + [extra]
         assert len(cases) >= 3
+        constants = {k: v.as_integer_ratio()
+                     for k, v in model.constant_values().items()}
         for _ in range(100):
             for var, test in cases:
                 state = {k: F(v) for k, v in model.constant_values().items()}
@@ -208,8 +311,10 @@ def test_pins_parity_with_fraction_reference():
                     state[name] = F(rng.randint(-40, 40),
                                     rng.choice((1, 2, 3, 1 << 16)))
                 pins = _pinner(var, test)(state)
-                assert pins == _reference_pins(state, var, test)
-                assert all(type(p) is Fraction for p in pins)
+                # reduced pairs with positive denominators
+                assert pins == [p.as_integer_ratio()
+                                for p in _reference_pins(state, var, test)]
+                assert _pinner(var, test, constants)(state) == pins
                 checked += 1
                 pinned += len(pins)
     assert checked == 1200 and pinned > 1500
@@ -220,7 +325,7 @@ def test_pins_parity_with_fraction_reference():
     state = {k: F(v) for k, v in model.constant_values().items()}
     state.update({"x": 0.3, "v": 0.7, "xc": F(0)})  # a slope that rounds
     exact = dict(state, x=Fraction(0.3), v=Fraction(0.7))
-    pins = _pinner(var, test)(state)
+    pins = [F(*p) for p in _pinner(var, test)(state)]
     assert pins == _reference_pins(exact, var, test)
     assert pins and pins != _reference_pins(state, var, test)
 

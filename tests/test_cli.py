@@ -206,13 +206,48 @@ def test_check_text_output_mentions_caveat(capsys):
 
 
 def test_check_const_override_changes_result(capsys):
-    # with a feeble override deceleration the preservation branch breaks
-    code, out, _ = run_cli(capsys, "check", "m2", "--invariant", "zeta1",
+    # m3's zeta2 is preserved at its own constants (50 000 evaluations
+    # find nothing), and not at the lighter anmin = 1, asmin = 2
+    code, out, _ = run_cli(capsys, "check", "m3", "--invariant", "zeta2",
                            "--obligation", "gamma", "--budget", "50000",
-                           "--const", "asmin=1/100", "--format", "json")
+                           "--const", "anmin=1", "--const", "asmin=2",
+                           "--format", "json")
     assert code == 1
     [verdict] = json.loads(out)["verdicts"]
     assert verdict["verdict"] == "falsified"
+
+
+def test_const_override_must_satisfy_the_constraints(capsys):
+    # each constraint is checked with every constant's value, overridden
+    # or not: asmin = 4 fails asmin > anmin once anmin is 5
+    for argv, message in (
+            (("check", "m2", "--invariant", "zeta1", "--const", "T=-1"),
+             "T = -1 violates its constraint T > 0"),
+            (("simulate", "m2", "--const", "anmin=0", "--random", "3"),
+             "anmin = 0 violates its constraint anmin > 0"),
+            (("simulate", "m2", "--const", "anmin=5", "--random", "3"),
+             "asmin = 4 violates its constraint asmin > anmin")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: --const: {message}\n"
+    # an initial value for a state variable is no constant
+    code, _, _ = run_cli(capsys, "simulate", "m2", "--const", "x=-5",
+                         "--random", "3")
+    assert code == 0
+
+
+def test_a_constant_outside_its_constraint_is_a_parse_error(tmp_path,
+                                                            capsys):
+    # it used to parse, and the search then divided by 2 * anmin = 0
+    from hpcheck.models import builtin
+    path = tmp_path / "zero.hpmodel"
+    path.write_text(builtin("m2").source.replace("anmin = 3", "anmin = 0"))
+    for argv in (("parse", str(path)),
+                 ("check", str(path), "--invariant", "zeta1",
+                  "--obligation", "rho")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "value 0 of anmin violates its constraint anmin > 0" in err
 
 
 def test_bad_box_flag_exits_2(capsys):

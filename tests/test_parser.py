@@ -283,6 +283,15 @@ def test_constants_errors_point_into_their_line():
         "expected a constant name, got ''", 5, 3)
     assert _error_at(M2.replace("  T = 1 : T > 0", "  true = 1 : T > 0")) \
         == ("expected a constant name, got 'true'", 5, 3)
+    # a value outside its constraint, which may name the other constants,
+    # or that its constraint divides by
+    assert _error_at(M2.replace("  anmin = 3", "  anmin = 0")) == (
+        "value 0 of anmin violates its constraint anmin > 0", 7, 11)
+    assert _error_at(M2.replace("  anmin = 3", "  anmin = 9/2")) == (
+        "value 4 of asmin violates its constraint asmin > anmin", 8, 11)
+    assert _error_at(M2.replace("  T = 1 : T > 0",
+                                "  T = 0 : 1 / T > 0 & T > 0")) == (
+        "value 0 of T violates its constraint 1 / T > 0", 5, 7)
 
 
 def test_domains_errors_point_into_their_line():

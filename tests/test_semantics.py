@@ -518,6 +518,72 @@ def test_numeric_plant_outcomes_are_pinned():
         == "a0905a04dd79436f233dd985306818638a73508167453ec59c743b5f55fbaf13"
 
 
+def _as_pairs(rng, state):
+    """Each value of an exact state as an unreduced int pair."""
+    out = {}
+    for var, value in state.items():
+        n, d = value.as_integer_ratio()
+        k = rng.choice((1, 2, 6, 1 << 16))
+        out[var] = (n * k, d * k)
+    return out
+
+
+def _outcome_repr(call, *args):
+    try:
+        return repr(call(*args))
+    except (semantics.NumericBlowup, OverflowError, ZeroDivisionError) as exc:
+        return repr(exc)
+
+
+def test_plant_on_pair_states_matches_the_fraction_path():
+    # the search evolves states of int pairs with durations as pairs: the
+    # template gives the Fraction path's values as reduced pairs, and RK4
+    # reads a pair n, d as n / d, the float of its Fraction
+    rng = random.Random(13)
+    templates = [builtin(m).plant.second for m in MODEL_IDS] + [
+        parse_program("{x' = v, v' = a, tau' = 1 & v >= 0 & tau <= T"
+                      " & tau != 1/2 & v != 1/3 & 2 * v - tau > -3}"),
+        parse_program("{x' = v, v' = -5/2, tau' = 1 & v >= -9}")]
+    finals = aborts = 0
+    for ode in templates:
+        plant = Plant(ode)
+        assert plant.template is not None
+        for _ in range(200):
+            state = dict(SAMPLE_CONSTANTS)
+            for var in ("x", "v", "a", "tau"):
+                state[var] = F(rng.randint(-24, 24), rng.choice((1, 2, 3, 8)))
+            state["v"], state["tau"] = abs(state["v"]), abs(state["tau"]) / 8
+            pairs = _as_pairs(rng, state)
+            m = plant.max_duration(state)
+            assert plant.duration_bound(pairs) == m.as_integer_ratio()
+            assert plant.max_duration(pairs) == m
+            t = rng.choice((m, m / 2, F(rng.randint(0, 40), rng.choice((3, 8)))))
+            [t_pair] = _as_pairs(rng, {"t": t}).values()
+            want, got = plant.evolve(state, t), plant.evolve(pairs, t_pair)
+            assert type(got) is type(want)
+            assert {k: F(*v) for k, v in got.state.items()} == want.state
+            if isinstance(want, Final):
+                finals += 1
+                for var in plant.template[:3]:
+                    assert got.state[var] == want.state[var].as_integer_ratio()
+            else:
+                aborts += 1
+    assert finals > 400 and aborts > 300
+    for text, names in NUMERIC_PLANTS:
+        plant = Plant(parse_program(text))
+        for index in range(6):
+            state = {name: F(rng.randint(-4, 16), rng.choice((1, 3, 8)))
+                     for name in names}
+            duration = F(rng.randint(0, 96), 32)
+            pairs = _as_pairs(rng, dict(state, duration=duration))
+            t_pair = pairs.pop("duration")
+            assert _outcome_repr(plant.evolve, pairs, t_pair) \
+                == _outcome_repr(plant.evolve, state, duration)
+            if index < 2:
+                assert _outcome_repr(plant.max_duration, pairs) \
+                    == _outcome_repr(plant.max_duration, state)
+
+
 def test_run_counts_time_across_iterations():
     model = builtin("m2")
     script = [LoopCount(2),
