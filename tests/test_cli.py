@@ -238,7 +238,7 @@ def test_const_override_must_satisfy_the_constraints(capsys):
 
 def test_a_constant_outside_its_constraint_is_a_parse_error(tmp_path,
                                                             capsys):
-    # it used to parse, and the search then divided by 2 * anmin = 0
+    # rejected before the search can divide by 2 * anmin = 0
     from hpcheck.models import builtin
     path = tmp_path / "zero.hpmodel"
     path.write_text(builtin("m2").source.replace("anmin = 3", "anmin = 0"))
