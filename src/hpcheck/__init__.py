@@ -9,7 +9,6 @@ and witness search.
 __version__ = "0.1.0"
 
 from .parser import ParseError, parse_formula, parse_model, parse_program, parse_term
-from .printer import pretty_print
 from .semantics import (
     evolve_plant, format_script, max_admissible_duration, run,
 )
@@ -18,8 +17,8 @@ from .models import builtin, table2_suite
 
 __all__ = [
     "ParseError", "parse_formula", "parse_model", "parse_program",
-    "parse_term", "pretty_print", "evolve_plant", "format_script",
-    "max_admissible_duration", "run",
+    "parse_term", "evolve_plant", "format_script", "max_admissible_duration",
+    "run",
     "SearchConfig", "certify", "check", "derive_controller_witness",
     "builtin", "table2_suite", "__version__",
 ]

@@ -6,7 +6,7 @@ searching for a witness.  The matrix is compiled once per check into
 closures with their polarity fixed, and one loop tries every candidate.
 Candidates come from a coarse-to-fine grid and seeded uniform sampling;
 states stay integer (numerator, denominator) pairs through programs and
-plants, the fixed constants no run assigns are folded into the compiled
+their ODEs, the fixed constants no run assigns are folded into the compiled
 closures, and a Fraction is built only for a certificate.  Modalities
 are decided by script
 enumeration; the diamond-over-env pattern `<e := *; ?P> e = e1` is
@@ -38,9 +38,9 @@ from .obligations import (
 )
 from .parser import parse_term
 from .semantics import (
-    Aborted, Branch, Duration, Final, LoopCount, Plant, RandomValue,
-    _Inexact, _ratio_term, _reduced, compile_fol, eval_fol, eval_term,
-    exact_view, is_exact, polynomial, run,
+    Aborted, Branch, Duration, Final, LoopCount, RandomValue, _Inexact,
+    _ratio_term, _reduced, compile_fol, eval_fol, eval_term, exact_view,
+    is_exact, plant_of, polynomial, run,
 )
 from .syntax import (
     And, Assign, Box, Choice, Cmp, Diamond, Forall, Exists, Iff,
@@ -207,14 +207,13 @@ class _Engine:
     post, and floats after a numeric plant.  A script is a rope of raw
     decisions (see _decisions), made into a decision list only for a
     certificate.  `constants` are the fixed constants folded into the
-    compiled closures; `plants` maps id(ode) to the Plant of each ODE."""
+    compiled closures."""
 
     def __init__(self, obligation: Obligation, config: SearchConfig,
-                 constants, plants):
+                 constants):
         self.obligation = obligation
         self.config = config
         self.constants = constants
-        self.plants = plants
         self.stats = Stats()
         self._rng = None
         self._rng_key = 0
@@ -361,7 +360,7 @@ class _Engine:
                     yield state, ()
             return test
         if isinstance(node, ODE):
-            plant = self.plants[id(node)]
+            plant = plant_of(node)
 
             def evolve(state):
                 for duration in self._durations(state, plant):
@@ -687,13 +686,13 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
 
     # fold the constants no run changes; a numeric plant leaves them floats
     # in its final state, so a matrix with one folds nothing
-    plants = {id(ode): Plant(ode)
-              for program in programs for ode in _odes(program)}
     constants = {k: base[k] for k in obligation.fixed_constants
                  if k not in assigned and k not in quantified}
-    if not constants or any(p.template is None for p in plants.values()):
+    if not constants or any(plant_of(ode).template is None
+                            for program in programs
+                            for ode in _odes(program)):
         constants = None
-    engine = _Engine(obligation, config, constants, plants)
+    engine = _Engine(obligation, config, constants)
     decide = engine.formula(matrix, target)
     for index, candidate in enumerate(_candidates(search_vars, box, config,
                                                   stream_rng)):

@@ -28,8 +28,9 @@ from .obligations import FALSIFY_UNIVERSAL, MissingRelation
 from .parser import ParseError, parse_model, parse_term
 from .printer import print_formula, print_model
 from .semantics import (
-    Aborted, Branch, Duration, Final, LoopCount, Plant, RandomValue,
-    ScriptCursor, ScriptError, eval_fol, eval_term, parse_script, run,
+    Aborted, Branch, Duration, Final, LoopCount, RandomValue, ScriptCursor,
+    ScriptError, eval_fol, eval_term, max_admissible_duration, parse_script,
+    run,
 )
 
 EXIT_OK = 0
@@ -231,6 +232,8 @@ def _initial_state(model: Model, consts):
         state.setdefault(var, Fraction(0))
     state.setdefault(model.time_var, Fraction(0))
     for name, value in consts.items():
+        if name not in state:
+            raise UsageError(f"unknown constant or variable {name!r}")
         state[name] = Fraction(value)
     return state
 
@@ -269,8 +272,6 @@ class _RandomCursor(ScriptCursor):
         super().__init__(())
         self.model = model
         self.rng = rng
-        # one Plant per ODE, keyed by value: each run builds a fresh tree
-        self.plants = {}
 
     def take(self, kind, state, program):
         rng = self.rng
@@ -279,10 +280,7 @@ class _RandomCursor(ScriptCursor):
             return RandomValue(
                 lo + (hi - lo) * Fraction(rng.randrange(1 << 16), 1 << 16))
         if kind is Duration:
-            plant = self.plants.get(program)
-            if plant is None:
-                plant = self.plants[program] = Plant(program)
-            maximum = plant.max_duration(state)
+            maximum = max_admissible_duration(state, program)
             duration = maximum * Fraction(rng.randrange(1 << 16), 1 << 16) \
                 if maximum > 0 else Fraction(0)
             if rng.random() < 0.5 and maximum > 0:

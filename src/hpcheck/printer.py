@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .model import Model
 from .syntax import (
     Add, And, Assign, BoolLit, Box, Choice, Cmp, Diamond, Div, Exists,
     Forall, Iff, Implies, Loop, Mul, Neg, Not, Num, ODE, Or, Pow,
@@ -124,16 +123,6 @@ def print_program(program, level: int = 0) -> str:
     if isinstance(program, Loop):
         return f"{{{print_program(program.body, 0)}}}*"
     raise TypeError(f"not a program: {program!r}")
-
-
-def pretty_print(node) -> str:
-    """Print a formula, program or model deterministically."""
-    if isinstance(node, Model):
-        return print_model(node)
-    try:
-        return print_formula(node)
-    except TypeError:
-        return print_program(node)
 
 
 def print_model(model) -> str:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isfinite
 
 from .syntax import (
@@ -702,15 +703,10 @@ class Plant:
                         first if pairs else Fraction(*first)))
         return Final(end)
 
-    def max_duration(self, state: State):
-        """Supremum of durations for which the domain holds throughout, up
-        to DEFAULT_HORIZON: a Fraction on the template path, a float from
-        bisection on the grid-checked predicate otherwise."""
-        bound = self.duration_bound(state)
-        return Fraction(*bound) if type(bound) is tuple else bound
-
     def duration_bound(self, state: State):
-        """max_duration, with a reduced int pair for its Fraction."""
+        """Supremum of durations for which the domain holds throughout, up
+        to DEFAULT_HORIZON: a reduced int pair on the template path, a float
+        from bisection on the grid-checked predicate otherwise."""
         if not self.domain(state):
             return 0, 1
         if self.template is None:
@@ -753,14 +749,22 @@ class Plant:
         return lo
 
 
+@lru_cache(maxsize=256)
+def plant_of(ode: ODE) -> Plant:
+    """The Plant of `ode`, one per distinct ODE value: the only place a
+    Plant is built."""
+    return Plant(ode)
+
+
 def evolve_plant(state: State, ode: ODE, duration):
-    """Plant(ode).evolve(state, duration)."""
-    return Plant(ode).evolve(state, duration)
+    """plant_of(ode).evolve(state, duration)."""
+    return plant_of(ode).evolve(state, duration)
 
 
 def max_admissible_duration(state: State, ode: ODE):
-    """Plant(ode).max_duration(state)."""
-    return Plant(ode).max_duration(state)
+    """plant_of(ode).duration_bound(state), with a Fraction for its pair."""
+    bound = plant_of(ode).duration_bound(state)
+    return Fraction(*bound) if type(bound) is tuple else bound
 
 
 # Float kernel.  A plant outside the closed-form template is integrated by
@@ -940,8 +944,7 @@ def run(state: State, program, script):
     cursor = script if isinstance(script, ScriptCursor) else ScriptCursor(script)
     clock = [Fraction(0)]
     trace = [TraceStep(clock[0], "init", dict(state))]
-    plants = {}  # id(ode) -> Plant, built once per distinct ODE
-    outcome = _exec(dict(state), program, cursor, trace, clock, plants)
+    outcome = _exec(dict(state), program, cursor, trace, clock)
     if isinstance(outcome, Final) and not cursor.exhausted():
         raise ScriptError(
             f"surplus script decisions from position {cursor.index}")
@@ -952,7 +955,7 @@ def _record(trace, clock, label, state):
     trace.append(TraceStep(clock[0], label, dict(state)))
 
 
-def _exec(state, program, cursor, trace, clock, plants):
+def _exec(state, program, cursor, trace, clock):
     if isinstance(program, Assign):
         state = dict(state)
         state[program.var] = eval_term(state, program.term)
@@ -971,10 +974,7 @@ def _exec(state, program, cursor, trace, clock, plants):
         return Aborted(program.condition, state)
     if isinstance(program, ODE):
         decision = cursor.take(Duration, state, program)
-        plant = plants.get(id(program))
-        if plant is None:
-            plant = plants[id(program)] = Plant(program)
-        outcome = plant.evolve(state, decision.value)
+        outcome = evolve_plant(state, program, decision.value)
         if isinstance(outcome, Final):
             clock[0] = clock[0] + decision.value
             _record(trace, clock, "ode", outcome.state)
@@ -982,16 +982,16 @@ def _exec(state, program, cursor, trace, clock, plants):
     if isinstance(program, Choice):
         decision = cursor.take(Branch, state, program)
         chosen = program.left if decision.side == "left" else program.right
-        return _exec(state, chosen, cursor, trace, clock, plants)
+        return _exec(state, chosen, cursor, trace, clock)
     if isinstance(program, Seq):
-        outcome = _exec(state, program.first, cursor, trace, clock, plants)
+        outcome = _exec(state, program.first, cursor, trace, clock)
         if isinstance(outcome, Aborted):
             return outcome
-        return _exec(outcome.state, program.second, cursor, trace, clock, plants)
+        return _exec(outcome.state, program.second, cursor, trace, clock)
     if isinstance(program, Loop):
         decision = cursor.take(LoopCount, state, program)
         for _ in range(decision.count):
-            outcome = _exec(state, program.body, cursor, trace, clock, plants)
+            outcome = _exec(state, program.body, cursor, trace, clock)
             if isinstance(outcome, Aborted):
                 return outcome
             state = outcome.state

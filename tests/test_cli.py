@@ -230,10 +230,15 @@ def test_const_override_must_satisfy_the_constraints(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"error: --const: {message}\n"
-    # an initial value for a state variable is no constant
+    # an initial value for a state variable is no constant, but a name that
+    # is neither is an error
     code, _, _ = run_cli(capsys, "simulate", "m2", "--const", "x=-5",
                          "--random", "3")
     assert code == 0
+    code, out, err = run_cli(capsys, "simulate", "m2", "--const", "zz=3",
+                             "--random", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown constant or variable 'zz'\n"
 
 
 def test_a_constant_outside_its_constraint_is_a_parse_error(tmp_path,
@@ -451,29 +456,58 @@ def test_simulate_random_is_pinned(tmp_path, capsys, model, seed, runs,
     assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == digest
 
 
-def test_simulate_random_builds_one_cursor_plant_per_ode(monkeypatch, capsys):
-    # each run matches its plant's template once; drawing durations adds
-    # one more match per ODE for the whole simulation, not one per decision
-    matches, per_run = [], []
-    original, original_run = semantics.closed_form_template, cli.run
+def test_each_distinct_ode_gets_one_plant(monkeypatch, capsys):
+    # a Plant is built once per distinct ODE value, whoever asks for it:
+    # two parses of m2, six runs, simulate --random and check share one
+    from hpcheck.models import builtin, fig2_script
+    from hpcheck.parser import parse_model
+    semantics.plant_of.cache_clear()
+    matches = []
+    original = semantics.closed_form_template
 
     def counting(ode):
         matches.append(ode)
         return original(ode)
-
-    def counting_run(*args):
-        before = len(matches)
-        outcome = original_run(*args)
-        per_run.append(len(matches) - before)
-        return outcome
     monkeypatch.setattr(semantics, "closed_form_template", counting)
-    monkeypatch.setattr(cli, "run", counting_run)
+    source = builtin("m2").source
+    models = [parse_model(source, name="m2") for _ in range(2)]
+    assert models[0].plant is not models[1].plant
+    for model in models * 3:
+        state = cli._initial_state(model, {})
+        _, trace = semantics.run(state, model.loop_program(), fig2_script())
+        assert [step.label for step in trace].count("ode") == 1
+    for argv in (("simulate", "m2", "--random", "100", "--seed", "3"),
+                 ("check", "m2", "--invariant", "zeta1",
+                  "--obligation", "gamma")):
+        assert run_cli(capsys, *argv)[0] in (0, 1)
+    assert matches == [models[0].plant.second]
+
+
+def test_plants_are_reached_through_the_traced_functions(monkeypatch,
+                                                         capsys):
+    # the benchmark's tracer wraps semantics.evolve_plant and
+    # max_admissible_duration by name in every module that holds them: run
+    # evolves through the first, simulate --random sizes each duration
+    # through the second
+    counts = {"evolve_plant": 0, "max_admissible_duration": 0}
+    for name in counts:
+        original = getattr(semantics, name)
+
+        def wrapper(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+        for module in (semantics, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    code, _, _ = run_cli(capsys, "simulate", "m2", "--script", "fig2")
+    assert code == 0
+    assert counts == {"evolve_plant": 1, "max_admissible_duration": 0}
     code, _, _ = run_cli(capsys, "simulate", "m2", "--random", "100",
                          "--seed", "3")
-    assert code == 0 and len(per_run) == 100
-    reached = sum(1 for n in per_run if n)  # runs that evolved the plant
-    assert reached > 20
-    assert len(matches) - reached == 1
+    assert code == 0
+    # one duration drawn for each evolution
+    assert counts["max_admissible_duration"] == counts["evolve_plant"] - 1
+    assert counts["max_admissible_duration"] > 20
 
 
 # sha256 of `table2 --format json --budget 2000` stdout, taken before the

@@ -187,7 +187,7 @@ def test_plant_aborts_at_a_disequality_crossing_between_the_ends():
     plant = Plant(ode)
     assert plant.template is not None
     state = {"x": F(0), "v": F(1), "a": F(-1), "t": F(0)}
-    assert plant.max_duration(state) == F(1)
+    assert max_admissible_duration(state, ode) == F(1)
     outcome = plant.evolve(state, F(2))
     assert isinstance(outcome, Aborted)
     assert (outcome.state["v"], outcome.state["t"]) == (F(0), F(1))
@@ -234,24 +234,6 @@ def test_template_max_duration_matches_max_admissible_duration():
                 later = evolve_plant(state, ode, m + F(1, 10**6))
                 assert isinstance(later, Aborted)
     assert 0 < outside < checked
-
-
-def test_run_matches_each_plant_template_once(monkeypatch):
-    calls = []
-    original = semantics.closed_form_template
-
-    def counting(ode):
-        calls.append(ode)
-        return original(ode)
-    monkeypatch.setattr(semantics, "closed_form_template", counting)
-    model = builtin("m2")
-    script = [LoopCount(2),
-              RandomValue(F(5)), RandomValue(F(0)), Branch("right"), Duration(F(1)),
-              RandomValue(F(5)), RandomValue(F(0)), Branch("right"), Duration(F(1))]
-    outcome, trace = run(base_state(xc=5), model.loop_program(), script)
-    assert isinstance(outcome, Final)
-    assert [step.label for step in trace].count("ode") == 2
-    assert calls == [model.plant.second]
 
 
 def _syntactic_degree(term, variables):
@@ -372,7 +354,7 @@ def test_template_max_duration_parity_with_fraction_reference():
                 state["tau"] = abs(state["tau"]) / 8
                 state["T"] = abs(state["T"]) + 3
                 state["w"] = state["v"]
-            m = plant.max_duration(state)
+            m = max_admissible_duration(state, ode)
             assert type(m) is Fraction
             assert m == _reference_max_duration(state, ode)
             held += eval_fol(state, ode.domain)
@@ -386,7 +368,7 @@ def test_template_max_duration_parity_with_fraction_reference():
     state["v"] = 0.3
     state["a"] = -0.9  # 0.3 + -0.9 rounds in float arithmetic
     exact = dict(state, v=Fraction(0.3), a=Fraction(-0.9))
-    m = Plant(ode).max_duration(state)
+    m = max_admissible_duration(state, ode)
     assert type(m) is Fraction
     assert m == _reference_max_duration(exact, ode)
     assert m != _reference_max_duration(state, ode)
@@ -472,11 +454,11 @@ NUMERIC_PLANTS = [
 
 
 def test_numeric_plant_outcomes_are_pinned():
-    # one sha256 over repr of every evolve and max_duration outcome (or its
-    # exception) of seeded cases of NUMERIC_PLANTS, the x' = x * x blowup
-    # and states that lack a variable; taken before the numeric path
-    # compiled its kernel: floats, key order, failed tests and exceptions
-    # stay as they were
+    # one sha256 over repr of every evolve and max_admissible_duration
+    # outcome (or its exception) of seeded cases of NUMERIC_PLANTS, the
+    # x' = x * x blowup and states that lack a variable; taken before the
+    # numeric path compiled its kernel: floats, key order, failed tests and
+    # exceptions stay as they were
     rng = random.Random(10)
     records = []
 
@@ -501,12 +483,13 @@ def test_numeric_plant_outcomes_are_pinned():
                         else rng.uniform(0, 3))
             record(plant.evolve, state, duration)
             if index < 2:
-                record(plant.max_duration, state)
+                record(max_admissible_duration, state, plant.ode)
     blowup = Plant(parse_program("{x' = x * x}"))
     for start in (F(1), 1.5):
         assert record(blowup.evolve, {"x": start}, 2) \
             == "NumericBlowup('x')"
-    assert record(blowup.max_duration, {"x": F(1)}) == "NumericBlowup('x')"
+    assert record(max_admissible_duration, {"x": F(1)}, blowup.ode) \
+        == "NumericBlowup('x')"
     drag = Plant(parse_program(NUMERIC_PLANTS[0][0]))
     full = {"x": F(0), "v": F(1), "a": F(-1), "tau": F(0), "T": F(2)}
     for missing in ("v", "a"):
@@ -554,9 +537,9 @@ def test_plant_on_pair_states_matches_the_fraction_path():
                 state[var] = F(rng.randint(-24, 24), rng.choice((1, 2, 3, 8)))
             state["v"], state["tau"] = abs(state["v"]), abs(state["tau"]) / 8
             pairs = _as_pairs(rng, state)
-            m = plant.max_duration(state)
+            m = max_admissible_duration(state, ode)
             assert plant.duration_bound(pairs) == m.as_integer_ratio()
-            assert plant.max_duration(pairs) == m
+            assert max_admissible_duration(pairs, ode) == m
             t = rng.choice((m, m / 2, F(rng.randint(0, 40), rng.choice((3, 8)))))
             [t_pair] = _as_pairs(rng, {"t": t}).values()
             want, got = plant.evolve(state, t), plant.evolve(pairs, t_pair)
@@ -570,7 +553,8 @@ def test_plant_on_pair_states_matches_the_fraction_path():
                 aborts += 1
     assert finals > 400 and aborts > 300
     for text, names in NUMERIC_PLANTS:
-        plant = Plant(parse_program(text))
+        ode = parse_program(text)
+        plant = Plant(ode)
         for index in range(6):
             state = {name: F(rng.randint(-4, 16), rng.choice((1, 3, 8)))
                      for name in names}
@@ -580,8 +564,8 @@ def test_plant_on_pair_states_matches_the_fraction_path():
             assert _outcome_repr(plant.evolve, pairs, t_pair) \
                 == _outcome_repr(plant.evolve, state, duration)
             if index < 2:
-                assert _outcome_repr(plant.max_duration, pairs) \
-                    == _outcome_repr(plant.max_duration, state)
+                assert _outcome_repr(max_admissible_duration, pairs, ode) \
+                    == _outcome_repr(max_admissible_duration, state, ode)
 
 
 def test_run_counts_time_across_iterations():
