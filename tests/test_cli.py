@@ -456,6 +456,32 @@ def test_simulate_random_is_pinned(tmp_path, capsys, model, seed, runs,
     assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == digest
 
 
+def test_simulate_random_builds_one_cursor_plant_per_ode(monkeypatch, capsys):
+    from hpcheck.models import builtin
+    # many runs evolve the plant and each decision draws a duration, yet the
+    # whole simulation matches the ODE's template once
+    semantics.plant_of.cache_clear()
+    matches, per_run = [], []
+    original, original_run = semantics.closed_form_template, cli.run
+
+    def counting(ode):
+        matches.append(ode)
+        return original(ode)
+
+    def counting_run(*args):
+        outcome, trace = original_run(*args)
+        per_run.append([step.label for step in trace].count("ode"))
+        return outcome, trace
+    monkeypatch.setattr(semantics, "closed_form_template", counting)
+    monkeypatch.setattr(cli, "run", counting_run)
+    code, _, _ = run_cli(capsys, "simulate", "m2", "--random", "100",
+                         "--seed", "3")
+    assert code == 0 and len(per_run) == 100
+    reached = sum(1 for n in per_run if n)  # runs that evolved the plant
+    assert reached > 20
+    assert matches == [builtin("m2").plant.second]
+
+
 def test_each_distinct_ode_gets_one_plant(monkeypatch, capsys):
     # a Plant is built once per distinct ODE value, whoever asks for it:
     # two parses of m2, six runs, simulate --random and check share one

@@ -236,6 +236,26 @@ def test_template_max_duration_matches_max_admissible_duration():
     assert 0 < outside < checked
 
 
+def test_run_matches_each_plant_template_once(monkeypatch):
+    # two evolutions of one ODE in one run match its template once
+    semantics.plant_of.cache_clear()
+    calls = []
+    original = semantics.closed_form_template
+
+    def counting(ode):
+        calls.append(ode)
+        return original(ode)
+    monkeypatch.setattr(semantics, "closed_form_template", counting)
+    model = builtin("m2")
+    script = [LoopCount(2),
+              RandomValue(F(5)), RandomValue(F(0)), Branch("right"), Duration(F(1)),
+              RandomValue(F(5)), RandomValue(F(0)), Branch("right"), Duration(F(1))]
+    outcome, trace = run(base_state(xc=5), model.loop_program(), script)
+    assert isinstance(outcome, Final)
+    assert [step.label for step in trace].count("ode") == 2
+    assert calls == [model.plant.second]
+
+
 def _syntactic_degree(term, variables):
     """Degree of a term in `variables` counted on its syntax, or None when a
     divisor holds one of them."""
