@@ -748,40 +748,44 @@ def _odes(program):
 # ---------------------------------------------------------------------------
 # Obligation selection
 
-_ALL_SELECTORS = ("loop", "rho", "exploit", "chi", "not-chi", "friendly")
+def _psi_obligations(model, zeta):
+    # controller necessity of the braking instantiation a := -anmin
+    if "zeta_iter" not in model.invariants:
+        raise SelectorError("psi needs an invariant named zeta_iter")
+    return [psi_obligation(model, model.invariants["zeta_iter"],
+                           model.action_var, parse_term("-anmin"))]
+
+
+# Each `--obligation` selector, in the order of `--help`: whether "all"
+# takes it, and its obligations for (model, invariant).
+_SELECTOR_TABLE = {
+    "loop": (True, loop_obligations),
+    "rho": (True, lambda model, zeta: [rho_obligation(model, zeta)]),
+    # the preservation branch of the loop rule only
+    "gamma": (False, lambda model, zeta: loop_obligations(model, zeta)[1:2]),
+    "exploit": (True,
+                lambda model, zeta: [exploit_witness_formula(model, zeta)]),
+    "chi": (True, lambda model, zeta: [chi_obligation(model, zeta)[0]]),
+    "not-chi": (True, lambda model, zeta: [chi_obligation(model, zeta)[1]]),
+    "psi": (False, _psi_obligations),
+    "friendly": (True, lambda model, zeta: [friendliness_probe(model)]),
+}
+SELECTORS = (*_SELECTOR_TABLE, "all")
 
 
 def obligations_for(model, zeta_name: str, selector: str) -> list:
-    """The obligations of one `--obligation` selector (loop, gamma, rho,
-    exploit, chi, not-chi, psi, friendly or all) or suite conjunct name
-    (not_chi) for the model's invariant `zeta_name`."""
+    """The obligations of one `--obligation` selector (see SELECTORS) or
+    suite conjunct name (not_chi) for the model's invariant `zeta_name`."""
     if zeta_name not in model.invariants:
         raise SelectorError(f"unknown invariant {zeta_name!r}")
     zeta = model.invariants[zeta_name]
     if selector == "all":
-        return [ob for name in _ALL_SELECTORS
-                for ob in obligations_for(model, zeta_name, name)]
-    if selector == "loop":
-        return loop_obligations(model, zeta)
-    if selector == "gamma":
-        return loop_obligations(model, zeta)[1:2]  # preservation branch only
-    if selector == "rho":
-        return [rho_obligation(model, zeta)]
-    if selector == "exploit":
-        return [exploit_witness_formula(model, zeta)]
-    if selector == "chi":
-        return [chi_obligation(model, zeta)[0]]
-    if selector in ("not-chi", "not_chi"):
-        return [chi_obligation(model, zeta)[1]]
-    if selector == "psi":
-        # controller necessity of the braking instantiation a := -anmin
-        if "zeta_iter" not in model.invariants:
-            raise SelectorError("psi needs an invariant named zeta_iter")
-        return [psi_obligation(model, model.invariants["zeta_iter"],
-                               model.action_var, parse_term("-anmin"))]
-    if selector == "friendly":
-        return [friendliness_probe(model)]
-    raise SelectorError(f"unknown obligation selector {selector!r}")
+        return [ob for in_all, build in _SELECTOR_TABLE.values() if in_all
+                for ob in build(model, zeta)]
+    entry = _SELECTOR_TABLE.get(selector.replace("_", "-"))
+    if entry is None:
+        raise SelectorError(f"unknown obligation selector {selector!r}")
+    return entry[1](model, zeta)
 
 
 def derive_controller_witness(model, zeta_instantiated, psi_verdict):
@@ -803,7 +807,7 @@ def derive_controller_witness(model, zeta_instantiated, psi_verdict):
     combined = list(env_aux_script) + list(plant_script)
     _, not_chi = chi_obligation(model, zeta_instantiated)
     assignment = dict(psi_cex.assignment)
-    for var in not_chi.quantified_vars():
+    for var in not_chi.split()[0]:
         if var not in assignment:
             lo, hi = not_chi.search_box[var]
             assignment[var] = (lo + hi) / 2

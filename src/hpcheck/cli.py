@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -19,27 +20,25 @@ from fractions import Fraction
 
 from . import __version__
 from .checker import (
-    NOT_FALSIFIED, VERDICT_VOCABULARY, WITNESS_FOUND, CheckError,
-    SearchConfig, SelectorError, check, obligations_for,
+    NOT_FALSIFIED, SELECTORS, VERDICT_VOCABULARY, WITNESS_FOUND, CheckError,
+    SearchConfig, SelectorError, UnsupportedObligation, check,
+    obligations_for,
 )
-from .model import Constant, Model, broken_constraint, domain_key
+from .model import Model, broken_constraint, domain_key
 from .models import MODEL_IDS, builtin, fig2_script, table2_suite
 from .obligations import FALSIFY_UNIVERSAL, MissingRelation
 from .parser import ParseError, parse_model, parse_term
 from .printer import print_formula, print_model
 from .semantics import (
-    Aborted, Branch, Duration, Final, LoopCount, RandomValue, ScriptCursor,
-    ScriptError, eval_fol, eval_term, max_admissible_duration, parse_script,
-    run,
+    Aborted, Branch, Duration, Final, LoopCount, QuantifierInFormula,
+    RandomValue, ScriptCursor, ScriptError, eval_fol, eval_term,
+    max_admissible_duration, parse_script, run,
 )
 
 EXIT_OK = 0
 EXIT_FOUND = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-SELECTORS = ("loop", "rho", "gamma", "exploit", "chi", "not-chi", "psi",
-             "friendly", "all")
 
 CAVEAT = ("note: 'consistent with valid' / 'no witness within budget' are "
           "budget-exhausted search results, not proofs")
@@ -55,7 +54,8 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (UsageError, ParseError, ScriptError, MissingRelation,
-            SelectorError, FileNotFoundError) as exc:
+            SelectorError, UnsupportedObligation, QuantifierInFormula,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CheckError as exc:
@@ -119,9 +119,7 @@ def _add_flags(p, *names):
 
 def _load_model(path: str) -> Model:
     if path in MODEL_IDS:
-        # a fresh parse: --box/--const may mutate the returned model, and
-        # the builtin() instance is cached and shared
-        return parse_model(builtin(path).source, name=path)
+        return builtin(path)
     with open(path) as fh:
         text = fh.read()
     name = os.path.splitext(os.path.basename(path))[0]
@@ -150,7 +148,9 @@ def _parse_const_value(text):
 
 
 def _apply_overrides(model: Model, args):
-    """Return (box overrides, constant overrides) from CLI flags."""
+    """Return (model with the overrides, box overrides, constant overrides)
+    from CLI flags.  A constant override that names no constant of the
+    model is kept in the third only."""
     boxes = {}
     for var, spec in _parse_pairs(args.box, "box").items():
         if domain_key(model.domains, var) is None:
@@ -171,8 +171,11 @@ def _apply_overrides(model: Model, args):
         constant, conjunct = broken
         raise UsageError(f"--const: {constant.name} = {values[constant.name]}"
                          f" violates its constraint {print_formula(conjunct)}")
-    model.domains.update(boxes)
-    return boxes, consts
+    constants = [dataclasses.replace(c, value=values[c.name])
+                 for c in model.constants]
+    return (dataclasses.replace(model, domains={**model.domains, **boxes},
+                                constants=constants),
+            boxes, consts)
 
 
 def _config_echo(args, boxes, consts):
@@ -292,8 +295,7 @@ class _RandomCursor(ScriptCursor):
 
 
 def cmd_simulate(args) -> int:
-    model = _load_model(args.model)
-    boxes, consts = _apply_overrides(model, args)
+    model, boxes, consts = _apply_overrides(_load_model(args.model), args)
     state = _initial_state(model, consts)
     report = {
         "version": __version__,
@@ -371,17 +373,39 @@ def _make_config(args) -> SearchConfig:
         raise UsageError(str(exc)) from None
 
 
+def _content_key(ob):
+    """Cache key of what an obligation asks.  check() is deterministic in
+    the obligation's content and derives its seed from the name, so equal
+    keys get byte-identical verdicts whichever row asked."""
+    return (ob.name, ob.kind, ob.formula,
+            tuple(sorted(ob.search_box.items())),
+            tuple(sorted(ob.fixed_constants.items())))
+
+
+def _verdicts(obligations, config):
+    """One verdict per obligation, in order; each distinct obligation is
+    checked once."""
+    checked, out = {}, []
+    for ob in obligations:
+        key = _content_key(ob)
+        if key not in checked:
+            checked[key] = check(ob, config)
+        out.append(checked[key])
+    return out
+
+
 def cmd_check(args) -> int:
-    model = _load_model(args.model)
-    boxes, consts = _apply_overrides(model, args)
-    if consts:
-        _override_constants(model, consts)
+    model, boxes, consts = _apply_overrides(_load_model(args.model), args)
+    names = sorted(model.constant_values())
+    for name in consts:
+        if name not in names:
+            raise UsageError(f"unknown constant {name!r}; model has {names}")
     if args.invariant not in model.invariants:
         raise UsageError(f"unknown invariant {args.invariant!r}; "
                          f"model has {sorted(model.invariants)}")
     config = _make_config(args)
-    verdicts = [check(obligation, config) for obligation in
-                obligations_for(model, args.invariant, args.obligation)]
+    verdicts = _verdicts(
+        obligations_for(model, args.invariant, args.obligation), config)
     report = {
         "version": __version__,
         "model": model.name,
@@ -414,65 +438,29 @@ def cmd_check(args) -> int:
     return EXIT_FOUND if found else EXIT_OK
 
 
-def _override_constants(model: Model, consts):
-    names = sorted(c.name for c in model.constants)
-    for name in consts:
-        if name not in names:
-            raise UsageError(f"unknown constant {name!r}; model has {names}")
-    replaced = []
-    for c in model.constants:
-        if c.name in consts:
-            replaced.append(Constant(c.name, Fraction(consts[c.name]),
-                                     c.constraint))
-        else:
-            replaced.append(c)
-    model.constants = replaced
-
-
 # ---------------------------------------------------------------------------
 # table2
-
-def _table2_obligations(row):
-    model = builtin(row.model_id)
-    obligations = list(obligations_for(model, row.invariant, "loop"))
-    for conjunct in row.conjuncts:
-        obligations.extend(obligations_for(model, row.invariant, conjunct))
-    return obligations
-
-
-def _content_key(ob):
-    """Cache key of what an obligation asks.  check() is deterministic in
-    the obligation's content and derives its seed from the name, so equal
-    keys get byte-identical verdicts whichever row asked."""
-    return (ob.name, ob.kind, ob.formula,
-            tuple(sorted(ob.search_box.items())),
-            tuple(sorted(ob.fixed_constants.items())))
-
 
 def cmd_table2(args) -> int:
     config = _make_config(args)
     rows = table2_suite()
-    row_keys = []
-    unique = {}  # several rows share obligations; each is checked once
-    for row in rows:
-        keys = []
-        for ob in _table2_obligations(row):
-            key = _content_key(ob)
-            unique.setdefault(key, ob)
-            keys.append(key)
-        row_keys.append(keys)
-    checked = {key: check(ob, config) for key, ob in unique.items()}
-
+    row_obligations = [
+        [ob for selector in ("loop", *row.conjuncts)
+         for ob in obligations_for(builtin(row.model_id), row.invariant,
+                                   selector)]
+        for row in rows]
+    verdicts = iter(_verdicts([ob for obs in row_obligations for ob in obs],
+                              config))
     report_rows = []
     lines = [f"{'model':5s} {'invariant':10s} {'conjuncts':16s} "
              f"{'expected':8s} {'ours':5s} match"]
     all_match = True
-    for row, keys in zip(rows, row_keys):
-        verdicts = [checked[key] for key in keys]
+    for row, obligations in zip(rows, row_obligations):
+        row_verdicts = [next(verdicts) for _ in obligations]
         passed = all(
             v.status == NOT_FALSIFIED if v.obligation.kind == FALSIFY_UNIVERSAL
             else v.status == WITNESS_FOUND
-            for v in verdicts)
+            for v in row_verdicts)
         ours = "Yes" if passed else "No"
         match = ours == row.expected
         all_match = all_match and match
@@ -487,7 +475,7 @@ def cmd_table2(args) -> int:
             "computed": ours,
             "match": match,
             "reason": row.reason,
-            "verdicts": [v.to_json() for v in verdicts],
+            "verdicts": [v.to_json() for v in row_verdicts],
         })
     lines.append(CAVEAT)
     lines.append("all rows match" if all_match else "MISMATCH: see rows above")

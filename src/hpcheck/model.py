@@ -51,7 +51,6 @@ class Model:
     action_var: str | None = None
     state_vars: list = field(default_factory=list)
     time_var: str = "tau"
-    plant_ode: ODE | None = None
 
     def constant_values(self) -> dict:
         return {c.name: c.value for c in self.constants}
@@ -168,12 +167,10 @@ def detect_shape(model: Model):
     plant = _plant_shape(model.plant, set(model.constant_values()))
     if plant is not None:
         model.time_var = plant[0]
-        model.plant_ode = plant[1]
         model.state_vars = [v for v, _ in plant[1].equations if v != plant[0]]
     else:
         nonstandard = True
         if isinstance(model.plant, ODE):
-            model.plant_ode = model.plant
             model.state_vars = [v for v, _ in model.plant.equations]
     model.nonstandard_shape = nonstandard
     return model

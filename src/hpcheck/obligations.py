@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .model import Model
-from .printer import print_formula
 from .syntax import (
     And, Box, Cmp, Diamond, Exists, Forall, Formula, Implies, Not, Seq, Var,
     free_variables, substitute,
@@ -34,14 +33,6 @@ class Obligation:
     search_box: dict = field(default_factory=dict)
     fixed_constants: dict = field(default_factory=dict)
 
-    def quantified_vars(self):
-        vars_, _ = self.split()
-        return vars_
-
-    def matrix(self):
-        _, matrix = self.split()
-        return matrix
-
     def split(self):
         ctor = Forall if self.kind == FALSIFY_UNIVERSAL else Exists
         vars_ = []
@@ -50,17 +41,6 @@ class Obligation:
             vars_.append(node.var)
             node = node.body
         return vars_, node
-
-    def to_json(self):
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "formula": print_formula(self.formula),
-            "search_box": {v: [str(lo), str(hi)]
-                           for v, (lo, hi) in sorted(self.search_box.items())},
-            "fixed_constants": {k: str(v)
-                                for k, v in sorted(self.fixed_constants.items())},
-        }
 
 
 def _ordered_vars(model: Model, names) -> list:
@@ -77,6 +57,8 @@ def _ordered_vars(model: Model, names) -> list:
 
 def _close(model: Model, name: str, matrix: Formula, kind: str,
            quantified=None) -> Obligation:
+    """Quantify `matrix` over `quantified`, by default every free variable
+    of the matrix but the constants and the clock."""
     constants = model.constant_values()
     if quantified is None:
         quantified = free_variables(matrix) - set(constants) - {model.time_var}
@@ -92,17 +74,10 @@ def _close(model: Model, name: str, matrix: Formula, kind: str,
 def loop_obligations(model: Model, zeta: Formula) -> list:
     """The three loop-rule branches, all universally closed."""
     _require_declared(model, zeta)
-    step_vars = set(model.state_vars) | free_variables(zeta) - set(
-        model.constant_values())
-    if model.env_var:
-        step_vars.add(model.env_var)
-    if model.action_var:
-        step_vars.add(model.action_var)
-    step_vars.discard(model.time_var)
     return [
         _close(model, "loop_i", Implies(model.init, zeta), FALSIFY_UNIVERSAL),
         _close(model, "loop_ii", Implies(zeta, Box(model.loop_body(), zeta)),
-               FALSIFY_UNIVERSAL, quantified=step_vars),
+               FALSIFY_UNIVERSAL),
         _close(model, "loop_iii", Implies(zeta, model.guarantee),
                FALSIFY_UNIVERSAL),
     ]
@@ -153,17 +128,8 @@ def chi_obligation(model: Model, zeta: Formula):
     uncontrolled = Seq(model.env, Seq(model.aux, model.plant))
     chi_matrix = Implies(zeta, Box(uncontrolled, zeta))
     not_chi_matrix = And(zeta, Diamond(uncontrolled, Not(zeta)))
-    step_vars = (set(model.state_vars) | free_variables(zeta)
-                 - set(model.constant_values()) - {model.time_var})
-    if model.env_var:
-        step_vars.add(model.env_var)
-    if model.action_var:
-        step_vars.add(model.action_var)
-    chi = _close(model, "chi", chi_matrix, FALSIFY_UNIVERSAL,
-                 quantified=step_vars)
-    not_chi = _close(model, "not_chi", not_chi_matrix, FIND_WITNESS,
-                     quantified=step_vars)
-    return chi, not_chi
+    return (_close(model, "chi", chi_matrix, FALSIFY_UNIVERSAL),
+            _close(model, "not_chi", not_chi_matrix, FIND_WITNESS))
 
 
 def psi_obligation(model: Model, zeta_general: Formula, instantiation_var: str,
@@ -177,6 +143,8 @@ def psi_obligation(model: Model, zeta_general: Formula, instantiation_var: str,
     env_aux = Seq(model.env, model.aux)
     inner = And(Not(zeta_general), Diamond(model.plant, Not(zeta_inst)))
     matrix = And(zeta_inst, Diamond(env_aux, inner))
+    # not the default closure: the action variable, which aux assigns, is
+    # left out
     quantified = (free_variables(zeta_inst) | set(model.state_vars)) \
         - set(model.constant_values()) - {model.time_var}
     if model.env_var:
@@ -192,6 +160,8 @@ def friendliness_probe(model: Model) -> Obligation:
     e, e_post, _ = _relation_vars(model)
     matrix = And(model.relation,
                  Not(Diamond(model.env, Cmp("=", Var(e), Var(e_post)))))
+    # not the default closure: every declared variable is quantified,
+    # whether the matrix reads it or not
     quantified = (model.declared_variables() | {e_post}) \
         - set(model.constant_values()) - {model.time_var}
     return _close(model, "friendly", matrix, FIND_WITNESS,

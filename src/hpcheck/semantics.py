@@ -738,15 +738,23 @@ class Plant:
 
     def _bisect(self, state):
         lo, hi = 0.0, float(DEFAULT_HORIZON)
-        if isinstance(self.evolve(state, hi), Final):
+        if self._admits(state, hi):
             return hi
         while hi - lo > DURATION_TOL:
             mid = (lo + hi) / 2
-            if isinstance(self.evolve(state, mid), Final):
+            if self._admits(state, mid):
                 lo = mid
             else:
                 hi = mid
         return lo
+
+    def _admits(self, state, duration):
+        """Whether the domain holds throughout `duration`; a run that blows
+        up before its end does not."""
+        try:
+            return isinstance(self.evolve(state, duration), Final)
+        except (NumericBlowup, OverflowError):
+            return False
 
 
 @lru_cache(maxsize=256)

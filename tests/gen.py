@@ -228,7 +228,7 @@ def brute_force_decide(obligation: Obligation, grid: dict) -> bool:
     """True iff a falsifying assignment / witness exists on the grid."""
     names = list(grid)
     target = obligation.kind == FIND_WITNESS
-    matrix = obligation.matrix()
+    _, matrix = obligation.split()
     for combo in product(*(grid[n] for n in names)):
         state = dict(zip(names, combo))
         if _modal_truth(state, matrix) == target:

@@ -666,3 +666,108 @@ def test_printed_certificates_certify_from_the_json_alone(tmp_path, capsys):
         exactness.append(verdict["certificate"]["exact"])
     # table2's five findings are exact; the drag plant's is numeric
     assert exactness == [True] * 5 + [False]
+
+
+def test_a_variable_only_aux_reads_is_quantified(tmp_path, capsys):
+    # loop_ii, chi and not_chi close over every free variable of their
+    # matrix, so a variable that only a test reads is searched, not left
+    # uncoverable
+    from hpcheck.models import builtin
+    path = tmp_path / "w.hpmodel"
+    path.write_text(builtin("m2").source.replace(
+        "a <= anmax)", "a <= anmax & w >= 0)", 1))
+    for selector in ("gamma", "chi", "not-chi"):
+        code, out, err = run_cli(capsys, "check", str(path), "--invariant",
+                                 "zeta1", "--obligation", selector,
+                                 "--budget", "1000", "--format", "json")
+        assert err == ""
+        assert code in (0, 1)
+        [verdict] = json.loads(out)["verdicts"]
+        if "certificate" in verdict:
+            assert "w" in verdict["certificate"]["assignment"]
+
+
+def test_overrides_leave_the_builtin_model_unchanged(capsys):
+    from hpcheck.models import builtin
+    model = builtin("m2")
+    domains, constants = dict(model.domains), list(model.constants)
+    for argv in (("check", "m2", "--invariant", "zeta1", "--obligation",
+                  "loop", "--budget", "50"),
+                 ("simulate", "m2", "--random", "2")):
+        code, _, err = run_cli(capsys, *argv, "--box", "x=0:1",
+                               "--const", "T=2")
+        assert (code, err) == (0, "")
+        assert builtin("m2") is model
+        assert (model.domains, model.constants) == (domains, constants)
+
+
+UNSUPPORTED = [
+    ("INVARIANT zq\n  forall y (y >= 0 -> x <= xc)\n", "zq",
+     "error: inner quantifiers are not supported; close the formula "
+     "instead\n"),
+    ("INVARIANT zb\n  [x := x + 1] x <= xc\n", "zb",
+     "error: cannot establish a box by search; negate the obligation\n"),
+]
+
+
+@pytest.mark.parametrize("section, name, message", UNSUPPORTED,
+                         ids=["quantifier", "box"])
+def test_an_unsupported_invariant_is_a_usage_error(tmp_path, capsys,
+                                                   section, name, message):
+    from hpcheck.models import builtin
+    path = tmp_path / "unsupported.hpmodel"
+    path.write_text(builtin("m2").source + "\n" + section)
+    code, out, err = run_cli(capsys, "check", str(path), "--invariant", name,
+                             "--obligation", "gamma", "--budget", "100")
+    assert (code, out, err) == (2, "", message)
+
+
+def test_a_quantified_guarantee_is_a_usage_error_in_simulate(tmp_path,
+                                                             capsys):
+    from hpcheck.models import builtin
+    path = tmp_path / "guarantee.hpmodel"
+    source = builtin("m2").source
+    assert "GUARANTEE\n  x <= xc\n" in source
+    path.write_text(source.replace(
+        "GUARANTEE\n  x <= xc\n",
+        "GUARANTEE\n  forall y (y >= 0 -> x <= xc)\n"))
+    code, out, err = run_cli(capsys, "simulate", str(path), "--random", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: quantified formulas are decided by search\n"
+
+
+BLOWUP_MODEL = """
+CONSTANTS
+  T = 1 : T > 0
+DOMAINS
+  x = [0, 10]
+INIT
+  x = 1
+GUARANTEE
+  x <= 100
+ENV
+  ?true
+AUX
+  ?true
+CTRL
+  ?true
+PLANT
+  tau := 0; {x' = x^2, tau' = 1 & tau <= T}
+INVARIANT zeta1
+  x <= 100
+"""
+
+
+def test_a_plant_that_blows_up_ends_in_a_verdict(tmp_path, capsys):
+    # x' = x^2 from x = 5 blows up at t = 1/5: bisection counts the
+    # durations whose run blows up as inadmissible, and the longest one
+    # left carries x past 100
+    path = tmp_path / "blowup.hpmodel"
+    path.write_text(BLOWUP_MODEL)
+    code, out, err = run_cli(capsys, "check", str(path), "--invariant",
+                             "zeta1", "--obligation", "loop", "--budget",
+                             "2000")
+    assert (code, err) == (1, "")
+    assert "  loop_ii    No (counterexample)" in out
+    assert "    certificate: x = 5  (not exact: replayed with float RK4)\n" \
+        in out

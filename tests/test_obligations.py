@@ -39,18 +39,18 @@ def test_loop_obligation_shapes(m2):
     obs = loop_obligations(m2, zeta)
     assert [o.name for o in obs] == ["loop_i", "loop_ii", "loop_iii"]
     assert all(o.kind == FALSIFY_UNIVERSAL for o in obs)
-    assert obs[0].matrix() == Implies(m2.init, zeta)
-    step = obs[1].matrix()
+    assert obs[0].split()[1] == Implies(m2.init, zeta)
+    step = obs[1].split()[1]
     assert step == Implies(zeta, Box(m2.loop_body(), zeta))
-    assert obs[2].matrix() == Implies(zeta, m2.guarantee)
+    assert obs[2].split()[1] == Implies(zeta, m2.guarantee)
 
 
 def test_quantifier_prefix_order(m2):
     ob = loop_obligations(m2, m2.invariants["zeta1"])[1]
     # state variables first, then env, then the action variable
-    assert ob.quantified_vars() == ["x", "v", "xc", "a"]
+    assert ob.split()[0] == ["x", "v", "xc", "a"]
     node = ob.formula
-    for var in ob.quantified_vars():
+    for var in ob.split()[0]:
         assert isinstance(node, Forall) and node.var == var
         node = node.body
 
@@ -66,7 +66,9 @@ def test_obligations_are_closed(m2, m4):
 
 def test_search_boxes_cover_quantified_vars(m2):
     for ob in all_obligations(m2, m2.invariants["zeta2"]):
-        for var in ob.quantified_vars():
+        quantified, _ = ob.split()
+        assert set(ob.search_box) == set(quantified)
+        for var in quantified:
             lo, hi = ob.search_box[var]
             assert lo <= hi
 
@@ -79,7 +81,7 @@ def test_derived_variables_inherit_intervals(m2):
 def test_rho_shape(m2):
     zeta = m2.invariants["zeta1"]
     ob = rho_obligation(m2, zeta)
-    matrix = ob.matrix()
+    _, matrix = ob.split()
     assert matrix == Implies(And(zeta, m2.relation),
                              Diamond(m2.env, Cmp("=", Var("xc"), Var("xc_post"))))
     assert ob.kind == FALSIFY_UNIVERSAL
@@ -89,7 +91,7 @@ def test_exploit_shape(m2):
     zeta = m2.invariants["zeta1"]
     ob = exploit_witness_formula(m2, zeta)
     assert ob.kind == FIND_WITNESS
-    matrix = ob.matrix()
+    _, matrix = ob.split()
     assert isinstance(matrix, And)
     assert isinstance(matrix.right, Diamond)
     assert matrix.right.program == Seq(m2.aux, Seq(m2.ctrl, m2.plant))
@@ -104,17 +106,17 @@ def test_chi_pair_are_duals(m2):
     assert chi.kind == FALSIFY_UNIVERSAL
     assert not_chi.kind == FIND_WITNESS
     uncontrolled = Seq(m2.env, Seq(m2.aux, m2.plant))
-    assert chi.matrix() == Implies(zeta, Box(uncontrolled, zeta))
-    assert not_chi.matrix() == And(zeta, Diamond(uncontrolled, Not(zeta)))
-    assert chi.quantified_vars() == not_chi.quantified_vars()
+    assert chi.split()[1] == Implies(zeta, Box(uncontrolled, zeta))
+    assert not_chi.split()[1] == And(zeta, Diamond(uncontrolled, Not(zeta)))
+    assert chi.split()[0] == not_chi.split()[0]
 
 
 def test_psi_instantiates_action(m4):
     zeta_iter = m4.invariants["zeta_iter"]
     ob = psi_obligation(m4, zeta_iter, "a", parse_term("-anmin"))
     assert ob.kind == FIND_WITNESS
-    assert "a" not in ob.quantified_vars()
-    matrix = ob.matrix()
+    assert "a" not in ob.split()[0]
+    _, matrix = ob.split()
     assert isinstance(matrix, And)
     inner = matrix.right
     assert isinstance(inner, Diamond)
@@ -129,7 +131,7 @@ def test_psi_rejects_missing_instantiation_var(m4):
 def test_friendliness_probe_shape(m2):
     ob = friendliness_probe(m2)
     assert ob.kind == FIND_WITNESS
-    matrix = ob.matrix()
+    _, matrix = ob.split()
     assert isinstance(matrix, And)
     assert isinstance(matrix.right, Not)
     assert isinstance(matrix.right.inner, Diamond)
@@ -178,11 +180,3 @@ def test_relation_required_for_rho_and_exploit():
     with pytest.raises(MissingRelation):
         friendliness_probe(model)
 
-
-def test_obligation_json_shape(m2):
-    ob = rho_obligation(m2, m2.invariants["zeta1"])
-    blob = ob.to_json()
-    assert blob["name"] == "rho"
-    assert blob["kind"] == FALSIFY_UNIVERSAL
-    assert isinstance(blob["formula"], str)
-    assert set(blob["search_box"]) == set(ob.quantified_vars())
