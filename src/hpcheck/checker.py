@@ -34,7 +34,8 @@ from fractions import Fraction
 from .model import DEFAULT_DOMAIN, _assign_then_test, domain_key
 from .obligations import (
     FIND_WITNESS, Obligation, chi_obligation, exploit_witness_formula,
-    friendliness_probe, loop_obligations, psi_obligation, rho_obligation,
+    friendliness_probe, loop_obligations, psi_obligation, relation_missing,
+    rho_obligation,
 )
 from .parser import parse_term
 from .semantics import (
@@ -215,20 +216,19 @@ class _Engine:
         self.config = config
         self.constants = constants
         self.stats = Stats()
+        self.candidate = 0  # the index of the candidate being decided
         self._rng = None
-        self._rng_key = 0
-
-    def reset_rng(self, salt):
-        """Reseed lazily; most candidates never draw a sample."""
-        self._rng = None
-        self._rng_key = salt
+        self._rng_candidate = None
 
     @property
     def rng(self):
-        if self._rng is None:
+        """The current candidate's sample stream, seeded on its first use:
+        most candidates never draw a sample."""
+        if self._rng_candidate != self.candidate:
             self._rng = random.Random(
                 _derive_seed(self.config.seed, self.obligation.name,
-                             self._rng_key))
+                             self.candidate))
+            self._rng_candidate = self.candidate
         return self._rng
 
     def over_budget(self) -> bool:
@@ -528,18 +528,17 @@ def _sampler(lo, hi, bits=16):
     return lambda n: (base + n * step, den)
 
 
-def _candidates(search_vars, box, config, rng):
-    """Candidate assignments of `search_vars` as int pairs: the `discrete`
-    product, which ends, or the coarse-to-fine grid followed by endless
-    seeded samples."""
+def _candidates(search_vars, box, config, name):
+    """Candidate values of `search_vars`, in their order, as tuples of int
+    pairs: the `discrete` product, which ends, or the coarse-to-fine grid
+    followed by endless samples seeded from the obligation's name."""
     if config.discrete is not None:
-        lists = [[x.as_integer_ratio() for x in config.discrete[v]]
-                 for v in search_vars]
-        for combo in itertools.product(*lists):
-            yield dict(zip(search_vars, combo))
+        yield from itertools.product(
+            *([x.as_integer_ratio() for x in config.discrete[v]]
+              for v in search_vars))
         return
     if not search_vars:
-        yield {}
+        yield ()
         return
     ends = [[x.as_integer_ratio() for x in box[v]] for v in search_vars]
     for level in range(GRID_LEVELS + 1):
@@ -551,11 +550,11 @@ def _candidates(search_vars, box, config, rng):
         for combo in itertools.product(*axes):
             if level > 0 and all(i % 2 == 0 for _, i in combo):
                 continue  # already visited at the previous level
-            yield {v: value for v, (value, _) in zip(search_vars, combo)}
-    samplers = [(v, _sampler(lo, hi)) for v, (lo, hi) in zip(search_vars, ends)]
-    bits = rng.getrandbits
+            yield tuple([value for value, _ in combo])
+    samplers = [_sampler(lo, hi) for lo, hi in ends]
+    bits = random.Random(_derive_seed(config.seed, name, "grid")).getrandbits
     while True:
-        yield {v: sample(bits(16)) for v, sample in samplers}
+        yield tuple([sample(bits(16)) for sample in samplers])
 
 
 # ---------------------------------------------------------------------------
@@ -636,8 +635,8 @@ def certify(counterexample: Counterexample, obligation: Obligation) -> bool:
         state[k] = Fraction(v)
     for k, v in counterexample.assignment.items():
         state[k] = Fraction(v)
-    _, matrix = obligation.split()
-    for var in free_variables(obligation.formula) - set(state):
+    quantified, matrix = obligation.split()
+    for var in obligation.matrix_variables.difference(quantified, state):
         state[var] = Fraction(0)
     replayer = _Replayer(counterexample.scripts)
     try:
@@ -663,18 +662,16 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
     """
     target = obligation.kind == FIND_WITNESS
     quantified, matrix = obligation.split()
+    matrix_vars = obligation.matrix_variables
     programs = list(_modal_programs(matrix))
     assigned = set().union(*map(assigned_variables, programs))
-    uncovered = (free_variables(obligation.formula)
-                 - set(obligation.fixed_constants) - set(quantified)
-                 - assigned)
+    uncovered = matrix_vars.difference(obligation.fixed_constants, quantified,
+                                       assigned)
     if uncovered:
         raise CheckError(f"uncoverable free symbols: {sorted(uncovered)}")
 
-    matrix_vars = free_variables(matrix)
     search_vars = [v for v in quantified if v in matrix_vars]
     box = obligation.search_box
-    stream_rng = random.Random(_derive_seed(config.seed, obligation.name, "grid"))
     base = {k: Fraction(v).as_integer_ratio()
             for k, v in obligation.fixed_constants.items()}
     for v in quantified:
@@ -694,14 +691,15 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
         constants = None
     engine = _Engine(obligation, config, constants)
     decide = engine.formula(matrix, target)
-    for index, candidate in enumerate(_candidates(search_vars, box, config,
-                                                  stream_rng)):
-        if engine.over_budget():
+    stats, budget = engine.stats, config.budget
+    candidates = _candidates(search_vars, box, config, obligation.name)
+    for index, values in enumerate(candidates):
+        if stats.evaluations >= budget:
             break
-        engine.stats.candidates += 1
+        stats.candidates += 1
         state = base.copy()
-        state.update(candidate)
-        engine.reset_rng(index)
+        state.update(zip(search_vars, values))
+        engine.candidate = index
         ropes = decide(state)
         if ropes is None:
             continue
@@ -710,11 +708,11 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
                              [_decisions(rope, []) for rope in ropes])
         if certify(cex, obligation):
             status = WITNESS_FOUND if target else FALSIFIED
-            return Verdict(status, cex, engine.stats, obligation, config.seed)
-        engine.stats.discarded_certificates += 1
+            return Verdict(status, cex, stats, obligation, config.seed)
+        stats.discarded_certificates += 1
 
     status = NO_WITNESS_FOUND if target else NOT_FALSIFIED
-    return Verdict(status, None, engine.stats, obligation, config.seed)
+    return Verdict(status, None, stats, obligation, config.seed)
 
 
 def _modal_programs(matrix):
@@ -748,44 +746,72 @@ def _odes(program):
 # ---------------------------------------------------------------------------
 # Obligation selection
 
+def _nothing_missing(model):
+    return None
+
+
+def _psi_missing(model):
+    """Why `psi` does not apply to the model, or None: it instantiates the
+    action that AUX's `a := *; ?P` draws in an invariant named zeta_iter."""
+    if "zeta_iter" not in model.invariants:
+        return "psi needs an invariant named zeta_iter"
+    if model.action_var is None:
+        return "psi needs an AUX of the shape a := *; ?P"
+    if model.action_var not in free_variables(model.invariants["zeta_iter"]):
+        return (f"psi needs the action variable {model.action_var!r} free "
+                "in zeta_iter")
+    return None
+
+
 def _psi_obligations(model, zeta):
     # controller necessity of the braking instantiation a := -anmin
-    if "zeta_iter" not in model.invariants:
-        raise SelectorError("psi needs an invariant named zeta_iter")
     return [psi_obligation(model, model.invariants["zeta_iter"],
                            model.action_var, parse_term("-anmin"))]
 
 
 # Each `--obligation` selector, in the order of `--help`: whether "all"
-# takes it, and its obligations for (model, invariant).
+# takes it, what it needs of the model (model -> why it does not apply, or
+# None) and its obligations for (model, invariant).
 _SELECTOR_TABLE = {
-    "loop": (True, loop_obligations),
-    "rho": (True, lambda model, zeta: [rho_obligation(model, zeta)]),
+    "loop": (True, _nothing_missing, loop_obligations),
+    "rho": (True, relation_missing,
+            lambda model, zeta: [rho_obligation(model, zeta)]),
     # the preservation branch of the loop rule only
-    "gamma": (False, lambda model, zeta: loop_obligations(model, zeta)[1:2]),
-    "exploit": (True,
+    "gamma": (False, _nothing_missing,
+              lambda model, zeta: loop_obligations(model, zeta)[1:2]),
+    "exploit": (True, relation_missing,
                 lambda model, zeta: [exploit_witness_formula(model, zeta)]),
-    "chi": (True, lambda model, zeta: [chi_obligation(model, zeta)[0]]),
-    "not-chi": (True, lambda model, zeta: [chi_obligation(model, zeta)[1]]),
-    "psi": (False, _psi_obligations),
-    "friendly": (True, lambda model, zeta: [friendliness_probe(model)]),
+    "chi": (True, _nothing_missing,
+            lambda model, zeta: [chi_obligation(model, zeta)[0]]),
+    "not-chi": (True, _nothing_missing,
+                lambda model, zeta: [chi_obligation(model, zeta)[1]]),
+    "psi": (False, _psi_missing, _psi_obligations),
+    "friendly": (True, relation_missing,
+                 lambda model, zeta: [friendliness_probe(model)]),
 }
 SELECTORS = (*_SELECTOR_TABLE, "all")
 
 
 def obligations_for(model, zeta_name: str, selector: str) -> list:
     """The obligations of one `--obligation` selector (see SELECTORS) or
-    suite conjunct name (not_chi) for the model's invariant `zeta_name`."""
+    suite conjunct name (not_chi) for the model's invariant `zeta_name`.
+    "all" takes the selectors it runs that apply to the model; a selector
+    named on its own that does not apply is a SelectorError saying why."""
     if zeta_name not in model.invariants:
         raise SelectorError(f"unknown invariant {zeta_name!r}")
     zeta = model.invariants[zeta_name]
     if selector == "all":
-        return [ob for in_all, build in _SELECTOR_TABLE.values() if in_all
+        return [ob for in_all, missing, build in _SELECTOR_TABLE.values()
+                if in_all and missing(model) is None
                 for ob in build(model, zeta)]
     entry = _SELECTOR_TABLE.get(selector.replace("_", "-"))
     if entry is None:
         raise SelectorError(f"unknown obligation selector {selector!r}")
-    return entry[1](model, zeta)
+    _, missing, build = entry
+    reason = missing(model)
+    if reason is not None:
+        raise SelectorError(reason)
+    return build(model, zeta)
 
 
 def derive_controller_witness(model, zeta_instantiated, psi_verdict):

@@ -26,7 +26,7 @@ from .checker import (
 )
 from .model import Model, broken_constraint, domain_key
 from .models import MODEL_IDS, builtin, fig2_script, table2_suite
-from .obligations import FALSIFY_UNIVERSAL, MissingRelation
+from .obligations import FALSIFY_UNIVERSAL
 from .parser import ParseError, parse_model, parse_term
 from .printer import print_formula, print_model
 from .semantics import (
@@ -53,8 +53,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (UsageError, ParseError, ScriptError, MissingRelation,
-            SelectorError, UnsupportedObligation, QuantifierInFormula,
+    except (UsageError, ParseError, ScriptError, SelectorError,
+            UnsupportedObligation, QuantifierInFormula,
             FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,6 +10,7 @@ symbolic constants, ready for the checker.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .model import Model
 from .syntax import (
@@ -41,6 +42,12 @@ class Obligation:
             vars_.append(node.var)
             node = node.body
         return vars_, node
+
+    @cached_property
+    def matrix_variables(self) -> frozenset:
+        """The free variables of the matrix, taken once per obligation; the
+        formula's are these less the quantified ones."""
+        return frozenset(free_variables(self.split()[1]))
 
 
 def _ordered_vars(model: Model, names) -> list:
@@ -90,12 +97,21 @@ def _require_declared(model: Model, zeta: Formula):
         raise ValueError(f"undeclared variables in invariant: {sorted(undeclared)}")
 
 
-def _relation_vars(model: Model):
+def relation_missing(model: Model):
+    """Why the model cannot state the RELATION obligations (`rho`,
+    `exploit`, `friendly`), or None when it can."""
     if model.relation is None:
-        raise MissingRelation("model has no RELATION section")
+        return "model has no RELATION section"
+    if model.env_var is None:
+        return "relation requires the standard env shape"
+    return None
+
+
+def _relation_vars(model: Model):
+    missing = relation_missing(model)
+    if missing is not None:
+        raise MissingRelation(missing)
     e = model.env_var
-    if e is None:
-        raise MissingRelation("relation requires the standard env shape")
     return e, f"{e}_post", f"{e}_prev"
 
 

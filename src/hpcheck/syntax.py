@@ -240,48 +240,63 @@ def free_variables(node) -> set:
     Program-assigned and ODE-evolved variables count as free: they must be
     declared in the enclosing model.
     """
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, Num):
-        return set()
-    if isinstance(node, (Add, Sub, Mul)):
-        return free_variables(node.left) | free_variables(node.right)
-    if isinstance(node, Neg):
-        return free_variables(node.inner)
-    if isinstance(node, Div):
-        return free_variables(node.num) | free_variables(node.den)
-    if isinstance(node, Pow):
-        return free_variables(node.base)
-    if isinstance(node, Cmp):
-        return free_variables(node.left) | free_variables(node.right)
-    if isinstance(node, BoolLit):
-        return set()
-    if isinstance(node, Not):
-        return free_variables(node.inner)
-    if isinstance(node, (And, Or, Implies, Iff)):
-        return free_variables(node.left) | free_variables(node.right)
-    if isinstance(node, (Forall, Exists)):
-        return free_variables(node.body) - {node.var}
-    if isinstance(node, (Box, Diamond)):
-        return free_variables(node.program) | free_variables(node.post)
-    if isinstance(node, Assign):
-        return {node.var} | free_variables(node.term)
-    if isinstance(node, RandomAssign):
-        return {node.var}
-    if isinstance(node, Test):
-        return free_variables(node.condition)
-    if isinstance(node, ODE):
-        out = free_variables(node.domain)
-        for v, rhs in node.equations:
-            out |= {v} | free_variables(rhs)
-        return out
-    if isinstance(node, (Choice, Seq)):
-        a = node.left if isinstance(node, Choice) else node.first
-        b = node.right if isinstance(node, Choice) else node.second
-        return free_variables(a) | free_variables(b)
-    if isinstance(node, Loop):
-        return free_variables(node.body)
-    raise TypeError(f"not a syntax node: {node!r}")
+    out = set()
+    _add_free(node, frozenset(), out)
+    return out
+
+
+# the nodes with `left` and `right` operands
+_BINARY = frozenset((Add, Sub, Mul, Cmp, And, Or, Implies, Iff, Choice))
+
+
+def _add_free(node, bound, out):
+    """Add to `out` the names free in `node` that `bound` does not hold:
+    one walk, with the names bound by the quantifiers above carried down."""
+    stack = [node]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        kind = type(node)
+        if kind is Var:
+            if node.name not in bound:
+                out.add(node.name)
+        elif kind in _BINARY:
+            push(node.left)
+            push(node.right)
+        elif kind is Num or kind is BoolLit:
+            pass
+        elif kind is Neg or kind is Not:
+            push(node.inner)
+        elif kind is Div:
+            push(node.num)
+            push(node.den)
+        elif kind is Pow:
+            push(node.base)
+        elif kind is Forall or kind is Exists:
+            _add_free(node.body, bound | {node.var}, out)
+        elif kind is Box or kind is Diamond:
+            push(node.program)
+            push(node.post)
+        elif kind is Assign or kind is RandomAssign:
+            if node.var not in bound:
+                out.add(node.var)
+            if kind is Assign:
+                push(node.term)
+        elif kind is Test:
+            push(node.condition)
+        elif kind is ODE:
+            push(node.domain)
+            for v, rhs in node.equations:
+                if v not in bound:
+                    out.add(v)
+                push(rhs)
+        elif kind is Seq:
+            push(node.first)
+            push(node.second)
+        elif kind is Loop:
+            push(node.body)
+        else:
+            raise TypeError(f"not a syntax node: {node!r}")
 
 
 def assigned_variables(program: Program) -> set:

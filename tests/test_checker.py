@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -606,6 +608,29 @@ def test_exhaustive_mode_agrees_with_brute_force():
         assert verdict.found == expected, ob.to_json()
         if verdict.found:
             assert certify(verdict.counterexample, ob)
+
+
+# sha256 over the verdict, evaluations, candidates and certificate JSON of 50
+# seeded finite obligations, each checked exhaustively with an ample budget
+# and with a budget of 40 that cuts some of them short; taken before the
+# exhaustive loop was streamlined, so every count it pins is the old one.
+EXHAUSTIVE_DIGEST = \
+    "ec26121c7d9e3e111349b0fbfd0288ceba0c85f976d296b0b7db32853402d572"
+
+
+def test_exhaustive_outcomes_are_pinned():
+    values = tuple(F(k) for k in range(-2, 3))
+    discrete = {v: list(values) for v in ORACLE_VARS}
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    for _ in range(50):
+        ob = random_finite_obligation(rng, values)
+        for budget in (2_000_000, 40):
+            verdict = check(ob, SearchConfig(budget=budget, discrete=discrete))
+            record = dict(verdict.to_json(),
+                          candidates=verdict.stats.candidates)
+            digest.update(json.dumps(record, sort_keys=True).encode())
+    assert digest.hexdigest() == EXHAUSTIVE_DIGEST
 
 
 # ---------------------------------------------------------------------------

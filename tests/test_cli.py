@@ -771,3 +771,41 @@ def test_a_plant_that_blows_up_ends_in_a_verdict(tmp_path, capsys):
     assert "  loop_ii    No (counterexample)" in out
     assert "    certificate: x = 5  (not exact: replayed with float RK4)\n" \
         in out
+
+
+def test_all_skips_the_selectors_that_need_a_relation(tmp_path, capsys):
+    # the blow-up model has no RELATION: `all` runs the loop and chi
+    # obligations, and `rho` named on its own says why it does not apply
+    path = tmp_path / "blowup.hpmodel"
+    path.write_text(BLOWUP_MODEL)
+    code, out, err = run_cli(capsys, "check", str(path), "--invariant",
+                             "zeta1", "--budget", "500", "--format", "json")
+    assert (code, err) == (1, "")
+    assert [v["obligation"] for v in json.loads(out)["verdicts"]] \
+        == ["loop_i", "loop_ii", "loop_iii", "chi", "not_chi"]
+    for selector in ("rho", "exploit", "friendly"):
+        code, out, err = run_cli(capsys, "check", str(path), "--invariant",
+                                 "zeta1", "--obligation", selector)
+        assert (code, out) == (2, "")
+        assert err == "error: model has no RELATION section\n"
+
+
+def test_psi_needs_an_action_drawn_by_aux(tmp_path, capsys):
+    # a zeta_iter invariant alone does not make psi apply: the blow-up
+    # model's AUX draws no action to instantiate
+    path = tmp_path / "blowup.hpmodel"
+    path.write_text(BLOWUP_MODEL + "INVARIANT zeta_iter\n  x <= 100\n")
+    code, out, err = run_cli(capsys, "check", str(path), "--invariant",
+                             "zeta1", "--obligation", "psi")
+    assert (code, out) == (2, "")
+    assert err == "error: psi needs an AUX of the shape a := *; ?P\n"
+
+
+def test_psi_needs_the_action_free_in_zeta_iter(tmp_path, capsys):
+    from hpcheck.models import builtin
+    path = tmp_path / "m2.hpmodel"
+    path.write_text(builtin("m2").source + "INVARIANT zeta_iter\n  v >= 0\n")
+    code, out, err = run_cli(capsys, "check", str(path), "--invariant",
+                             "zeta1", "--obligation", "psi")
+    assert (code, out) == (2, "")
+    assert err == "error: psi needs the action variable 'a' free in zeta_iter\n"

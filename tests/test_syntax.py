@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from gen import is_fol, is_quantifier_free
+from gen import (
+    is_fol, is_quantifier_free, random_formula, random_program, random_term,
+)
 from hpcheck.syntax import (
     Add, And, Assign, BoolLit, Box, Choice, Cmp, Diamond, Div, Exists,
-    Forall, Implies, Loop, Mul, Neg, Not, Num, ODE, Or, Pow, RandomAssign,
+    Forall, Iff, Implies, Loop, Mul, Neg, Not, Num, ODE, Or, Pow, RandomAssign,
     Seq, Sub, Test, Var, assigned_variables, bound_variables, conjuncts,
     desugar_if, free_variables, fresh_name, seq, substitute,
 )
@@ -66,6 +69,80 @@ def test_free_variables_modality_includes_program_vars():
     f = Box(Seq(Assign("a", Var("b")), Test(Cmp(">=", Var("a"), Num(0)))),
             Cmp("<=", Var("x"), Num(1)))
     assert free_variables(f) == {"a", "b", "x"}
+
+
+def reference_free_variables(node) -> set:
+    """The recursive union definition that free_variables replaced: a new
+    set at every node, a quantifier's variable taken out of its body's."""
+    if isinstance(node, Var):
+        return {node.name}
+    if isinstance(node, (Num, BoolLit)):
+        return set()
+    if isinstance(node, (Add, Sub, Mul, Cmp, And, Or, Implies, Iff, Choice)):
+        return (reference_free_variables(node.left)
+                | reference_free_variables(node.right))
+    if isinstance(node, (Neg, Not)):
+        return reference_free_variables(node.inner)
+    if isinstance(node, Div):
+        return (reference_free_variables(node.num)
+                | reference_free_variables(node.den))
+    if isinstance(node, Pow):
+        return reference_free_variables(node.base)
+    if isinstance(node, (Forall, Exists)):
+        return reference_free_variables(node.body) - {node.var}
+    if isinstance(node, (Box, Diamond)):
+        return (reference_free_variables(node.program)
+                | reference_free_variables(node.post))
+    if isinstance(node, Assign):
+        return {node.var} | reference_free_variables(node.term)
+    if isinstance(node, RandomAssign):
+        return {node.var}
+    if isinstance(node, Test):
+        return reference_free_variables(node.condition)
+    if isinstance(node, ODE):
+        out = reference_free_variables(node.domain)
+        for v, rhs in node.equations:
+            out |= {v} | reference_free_variables(rhs)
+        return out
+    if isinstance(node, Seq):
+        return (reference_free_variables(node.first)
+                | reference_free_variables(node.second))
+    if isinstance(node, Loop):
+        return reference_free_variables(node.body)
+    raise TypeError(f"not a syntax node: {node!r}")
+
+
+def test_free_variables_matches_the_union_definition():
+    rng = random.Random(11)
+    for _ in range(300):
+        for node in (random_term(rng, 4), random_formula(rng, 5),
+                     random_program(rng, 5)):
+            assert free_variables(node) == reference_free_variables(node), node
+
+
+@pytest.mark.parametrize("node, expected", [
+    # a quantifier binds what its body assigns as well as what it reads
+    (Forall("x", Box(Assign("x", Var("y")), Cmp(">=", Var("x"), Num(0)))),
+     {"y"}),
+    # an assignment outside the quantifier stays free
+    (Box(Assign("x", Num(1)), Forall("x", Cmp(">=", Var("x"), Num(0)))),
+     {"x"}),
+    (Exists("x", Diamond(ODE((("x", Var("v")),), Cmp("<=", Var("x"), Var("w"))),
+                         BoolLit(True))), {"v", "w"}),
+    (Forall("x", Box(RandomAssign("x"), BoolLit(True))), set()),
+    # the binding ends with the quantifier's body
+    (And(Forall("x", Cmp("=", Var("x"), Var("y"))),
+         Cmp("=", Var("x"), Num(0))), {"x", "y"}),
+    (Forall("x", Exists("y", Cmp("=", Var("x"), Var("z")))), {"z"}),
+])
+def test_free_variables_under_shadowing_quantifiers(node, expected):
+    assert free_variables(node) == expected
+    assert reference_free_variables(node) == expected
+
+
+def test_free_variables_rejects_a_non_node():
+    with pytest.raises(TypeError):
+        free_variables(Cmp("=", Var("x"), "y"))
 
 
 def test_assigned_variables():
