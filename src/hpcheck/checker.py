@@ -37,14 +37,13 @@ from .obligations import (
     friendliness_probe, loop_obligations, psi_obligation, relation_missing,
     rho_obligation,
 )
-from .parser import parse_term
 from .semantics import (
     Aborted, Branch, Duration, Final, LoopCount, RandomValue, _Inexact,
-    _ratio_term, _reduced, compile_fol, eval_fol, eval_term, exact_view,
+    _neg, _ratio_term, _reduced, compile_fol, eval_fol, eval_term, exact_view,
     is_exact, plant_of, polynomial, run,
 )
 from .syntax import (
-    And, Assign, Box, Choice, Cmp, Diamond, Forall, Exists, Iff,
+    And, Assign, Box, Choice, Cmp, Diamond, Div, Forall, Exists, Iff,
     Implies, Loop, Not, Num, ODE, Or, RandomAssign, Seq, Sub, Test, Var,
     assigned_variables, conjuncts, free_variables,
 )
@@ -159,17 +158,45 @@ def _decision_json(decision):
     raise TypeError(decision)
 
 
-def _has_modality(formula) -> bool:
-    if isinstance(formula, (Box, Diamond)):
-        return True
-    if isinstance(formula, Not):
-        return _has_modality(formula.inner)
-    if isinstance(formula, (And, Or, Implies, Iff)):
-        return _has_modality(formula.left) or _has_modality(formula.right)
-    if isinstance(formula, (Forall, Exists)):
+def _modalities(formula, table) -> bool:
+    """Whether the operands of `formula`, read left to right, reach a
+    modality (True) or an inner quantifier (None) first, or neither
+    (False).  The same goes into `table`, by id, for each of its nodes and
+    its modalities' posts but the leaves, in one walk that leaves the nodes
+    of programs out."""
+    kind = type(formula)
+    if kind is Not:
+        flag = _modalities(formula.inner, table)
+    elif kind in _BINARY:
+        flag = _modalities(formula.left, table)
+        right = _modalities(formula.right, table)
+        if flag is False:
+            flag = right
+    elif kind is Box or kind is Diamond:
+        _modalities(formula.post, table)
+        flag = True
+    elif kind is Forall or kind is Exists:
+        flag = None
+    else:
+        return False
+    table[id(formula)] = flag
+    return flag
+
+
+_BINARY = frozenset((And, Or, Implies, Iff))
+
+
+def _has_modality(table, formula) -> bool:
+    """Whether `formula`, a node of the walk that made `table` or the
+    negation of one, holds a modality; an inner quantifier reached first is
+    an UnsupportedObligation."""
+    while type(formula) is Not:  # _connective negates a left operand
+        formula = formula.inner
+    flag = table.get(id(formula), False)
+    if flag is None:
         raise UnsupportedObligation(
             "inner quantifiers are not supported; close the formula instead")
-    return False
+    return flag
 
 
 def _connective(formula, target):
@@ -215,6 +242,8 @@ class _Engine:
         self.obligation = obligation
         self.config = config
         self.constants = constants
+        self.modal = {}  # see _modalities
+        _modalities(obligation.split()[1], self.modal)
         self.stats = Stats()
         self.candidate = 0  # the index of the candidate being decided
         self._rng = None
@@ -241,7 +270,7 @@ class _Engine:
         `node` evaluates to `target`, or None when search finds none: () for
         a modality-free node, left then right for both operands, the side
         that held for one, and (script,) + the post's for a modality."""
-        if not _has_modality(node):
+        if not _has_modality(self.modal, node):
             holds, stats = compile_fol(node, self.constants), self.stats
 
             def leaf(state):
@@ -267,7 +296,7 @@ class _Engine:
 
     def _binary(self, node, target):
         left, right, both_needed = _connective(node, target)
-        right_modal = _has_modality(right)
+        right_modal = _has_modality(self.modal, right)
         left = self.formula(left, target)
         right = self.formula(right, target)
         if both_needed:
@@ -564,14 +593,16 @@ class _Replayer:
     """Walks the obligation's own matrix at its polarity and takes the
     certificate's scripts in the order the search lists them."""
 
-    def __init__(self, scripts):
+    def __init__(self, scripts, matrix):
         self.scripts = scripts
+        self.modal = {}  # see _modalities
+        _modalities(matrix, self.modal)
         self.position = 0
         self.trace = []
         self.numeric_only = False
 
     def replay(self, state, formula, target) -> bool:
-        if not _has_modality(formula):
+        if not _has_modality(self.modal, formula):
             if any(not is_exact(v) for v in state.values()):
                 self.numeric_only = True
             return eval_fol(state, formula) == target
@@ -638,7 +669,7 @@ def certify(counterexample: Counterexample, obligation: Obligation) -> bool:
     quantified, matrix = obligation.split()
     for var in obligation.matrix_variables.difference(quantified, state):
         state[var] = Fraction(0)
-    replayer = _Replayer(counterexample.scripts)
+    replayer = _Replayer(counterexample.scripts, matrix)
     try:
         ok = replayer.replay(state, matrix, target)
     except Exception:
@@ -760,13 +791,40 @@ def _psi_missing(model):
     if model.action_var not in free_variables(model.invariants["zeta_iter"]):
         return (f"psi needs the action variable {model.action_var!r} free "
                 "in zeta_iter")
+    bounds = _action_lower_bounds(model)
+    if len(bounds) != 1:
+        return (f"psi needs one lower bound on {model.action_var!r} in "
+                f"AUX's test, not {len(bounds)}")
     return None
 
 
+def _action_lower_bounds(model):
+    """The lower bounds that AUX's test `a := *; ?P` sets on a: one term
+    -c0 / c1 per conjunct of P whose left - right is c0 + c1 * a, read as
+    _pinner reads pins, with c1 a nonzero literal and the conjunct bounding
+    a from below (an equation does too)."""
+    var, test = _assign_then_test(model.aux)
+    bounds = []
+    for c in conjuncts(test):
+        form = polynomial(Sub(c.left, c.right), (var,)) \
+            if isinstance(c, Cmp) else None
+        if not (form and (var,) in form and form.keys() <= {(), (var,)}):
+            continue
+        c0, c1 = form.get((), Num(0)), form[(var,)]
+        slope = c1.value if type(c1) is Num else 0
+        if slope and (c.op == "=" or c.op in ("<=", "<") and slope < 0
+                      or c.op in (">=", ">") and slope > 0):
+            bounds.append(c0 if slope == -1 else _neg(c0) if slope == 1
+                          else Div(_neg(c0), c1))
+    return bounds
+
+
 def _psi_obligations(model, zeta):
-    # controller necessity of the braking instantiation a := -anmin
+    # controller necessity of the braking instantiation: the action at its
+    # lower bound, a := -anmin on the bundled models
+    [bound] = _action_lower_bounds(model)
     return [psi_obligation(model, model.invariants["zeta_iter"],
-                           model.action_var, parse_term("-anmin"))]
+                           model.action_var, bound)]
 
 
 # Each `--obligation` selector, in the order of `--help`: whether "all"

@@ -57,29 +57,34 @@ def is_exact(value) -> bool:
 
 
 def eval_term(state: State, term):
-    if isinstance(term, Var):
+    kind = type(term)
+    if kind is Var:
         try:
             return state[term.name]
         except KeyError:
             raise UndeclaredVariable(term.name) from None
-    if isinstance(term, Num):
+    if kind is Num:
         return term.value
-    if isinstance(term, Add):
-        return eval_term(state, term.left) + eval_term(state, term.right)
-    if isinstance(term, Sub):
-        return eval_term(state, term.left) - eval_term(state, term.right)
-    if isinstance(term, Mul):
+    if kind is Mul:
         return eval_term(state, term.left) * eval_term(state, term.right)
-    if isinstance(term, Neg):
-        return -eval_term(state, term.inner)
-    if isinstance(term, Div):
+    if kind is Sub:
+        return eval_term(state, term.left) - eval_term(state, term.right)
+    if kind is Add:
+        return eval_term(state, term.left) + eval_term(state, term.right)
+    if kind is Div:
         num = eval_term(state, term.num)
         den = eval_term(state, term.den)
+        if type(num) is type(den) is Fraction:
+            return num / den
         if is_exact(num) and is_exact(den):
+            # an int operand becomes a Fraction first, so that a zero
+            # divisor raises Fraction's message on every Python
             return Fraction(num, 1) / Fraction(den, 1)
         return num / den
-    if isinstance(term, Pow):
+    if kind is Pow:
         return eval_term(state, term.base) ** term.exp
+    if kind is Neg:
+        return -eval_term(state, term.inner)
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -89,24 +94,25 @@ _CMP = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
 
 def eval_fol(state: State, formula) -> bool:
     """Truth of a quantifier-free, modality-free formula in a state."""
-    if isinstance(formula, BoolLit):
-        return formula.value
-    if isinstance(formula, Cmp):
+    kind = type(formula)
+    if kind is Cmp:
         return _CMP[formula.op](eval_term(state, formula.left),
                                 eval_term(state, formula.right))
-    if isinstance(formula, Not):
-        return not eval_fol(state, formula.inner)
-    if isinstance(formula, And):
+    if kind is And:
         return eval_fol(state, formula.left) and eval_fol(state, formula.right)
-    if isinstance(formula, Or):
+    if kind is Not:
+        return not eval_fol(state, formula.inner)
+    if kind is Or:
         return eval_fol(state, formula.left) or eval_fol(state, formula.right)
-    if isinstance(formula, Implies):
+    if kind is Implies:
         return (not eval_fol(state, formula.left)) or eval_fol(state, formula.right)
-    if isinstance(formula, Iff):
+    if kind is BoolLit:
+        return formula.value
+    if kind is Iff:
         return eval_fol(state, formula.left) == eval_fol(state, formula.right)
-    if isinstance(formula, (Forall, Exists)):
+    if kind is Forall or kind is Exists:
         raise QuantifierInFormula("quantified formulas are decided by search")
-    if isinstance(formula, (Box, Diamond)):
+    if kind is Box or kind is Diamond:
         raise QuantifierInFormula("modalities are decided by search")
     raise TypeError(f"not a formula: {formula!r}")
 
@@ -857,7 +863,9 @@ def _compile_numeric(ode: ODE):
     first time it fails.  Only the evolved variables are integrated.  A
     constant rate c shifts the stages by half or all of the step times
     float(c), and its update is a sixth of the step times float(6 c), as
-    in Fraction arithmetic with a float."""
+    in Fraction arithmetic with a float.  A stage writes only the evolved
+    variables some rate reads; the others keep their start value in the
+    stage state, where nothing reads it."""
     names, rates, constants = [], [], []
     for name, rhs in ode.equations:
         rate = _float_term(rhs)
@@ -867,8 +875,21 @@ def _compile_numeric(ode: ODE):
         else:  # k1 + 2 k2 + 2 k3 + k4 = 6 c, summed exactly
             constants.append((name, _float_operand(rate),
                               _float_operand(6 * rate)))
+    read = set().union(*(free_variables(rhs) for _, rhs in ode.equations))
+    staged = [(i, name) for i, name in enumerate(names) if name in read]
+    staged_constants = [(name, c) for name, c, _ in constants if name in read]
+    evolved = names + [name for name, _, _ in constants]
     domain = _fol_closure(ode.domain, _float_cmp)
     samples = GRID_POINTS + 1
+
+    def stage(current, work, k, factor):
+        """The rates at the stage current + factor * k, whose values
+        `work` takes for the variables a rate reads."""
+        for j, name in staged:
+            work[name] = current[name] + factor * k[j]
+        for name, c in staged_constants:
+            work[name] = current[name] + factor * c
+        return [rate(work) for rate in rates]
 
     def evolve(state, duration):
         duration = (duration[0] / duration[1] if type(duration) is tuple
@@ -877,6 +898,9 @@ def _compile_numeric(ode: ODE):
                    for k, v in state.items()}
         if not domain(current):
             return Aborted(ode.domain, current)
+        # a state that lacks an evolved variable fails the first step with
+        # the KeyError that writing all of its stage values would raise
+        absent = next((name for name in evolved if name not in current), None)
         work = dict(current)  # the state at each RK4 stage
         t = 0.0
         for i in range(1, samples + 1):
@@ -884,15 +908,14 @@ def _compile_numeric(ode: ODE):
             while t < target - 1e-15:
                 h = min(ODE_STEP, target - t)
                 half = h / 2
-                ks = [[rate(current) for rate in rates]]
-                for factor in (half, half, h):
-                    for name, k in zip(names, ks[-1]):
-                        work[name] = current[name] + factor * k
-                    for name, c, _ in constants:
-                        work[name] = current[name] + factor * c
-                    ks.append([rate(work) for rate in rates])
+                k1 = [rate(current) for rate in rates]
+                if absent is not None:
+                    raise KeyError(absent)
+                k2 = stage(current, work, k1, half)
+                k3 = stage(current, work, k2, half)
+                k4 = stage(current, work, k3, h)
                 sixth = h / 6
-                for name, a, b, c, d in zip(names, *ks):
+                for name, a, b, c, d in zip(names, k1, k2, k3, k4):
                     value = current[name] + sixth * (a + 2 * b + 2 * c + d)
                     if not isfinite(value):
                         raise NumericBlowup(name)

@@ -114,13 +114,7 @@ def random_program(rng, depth: int):
     if kind == "test":
         return Test(random_formula(rng, max(depth - 1, 0), in_program=True))
     if kind == "ode":
-        names = rng.sample(VAR_POOL, rng.randint(1, 2))
-        eqs = tuple((n, random_term(rng, max(depth - 2, 0))) for n in names)
-        if rng.random() < 0.4:
-            domain = BoolLit(True)
-        else:
-            domain = random_cmp(rng, max(depth - 2, 0), PROGRAM_CMP_OPS)
-        return ODE(eqs, domain)
+        return random_ode(rng, depth)
     if kind == "choice":
         return Choice(random_program(rng, depth - 1),
                       random_program(rng, depth - 1))
@@ -128,6 +122,16 @@ def random_program(rng, depth: int):
         return Seq(random_program(rng, depth - 1),
                    random_program(rng, depth - 1))
     return Loop(random_program(rng, depth - 1))
+
+
+def random_ode(rng, depth: int) -> ODE:
+    names = rng.sample(VAR_POOL, rng.randint(1, 2))
+    eqs = tuple((n, random_term(rng, max(depth - 2, 0))) for n in names)
+    if rng.random() < 0.4:
+        domain = BoolLit(True)
+    else:
+        domain = random_cmp(rng, max(depth - 2, 0), PROGRAM_CMP_OPS)
+    return ODE(eqs, domain)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import random
@@ -24,8 +25,8 @@ from hpcheck.semantics import (
     Branch, RandomValue, _Inexact, _ratio_term, eval_fol, eval_term,
 )
 from hpcheck.syntax import (
-    Cmp, Exists, Forall, RandomAssign, Seq, Sub, Test, conjuncts,
-    free_variables,
+    And, Box, Cmp, Diamond, Exists, Forall, Iff, Implies, Not, Or,
+    RandomAssign, Seq, Sub, Test, conjuncts, free_variables,
 )
 
 
@@ -448,6 +449,56 @@ def test_unsupported_polarities_raise():
     with pytest.raises(UnsupportedObligation):
         check(close("<x := 1 ++ x := 2> x = 1", FALSIFY_UNIVERSAL,
                     {"x": (F(0), F(1))}))
+
+
+def reference_has_modality(formula) -> bool:
+    """The search's modality test as it was, a walk of the whole subtree
+    at each node it was asked about; the one-walk table must answer as it
+    does, inner-quantifier error included."""
+    if isinstance(formula, (Box, Diamond)):
+        return True
+    if isinstance(formula, Not):
+        return reference_has_modality(formula.inner)
+    if isinstance(formula, (And, Or, Implies, Iff)):
+        return reference_has_modality(formula.left) \
+            or reference_has_modality(formula.right)
+    if isinstance(formula, (Forall, Exists)):
+        raise UnsupportedObligation(
+            "inner quantifiers are not supported; close the formula instead")
+    return False
+
+
+def _modality_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except UnsupportedObligation as exc:
+        return str(exc)
+
+
+def test_modality_table_answers_as_the_recursive_walk():
+    # every node the search and the replay ask about: the operands of
+    # connectives, a left operand negated, and the posts of modalities
+    rng = random.Random(31)
+    answers = collections.Counter()
+    for _ in range(300):
+        formula = random_formula(rng, 5)
+        table = {}
+        checker._modalities(formula, table)
+        stack = [formula]
+        while stack:
+            node = stack.pop()
+            for asked in (node, Not(node)):
+                want = _modality_outcome(reference_has_modality, asked)
+                assert _modality_outcome(checker._has_modality, table,
+                                         asked) == want, asked
+                answers[want] += 1
+            if isinstance(node, Not):
+                stack.append(node.inner)
+            elif isinstance(node, (And, Or, Implies, Iff)):
+                stack.extend((node.left, node.right))
+            elif isinstance(node, (Box, Diamond)):
+                stack.append(node.post)
+    assert min(answers.values()) > 100 and len(answers) == 3, answers
 
 
 def test_loop_counts_explored():

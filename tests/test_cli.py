@@ -809,3 +809,40 @@ def test_psi_needs_the_action_free_in_zeta_iter(tmp_path, capsys):
                              "zeta1", "--obligation", "psi")
     assert (code, out) == (2, "")
     assert err == "error: psi needs the action variable 'a' free in zeta_iter\n"
+
+
+def test_psi_instantiates_the_lower_bound_of_aux(tmp_path, capsys):
+    # psi sets the action to its lower bound in AUX's test, whatever the
+    # constant is called: m4 with anmin renamed bmin gives m4's verdict
+    from hpcheck.models import builtin
+    verdicts = []
+    for name, text in (("m4", builtin("m4").source),
+                       ("m4b", builtin("m4").source.replace("anmin", "bmin"))):
+        path = tmp_path / f"{name}.hpmodel"
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "check", str(path), "--invariant",
+                               "zeta2", "--obligation", "psi", "--budget",
+                               "2000", "--format", "json")
+        assert code == 1
+        verdicts.append(json.loads(out)["verdicts"])
+    assert verdicts[0] == verdicts[1]
+    [verdict] = verdicts[1]
+    assert (verdict["verdict"], verdict["evaluations"]) == ("witness_found", 11)
+    assert verdict["certificate"]["assignment"] \
+        == {"v": "0", "x": "-1", "xc": "-1"}
+
+
+@pytest.mark.parametrize("test, found", [
+    ("a <= anmax", 0),
+    ("-anmin <= a & a <= anmax & a > -asmin", 2),
+])
+def test_psi_needs_one_lower_bound_in_aux(tmp_path, capsys, test, found):
+    from hpcheck.models import builtin
+    path = tmp_path / "m4.hpmodel"
+    path.write_text(builtin("m4").source.replace(
+        "?(-anmin <= a & a <= anmax)", f"?({test})"))
+    code, out, err = run_cli(capsys, "check", str(path), "--invariant",
+                             "zeta2", "--obligation", "psi")
+    assert (code, out) == (2, "")
+    assert err == f"error: psi needs one lower bound on 'a' in AUX's test, " \
+        f"not {found}\n"

@@ -1,10 +1,12 @@
+import collections
 import hashlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from gen import VAR_POOL, random_term
+from gen import VAR_POOL, random_ode, random_term
 from golden import SAMPLE_CONSTANTS
 from hpcheck import semantics
 from hpcheck.models import MODEL_IDS, builtin, fig2_script
@@ -590,6 +592,155 @@ def test_plant_on_pair_states_matches_the_fraction_path():
             if index < 2:
                 assert _outcome_repr(max_admissible_duration, pairs, ode) \
                     == _outcome_repr(max_admissible_duration, state, ode)
+
+
+def reference_compile_numeric(ode):
+    """The RK4 kernel as it was before its inner stages wrote only the
+    variables a rate reads: each stage writes every evolved variable, and
+    the stage rates are a list of lists.  `_compile_numeric` must give what
+    this gives, float for float and exception for exception."""
+    names, rates, constants = [], [], []
+    for name, rhs in ode.equations:
+        rate = semantics._float_term(rhs)
+        if callable(rate):
+            names.append(name)
+            rates.append(rate)
+        else:
+            constants.append((name, semantics._float_operand(rate),
+                              semantics._float_operand(6 * rate)))
+    domain = semantics._fol_closure(ode.domain, semantics._float_cmp)
+    samples = semantics.GRID_POINTS + 1
+
+    def evolve(state, duration):
+        duration = (duration[0] / duration[1] if type(duration) is tuple
+                    else float(duration))
+        current = {k: v[0] / v[1] if type(v) is tuple else float(v)
+                   for k, v in state.items()}
+        if not domain(current):
+            return Aborted(ode.domain, current)
+        work = dict(current)
+        t = 0.0
+        for i in range(1, samples + 1):
+            target = duration * i / samples
+            while t < target - 1e-15:
+                h = min(semantics.ODE_STEP, target - t)
+                half = h / 2
+                ks = [[rate(current) for rate in rates]]
+                for factor in (half, half, h):
+                    for name, k in zip(names, ks[-1]):
+                        work[name] = current[name] + factor * k
+                    for name, c, _ in constants:
+                        work[name] = current[name] + factor * c
+                    ks.append([rate(work) for rate in rates])
+                sixth = h / 6
+                for name, a, b, c, d in zip(names, *ks):
+                    value = current[name] + sixth * (a + 2 * b + 2 * c + d)
+                    if not math.isfinite(value):
+                        raise semantics.NumericBlowup(name)
+                    current[name] = value
+                for name, _, six in constants:
+                    value = current[name] + sixth * six
+                    if not math.isfinite(value):
+                        raise semantics.NumericBlowup(name)
+                    current[name] = value
+                t += h
+            if not domain(current):
+                return Aborted(ode.domain, current)
+        return Final(current)
+    return evolve
+
+
+def _any_outcome_repr(evolve, state, duration):
+    try:
+        return repr(evolve(state, duration))
+    except Exception as exc:  # the kernels must raise alike, whatever it is
+        return repr(exc)
+
+
+def test_rk4_kernel_matches_the_reference_kernel():
+    # repr of every outcome or exception, on NUMERIC_PLANTS and generated
+    # ODEs, from states of Fractions, floats and int pairs, some of them
+    # lacking a variable: an evolved one no rate reads (x of drag) fails
+    # with the KeyError of the first step's stage write, and a duration
+    # too short for a step leaves it out of the final state
+    drag = parse_program(NUMERIC_PLANTS[0][0])
+    no_x = {"v": F(1), "a": F(-1), "tau": F(0), "T": F(2)}
+    kernel, reference = _compile_numeric(drag), reference_compile_numeric(drag)
+    for duration in (F(1, 2), 1e-17, (3, 2)):
+        assert _any_outcome_repr(kernel, no_x, duration) \
+            == _any_outcome_repr(reference, no_x, duration)
+    assert _any_outcome_repr(kernel, no_x, F(1, 2)) == "KeyError('x')"
+    assert _any_outcome_repr(kernel, no_x, 0) \
+        == "Final(state={'v': 1.0, 'a': -1.0, 'tau': 0.0, 'T': 2.0})"
+
+    rng = random.Random(23)
+
+    def value():
+        roll = rng.random()
+        if roll < 0.4:
+            return F(rng.randint(-8, 16), rng.choice((1, 3, 8)))
+        if roll < 0.8:
+            return rng.uniform(-2.0, 3.0)
+        return (rng.randint(-8, 16), rng.choice((1, 3, 8)))
+
+    def duration():
+        roll = rng.random()
+        if roll < 0.1:
+            return 0
+        if roll < 0.5:
+            return F(rng.randint(0, 48), 32)
+        if roll < 0.8:
+            return rng.uniform(0, 1.5)
+        return (rng.randint(0, 48), 32)
+    plants = [(parse_program(text), names) for text, names in NUMERIC_PLANTS]
+    for _ in range(150):
+        ode = random_ode(rng, rng.randint(2, 5))
+        plants.append((ode, VAR_POOL))
+    kinds = collections.Counter()
+    for ode, names in plants:
+        kernel, reference = _compile_numeric(ode), reference_compile_numeric(ode)
+        for _ in range(6):
+            state = {name: value() for name in names if rng.random() < 0.9}
+            t = duration()
+            got = _any_outcome_repr(kernel, state, t)
+            assert got == _any_outcome_repr(reference, state, t), (ode, state, t)
+            kinds[got.split("(")[0]] += 1
+    assert min(kinds[kind] for kind in ("Final", "Aborted", "KeyError",
+                                        "UndeclaredVariable")) >= 20, kinds
+
+
+def reference_divide(num, den):
+    """eval_term's Div as it was: two exact operands as Fraction(num, 1) /
+    Fraction(den, 1), anything else as Python divides it."""
+    if semantics.is_exact(num) and semantics.is_exact(den):
+        return Fraction(num, 1) / Fraction(den, 1)
+    return num / den
+
+
+def test_div_parity_with_the_fraction_division():
+    # Fraction/Fraction, int/Fraction, Fraction/int and int/int, each with
+    # a zero divisor, and mixes with a float: the same value, type and
+    # exception message as the reference
+    quotient = Div(Var("p"), Var("q"))
+    operands = [F(-6), F(-3, 2), F(5, 3), F(0), -6, 0, 7, 2.5, -0.0]
+    divisors = [F(0), F(2, 3), F(-4), 0, 3, -2, 0.0, 1.5]
+    zero_messages = set()
+    for num in operands:
+        for den in divisors:
+            try:
+                want = reference_divide(num, den)
+            except ZeroDivisionError as exc:
+                with pytest.raises(ZeroDivisionError) as got:
+                    eval_term({"p": num, "q": den}, quotient)
+                assert str(got.value) == str(exc)
+                if semantics.is_exact(num) and semantics.is_exact(den):
+                    zero_messages.add(str(exc))
+                continue
+            got = eval_term({"p": num, "q": den}, quotient)
+            assert type(got) is type(want) and repr(got) == repr(want)
+    # an exact zero divisor never gives int division's message
+    assert zero_messages and all(m.startswith("Fraction(")
+                                 for m in zero_messages), zero_messages
 
 
 def test_run_counts_time_across_iterations():
