@@ -4,10 +4,13 @@ Universal obligations are attacked by searching for a falsifying
 assignment of the quantified variables; existential obligations by
 searching for a witness.  The matrix is compiled once per check into
 closures with their polarity fixed, and one loop tries every candidate.
-Candidates come from a coarse-to-fine grid and seeded uniform sampling;
-states stay integer (numerator, denominator) pairs through programs and
-their ODEs, the fixed constants no run assigns are folded into the compiled
-closures, and a Fraction is built only for a certificate.  Modalities
+Candidates come from a coarse-to-fine grid and seeded uniform sampling,
+and one state, updated in place, holds each in turn; states stay integer
+(numerator, denominator) pairs through programs and their ODEs, and a
+Fraction is built only for a certificate.  Without a numeric plant every
+state holds a pair for every variable, so the closures read variables by
+itemgetter with no fallback, and the fixed constants no run assigns are
+folded into them; literals fold in every obligation.  Modalities
 are decided by script
 enumeration; the diamond-over-env pattern `<e := *; ?P> e = e1` is
 decided goal-directed (bind e := e1, evaluate P) with no search.  Every
@@ -235,13 +238,15 @@ class _Engine:
     post, and floats after a numeric plant.  A script is a rope of raw
     decisions (see _decisions), made into a decision list only for a
     certificate.  `constants` are the fixed constants folded into the
-    compiled closures."""
+    compiled closures; with `pairs` every state holds an int pair for each
+    variable, which the closures read with no check and no fallback."""
 
     def __init__(self, obligation: Obligation, config: SearchConfig,
-                 constants):
+                 constants, pairs):
         self.obligation = obligation
         self.config = config
         self.constants = constants
+        self.pairs = pairs
         self.modal = {}  # see _modalities
         _modalities(obligation.split()[1], self.modal)
         self.stats = Stats()
@@ -260,9 +265,6 @@ class _Engine:
             self._rng_candidate = self.candidate
         return self._rng
 
-    def over_budget(self) -> bool:
-        return self.stats.evaluations >= self.config.budget
-
     # formulas -------------------------------------------------------------
 
     def formula(self, node, target):
@@ -271,7 +273,8 @@ class _Engine:
         a modality-free node, left then right for both operands, the side
         that held for one, and (script,) + the post's for a modality."""
         if not _has_modality(self.modal, node):
-            holds, stats = compile_fol(node, self.constants), self.stats
+            holds = compile_fol(node, self.constants, pairs=self.pairs)
+            stats = self.stats
 
             def leaf(state):
                 stats.evaluations += 1
@@ -320,14 +323,14 @@ class _Engine:
         to `target`: refutes a box (False) or witnesses a diamond (True)."""
         runs = self.program(modality.program)
         post = self.formula(modality.post, target)
-        over_budget = self.over_budget
+        stats, budget = self.stats, self.config.budget
 
         def search(state):
             for final_state, script in runs(state):
                 rest = post(final_state)
                 if rest is not None:
                     return (script,) + rest
-                if over_budget():
+                if stats.evaluations >= budget:
                     break
             return None
         return search
@@ -336,8 +339,9 @@ class _Engine:
         """<x := *; ?P> x = t decided goal-directed: bind x := t, test P.
         The one script picks t, whether it witnesses or refutes."""
         x, test, pin_term = goal
-        value = _pair_term(pin_term, self.constants)
-        holds, stats = compile_fol(test, self.constants), self.stats
+        value = _pair_term(pin_term, self.constants, self.pairs)
+        holds = compile_fol(test, self.constants, pairs=self.pairs)
+        stats = self.stats
 
         def decide(state):
             bound = dict(state)
@@ -353,9 +357,10 @@ class _Engine:
     def program(self, node):
         """Closure state -> iterator of the non-aborting runs as (final
         state, script)."""
-        stats, over_budget = self.stats, self.over_budget
+        stats, budget = self.stats, self.config.budget
+        constants, pairs = self.constants, self.pairs
         if isinstance(node, Assign):
-            var, value = node.var, _pair_term(node.term, self.constants)
+            var, value = node.var, _pair_term(node.term, constants, pairs)
 
             def assign(state):
                 out = dict(state)
@@ -368,7 +373,7 @@ class _Engine:
             var, condition = fused or (node.var, None)
             values = self._values(var, condition)
             holds = (None if condition is None
-                     else compile_fol(condition, self.constants))
+                     else compile_fol(condition, constants, pairs=pairs))
 
             def draw(state):
                 for value in values(state):
@@ -381,7 +386,7 @@ class _Engine:
                     yield out, (RandomValue, value)
             return draw
         if isinstance(node, Test):
-            holds = compile_fol(node.condition, self.constants)
+            holds = compile_fol(node.condition, constants, pairs=pairs)
 
             def test(state):
                 stats.evaluations += 1
@@ -404,7 +409,7 @@ class _Engine:
             def choice(state):
                 for final_state, script in left(state):
                     yield final_state, (_LEFT, script)
-                if not over_budget():
+                if stats.evaluations < budget:
                     for final_state, script in right(state):
                         yield final_state, (_RIGHT, script)
             return choice
@@ -415,9 +420,9 @@ class _Engine:
                 for mid_state, script1 in first(state):
                     for final_state, script2 in second(mid_state):
                         yield final_state, (script1, script2)
-                        if over_budget():
+                        if stats.evaluations >= budget:
                             return
-                    if over_budget():
+                    if stats.evaluations >= budget:
                         return
             return sequence
         if isinstance(node, Loop):
@@ -435,7 +440,7 @@ class _Engine:
                 for count in LOOP_COUNTS:
                     for final_state, script in unroll(state, count):
                         yield final_state, ((LoopCount, count), script)
-                    if over_budget():
+                    if stats.evaluations >= budget:
                         return
             return loop
         raise CheckError(f"unexpected program {node!r}")
@@ -447,7 +452,7 @@ class _Engine:
         box = self.obligation.search_box
         lo, hi = box.get(domain_key(box, var), DEFAULT_DOMAIN)
         ends = (lo.as_integer_ratio(), hi.as_integer_ratio())
-        sample = _sampler(*ends)
+        base, step, den = _sampler(*ends)
         pins = None if test is None else _pinner(var, test, self.constants)
 
         def values(state):
@@ -455,7 +460,7 @@ class _Engine:
             out += ends
             bits = self.rng.getrandbits
             for _ in range(VALUES_PER_RANDOM_ASSIGN):
-                out.append(_reduced(*sample(bits(16))))
+                out.append(_reduced(base + bits(16) * step, den))
             return list(dict.fromkeys(out))
         return values
 
@@ -469,10 +474,10 @@ class _Engine:
         if maximum[0] <= 0:
             return [(0, 1)]
         out = [maximum, (0, 1)]
-        sample = _sampler((0, 1), maximum)
+        base, step, den = _sampler((0, 1), maximum)
         bits = self.rng.getrandbits
         for _ in range(DURATION_SAMPLES_PER_ODE - 2):
-            out.append(sample(bits(16)))
+            out.append((base + bits(16) * step, den))
         return out
 
 
@@ -494,11 +499,14 @@ def _decisions(rope, out):
     return out
 
 
-def _pair_term(term, constants):
+def _pair_term(term, constants, pairs):
     """Closure state -> the value of `term` as a reduced int pair, by the
     exact kernel; on a state holding a float, eval_term's value on its
-    exact view, left a float when it is one."""
-    exact = _ratio_term(term, constants=constants)
+    exact view, left a float when it is one, unless `pairs` says that no
+    state does."""
+    exact = _ratio_term(term, constants=constants, pairs=pairs)
+    if pairs:
+        return lambda state: _reduced(*exact(state))
 
     def value(state):
         try:
@@ -546,15 +554,15 @@ def _derive_seed(seed, name, salt=""):
 
 
 def _sampler(lo, hi, bits=16):
-    """n -> lo + (hi - lo) * n / 2^bits as an unreduced (numerator,
-    denominator) int pair, for lo and hi int pairs with positive
-    denominators; a uniform n < 2^bits samples [lo, hi] exactly."""
+    """(base, step, den): lo + (hi - lo) * n / 2^bits is the unreduced
+    (numerator, denominator) int pair (base + n * step, den), for lo and
+    hi int pairs with positive denominators; a uniform n < 2^bits samples
+    [lo, hi] exactly."""
     (ln, ld), (hn, hd) = lo, hi
     d = math.lcm(ld, hd)
     base = ln * (d // ld)
     step = hn * (d // hd) - base
-    base, den = base << bits, d << bits
-    return lambda n: (base + n * step, den)
+    return base << bits, step, d << bits
 
 
 def _candidates(search_vars, box, config, name):
@@ -572,18 +580,20 @@ def _candidates(search_vars, box, config, name):
     ends = [[x.as_integer_ratio() for x in box[v]] for v in search_vars]
     for level in range(GRID_LEVELS + 1):
         n = 1 << (level + 1)
-        axes = []
-        for lo, hi in ends:
-            point = _sampler(lo, hi, bits=level + 1)
-            axes.append([(point(i), i) for i in range(n + 1)])
-        for combo in itertools.product(*axes):
-            if level > 0 and all(i % 2 == 0 for _, i in combo):
-                continue  # already visited at the previous level
-            yield tuple([value for value, _ in combo])
+        axes = [[(base + i * step, den) for i in range(n + 1)]
+                for base, step, den in (_sampler(lo, hi, level + 1)
+                                        for lo, hi in ends)]
+        points = itertools.product(*axes)
+        if level:  # skip the points of the previous level: all even
+            odd = [i & 1 for i in range(n + 1)]
+            points = itertools.compress(
+                points, map(any, itertools.product(odd, repeat=len(ends))))
+        yield from points
     samplers = [_sampler(lo, hi) for lo, hi in ends]
     bits = random.Random(_derive_seed(config.seed, name, "grid")).getrandbits
     while True:
-        yield tuple([sample(bits(16)) for sample in samplers])
+        yield tuple([(base + bits(16) * step, den)
+                     for base, step, den in samplers])
 
 
 # ---------------------------------------------------------------------------
@@ -702,6 +712,10 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
         raise CheckError(f"uncoverable free symbols: {sorted(uncovered)}")
 
     search_vars = [v for v in quantified if v in matrix_vars]
+    if config.discrete is not None:
+        missing = [v for v in search_vars if not config.discrete.get(v)]
+        if missing:
+            raise CheckError(f"no discrete values for: {missing}")
     box = obligation.search_box
     base = {k: Fraction(v).as_integer_ratio()
             for k, v in obligation.fixed_constants.items()}
@@ -712,23 +726,26 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
     for v in assigned - set(base) - set(search_vars):
         base[v] = (0, 1)
 
-    # fold the constants no run changes; a numeric plant leaves them floats
-    # in its final state, so a matrix with one folds nothing
+    # without a numeric plant every state holds an int pair per variable;
+    # fold the constants no run changes, which a numeric plant would leave
+    # floats in its final state
+    pairs = all(plant_of(ode).template is not None
+                for program in programs for ode in _odes(program))
     constants = {k: base[k] for k in obligation.fixed_constants
                  if k not in assigned and k not in quantified}
-    if not constants or any(plant_of(ode).template is None
-                            for program in programs
-                            for ode in _odes(program)):
+    if not (constants and pairs):
         constants = None
-    engine = _Engine(obligation, config, constants)
+    engine = _Engine(obligation, config, constants, pairs)
     decide = engine.formula(matrix, target)
     stats, budget = engine.stats, config.budget
     candidates = _candidates(search_vars, box, config, obligation.name)
+    # one state for every candidate: programs copy a state before they
+    # write, and nothing keeps one past its candidate
+    state = base
     for index, values in enumerate(candidates):
         if stats.evaluations >= budget:
             break
         stats.candidates += 1
-        state = base.copy()
         state.update(zip(search_vars, values))
         engine.candidate = index
         ropes = decide(state)

@@ -124,13 +124,16 @@ def eval_fol(state: State, formula) -> bool:
 # operations, comparisons cross-multiply, and nothing is reduced by a gcd
 # inside a formula, so no Fraction is built.  A state may hold such pairs
 # itself (the search's states do), which a variable returns as they are.
-# Given the values of constants the state never changes, the compiler folds
-# those constants, the literals and every subterm built from them alone
-# into one reduced pair, and a node captures a folded operand instead of
-# calling it (partial evaluation).  A state that holds a float (the
-# numeric-plant path), or lacks a variable, is evaluated by
-# eval_fol/eval_term instead, on its exact view, with their float
-# semantics and their UndeclaredVariable.
+# The compiler folds every subterm built from literals alone into one
+# reduced pair, and, given the values of constants the state never
+# changes, those constants and every subterm built from them too; a node
+# captures a folded operand instead of calling it (partial evaluation).  A
+# state that holds a float (the numeric-plant path), or lacks a variable,
+# is evaluated by eval_fol/eval_term instead, on its exact view, with their
+# float semantics and their UndeclaredVariable.  In pair mode the caller
+# vouches that every state holds a pair for every variable: a variable is
+# then operator.itemgetter, a C call that checks nothing, and a formula is
+# its closure with no fallback.
 
 class _Inexact(Exception):
     """A state value is a float, which the kernel does not evaluate."""
@@ -147,23 +150,23 @@ def _reduced(n, d):
     return (n // g, d // g) if g > 1 else (n, d)
 
 
-def _ratio_term(term, floats=False, constants=None):
+def _ratio_term(term, floats=False, constants=None, pairs=False):
     """Closure state -> (numerator, denominator > 0) of `term`.  A float in
     the state raises _Inexact, or with `floats` is read as its exact ratio.
     `constants` maps the names whose values are fixed to their int pairs;
-    given it, the closure reads none of them from the state."""
-    value = _ratio(term, floats, constants)
+    given it, the closure reads none of them from the state.  With `pairs`
+    the state holds an int pair for every variable the term reads, which a
+    variable returns by itemgetter with no check."""
+    value = _ratio(term, operator.itemgetter if pairs else _reader(floats),
+                   constants)
     return value if callable(value) else lambda s: value
 
 
-def _ratio(term, floats, constants):
-    """The reduced pair of a subterm folded at compile time, else a closure
-    as `_ratio_term` gives.  Without `constants`, nothing is folded."""
-    if isinstance(term, Var):
-        name = term.name
-        if constants is not None and name in constants:
-            return constants[name]
-
+def _reader(floats):
+    """name -> closure state -> the variable's value as an int pair, from a
+    pair, a Fraction or an int; a float raises _Inexact, or with `floats`
+    is read as its exact ratio."""
+    def read(name):
         def var(s):
             value = s[name]
             kind = type(value)
@@ -173,11 +176,21 @@ def _ratio(term, floats, constants):
                 raise _Inexact
             return value.as_integer_ratio()
         return var
+    return read
+
+
+def _ratio(term, read, constants):
+    """The reduced pair of a subterm folded at compile time, else a closure
+    as `_ratio_term` gives, whose variables `read` makes (see _reader).
+    Literals always fold; constants only when given."""
+    if isinstance(term, Var):
+        if constants is not None and term.name in constants:
+            return constants[term.name]
+        return read(term.name)
     if isinstance(term, Num):
-        pair = term.value.as_integer_ratio()
-        return pair if constants is not None else lambda s: pair
+        return term.value.as_integer_ratio()
     if isinstance(term, Neg):
-        inner = _ratio(term.inner, floats, constants)
+        inner = _ratio(term.inner, read, constants)
         if not callable(inner):
             return -inner[0], inner[1]
 
@@ -186,7 +199,7 @@ def _ratio(term, floats, constants):
             return -n, d
         return neg
     if isinstance(term, Pow):
-        base, k = _ratio(term.base, floats, constants), term.exp
+        base, k = _ratio(term.base, read, constants), term.exp
         if not callable(base):
             return base[0] ** k, base[1] ** k
 
@@ -195,11 +208,11 @@ def _ratio(term, floats, constants):
             return n ** k, d ** k
         return power
     if isinstance(term, Div):
-        left = _ratio(term.num, floats, constants)
-        right = _ratio(term.den, floats, constants)
+        left = _ratio(term.num, read, constants)
+        right = _ratio(term.den, read, constants)
     else:
-        left = _ratio(term.left, floats, constants)
-        right = _ratio(term.right, floats, constants)
+        left = _ratio(term.left, read, constants)
+        right = _ratio(term.right, read, constants)
     if not callable(left) and not callable(right):
         try:
             value = _TERM_OPS[type(term)](Fraction(*left), Fraction(*right))
@@ -321,9 +334,9 @@ def _fol_closure(formula, comparison):
     raise TypeError(formula)
 
 
-def _ratio_cmp(formula, constants):
-    left = _ratio(formula.left, False, constants)
-    right = _ratio(formula.right, False, constants)
+def _ratio_cmp(formula, read, constants):
+    left = _ratio(formula.left, read, constants)
+    right = _ratio(formula.right, read, constants)
     holds = _CMP[formula.op]
     if not callable(right):
         c, d = right
@@ -350,13 +363,18 @@ def _ratio_cmp(formula, constants):
     return cmp
 
 
-def compile_fol(formula, constants=None):
+def compile_fol(formula, constants=None, pairs=False):
     """state -> bool, equal to eval_fol(state, formula) on a quantifier-free
     `formula`, evaluated by the exact kernel, which folds `constants` (see
     _ratio_term).  A ZeroDivisionError is raised exactly when eval_fol
     raises one; states holding a float or lacking a variable are handed to
-    eval_fol on their exact view, with `formula` as it is."""
-    exact = _fol_closure(formula, lambda c: _ratio_cmp(c, constants))
+    eval_fol on their exact view, with `formula` as it is.  With `pairs`,
+    for states that hold an int pair for every variable, the kernel's
+    closure is returned as it is, with no such fallback."""
+    read = operator.itemgetter if pairs else _reader(False)
+    exact = _fol_closure(formula, lambda c: _ratio_cmp(c, read, constants))
+    if pairs:
+        return exact
 
     def evaluate(s):
         try:

@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -114,6 +115,7 @@ def test_compile_fol_parity_with_eval_fol():
             continue
         formulas += 1
         compiled = compile_fol(formula)
+        paired = compile_fol(formula, pairs=True)
         for floats in (False, False, True):
             state = _mixed_state(rng, floats)
             expected = _outcome(eval_fol, state, formula)
@@ -123,6 +125,7 @@ def test_compile_fol_parity_with_eval_fol():
                 # its first-order candidates
                 pairs = _pair_state(rng, state)
                 assert _outcome(compiled, pairs) == expected, (formula, pairs)
+                assert _outcome(paired, pairs) == expected, (formula, pairs)
             raised += not floats and isinstance(expected, tuple)
             fell_back += floats and any(type(v) is float
                                         for v in state.values())
@@ -184,6 +187,8 @@ def test_compile_fol_folds_constants_to_the_same_outcome():
             if not floats:
                 pairs = _pair_state(rng, state)
                 assert _outcome(folded, pairs) == expected, (formula, fixed)
+                paired = compile_fol(formula, constants, pairs=True)
+                assert _outcome(paired, pairs) == expected, (formula, fixed)
             folded_zero += isinstance(expected, tuple) and any(
                 constants.get(v) == (0, 1) for v in free_variables(formula))
             fell_back += floats
@@ -197,14 +202,24 @@ def test_compile_fol_folds_constants_to_the_same_outcome():
     assert _outcome(folded, state) == _outcome(
         eval_fol, {k: F(*v) for k, v in state.items()}, formula) \
         == (ZeroDivisionError, "Fraction(1, 0)")
+    # so is the fold of the literals 1 / (2 - 2), whatever the constants,
+    # in the checked kernel and in the pair kernel
+    formula = parse_formula("y > 0 | x / (2 - 2) > 1")
+    for compiled in (compile_fol(formula), compile_fol(formula, pairs=True)):
+        state = {"x": (1, 1), "y": (1, 1)}
+        assert compiled(state) is True
+        state["y"] = (-1, 1)
+        assert _outcome(compiled, state) == _outcome(
+            eval_fol, {k: F(*v) for k, v in state.items()}, formula) \
+            == (ZeroDivisionError, "Fraction(1, 0)")
 
 
 def test_search_folds_only_the_constants_no_run_changes(monkeypatch):
     seen = []
 
-    def recording(formula, constants=None):
+    def recording(formula, constants=None, pairs=False):
         seen.append(constants)
-        return compile_fol(formula, constants)
+        return compile_fol(formula, constants, pairs=pairs)
     monkeypatch.setattr(checker, "compile_fol", recording)
     [ob] = obligations_for(builtin("m2"), "zeta1", "gamma")
     check(ob, SearchConfig(budget=50))
@@ -637,6 +652,18 @@ def test_uncoverable_symbols_rejected():
         check(ob)
 
 
+def test_discrete_without_values_for_a_search_variable_is_rejected(
+        monkeypatch):
+    # named before any candidate is drawn, not a KeyError from the stream
+    monkeypatch.setattr(checker, "_candidates", None)
+    ob = close("x <= y & z <= 1", FALSIFY_UNIVERSAL,
+               {"x": (F(0), F(1)), "y": (F(0), F(1)), "z": (F(0), F(1))})
+    with pytest.raises(CheckError, match=r"no discrete values for: \['y'\]$"):
+        check(ob, SearchConfig(discrete={"x": [F(0)], "z": [F(1)]}))
+    with pytest.raises(CheckError, match=r"for: \['x', 'z'\]$"):
+        check(ob, SearchConfig(discrete={"x": [], "y": [F(1)]}))
+
+
 def test_budget_is_respected():
     ob = close("x^2 >= 0", FALSIFY_UNIVERSAL, {"x": (F(-1), F(1))})
     verdict = check(ob, SearchConfig(budget=100))
@@ -682,6 +709,28 @@ def test_exhaustive_outcomes_are_pinned():
                           candidates=verdict.stats.candidates)
             digest.update(json.dumps(record, sort_keys=True).encode())
     assert digest.hexdigest() == EXHAUSTIVE_DIGEST
+
+
+# sha256 over repr of the first 6 000 candidates of 1, 2, 3 and 5 search
+# variables, with dyadic, non-dyadic and one-point box ends, at seeds 0 and
+# 7: the grid levels and the samples after them; taken before the candidate
+# stream was rewritten.
+CANDIDATE_STREAM_DIGEST = \
+    "9652500d83549a9914abfdff89875cd9b8ff1b58c675a60c79372a0c2e835d88"
+
+
+def test_candidate_stream_is_pinned():
+    box = {"x": (F(-1), F(1)), "y": (F(-1, 3), F(7, 5)), "z": (F(0), F(10)),
+           "w": (F(-5, 2), F(3, 8)), "u": (F(1, 7), F(2, 3)),
+           "d": (F(1, 3), F(1, 3))}
+    digest = hashlib.sha256()
+    for names in ("x", "y", "xz", "ywd", "xyzwu"):
+        for seed in (0, 7):
+            stream = checker._candidates(list(names), box,
+                                         SearchConfig(seed=seed), "pinned")
+            for values in itertools.islice(stream, 6000):
+                digest.update(repr(values).encode())
+    assert digest.hexdigest() == CANDIDATE_STREAM_DIGEST
 
 
 # ---------------------------------------------------------------------------
