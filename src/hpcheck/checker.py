@@ -8,12 +8,14 @@ Candidates come from a coarse-to-fine grid and seeded uniform sampling,
 and one state, updated in place, holds each in turn; states stay integer
 (numerator, denominator) pairs through programs and their ODEs, and a
 Fraction is built only for a certificate.  Without a numeric plant every
-state holds a pair for every variable, so the closures read variables by
-itemgetter with no fallback, and the fixed constants no run assigns are
-folded into them; literals fold in every obligation.  Modalities
-are decided by script
-enumeration; the diamond-over-env pattern `<e := *; ?P> e = e1` is
-decided goal-directed (bind e := e1, evaluate P) with no search.  Every
+state holds a pair for every variable, so the exact kernel reads
+variables by itemgetter, and the fixed constants no run assigns are
+folded into its closures along with the literals.  With a numeric plant,
+whose RK4 leaves floats, the interpreter evaluates each formula and
+assigned term on the state's exact view; a test's pins are read off the
+exact ratios of the state's values either way.  Modalities are decided
+by script enumeration; the diamond-over-env pattern `<e := *; ?P> e =
+e1` is decided goal-directed (bind e := e1, evaluate P) with no search.  Every
 candidate success is re-checked by exact rational replay before a
 verdict is emitted, so found-verdicts carry certificates that cannot be
 false alarms.  A certificate is what the report prints: the assignment
@@ -41,8 +43,8 @@ from .obligations import (
     rho_obligation,
 )
 from .semantics import (
-    Aborted, Branch, Duration, Final, LoopCount, RandomValue, _Inexact,
-    _neg, _ratio_term, _reduced, compile_fol, eval_fol, eval_term, exact_view,
+    Aborted, Branch, Duration, Final, LoopCount, RandomValue, _neg,
+    _ratio_term, _reduced, compile_fol, eval_fol, eval_term, exact_view,
     is_exact, plant_of, polynomial, run,
 )
 from .syntax import (
@@ -101,7 +103,6 @@ class SearchConfig:
 class Stats:
     evaluations: int = 0
     candidates: int = 0
-    discarded_certificates: int = 0
 
 
 @dataclass
@@ -237,9 +238,11 @@ class _Engine:
     search tries.  States hold int pairs from the candidate down to the
     post, and floats after a numeric plant.  A script is a rope of raw
     decisions (see _decisions), made into a decision list only for a
-    certificate.  `constants` are the fixed constants folded into the
-    compiled closures; with `pairs` every state holds an int pair for each
-    variable, which the closures read with no check and no fallback."""
+    certificate.  With `pairs` every state holds an int pair for each
+    variable: formulas and terms are compiled by the exact kernel, which
+    reads them with no check and folds `constants`, the fixed constants.
+    Without it, an obligation with a numeric plant, the interpreter
+    evaluates them on each state's exact view, and `constants` is None."""
 
     def __init__(self, obligation: Obligation, config: SearchConfig,
                  constants, pairs):
@@ -273,7 +276,7 @@ class _Engine:
         a modality-free node, left then right for both operands, the side
         that held for one, and (script,) + the post's for a modality."""
         if not _has_modality(self.modal, node):
-            holds = compile_fol(node, self.constants, pairs=self.pairs)
+            holds = self._holds(node)
             stats = self.stats
 
             def leaf(state):
@@ -339,8 +342,8 @@ class _Engine:
         """<x := *; ?P> x = t decided goal-directed: bind x := t, test P.
         The one script picks t, whether it witnesses or refutes."""
         x, test, pin_term = goal
-        value = _pair_term(pin_term, self.constants, self.pairs)
-        holds = compile_fol(test, self.constants, pairs=self.pairs)
+        value = self._term(pin_term)
+        holds = self._holds(test)
         stats = self.stats
 
         def decide(state):
@@ -352,15 +355,35 @@ class _Engine:
             return ((RandomValue, pick),)
         return decide
 
+    def _holds(self, formula):
+        """Closure state -> the truth of a modality-free `formula`: the
+        exact kernel, reading pairs by itemgetter, when every state holds
+        pairs, else eval_fol on the state's exact view."""
+        if self.pairs:
+            return compile_fol(formula, self.constants, pairs=True)
+        return lambda state: eval_fol(exact_view(state), formula)
+
+    def _term(self, term):
+        """Closure state -> the value of `term`, by the same evaluator as
+        _holds: a reduced int pair, or eval_term's value on the state's
+        exact view as a reduced pair or a float."""
+        if self.pairs:
+            exact = _ratio_term(term, self.constants, pairs=True)
+            return lambda state: _reduced(*exact(state))
+
+        def value(state):
+            v = eval_term(exact_view(state), term)
+            return v if type(v) is float else v.as_integer_ratio()
+        return value
+
     # programs -------------------------------------------------------------
 
     def program(self, node):
         """Closure state -> iterator of the non-aborting runs as (final
         state, script)."""
         stats, budget = self.stats, self.config.budget
-        constants, pairs = self.constants, self.pairs
         if isinstance(node, Assign):
-            var, value = node.var, _pair_term(node.term, constants, pairs)
+            var, value = node.var, self._term(node.term)
 
             def assign(state):
                 out = dict(state)
@@ -372,8 +395,7 @@ class _Engine:
             # a fused `x := *; ?P` lets the test pin candidate values
             var, condition = fused or (node.var, None)
             values = self._values(var, condition)
-            holds = (None if condition is None
-                     else compile_fol(condition, constants, pairs=pairs))
+            holds = None if condition is None else self._holds(condition)
 
             def draw(state):
                 for value in values(state):
@@ -386,7 +408,7 @@ class _Engine:
                     yield out, (RandomValue, value)
             return draw
         if isinstance(node, Test):
-            holds = compile_fol(node.condition, constants, pairs=pairs)
+            holds = self._holds(node.condition)
 
             def test(state):
                 stats.evaluations += 1
@@ -499,36 +521,23 @@ def _decisions(rope, out):
     return out
 
 
-def _pair_term(term, constants, pairs):
-    """Closure state -> the value of `term` as a reduced int pair, by the
-    exact kernel; on a state holding a float, eval_term's value on its
-    exact view, left a float when it is one, unless `pairs` says that no
-    state does."""
-    exact = _ratio_term(term, constants=constants, pairs=pairs)
-    if pairs:
-        return lambda state: _reduced(*exact(state))
-
-    def value(state):
-        try:
-            return _reduced(*exact(state))
-        except (_Inexact, KeyError):
-            v = eval_term(exact_view(state), term)
-            return v if type(v) is float else v.as_integer_ratio()
-    return value
+def _linear_conjuncts(var, formula):
+    """(conjunct, c0, c1) per comparison conjunct of `formula` whose
+    left - right is c0 + c1 * var as `polynomial` reads it, with var in it:
+    c0 and c1 are terms over the other variables."""
+    for c in conjuncts(formula):
+        form = polynomial(Sub(c.left, c.right), (var,)) \
+            if isinstance(c, Cmp) else None
+        if form and (var,) in form and form.keys() <= {(), (var,)}:
+            yield c, form.get((), Num(0)), form[(var,)]
 
 
 def _pinner(var, test, constants=None):
     """Closure state -> one reduced int pair per conjunct of `test` whose
     left - right is c0 + c1 * var with c1 != 0: its zero -c0 / c1, with a
     float in the state read as its exact ratio."""
-    zeros = []
-    for c in conjuncts(test):
-        form = polynomial(Sub(c.left, c.right), (var,)) \
-            if isinstance(c, Cmp) else None
-        if form and (var,) in form and form.keys() <= {(), (var,)}:
-            zeros.append((
-                _ratio_term(form.get((), Num(0)), True, constants),
-                _ratio_term(form[(var,)], True, constants)))
+    zeros = [(_ratio_term(c0, constants), _ratio_term(c1, constants))
+             for _, c0, c1 in _linear_conjuncts(var, test)]
 
     def pins(state):
         found = []
@@ -757,7 +766,6 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
         if certify(cex, obligation):
             status = WITNESS_FOUND if target else FALSIFIED
             return Verdict(status, cex, stats, obligation, config.seed)
-        stats.discarded_certificates += 1
 
     status = NO_WITNESS_FOUND if target else NOT_FALSIFIED
     return Verdict(status, None, stats, obligation, config.seed)
@@ -817,17 +825,12 @@ def _psi_missing(model):
 
 def _action_lower_bounds(model):
     """The lower bounds that AUX's test `a := *; ?P` sets on a: one term
-    -c0 / c1 per conjunct of P whose left - right is c0 + c1 * a, read as
-    _pinner reads pins, with c1 a nonzero literal and the conjunct bounding
-    a from below (an equation does too)."""
-    var, test = _assign_then_test(model.aux)
+    -c0 / c1 per conjunct of P whose left - right is c0 + c1 * a (see
+    _linear_conjuncts, which _pinner reads pins with), with c1 a nonzero
+    literal and the conjunct bounding a from below (an equation does
+    too)."""
     bounds = []
-    for c in conjuncts(test):
-        form = polynomial(Sub(c.left, c.right), (var,)) \
-            if isinstance(c, Cmp) else None
-        if not (form and (var,) in form and form.keys() <= {(), (var,)}):
-            continue
-        c0, c1 = form.get((), Num(0)), form[(var,)]
+    for c, c0, c1 in _linear_conjuncts(*_assign_then_test(model.aux)):
         slope = c1.value if type(c1) is Num else 0
         if slope and (c.op == "=" or c.op in ("<=", "<") and slope < 0
                       or c.op in (">=", ">") and slope > 0):

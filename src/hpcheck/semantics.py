@@ -3,11 +3,10 @@
 All nondeterminism (random assignments, choices, ODE durations, loop
 counts) is externalized into a ChoiceScript consumed left to right, so a
 run is a pure function of (state, program, script).  States map variable
-names to exact rationals where possible; floats appear only on the
-numeric ODE fallback path, the RK4 kernel a Plant outside the closed-form
-template compiles once.  The search's states hold each exact rational as
-an int pair instead, which a Plant and the exact kernel below take as
-they are.
+names to exact rationals where possible; floats appear only after a
+plant outside the closed-form template, which the RK4 kernel integrates.
+The search's states hold each exact rational as an int pair instead,
+which a Plant and the exact kernel below take as they are.
 """
 
 from __future__ import annotations
@@ -122,22 +121,18 @@ def eval_fol(state: State, formula) -> bool:
 # of closures.  A term node returns its exact value as a (numerator,
 # denominator > 0) pair of Python ints: sums and products are a few integer
 # operations, comparisons cross-multiply, and nothing is reduced by a gcd
-# inside a formula, so no Fraction is built.  A state may hold such pairs
-# itself (the search's states do), which a variable returns as they are.
+# inside a formula, so no Fraction is built.  The kernel reads exact values
+# only: an int pair in the state (the search's states hold them) as it is,
+# and a Fraction, an int or a float as its exact ratio; a missing variable
+# raises UndeclaredVariable.  Float arithmetic lives only in the RK4 kernel
+# below and in eval_term/eval_fol, which a caller that wants it calls.
 # The compiler folds every subterm built from literals alone into one
 # reduced pair, and, given the values of constants the state never
 # changes, those constants and every subterm built from them too; a node
-# captures a folded operand instead of calling it (partial evaluation).  A
-# state that holds a float (the numeric-plant path), or lacks a variable,
-# is evaluated by eval_fol/eval_term instead, on its exact view, with their
-# float semantics and their UndeclaredVariable.  In pair mode the caller
-# vouches that every state holds a pair for every variable: a variable is
-# then operator.itemgetter, a C call that checks nothing, and a formula is
-# its closure with no fallback.
-
-class _Inexact(Exception):
-    """A state value is a float, which the kernel does not evaluate."""
-
+# captures a folded operand instead of calling it (partial evaluation).  In
+# pair mode the caller vouches that every state holds a pair for every
+# variable: a variable is then operator.itemgetter, a C call that checks
+# nothing.
 
 def exact_view(state: State) -> State:
     """`state` with each int pair read as its Fraction."""
@@ -150,38 +145,31 @@ def _reduced(n, d):
     return (n // g, d // g) if g > 1 else (n, d)
 
 
-def _ratio_term(term, floats=False, constants=None, pairs=False):
-    """Closure state -> (numerator, denominator > 0) of `term`.  A float in
-    the state raises _Inexact, or with `floats` is read as its exact ratio.
-    `constants` maps the names whose values are fixed to their int pairs;
-    given it, the closure reads none of them from the state.  With `pairs`
-    the state holds an int pair for every variable the term reads, which a
-    variable returns by itemgetter with no check."""
-    value = _ratio(term, operator.itemgetter if pairs else _reader(floats),
-                   constants)
+def _ratio_term(term, constants=None, pairs=False):
+    """Closure state -> (numerator, denominator > 0) of `term`, each value
+    read as _read reads it.  `constants` maps the names whose values are
+    fixed to their int pairs; given it, the closure reads none of them from
+    the state.  With `pairs` the state holds an int pair for every variable
+    the term reads, which a variable returns by itemgetter with no check."""
+    value = _ratio(term, operator.itemgetter if pairs else _read, constants)
     return value if callable(value) else lambda s: value
 
 
-def _reader(floats):
-    """name -> closure state -> the variable's value as an int pair, from a
-    pair, a Fraction or an int; a float raises _Inexact, or with `floats`
-    is read as its exact ratio."""
-    def read(name):
-        def var(s):
+def _read(name):
+    """Closure state -> the variable's value as an int pair: a pair as it
+    is, a Fraction, an int or a float as its exact ratio."""
+    def var(s):
+        try:
             value = s[name]
-            kind = type(value)
-            if kind is tuple:
-                return value
-            if kind is float and not floats:
-                raise _Inexact
-            return value.as_integer_ratio()
-        return var
-    return read
+        except KeyError:
+            raise UndeclaredVariable(name) from None
+        return value if type(value) is tuple else value.as_integer_ratio()
+    return var
 
 
 def _ratio(term, read, constants):
     """The reduced pair of a subterm folded at compile time, else a closure
-    as `_ratio_term` gives, whose variables `read` makes (see _reader).
+    as `_ratio_term` gives, whose variables `read` makes (see _read).
     Literals always fold; constants only when given."""
     if isinstance(term, Var):
         if constants is not None and term.name in constants:
@@ -364,24 +352,13 @@ def _ratio_cmp(formula, read, constants):
 
 
 def compile_fol(formula, constants=None, pairs=False):
-    """state -> bool, equal to eval_fol(state, formula) on a quantifier-free
-    `formula`, evaluated by the exact kernel, which folds `constants` (see
+    """state -> bool, equal to eval_fol(exact_view(state), formula) on a
+    quantifier-free `formula`, evaluated by the exact kernel, which folds
+    `constants` and reads pairs by itemgetter with `pairs` (see
     _ratio_term).  A ZeroDivisionError is raised exactly when eval_fol
-    raises one; states holding a float or lacking a variable are handed to
-    eval_fol on their exact view, with `formula` as it is.  With `pairs`,
-    for states that hold an int pair for every variable, the kernel's
-    closure is returned as it is, with no such fallback."""
-    read = operator.itemgetter if pairs else _reader(False)
-    exact = _fol_closure(formula, lambda c: _ratio_cmp(c, read, constants))
-    if pairs:
-        return exact
-
-    def evaluate(s):
-        try:
-            return exact(s)
-        except (_Inexact, KeyError):
-            return eval_fol(exact_view(s), formula)
-    return evaluate
+    raises one."""
+    read = operator.itemgetter if pairs else _read
+    return _fol_closure(formula, lambda c: _ratio_cmp(c, read, constants))
 
 
 # Polynomial form.  A term is read as a polynomial in chosen variables whose
@@ -692,7 +669,9 @@ class Plant:
                     self.template, self._forms = None, []
                     break
                 self._forms.append((c, form))
-        self.domain = compile_fol(ode.domain)
+        # the template's domain, by the exact kernel; RK4 compiles its own
+        self.domain = (None if self.template is None
+                       else compile_fol(ode.domain))
         # along the solution an affine `!=` conjunct fails at one instant,
         # which the endpoints miss; every other conjunct holds on an interval
         self._punctured = any(c.op == "!=" for c, _ in self._forms)
@@ -730,11 +709,14 @@ class Plant:
     def duration_bound(self, state: State):
         """Supremum of durations for which the domain holds throughout, up
         to DEFAULT_HORIZON: a reduced int pair on the template path, a float
-        from bisection on the grid-checked predicate otherwise."""
+        from bisection on the grid-checked predicate otherwise, whose start
+        eval_fol judges."""
+        if self.template is None:
+            if not eval_fol(exact_view(state), self.ode.domain):
+                return 0, 1
+            return self._bisect(state)
         if not self.domain(state):
             return 0, 1
-        if self.template is None:
-            return self._bisect(state)
         best = _earliest(_affine_conjunct_bound(*line)
                          for line in self._domain_lines(state))
         return (DEFAULT_HORIZON.as_integer_ratio() if best is None
@@ -749,16 +731,12 @@ class Plant:
             _, vel, clock, accel = self.template
             self._lines = []
             for c, form in self._forms:
-                offset = _ratio_term(Sub(c.left, c.right), floats=True)
+                offset = _ratio_term(Sub(c.left, c.right))
                 rate = _fold(Add, _fold(Mul, form.get((vel,), _ZERO), accel),
                              form.get((clock,), _ZERO))
-                self._lines.append((c.op, offset,
-                                    _ratio_term(rate, floats=True)))
-        try:
-            return [(op, *offset(state), *rate(state))
-                    for op, offset, rate in self._lines]
-        except KeyError as missing:
-            raise UndeclaredVariable(*missing.args) from None
+                self._lines.append((c.op, offset, _ratio_term(rate)))
+        return [(op, *offset(state), *rate(state))
+                for op, offset, rate in self._lines]
 
     def _bisect(self, state):
         lo, hi = 0.0, float(DEFAULT_HORIZON)
@@ -878,10 +856,12 @@ def _compile_numeric(ode: ODE):
     """evolve(state, duration) of `ode` by RK4 in floats with step ODE_STEP:
     Final(state at duration) when the domain holds at the start and at
     GRID_POINTS + 1 evenly spaced times up to duration, else Aborted at the
-    first time it fails.  Only the evolved variables are integrated.  A
-    constant rate c shifts the stages by half or all of the step times
-    float(c), and its update is a sixth of the step times float(6 c), as
-    in Fraction arithmetic with a float.  A stage writes only the evolved
+    first time it fails.  Only the evolved variables are integrated, and a
+    state that lacks one, once past the start check, is an
+    UndeclaredVariable, whatever the duration.  A constant rate c shifts
+    the stages by half or all of the step times float(c), and its update
+    is a sixth of the step times float(6 c), as in Fraction arithmetic
+    with a float.  A stage writes only the evolved
     variables some rate reads; the others keep their start value in the
     stage state, where nothing reads it."""
     names, rates, constants = [], [], []
@@ -916,9 +896,9 @@ def _compile_numeric(ode: ODE):
                    for k, v in state.items()}
         if not domain(current):
             return Aborted(ode.domain, current)
-        # a state that lacks an evolved variable fails the first step with
-        # the KeyError that writing all of its stage values would raise
-        absent = next((name for name in evolved if name not in current), None)
+        for name in evolved:
+            if name not in current:
+                raise UndeclaredVariable(name)
         work = dict(current)  # the state at each RK4 stage
         t = 0.0
         for i in range(1, samples + 1):
@@ -927,8 +907,6 @@ def _compile_numeric(ode: ODE):
                 h = min(ODE_STEP, target - t)
                 half = h / 2
                 k1 = [rate(current) for rate in rates]
-                if absent is not None:
-                    raise KeyError(absent)
                 k2 = stage(current, work, k1, half)
                 k3 = stage(current, work, k2, half)
                 k4 = stage(current, work, k3, h)

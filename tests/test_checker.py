@@ -23,7 +23,7 @@ from hpcheck.obligations import (
 )
 from hpcheck.parser import parse_formula, parse_term
 from hpcheck.semantics import (
-    Branch, RandomValue, _Inexact, _ratio_term, eval_fol, eval_term,
+    Branch, RandomValue, _ratio_term, eval_fol, eval_term,
 )
 from hpcheck.syntax import (
     And, Box, Cmp, Diamond, Exists, Forall, Iff, Implies, Not, Or,
@@ -87,6 +87,13 @@ def _mixed_state(rng, floats=False):
     return state
 
 
+def _exact_ratios(state):
+    """The state with each float read as its exact ratio, as the exact
+    kernel reads it."""
+    return {var: Fraction(value) if type(value) is float else value
+            for var, value in state.items()}
+
+
 def _pair_state(rng, state):
     """The exact state as unreduced (numerator, denominator) int pairs,
     each scaled by a random positive factor."""
@@ -108,7 +115,7 @@ def _outcome(fn, *args):
 
 def test_compile_fol_parity_with_eval_fol():
     rng = random.Random(41)
-    formulas = raised = fell_back = 0
+    formulas = raised = floated = rounded = 0
     while formulas < 400:
         formula = random_formula(rng, 4)
         if not (is_fol(formula) and is_quantifier_free(formula)):
@@ -118,7 +125,8 @@ def test_compile_fol_parity_with_eval_fol():
         paired = compile_fol(formula, pairs=True)
         for floats in (False, False, True):
             state = _mixed_state(rng, floats)
-            expected = _outcome(eval_fol, state, formula)
+            # a float is read as its exact ratio, not in float arithmetic
+            expected = _outcome(eval_fol, _exact_ratios(state), formula)
             assert _outcome(compiled, state) == expected, (formula, state)
             if not floats:
                 # the same values held as int pairs, as the search holds
@@ -127,9 +135,10 @@ def test_compile_fol_parity_with_eval_fol():
                 assert _outcome(compiled, pairs) == expected, (formula, pairs)
                 assert _outcome(paired, pairs) == expected, (formula, pairs)
             raised += not floats and isinstance(expected, tuple)
-            fell_back += floats and any(type(v) is float
-                                        for v in state.values())
-    assert raised > 30 and fell_back > 300
+            floated += floats and any(type(v) is float
+                                      for v in state.values())
+            rounded += _outcome(eval_fol, state, formula) != expected
+    assert raised > 30 and floated > 300 and rounded > 0
 
 
 def test_ratio_term_parity_with_eval_term():
@@ -140,13 +149,8 @@ def test_ratio_term_parity_with_eval_term():
         kernel = _ratio_term(term)
         floats = rng.random() < 0.3
         state = _mixed_state(rng, floats)
-        expected = _outcome(eval_term, state, term)
-        if any(type(state[v]) is float for v in free_variables(term)):
-            # a float is read: the kernel hands the term to eval_term
-            with pytest.raises((_Inexact, ZeroDivisionError)):
-                kernel(state)
-            inexact += 1
-            continue
+        # a float is read as its exact ratio, not in float arithmetic
+        expected = _outcome(eval_term, _exact_ratios(state), term)
         for held in (state, _pair_state(rng, state)):
             got = _outcome(kernel, held)
             if isinstance(expected, tuple):
@@ -154,7 +158,9 @@ def test_ratio_term_parity_with_eval_term():
             else:
                 n, d = got
                 assert d > 0 and Fraction(n, d) == expected, (term, held)
-        if isinstance(expected, tuple):
+        if any(type(state[v]) is float for v in free_variables(term)):
+            inexact += 1
+        elif isinstance(expected, tuple):
             raised += 1
         else:
             exact += 1
@@ -166,7 +172,7 @@ def test_compile_fol_folds_constants_to_the_same_outcome():
     # the state holds; zeros among them fold some divisors to zero, which
     # raise where eval_fol raises
     rng = random.Random(44)
-    formulas = folded_zero = fell_back = 0
+    formulas = folded_zero = floated = 0
     while formulas < 400:
         formula = random_formula(rng, 4)
         if not (is_fol(formula) and is_quantifier_free(formula)):
@@ -181,7 +187,8 @@ def test_compile_fol_folds_constants_to_the_same_outcome():
                 if floats and v not in constants and rng.random() < 0.5:
                     state[v] = float(state[v])
             folded = compile_fol(formula, constants)
-            expected = _outcome(eval_fol, state, formula)
+            # a float is read as its exact ratio, not in float arithmetic
+            expected = _outcome(eval_fol, _exact_ratios(state), formula)
             assert _outcome(plain, state) == expected
             assert _outcome(folded, state) == expected, (formula, fixed)
             if not floats:
@@ -191,8 +198,8 @@ def test_compile_fol_folds_constants_to_the_same_outcome():
                 assert _outcome(paired, pairs) == expected, (formula, fixed)
             folded_zero += isinstance(expected, tuple) and any(
                 constants.get(v) == (0, 1) for v in free_variables(formula))
-            fell_back += floats
-    assert folded_zero > 10 and fell_back == 400
+            floated += floats
+    assert folded_zero > 10 and floated == 400
     # the fold of 1 / (c - c) is a closure: short-circuited, it never raises
     formula = parse_formula("y > 0 | x / (c - c) > 1")
     folded = compile_fol(formula, {"c": (2, 1)})
@@ -233,13 +240,14 @@ def test_search_folds_only_the_constants_no_run_changes(monkeypatch):
     assert verdict.status == FALSIFIED
     assert verdict.counterexample.assignment["x"] > 0
     assert seen == [None]
-    # a numeric plant leaves the constants floats in its final state
+    # a numeric plant leaves the constants floats in its final state, so
+    # the interpreter evaluates the obligation and nothing is compiled
     seen.clear()
     ob = Obligation("drag", parse_formula(
         "forall x [{x' = -x / c, t' = 1 & t <= 1}; y := *; ?y >= c] y >= x"),
         FALSIFY_UNIVERSAL, {"x": (F(0), F(2))}, {"c": F(4)})
     check(ob, SearchConfig(budget=50))
-    assert seen and set(map(type, seen)) == {type(None)}
+    assert seen == []
 
 
 def test_modal_search_builds_no_fraction_per_evolution(monkeypatch):

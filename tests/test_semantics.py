@@ -168,6 +168,25 @@ def test_closed_form_template_detected():
     assert closed_form_template(PLANT_ODE) == ("x", "v", "tau", Var("a"))
 
 
+def test_template_plant_reads_a_float_state_as_its_exact_ratios():
+    # a template plant after a numeric one meets floats: v + w is
+    # 0.30000000000000004 in floats, below the bound 0.30000000000000003
+    # exactly; the domain check and the bound read the state alike, so the
+    # bound is never negative and an evolution for it agrees with it
+    state = {"x": 0.0, "v": 0.1, "t": 0.0, "w": 0.2}
+    for op, a, bound, outcome in ((">=", -1.0, (0, 1), Aborted),
+                                  ("<=", 0.0, (100, 1), Final)):
+        ode = parse_program("{x' = v, v' = a, t' = 1 & v + w %s "
+                            "30000000000000003/100000000000000000}" % op)
+        plant = Plant(ode)
+        assert plant.template is not None
+        held = dict(state, a=a)
+        assert plant.duration_bound(held) == bound
+        assert max_admissible_duration(held, ode) == F(*bound)
+        assert type(plant.evolve(held, bound)) is outcome
+        assert type(plant.evolve(held, F(*bound))) is outcome
+
+
 def test_plant_evolution_is_exact_polynomial():
     state = base_state(v=1, a=2)
     outcome = evolve_plant(state, PLANT_ODE, F(1, 2))
@@ -597,8 +616,10 @@ def test_plant_on_pair_states_matches_the_fraction_path():
 def reference_compile_numeric(ode):
     """The RK4 kernel as it was before its inner stages wrote only the
     variables a rate reads: each stage writes every evolved variable, and
-    the stage rates are a list of lists.  `_compile_numeric` must give what
-    this gives, float for float and exception for exception."""
+    the stage rates are a list of lists.  A state that lacks an evolved
+    variable is an UndeclaredVariable once past the start check.
+    `_compile_numeric` must give what this gives, float for float and
+    exception for exception."""
     names, rates, constants = [], [], []
     for name, rhs in ode.equations:
         rate = semantics._float_term(rhs)
@@ -618,6 +639,9 @@ def reference_compile_numeric(ode):
                    for k, v in state.items()}
         if not domain(current):
             return Aborted(ode.domain, current)
+        for name in names + [name for name, _, _ in constants]:
+            if name not in current:
+                raise UndeclaredVariable(name)
         work = dict(current)
         t = 0.0
         for i in range(1, samples + 1):
@@ -660,18 +684,15 @@ def _any_outcome_repr(evolve, state, duration):
 def test_rk4_kernel_matches_the_reference_kernel():
     # repr of every outcome or exception, on NUMERIC_PLANTS and generated
     # ODEs, from states of Fractions, floats and int pairs, some of them
-    # lacking a variable: an evolved one no rate reads (x of drag) fails
-    # with the KeyError of the first step's stage write, and a duration
-    # too short for a step leaves it out of the final state
+    # lacking a variable: an evolved one no rate reads (x of drag) is an
+    # UndeclaredVariable, even for a duration too short for a step
     drag = parse_program(NUMERIC_PLANTS[0][0])
     no_x = {"v": F(1), "a": F(-1), "tau": F(0), "T": F(2)}
     kernel, reference = _compile_numeric(drag), reference_compile_numeric(drag)
-    for duration in (F(1, 2), 1e-17, (3, 2)):
+    for duration in (F(1, 2), 1e-17, (3, 2), 0):
         assert _any_outcome_repr(kernel, no_x, duration) \
-            == _any_outcome_repr(reference, no_x, duration)
-    assert _any_outcome_repr(kernel, no_x, F(1, 2)) == "KeyError('x')"
-    assert _any_outcome_repr(kernel, no_x, 0) \
-        == "Final(state={'v': 1.0, 'a': -1.0, 'tau': 0.0, 'T': 2.0})"
+            == _any_outcome_repr(reference, no_x, duration) \
+            == "UndeclaredVariable('x')"
 
     rng = random.Random(23)
 
@@ -705,8 +726,9 @@ def test_rk4_kernel_matches_the_reference_kernel():
             got = _any_outcome_repr(kernel, state, t)
             assert got == _any_outcome_repr(reference, state, t), (ode, state, t)
             kinds[got.split("(")[0]] += 1
-    assert min(kinds[kind] for kind in ("Final", "Aborted", "KeyError",
+    assert min(kinds[kind] for kind in ("Final", "Aborted",
                                         "UndeclaredVariable")) >= 20, kinds
+    assert "KeyError" not in kinds, kinds
 
 
 def reference_divide(num, den):
