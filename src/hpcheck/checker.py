@@ -48,9 +48,9 @@ from .semantics import (
     is_exact, plant_of, polynomial, run,
 )
 from .syntax import (
-    And, Assign, Box, Choice, Cmp, Diamond, Div, Forall, Exists, Iff,
-    Implies, Loop, Not, Num, ODE, Or, RandomAssign, Seq, Sub, Test, Var,
-    assigned_variables, conjuncts, free_variables,
+    FORMULA_OPS, PROGRAM_OPS, And, Assign, Box, Choice, Cmp, Diamond, Div,
+    Forall, Exists, Iff, Implies, Loop, Not, Num, ODE, Or, RandomAssign, Seq,
+    Sub, Test, Var, assigned_variables, conjuncts, free_variables,
 )
 
 # Search shape: grid refinement levels before sampling, durations tried per
@@ -171,7 +171,7 @@ def _modalities(formula, table) -> bool:
     kind = type(formula)
     if kind is Not:
         flag = _modalities(formula.inner, table)
-    elif kind in _BINARY:
+    elif kind in FORMULA_OPS:
         flag = _modalities(formula.left, table)
         right = _modalities(formula.right, table)
         if flag is False:
@@ -185,9 +185,6 @@ def _modalities(formula, table) -> bool:
         return False
     table[id(formula)] = flag
     return flag
-
-
-_BINARY = frozenset((And, Or, Implies, Iff))
 
 
 def _has_modality(table, formula) -> bool:
@@ -781,7 +778,7 @@ def _modal_programs(matrix):
             stack.append(node.post)
         elif isinstance(node, Not):
             stack.append(node.inner)
-        elif isinstance(node, (And, Or, Implies, Iff)):
+        elif type(node) in FORMULA_OPS:
             stack.extend((node.left, node.right))
 
 
@@ -789,12 +786,9 @@ def _odes(program):
     """Every ODE in the program."""
     if isinstance(program, ODE):
         yield program
-    elif isinstance(program, (Seq, Choice)):
-        first, second = ((program.first, program.second)
-                         if isinstance(program, Seq)
-                         else (program.left, program.right))
-        yield from _odes(first)
-        yield from _odes(second)
+    elif type(program) in PROGRAM_OPS:
+        for operand in vars(program).values():
+            yield from _odes(operand)
     elif isinstance(program, Loop):
         yield from _odes(program.body)
 

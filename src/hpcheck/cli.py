@@ -314,7 +314,7 @@ def cmd_simulate(args) -> int:
             with open(args.script) as fh:
                 script = parse_script(fh.read())
         outcome, trace = run(state, model.loop_program(), script)
-        report["runs"].append(_run_json(model, outcome))
+        report["runs"].append(_run_json(outcome))
         lines.extend(_run_lines(model, outcome))
     elif args.random is not None:
         if args.random < 1:
@@ -342,23 +342,20 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _run_json(model, outcome):
+def _run_json(outcome):
+    state = {k: _num_str(v) for k, v in sorted(outcome.state.items())}
     if isinstance(outcome, Final):
-        return {"outcome": "final",
-                "state": {k: _num_str(v)
-                          for k, v in sorted(outcome.state.items())}}
+        return {"outcome": "final", "state": state}
     return {"outcome": "aborted",
             "failed_test": print_formula(outcome.failed_test),
-            "state": {k: _num_str(v) for k, v in sorted(outcome.state.items())}}
+            "state": state}
 
 
 def _run_lines(model, outcome):
-    if isinstance(outcome, Final):
-        vals = ", ".join(f"{v} = {_num_str(outcome.state[v])}"
-                         for v in _trace_vars(model) if v in outcome.state)
-        return [f"final: {vals}"]
     vals = ", ".join(f"{v} = {_num_str(outcome.state[v])}"
                      for v in _trace_vars(model) if v in outcome.state)
+    if isinstance(outcome, Final):
+        return [f"final: {vals}"]
     return [f"aborted at test {print_formula(outcome.failed_test)}",
             f"state: {vals}"]
 

@@ -2,14 +2,15 @@
 
 Surface syntax is plain ASCII: `&`, `|`, `!`, `->`, `<->`, `forall`,
 `exists`, `[...]`, `<...>`, `:=`, `?`, `{x' = v, v' = a & Q}`, `++` for
-choice and a `*` loop postfix on braced or parenthesized groups.
-Precedence: `!` > `&` > `|` > `->` > `<->`; `->` and `<->` associate to
-the right; quantifiers and modalities extend to the right as far as
+choice and a `*` loop postfix on braced or parenthesized groups.  The
+spelling, precedence and associativity of each binary operator are in
+`syntax.TERM_OPS`, `FORMULA_OPS` and `PROGRAM_OPS`; `!` binds tighter than
+any of them, and quantifiers and modalities extend to the right as far as
 possible.  `#` starts a line comment.
 
 Text is tokenized in one regular-expression pass and parsed in one pass
 without backtracking.  Binary operators are parsed by precedence climbing
-over one table per sort (Pratt, "Top Down Operator Precedence", 1973).  A
+over those tables (Pratt, "Top Down Operator Precedence", 1973).  A
 `(` where a formula may start opens a term when the tokens up to its
 matching `)` can all occur in a term, and a formula otherwise.
 """
@@ -27,10 +28,10 @@ from .model import (
 from .printer import print_formula
 from .semantics import eval_term
 from .syntax import (
-    CMP_OPS, Add, And, Assign, Box, Choice, Cmp, Diamond, Div, Exists,
-    Forall, Formula, Iff, Implies, Loop, Mul, Neg, Not, Num, ODE, Or, Pow,
-    Program, RandomAssign, Seq, Sub, Term, Test, Var, TRUE, FALSE,
-    desugar_if, free_variables, conjuncts,
+    CMP_OPS, FORMULA_OPS, PROGRAM_OPS, TERM_OPS, Assign, Box, Cmp, Diamond,
+    Div, Exists, Forall, Formula, Loop, Neg, Not, Num, ODE, Pow, Program,
+    RandomAssign, Term, Test, Var, TRUE, FALSE, desugar_if, free_variables,
+    conjuncts,
 )
 
 
@@ -126,14 +127,16 @@ def _number(text: str) -> Fraction:
     return Fraction(text) if "." in text else Fraction(int(text))
 
 
-# Binary operators by token text: (precedence, least precedence of the
-# right operand, constructor).  A right operand of the same precedence
-# makes the operator right-associative.
-_FORMULA_OPS = {"<->": (1, 1, Iff), "->": (2, 2, Implies),
-                "|": (3, 4, Or), "&": (4, 5, And)}
-_TERM_OPS = {"+": (1, 2, Add), "-": (1, 2, Sub),
-             "*": (2, 3, Mul), "/": (2, 3, Div)}
-_PROGRAM_OPS = {"++": (1, 2, Choice), ";": (2, 3, Seq)}
+def _by_spelling(ops):
+    """A `syntax` operator table keyed by token text: (precedence, least
+    precedence of the right operand, constructor)."""
+    return {spelling: (own, right, kind)
+            for kind, (spelling, own, right) in ops.items()}
+
+
+_FORMULA_OPS = _by_spelling(FORMULA_OPS)
+_TERM_OPS = _by_spelling(TERM_OPS)
+_PROGRAM_OPS = _by_spelling(PROGRAM_OPS)
 _FORMULA_PREFIXES = frozenset(("!", "forall", "exists", "[", "<"))
 
 

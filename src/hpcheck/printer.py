@@ -5,14 +5,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .syntax import (
-    Add, And, Assign, BoolLit, Box, Choice, Cmp, Diamond, Div, Exists,
-    Forall, Iff, Implies, Loop, Mul, Neg, Not, Num, ODE, Or, Pow,
-    RandomAssign, Seq, Sub, Test, Var,
+    FORMULA_OPS, PROGRAM_OPS, TERM_OPS, Assign, BoolLit, Box, Cmp, Diamond,
+    Exists, Forall, Loop, Neg, Not, Num, ODE, Pow, RandomAssign, Test, Var,
 )
 
-# Term precedence levels: additive=1, multiplicative=2, unary=3, power=4, atom=5
-# Formula levels: iff=1, implies=2, or=3, and=4, unary=5, atom=6
-# Program levels: choice=1, seq=2, atom=3
+# Precedence levels: a binary operator prints at its precedence in
+# syntax.TERM_OPS, FORMULA_OPS or PROGRAM_OPS.  Above those, terms have
+# unary=3, power=4, atom=5; formulas unary=5, atom=6; programs atom=3.
 
 
 def _frac(value: Fraction) -> str:
@@ -31,18 +30,8 @@ def print_term(term, level: int = 0) -> str:
             own = 2 if term.value.denominator != 1 else 3
             return _wrap(_frac(term.value), own, level)
         return str(term.value.numerator)
-    if isinstance(term, Add):
-        return _wrap(f"{print_term(term.left, 1)} + {print_term(term.right, 2)}",
-                     1, level)
-    if isinstance(term, Sub):
-        return _wrap(f"{print_term(term.left, 1)} - {print_term(term.right, 2)}",
-                     1, level)
-    if isinstance(term, Mul):
-        return _wrap(f"{print_term(term.left, 2)} * {print_term(term.right, 3)}",
-                     2, level)
-    if isinstance(term, Div):
-        return _wrap(f"{print_term(term.num, 2)} / {print_term(term.den, 3)}",
-                     2, level)
+    if type(term) in TERM_OPS:
+        return _binary(term, TERM_OPS, print_term, level)
     if isinstance(term, Neg):
         inner = print_term(term.inner, 3)
         # `-3` and `-4^2` would re-lex with the minus glued to the literal;
@@ -65,24 +54,25 @@ def _wrap(text: str, own_level: int, context_level: int) -> str:
     return text
 
 
+def _binary(node, ops, show, level: int) -> str:
+    """A node of the table `ops`, its operands printed by `show`.  The left
+    operand takes the operator's own precedence, one more when the operator
+    is right-associative; the right one takes the least the table allows."""
+    spelling, own, right = ops[type(node)]
+    first, second = vars(node).values()
+    sep = "; " if spelling == ";" else f" {spelling} "
+    left = show(first, own + (own == right))
+    return _wrap(f"{left}{sep}{show(second, right)}", own, level)
+
+
 def print_formula(formula, level: int = 0) -> str:
     if isinstance(formula, BoolLit):
         return "true" if formula.value else "false"
     if isinstance(formula, Cmp):
         return _wrap(f"{print_term(formula.left)} {formula.op} "
                      f"{print_term(formula.right)}", 6, level)
-    if isinstance(formula, Iff):
-        return _wrap(f"{print_formula(formula.left, 2)} <-> "
-                     f"{print_formula(formula.right, 1)}", 1, level)
-    if isinstance(formula, Implies):
-        return _wrap(f"{print_formula(formula.left, 3)} -> "
-                     f"{print_formula(formula.right, 2)}", 2, level)
-    if isinstance(formula, Or):
-        return _wrap(f"{print_formula(formula.left, 3)} | "
-                     f"{print_formula(formula.right, 4)}", 3, level)
-    if isinstance(formula, And):
-        return _wrap(f"{print_formula(formula.left, 4)} & "
-                     f"{print_formula(formula.right, 5)}", 4, level)
+    if type(formula) in FORMULA_OPS:
+        return _binary(formula, FORMULA_OPS, print_formula, level)
     if isinstance(formula, Not):
         return _wrap(f"!{print_formula(formula.inner, 5)}", 5, level)
     # Quantifiers and modalities extend right as far as possible, so they
@@ -114,12 +104,8 @@ def print_program(program, level: int = 0) -> str:
         if program.domain == BoolLit(True):
             return f"{{{eqs}}}"
         return f"{{{eqs} & {print_formula(program.domain)}}}"
-    if isinstance(program, Choice):
-        return _wrap(f"{print_program(program.left, 1)} ++ "
-                     f"{print_program(program.right, 2)}", 1, level)
-    if isinstance(program, Seq):
-        return _wrap(f"{print_program(program.first, 2)}; "
-                     f"{print_program(program.second, 3)}", 2, level)
+    if type(program) in PROGRAM_OPS:
+        return _binary(program, PROGRAM_OPS, print_program, level)
     if isinstance(program, Loop):
         return f"{{{print_program(program.body, 0)}}}*"
     raise TypeError(f"not a program: {program!r}")

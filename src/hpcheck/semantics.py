@@ -18,8 +18,8 @@ from functools import lru_cache
 from math import gcd, isfinite
 
 from .syntax import (
-    Add, And, Assign, BoolLit, Box, Choice, Cmp, Diamond, Div, Exists,
-    Forall, Iff, Implies, Loop, Mul, Neg, Not, Num, ODE, Or, Pow,
+    FORMULA_OPS, Add, And, Assign, BoolLit, Box, Choice, Cmp, Diamond, Div,
+    Exists, Forall, Iff, Implies, Loop, Mul, Neg, Not, Num, ODE, Or, Pow,
     RandomAssign, Seq, Sub, Test, Var, conjuncts, free_variables,
 )
 
@@ -309,7 +309,7 @@ def _fol_closure(formula, comparison):
     if isinstance(formula, Not):
         inner = _fol_closure(formula.inner, comparison)
         return lambda s: not inner(s)
-    if isinstance(formula, (And, Or, Implies, Iff)):
+    if type(formula) in FORMULA_OPS:
         left = _fol_closure(formula.left, comparison)
         right = _fol_closure(formula.right, comparison)
         if isinstance(formula, And):

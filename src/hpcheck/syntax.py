@@ -7,7 +7,7 @@ operators over hybrid programs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -79,6 +79,13 @@ class Pow:
 
 
 Term = Union[Var, Num, Add, Sub, Mul, Neg, Div, Pow]
+
+# The binary operators of each sort, node class -> (spelling, precedence,
+# least precedence of the right operand); a right operand of the operator's
+# own precedence makes it right-associative.  The parser and the printer
+# both read these tables.
+TERM_OPS = {Add: ("+", 1, 2), Sub: ("-", 1, 2),
+            Mul: ("*", 2, 3), Div: ("/", 2, 3)}
 
 # ---------------------------------------------------------------------------
 # Formulas
@@ -161,6 +168,9 @@ class Diamond:
 
 Formula = Union[Cmp, BoolLit, Not, And, Or, Implies, Iff, Forall, Exists, Box, Diamond]
 
+FORMULA_OPS = {Iff: ("<->", 1, 1), Implies: ("->", 2, 2),
+               Or: ("|", 3, 4), And: ("&", 4, 5)}
+
 # ---------------------------------------------------------------------------
 # Hybrid programs
 
@@ -210,6 +220,8 @@ class Loop:
 
 
 Program = Union[Assign, RandomAssign, Test, ODE, Choice, Seq, Loop]
+
+PROGRAM_OPS = {Choice: ("++", 1, 2), Seq: (";", 2, 3)}
 
 
 def desugar_if(condition: Formula, body: Program) -> Program:
@@ -307,10 +319,9 @@ def assigned_variables(program: Program) -> set:
         return set()
     if isinstance(program, ODE):
         return {v for v, _ in program.equations}
-    if isinstance(program, Choice):
-        return assigned_variables(program.left) | assigned_variables(program.right)
-    if isinstance(program, Seq):
-        return assigned_variables(program.first) | assigned_variables(program.second)
+    if type(program) in PROGRAM_OPS:
+        first, second = vars(program).values()
+        return assigned_variables(first) | assigned_variables(second)
     if isinstance(program, Loop):
         return assigned_variables(program.body)
     raise TypeError(f"not a program: {program!r}")
@@ -331,101 +342,52 @@ def fresh_name(base: str, avoid) -> str:
 
 
 def bound_variables(formula: Formula) -> set:
-    if isinstance(formula, (Forall, Exists)):
+    kind = type(formula)
+    if kind is Forall or kind is Exists:
         return {formula.var} | bound_variables(formula.body)
-    if isinstance(formula, Not):
+    if kind is Not:
         return bound_variables(formula.inner)
-    if isinstance(formula, (And, Or, Implies, Iff)):
+    if kind in FORMULA_OPS:
         return bound_variables(formula.left) | bound_variables(formula.right)
-    if isinstance(formula, (Box, Diamond)):
+    if kind is Box or kind is Diamond:
         return bound_variables(formula.post)
     return set()
 
 
-def _rename_free(formula: Formula, old: str, new: str) -> Formula:
-    """Rename free occurrences of a variable (used for binder renaming)."""
-    return substitute(formula, old, Var(new))
-
-
-def substitute_term(term: Term, var: str, replacement: Term) -> Term:
-    if isinstance(term, Var):
-        return replacement if term.name == var else term
-    if isinstance(term, Num):
-        return term
-    if isinstance(term, (Add, Sub, Mul)):
-        ctor = type(term)
-        return ctor(substitute_term(term.left, var, replacement),
-                    substitute_term(term.right, var, replacement))
-    if isinstance(term, Neg):
-        return Neg(substitute_term(term.inner, var, replacement))
-    if isinstance(term, Div):
-        return Div(substitute_term(term.num, var, replacement),
-                   substitute_term(term.den, var, replacement))
-    if isinstance(term, Pow):
-        return Pow(substitute_term(term.base, var, replacement), term.exp)
-    raise TypeError(f"not a term: {term!r}")
-
-
-def substitute(formula: Formula, var: str, replacement: Term) -> Formula:
-    """Capture-avoiding substitution of a term for a free variable.
+def substitute(node, var: str, replacement: Term):
+    """Capture-avoiding substitution of a term for a free variable in a
+    term, formula or program.
 
     Binders that would capture free variables of the replacement are
     renamed.  Substitution through a modality whose program writes the
     substituted variable (or a variable of the replacement) is not
-    supported and raises ValueError.
+    supported and raises ValueError; a program's own assignments and ODE
+    equations keep the variables they write.
     """
     repl_vars = free_variables(replacement)
-    if isinstance(formula, Cmp):
-        return Cmp(formula.op,
-                   substitute_term(formula.left, var, replacement),
-                   substitute_term(formula.right, var, replacement))
-    if isinstance(formula, BoolLit):
-        return formula
-    if isinstance(formula, Not):
-        return Not(substitute(formula.inner, var, replacement))
-    if isinstance(formula, (And, Or, Implies, Iff)):
-        ctor = type(formula)
-        return ctor(substitute(formula.left, var, replacement),
-                    substitute(formula.right, var, replacement))
-    if isinstance(formula, (Forall, Exists)):
-        ctor = type(formula)
-        if formula.var == var:
-            return formula
-        if formula.var in repl_vars:
-            avoid = (repl_vars | free_variables(formula.body) |
-                     bound_variables(formula.body) | {var})
-            new = fresh_name(formula.var, avoid)
-            body = _rename_free(formula.body, formula.var, new)
-            return ctor(new, substitute(body, var, replacement))
-        return ctor(formula.var, substitute(formula.body, var, replacement))
-    if isinstance(formula, (Box, Diamond)):
-        written = assigned_variables(formula.program)
-        if var in written or written & repl_vars:
-            raise ValueError(
-                f"cannot substitute {var!r} through a program writing it")
-        ctor = type(formula)
-        return ctor(substitute_program(formula.program, var, replacement),
-                    substitute(formula.post, var, replacement))
-    raise TypeError(f"not a formula: {formula!r}")
 
+    def sub(node):
+        kind = type(node)
+        if kind is Var:
+            return replacement if node.name == var else node
+        if kind is Forall or kind is Exists:
+            if node.var == var:
+                return node
+            name, body = node.var, node.body
+            if name in repl_vars:
+                name = fresh_name(name, repl_vars | free_variables(body) |
+                                  bound_variables(body) | {var})
+                body = substitute(body, node.var, Var(name))
+            return kind(name, sub(body))
+        if kind is Box or kind is Diamond:
+            written = assigned_variables(node.program)
+            if var in written or written & repl_vars:
+                raise ValueError(
+                    f"cannot substitute {var!r} through a program writing it")
+        elif kind is ODE:
+            return ODE(tuple((v, sub(rhs)) for v, rhs in node.equations),
+                       sub(node.domain))
+        values = [getattr(node, f.name) for f in fields(node)]
+        return kind(*[sub(v) if is_dataclass(v) else v for v in values])
 
-def substitute_program(program: Program, var: str, replacement: Term) -> Program:
-    if isinstance(program, Assign):
-        return Assign(program.var, substitute_term(program.term, var, replacement))
-    if isinstance(program, RandomAssign):
-        return program
-    if isinstance(program, Test):
-        return Test(substitute(program.condition, var, replacement))
-    if isinstance(program, ODE):
-        eqs = tuple((v, substitute_term(rhs, var, replacement))
-                    for v, rhs in program.equations)
-        return ODE(eqs, substitute(program.domain, var, replacement))
-    if isinstance(program, Choice):
-        return Choice(substitute_program(program.left, var, replacement),
-                      substitute_program(program.right, var, replacement))
-    if isinstance(program, Seq):
-        return Seq(substitute_program(program.first, var, replacement),
-                   substitute_program(program.second, var, replacement))
-    if isinstance(program, Loop):
-        return Loop(substitute_program(program.body, var, replacement))
-    raise TypeError(f"not a program: {program!r}")
+    return sub(node)

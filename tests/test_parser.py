@@ -13,9 +13,9 @@ from hpcheck.parser import (
 )
 from hpcheck.printer import print_formula, print_program, print_term
 from hpcheck.syntax import (
-    Add, And, Assign, Box, Choice, Cmp, Diamond, Div, Exists, Forall,
-    Implies, Loop, Mul, Neg, Not, Num, ODE, Or, Pow, RandomAssign, Seq,
-    Sub, Test, Var, desugar_if, free_variables,
+    FORMULA_OPS, PROGRAM_OPS, TERM_OPS, Add, And, Assign, Box, Choice, Cmp,
+    Diamond, Div, Exists, Forall, Implies, Loop, Mul, Neg, Not, Num, ODE, Or,
+    Pow, RandomAssign, Seq, Sub, Test, Var, desugar_if, free_variables,
 )
 
 
@@ -183,6 +183,23 @@ def test_round_trip_terms_sampled():
     for _ in range(500):
         t = random_term(rng, rng.randint(0, 8))
         assert parse_term(print_term(t)) == t
+
+
+@pytest.mark.parametrize("ops, leaf, parse, show", [
+    (TERM_OPS, Var, parse_term, print_term),
+    (FORMULA_OPS, lambda name: Cmp("<=", Var(name), Num(0)), parse_formula,
+     print_formula),
+    (PROGRAM_OPS, lambda name: Assign(name, Num(0)), parse_program,
+     print_program),
+], ids=("terms", "formulas", "programs"))
+def test_round_trip_every_operator_pair(ops, leaf, parse, show):
+    # every ordered pair of one sort's binary operators, nested on the left
+    # and on the right, reaches each precedence and associativity case
+    p, q, r = leaf("p"), leaf("q"), leaf("r")
+    for outer in ops:
+        for inner in ops:
+            for node in (outer(inner(p, q), r), outer(p, inner(q, r))):
+                assert parse(show(node)) == node, show(node)
 
 
 # ---------------------------------------------------------------------------

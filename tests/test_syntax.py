@@ -1,10 +1,12 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from gen import (
-    is_fol, is_quantifier_free, random_formula, random_program, random_term,
+    VAR_POOL, is_fol, is_quantifier_free, random_formula, random_program,
+    random_term,
 )
 from hpcheck.syntax import (
     Add, And, Assign, BoolLit, Box, Choice, Cmp, Diamond, Div, Exists,
@@ -160,6 +162,15 @@ def test_substitute_simple():
     f = Cmp("<=", Var("x"), Var("y"))
     g = substitute(f, "x", Num(3))
     assert g == Cmp("<=", Num(3), Var("y"))
+    # a bare term and a bare program; the program's assignment keeps the
+    # variable it writes
+    t = Add(Var("x"), Div(Var("y"), Pow(Var("x"), 2)))
+    assert substitute(t, "x", Num(3)) \
+        == Add(Num(3), Div(Var("y"), Pow(Num(3), 2)))
+    p = Seq(Assign("x", Mul(Var("x"), Var("y"))), Test(f))
+    assert substitute(p, "x", Var("z")) \
+        == Seq(Assign("x", Mul(Var("z"), Var("y"))),
+               Test(Cmp("<=", Var("z"), Var("y"))))
 
 
 def test_substitute_capture_avoiding():
@@ -179,6 +190,38 @@ def test_substitute_through_writing_modality_rejected():
 def test_substitute_bound_variable_is_noop():
     f = Forall("x", Cmp("<=", Var("x"), Num(0)))
     assert substitute(f, "x", Num(5)) == f
+
+
+def test_substitute_is_pinned():
+    # sha256 over repr(substitute(node, var, term)), or the ValueError
+    # message where it raises, for 3 000 random terms, formulas and
+    # programs, most of them at one of their free variables; taken when
+    # terms, formulas and programs each had their own substitution.  A
+    # result also obeys the free-variable law, but for a bare program that
+    # writes the variable, whose writes are kept.
+    rng = random.Random(20)
+    digest = hashlib.sha256()
+    for i in range(3000):
+        make = (random_term, random_formula, random_program)[i % 3]
+        node = make(rng, rng.randint(0, 6))
+        names = sorted(free_variables(node))
+        var = (rng.choice(names) if names and rng.random() < 0.75
+               else rng.choice(VAR_POOL))
+        term = random_term(rng, rng.randint(0, 2))
+        try:
+            out = substitute(node, var, term)
+        except ValueError as exc:
+            digest.update(str(exc).encode() + b"\0")
+            continue
+        digest.update(repr(out).encode() + b"\0")
+        if make is random_program and var in assigned_variables(node):
+            continue
+        want = free_variables(node)
+        if var in want:
+            want = (want - {var}) | free_variables(term)
+        assert free_variables(out) == want, (node, var, term)
+    assert digest.hexdigest() \
+        == "b16286369a600cf072c6cf742ff08fa5a16aca9b61a69eae2fc8f199dd77792c"
 
 
 def test_conjuncts_flatten():
