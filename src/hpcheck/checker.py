@@ -5,15 +5,18 @@ assignment of the quantified variables; existential obligations by
 searching for a witness.  The matrix is compiled once per check into
 closures with their polarity fixed, and one loop tries every candidate.
 Candidates come from a coarse-to-fine grid and seeded uniform sampling,
-and one state, updated in place, holds each in turn; states stay integer
-(numerator, denominator) pairs through programs and their ODEs, and a
-Fraction is built only for a certificate.  Without a numeric plant every
-state holds a pair for every variable, so the exact kernel reads
-variables by itemgetter, and the fixed constants no run assigns are
-folded into its closures along with the literals.  With a numeric plant,
-whose RK4 leaves floats, the interpreter evaluates each formula and
-assigned term on the state's exact view; a test's pins are read off the
-exact ratios of the state's values either way.  Modalities are decided
+as tuples of integer (numerator, denominator) pairs.  A first-order
+matrix reads each variable straight off the candidate tuple, by its
+position.  For a modal matrix one state, updated in place, holds each
+candidate in turn; states stay pairs through programs and their ODEs,
+and a Fraction is built only for a certificate.  Without a numeric plant
+every state holds a pair for every variable, so the exact kernel reads
+variables by itemgetter, the fixed constants no run assigns are folded
+into its closures along with the literals, and the closed-form plant is
+compiled on these folded pairs too (Plant.pair_kernel).  With a numeric
+plant, whose RK4 leaves floats, the interpreter evaluates each formula
+and assigned term on the state's exact view; a test's pins are read off
+the exact ratios of the state's values either way.  Modalities are decided
 by script enumeration; the diamond-over-env pattern `<e := *; ?P> e =
 e1` is decided goal-directed (bind e := e1, evaluate P) with no search.  Every
 candidate success is re-checked by exact rational replay before a
@@ -237,9 +240,12 @@ class _Engine:
     decisions (see _decisions), made into a decision list only for a
     certificate.  With `pairs` every state holds an int pair for each
     variable: formulas and terms are compiled by the exact kernel, which
-    reads them with no check and folds `constants`, the fixed constants.
-    Without it, an obligation with a numeric plant, the interpreter
-    evaluates them on each state's exact view, and `constants` is None."""
+    reads them with no check and folds `constants`, the fixed constants,
+    and each closed-form plant gives its pair kernel, compiled with the
+    same constants.  Without it, an obligation with a numeric plant, the
+    interpreter evaluates them on each state's exact view, each plant
+    evolves by its checked evolve, and `constants` is None.  `check`
+    decides a first-order matrix without an engine's closures."""
 
     def __init__(self, obligation: Obligation, config: SearchConfig,
                  constants, pairs):
@@ -413,14 +419,19 @@ class _Engine:
                     yield state, ()
             return test
         if isinstance(node, ODE):
-            plant = plant_of(node)
+            bound, step = self._plant(plant_of(node))
 
             def evolve(state):
-                for duration in self._durations(state, plant):
+                stats.evaluations += 2
+                maximum = bound(state)
+                if maximum is None:  # the one duration tried, 0, aborts
                     stats.evaluations += 2
-                    outcome = plant.evolve(state, duration)
-                    if isinstance(outcome, Final):
-                        yield outcome.state, (Duration, duration)
+                    return
+                for duration in self._durations(maximum):
+                    stats.evaluations += 2
+                    end = step(state, duration)
+                    if end is not None:
+                        yield end, (Duration, duration)
             return evolve
         if isinstance(node, Choice):
             left, right = self.program(node.left), self.program(node.right)
@@ -472,7 +483,8 @@ class _Engine:
         lo, hi = box.get(domain_key(box, var), DEFAULT_DOMAIN)
         ends = (lo.as_integer_ratio(), hi.as_integer_ratio())
         base, step, den = _sampler(*ends)
-        pins = None if test is None else _pinner(var, test, self.constants)
+        pins = (None if test is None
+                else _pinner(var, test, self.constants, self.pairs))
 
         def values(state):
             out = pins(state) if pins else []
@@ -483,13 +495,29 @@ class _Engine:
             return list(dict.fromkeys(out))
         return values
 
-    def _durations(self, state, plant):
-        """The durations an evolution tries, as int pairs: the maximum
-        (a bisected float read as its exact ratio), 0 and samples."""
-        self.stats.evaluations += 2
-        maximum = plant.duration_bound(state)
-        if type(maximum) is float:
-            maximum = maximum.as_integer_ratio()
+    def _plant(self, plant):
+        """(bound, step) of an evolution: bound(state) is the int pair up
+        to which durations are tried, or None where none is admitted, and
+        step(state, duration) is the final state, or None where the run
+        aborts.  With `pairs` the plant's pair kernel, else its checked
+        duration_bound, with a bisected float read as its exact ratio, and
+        evolve."""
+        if self.pairs:
+            return plant.pair_kernel(self.constants)
+
+        def bound(state):
+            maximum = plant.duration_bound(state)
+            return (maximum.as_integer_ratio() if type(maximum) is float
+                    else maximum)
+
+        def step(state, duration):
+            outcome = plant.evolve(state, duration)
+            return outcome.state if isinstance(outcome, Final) else None
+        return bound, step
+
+    def _durations(self, maximum):
+        """The durations an evolution tries up to the int pair `maximum`:
+        the maximum, 0 and samples."""
         if maximum[0] <= 0:
             return [(0, 1)]
         out = [maximum, (0, 1)]
@@ -529,11 +557,13 @@ def _linear_conjuncts(var, formula):
             yield c, form.get((), Num(0)), form[(var,)]
 
 
-def _pinner(var, test, constants=None):
+def _pinner(var, test, constants=None, pairs=False):
     """Closure state -> one reduced int pair per conjunct of `test` whose
     left - right is c0 + c1 * var with c1 != 0: its zero -c0 / c1, with a
-    float in the state read as its exact ratio."""
-    zeros = [(_ratio_term(c0, constants), _ratio_term(c1, constants))
+    float in the state read as its exact ratio; `constants` and `pairs` as
+    _ratio_term takes them."""
+    zeros = [(_ratio_term(c0, constants, pairs),
+              _ratio_term(c1, constants, pairs))
              for _, c0, c1 in _linear_conjuncts(var, test)]
 
     def pins(state):
@@ -718,11 +748,17 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
         raise CheckError(f"uncoverable free symbols: {sorted(uncovered)}")
 
     search_vars = [v for v in quantified if v in matrix_vars]
+    box = obligation.search_box
     if config.discrete is not None:
         missing = [v for v in search_vars if not config.discrete.get(v)]
         if missing:
             raise CheckError(f"no discrete values for: {missing}")
-    box = obligation.search_box
+    # the box gives the search's intervals, and the value of a quantified
+    # variable the matrix does not read: its midpoint
+    unboxed = [v for v in dict.fromkeys(quantified) if v not in box and (
+        config.discrete is None or v not in search_vars)]
+    if unboxed:
+        raise CheckError(f"no search interval for: {unboxed}")
     base = {k: Fraction(v).as_integer_ratio()
             for k, v in obligation.fixed_constants.items()}
     for v in quantified:
@@ -742,27 +778,53 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
     if not (constants and pairs):
         constants = None
     engine = _Engine(obligation, config, constants, pairs)
-    decide = engine.formula(matrix, target)
     stats, budget = engine.stats, config.budget
     candidates = _candidates(search_vars, box, config, obligation.name)
-    # one state for every candidate: programs copy a state before they
-    # write, and nothing keeps one past its candidate
-    state = base
-    for index, values in enumerate(candidates):
-        if stats.evaluations >= budget:
-            break
-        stats.candidates += 1
+
+    def found(values, ropes):
+        """The certified verdict of a candidate that search says decides
+        the obligation, or None."""
+        state = dict(base)
         state.update(zip(search_vars, values))
-        engine.candidate = index
-        ropes = decide(state)
-        if ropes is None:
-            continue
         assignment = {v: Fraction(*state[v]) for v in quantified}
         cex = Counterexample(assignment,
                              [_decisions(rope, []) for rope in ropes])
         if certify(cex, obligation):
             status = WITNESS_FOUND if target else FALSIFIED
             return Verdict(status, cex, stats, obligation, config.seed)
+        return None
+
+    if not _has_modality(engine.modal, matrix):
+        # one evaluation per candidate, which the matrix reads straight
+        # off the candidate tuple; a name quantified twice reads its last
+        # slot, the value its innermost quantifier gives it
+        holds = compile_fol(matrix, constants, pairs={
+            v: i for i, v in enumerate(search_vars)})
+        tried = 0
+        for tried, values in enumerate(itertools.islice(candidates, budget),
+                                       1):
+            if holds(values) == target:
+                stats.evaluations = stats.candidates = tried
+                verdict = found(values, ())
+                if verdict is not None:
+                    return verdict
+        stats.evaluations = stats.candidates = tried
+    else:
+        decide = engine.formula(matrix, target)
+        # one state for every candidate: programs copy a state before they
+        # write, and nothing keeps one past its candidate
+        state = dict(base)
+        for index, values in enumerate(candidates):
+            if stats.evaluations >= budget:
+                break
+            stats.candidates += 1
+            state.update(zip(search_vars, values))
+            engine.candidate = index
+            ropes = decide(state)
+            if ropes is not None:
+                verdict = found(values, ropes)
+                if verdict is not None:
+                    return verdict
 
     status = NO_WITNESS_FOUND if target else NOT_FALSIFIED
     return Verdict(status, None, stats, obligation, config.seed)

@@ -132,7 +132,7 @@ def eval_fol(state: State, formula) -> bool:
 # captures a folded operand instead of calling it (partial evaluation).  In
 # pair mode the caller vouches that every state holds a pair for every
 # variable: a variable is then operator.itemgetter, a C call that checks
-# nothing.
+# nothing, by name on a dict state or by position on a tuple (_reader).
 
 def exact_view(state: State) -> State:
     """`state` with each int pair read as its Fraction."""
@@ -147,12 +147,22 @@ def _reduced(n, d):
 
 def _ratio_term(term, constants=None, pairs=False):
     """Closure state -> (numerator, denominator > 0) of `term`, each value
-    read as _read reads it.  `constants` maps the names whose values are
-    fixed to their int pairs; given it, the closure reads none of them from
-    the state.  With `pairs` the state holds an int pair for every variable
-    the term reads, which a variable returns by itemgetter with no check."""
-    value = _ratio(term, operator.itemgetter if pairs else _read, constants)
+    read as _reader(pairs) reads it.  `constants` maps the names whose
+    values are fixed to their int pairs; given it, the closure reads none
+    of them from the state."""
+    value = _ratio(term, _reader(pairs), constants)
     return value if callable(value) else lambda s: value
+
+
+def _reader(pairs):
+    """How the exact kernel reads a variable.  Without `pairs`, _read: any
+    value from a dict state, checked.  With `pairs` True the state is a
+    dict holding an int pair for every variable read, returned by
+    itemgetter with no check; with a dict of positions the state is a
+    tuple of int pairs, and a variable is the item at its position."""
+    if isinstance(pairs, dict):
+        return lambda name: operator.itemgetter(pairs[name])
+    return operator.itemgetter if pairs else _read
 
 
 def _read(name):
@@ -354,10 +364,10 @@ def _ratio_cmp(formula, read, constants):
 def compile_fol(formula, constants=None, pairs=False):
     """state -> bool, equal to eval_fol(exact_view(state), formula) on a
     quantifier-free `formula`, evaluated by the exact kernel, which folds
-    `constants` and reads pairs by itemgetter with `pairs` (see
+    `constants` and reads a state as _reader(pairs) says (see
     _ratio_term).  A ZeroDivisionError is raised exactly when eval_fol
     raises one."""
-    read = operator.itemgetter if pairs else _read
+    read = _reader(pairs)
     return _fol_closure(formula, lambda c: _ratio_cmp(c, read, constants))
 
 
@@ -615,29 +625,32 @@ def _template_state_at(state, template, t):
     p, v, c = state[pos], state[vel], state[clock]
     if type(p) is type(v) is type(c) is type(t) is tuple \
             and type(a) is not float:
-        make, (pn, pd), (vn, vd), (cn, cd), (tn, td) = _reduced, p, v, c, t
-        an, ad = a if type(a) is tuple else a.as_integer_ratio()
+        out[pos], out[vel], out[clock] = _solution_at(
+            _reduced, p, v, c, a if type(a) is tuple else a.as_integer_ratio(),
+            t)
     elif type(p) is type(v) is type(c) is type(a) is type(t) is Fraction:
-        make = Fraction
-        pn, pd = p.as_integer_ratio()
-        vn, vd = v.as_integer_ratio()
-        cn, cd = c.as_integer_ratio()
-        an, ad = a.as_integer_ratio()
-        tn, td = t.as_integer_ratio()
+        out[pos], out[vel], out[clock] = _solution_at(
+            Fraction, p.as_integer_ratio(), v.as_integer_ratio(),
+            c.as_integer_ratio(), a.as_integer_ratio(), t.as_integer_ratio())
     else:
         p, v, c, a, t = (Fraction(*x) if type(x) is tuple else x
                          for x in (p, v, c, a, t))
         out[pos] = p + v * t + a * t * t / 2
         out[vel] = v + a * t
         out[clock] = c + t
-        return out
-    # the polynomial on (numerator, denominator) ints, one gcd per
-    # variable: pos = p + t * h with h = v + a * t / 2
-    hn, hd = 2 * vn * ad * td + an * tn * vd, 2 * vd * ad * td
-    out[pos] = make(pn * td * hd + tn * hn * pd, pd * td * hd)
-    out[vel] = make(vn * ad * td + an * tn * vd, vd * ad * td)
-    out[clock] = make(cn * td + tn * cd, cd * td)
     return out
+
+
+def _solution_at(make, p, v, c, a, t):
+    """make(numerator, denominator) of position, velocity and clock after
+    time t from p, v and c under acceleration a, all int pairs: the
+    polynomial on ints, one gcd per variable, with pos = p + t * h and
+    h = v + a * t / 2."""
+    (pn, pd), (vn, vd), (cn, cd), (an, ad), (tn, td) = p, v, c, a, t
+    hn, hd = 2 * vn * ad * td + an * tn * vd, 2 * vd * ad * td
+    return (make(pn * td * hd + tn * hn * pd, pd * td * hd),
+            make(vn * ad * td + an * tn * vd, vd * ad * td),
+            make(cn * td + tn * cd, cd * td))
 
 
 class Plant:
@@ -649,7 +662,14 @@ class Plant:
     fixed-step RK4 with step 1/64 (ODE_STEP), checks the domain at the start
     and at 65 evenly spaced times up to the duration (GRID_POINTS + 1) and
     bisects for its maximal duration; its right-hand sides and domain are
-    compiled into closures once, on the first evolution."""
+    compiled into closures once, on the first evolution.
+
+    `evolve` and `duration_bound` take any state and check what they read.
+    A search whose states hold an int pair for every variable asks the
+    template for `pair_kernel(constants)` instead: a bound and a step
+    compiled once per set of fixed constants, which read pairs by
+    itemgetter, fold the constants and check no more than the bound
+    leaves open."""
 
     def __init__(self, ode: ODE):
         self.ode = ode
@@ -676,6 +696,7 @@ class Plant:
         # which the endpoints miss; every other conjunct holds on an interval
         self._punctured = any(c.op == "!=" for c, _ in self._forms)
         self._lines = self._numeric = None  # compiled on first use
+        self._kernels = {}  # pair_kernel's, by sorted constants
 
     def evolve(self, state: State, duration):
         """Final(state at duration) when the evolution domain holds
@@ -724,19 +745,65 @@ class Plant:
 
     def _domain_lines(self, state):
         """(op, n0, d0, sn, sd) per domain conjunct: along the closed-form
-        solution its left - right is n0/d0 + (sn/sd) * t, its value in
-        `state` plus t times the rate c_vel * accel + c_clock read off its
-        form.  A float in the state is read as its exact ratio."""
+        solution its left - right is n0/d0 + (sn/sd) * t (see _line_terms).
+        A float in the state is read as its exact ratio."""
         if self._lines is None:
-            _, vel, clock, accel = self.template
-            self._lines = []
-            for c, form in self._forms:
-                offset = _ratio_term(Sub(c.left, c.right))
-                rate = _fold(Add, _fold(Mul, form.get((vel,), _ZERO), accel),
-                             form.get((clock,), _ZERO))
-                self._lines.append((c.op, offset, _ratio_term(rate)))
+            self._lines = self._line_terms()
         return [(op, *offset(state), *rate(state))
                 for op, offset, rate in self._lines]
+
+    def _line_terms(self, constants=None, pairs=False):
+        """(op, offset, rate) per domain conjunct, compiled by _ratio_term:
+        its left - right in the start state, and the rate c_vel * accel +
+        c_clock at which the closed-form solution moves it, read off its
+        form."""
+        _, vel, clock, accel = self.template
+        lines = []
+        for c, form in self._forms:
+            rate = _fold(Add, _fold(Mul, form.get((vel,), _ZERO), accel),
+                         form.get((clock,), _ZERO))
+            lines.append((c.op,
+                          _ratio_term(Sub(c.left, c.right), constants, pairs),
+                          _ratio_term(rate, constants, pairs)))
+        return lines
+
+    def pair_kernel(self, constants=None):
+        """(bound, step) of the template on dict states that hold an int
+        pair for every variable, with `constants` folded, compiled once per
+        set of constants.  bound(state) is duration_bound's pair, or None
+        where the domain fails at the start.  step(state, duration) is the
+        state of evolve's Final, or None where evolve aborts, for a state
+        whose domain holds at the start and a duration up to its bound.
+        Every conjunct then holds throughout but a strict one or a `!=`,
+        which can fail at the bound, where a `!=` crosses zero first: the
+        end is checked only when the domain has one of these, and no
+        crossing needs a check of its own."""
+        key = tuple(sorted(constants.items())) if constants else ()
+        if key in self._kernels:
+            return self._kernels[key]
+        pos, vel, clock, accel = self.template
+        domain = compile_fol(self.ode.domain, constants, pairs=True)
+        lines = self._line_terms(constants, pairs=True)
+        check_end = any(op not in ("<=", ">=", "=") for op, _, _ in lines)
+        horizon = DEFAULT_HORIZON.as_integer_ratio()
+        acceleration = _ratio_term(accel, constants, pairs=True)
+        start = operator.itemgetter(pos, vel, clock)
+
+        def bound(state):
+            if not domain(state):
+                return None
+            best = _earliest(_affine_conjunct_bound(op, *offset(state),
+                                                    *rate(state))
+                             for op, offset, rate in lines)
+            return horizon if best is None else _reduced(*best)
+
+        def step(state, duration):
+            end = dict(state)
+            end[pos], end[vel], end[clock] = _solution_at(
+                _reduced, *start(state), acceleration(state), duration)
+            return None if check_end and not domain(end) else end
+        self._kernels[key] = bound, step
+        return bound, step
 
     def _bisect(self, state):
         lo, hi = 0.0, float(DEFAULT_HORIZON)

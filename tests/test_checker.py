@@ -264,9 +264,13 @@ def test_modal_search_builds_no_fraction_per_evolution(monkeypatch):
         return build
     monkeypatch.setattr(checker, "Fraction", counting("checker"))
     monkeypatch.setattr(semantics, "Fraction", counting("semantics"))
-    evolve = semantics.Plant.evolve
-    monkeypatch.setattr(semantics.Plant, "evolve", lambda plant, state, t: (
-        evolutions.append(t), evolve(plant, state, t))[1])
+    pair_kernel = semantics.Plant.pair_kernel
+
+    def spying(plant, constants=None):
+        bound, step = pair_kernel(plant, constants)
+        return bound, lambda state, t: (evolutions.append(t),
+                                        step(state, t))[1]
+    monkeypatch.setattr(semantics.Plant, "pair_kernel", spying)
     [ob] = obligations_for(builtin("m4"), "zeta1", "gamma")
     assert ob.name == "loop_ii"
     runs = []
@@ -672,6 +676,27 @@ def test_discrete_without_values_for_a_search_variable_is_rejected(
         check(ob, SearchConfig(discrete={"x": [], "y": [F(1)]}))
 
 
+def test_quantified_variable_without_an_interval_is_rejected():
+    # named before any candidate is drawn, not a KeyError from the stream
+    # or from the midpoint of a variable the matrix does not read
+    ob = Obligation("t", parse_formula("forall x (x >= 0)"),
+                    FALSIFY_UNIVERSAL, {}, {})
+    with pytest.raises(CheckError, match=r"no search interval for: \['x'\]$"):
+        check(ob, SearchConfig(budget=100))
+    ob = Obligation("t", parse_formula("exists y exists x exists z (x >= 0)"),
+                    FIND_WITNESS, {"x": (F(0), F(1))}, {})
+    with pytest.raises(CheckError, match=r"for: \['y', 'z'\]$"):
+        check(ob, SearchConfig(budget=100))
+    # discrete mode draws a search variable from its list, not its box
+    with pytest.raises(CheckError, match=r"for: \['y', 'z'\]$"):
+        check(ob, SearchConfig(discrete={"x": [F(2)]}))
+    ob = Obligation("t", parse_formula("exists x (x >= 0)"), FIND_WITNESS,
+                    {}, {})
+    verdict = check(ob, SearchConfig(discrete={"x": [F(-1), F(2)]}))
+    assert verdict.status == WITNESS_FOUND
+    assert verdict.counterexample.assignment == {"x": F(2)}
+
+
 def test_budget_is_respected():
     ob = close("x^2 >= 0", FALSIFY_UNIVERSAL, {"x": (F(-1), F(1))})
     verdict = check(ob, SearchConfig(budget=100))
@@ -717,6 +742,86 @@ def test_exhaustive_outcomes_are_pinned():
                           candidates=verdict.stats.candidates)
             digest.update(json.dumps(record, sort_keys=True).encode())
     assert digest.hexdigest() == EXHAUSTIVE_DIGEST
+
+
+def _first_order_obligations():
+    """Modality-free, quantifier-free tests/gen.py matrices over 1-4
+    variables, closed by Forall or Exists in a shuffled order, some with a
+    variable fixed as a constant, then the edge cases: a name quantified
+    twice, a one-point box, a folded constant and no search variable."""
+    rng = random.Random(21)
+    out = []
+    while len(out) < 60:
+        matrix = random_formula(rng, 3)
+        names = sorted(free_variables(matrix))
+        if not (is_quantifier_free(matrix) and is_fol(matrix)
+                and 1 <= len(names) <= 4):
+            continue
+        kind = rng.choice((FALSIFY_UNIVERSAL, FIND_WITNESS))
+        fixed = {}
+        if len(names) > 1 and rng.random() < 0.3:
+            fixed[names.pop(rng.randrange(len(names)))] = F(
+                rng.randint(-3, 3), rng.choice((1, 2, 3)))
+        box = {}
+        for name in names:
+            lo = F(rng.randint(-4, 2), rng.choice((1, 2, 3)))
+            box[name] = (lo, lo + F(rng.randint(0, 4), rng.choice((1, 3))))
+        rng.shuffle(names)
+        formula = matrix
+        for name in reversed(names):
+            formula = (Forall if kind == FALSIFY_UNIVERSAL else Exists)(
+                name, formula)
+        out.append(Obligation(f"fo{len(out)}", formula, kind, box, fixed))
+    two = {"x": (F(0), F(2)), "y": (F(0), F(2))}
+    out += [
+        Obligation("twice", parse_formula(
+            "forall x forall y forall x (x <= 1 | y > 1)"),
+            FALSIFY_UNIVERSAL, two, {}),
+        Obligation("twice_exists", parse_formula(
+            "exists x exists y exists x (x > 3/2 & y < 1/2)"),
+            FIND_WITNESS, two, {}),
+        close("x * y <= 1", FALSIFY_UNIVERSAL,
+              {"x": (F(1, 3), F(1, 3)), "y": (F(-1), F(3))}),
+        Obligation("folded", parse_formula("forall x (c * x <= c + 1)"),
+                   FALSIFY_UNIVERSAL, {"x": (F(0), F(2))}, {"c": F(3, 2)}),
+        Obligation("unread", parse_formula("forall x (c <= 1)"),
+                   FALSIFY_UNIVERSAL, {"x": (F(-1), F(2))}, {"c": F(2)}),
+        Obligation("closed", parse_formula("1 <= 2 & c > 0"),
+                   FIND_WITNESS, {}, {"c": F(1)}),
+    ]
+    return out
+
+
+# sha256 over the verdict JSON and candidates of every obligation above,
+# or the exception it raises (a ZeroDivisionError by its type alone: its
+# message differs between Python versions), sampled at budgets 1, 37 and
+# 2 000 with seeds 0 and 7, and in discrete mode at budgets 37 and 2 000;
+# taken before first-order matrices were compiled to read the candidate
+# tuple.
+FIRST_ORDER_DIGEST = \
+    "a34870a073331081d8e05bdb2fbbf7545ae95c3565baa320e084979889a11a11"
+
+
+def test_first_order_outcomes_are_pinned():
+    values = [F(-1), F(0), F(1, 2), F(2)]
+    configs = [SearchConfig(budget=budget, seed=seed)
+               for budget in (1, 37, 2000) for seed in (0, 7)]
+    digest = hashlib.sha256()
+    for ob in _first_order_obligations():
+        discrete = {v: values for v in ob.split()[0]}
+        for config in configs + [SearchConfig(budget=budget, discrete=discrete)
+                                 for budget in (37, 2000)]:
+            try:
+                verdict = check(ob, config)
+            except ZeroDivisionError:
+                record = {"raised": "ZeroDivisionError"}
+            except Exception as exc:
+                record = {"raised": f"{type(exc).__name__}: {exc}"}
+            else:
+                record = dict(verdict.to_json(),
+                              candidates=verdict.stats.candidates)
+            digest.update(json.dumps(record, sort_keys=True).encode())
+    assert digest.hexdigest() == FIRST_ORDER_DIGEST
 
 
 # sha256 over repr of the first 6 000 candidates of 1, 2, 3 and 5 search

@@ -613,6 +613,58 @@ def test_plant_on_pair_states_matches_the_fraction_path():
                     == _outcome_repr(max_admissible_duration, state, ode)
 
 
+@pytest.mark.parametrize("accel", ["a", "-5/2"])
+@pytest.mark.parametrize("domain, shape", [
+    ("v >= 0 & tau <= T", "closed"),
+    ("v > 0 & tau < T", "strict"),
+    ("v >= 0 & tau <= T & T = 1 & tau * 0 = 0", "equation"),
+    ("v >= 0 & tau = 0", "equation"),
+    ("v >= 0 & tau <= T & v != 1 & tau != T / 2", "punctured"),
+])
+@pytest.mark.parametrize("fold", [False, True])
+def test_pair_kernel_matches_the_checked_plant(accel, domain, shape, fold):
+    # the search's bound and step against duration_bound and evolve, at
+    # each duration the search tries: 0, the bound and samples below it;
+    # the step takes a state whose domain holds at the start
+    ode = parse_program(f"{{x' = v, v' = {accel}, tau' = 1 & {domain}}}")
+    plant = Plant(ode)
+    assert plant.template is not None
+    constants = {"T": (1, 1), "a": (-3, 2)} if fold else None
+    bound, step = plant.pair_kernel(constants)
+    assert plant.pair_kernel(constants) == (bound, step)  # compiled once
+    rng = random.Random(21)
+    outcomes = collections.Counter()
+    for _ in range(300):
+        state = {"x": F(rng.randint(-8, 8), 3), "T": F(1),
+                 "v": F(rng.randint(-1, 12), rng.choice((1, 2, 4))),
+                 "tau": F(rng.choice((0, rng.randint(-1, 4))), 4),
+                 "a": F(-3, 2)}
+        if not fold:
+            state.update(T=F(rng.choice((1, 2))), a=F(rng.randint(-6, 2), 2))
+        pairs = _as_pairs(rng, state)
+        maximum = bound(pairs)
+        if maximum is None:
+            assert isinstance(plant.evolve(pairs, (0, 1)), Aborted)
+            assert plant.duration_bound(pairs) == (0, 1)
+            outcomes["no start"] += 1
+            continue
+        assert maximum == plant.duration_bound(pairs)
+        n, d = maximum
+        durations = [(0, 1), maximum] + [(n * j, d * 8) for j in range(1, 8)]
+        for duration in durations:
+            want = plant.evolve(pairs, duration)
+            got = step(pairs, duration)
+            if isinstance(want, Final):
+                assert got == want.state
+                outcomes["final"] += 1
+            else:
+                assert got is None
+                outcomes["aborted"] += 1
+    assert outcomes["no start"] > 10 and outcomes["final"] > 1000
+    # a strict or `!=` conjunct fails at its bound, where the step aborts
+    assert (outcomes["aborted"] > 20) == (shape in ("strict", "punctured"))
+
+
 def reference_compile_numeric(ode):
     """The RK4 kernel as it was before its inner stages wrote only the
     variables a rate reads: each stage writes every evolved variable, and
