@@ -6,7 +6,11 @@ run is a pure function of (state, program, script).  States map variable
 names to exact rationals where possible; floats appear only after a
 plant outside the closed-form template, which the RK4 kernel integrates.
 The search's states hold each exact rational as an int pair instead,
-which a Plant and the exact kernel below take as they are.
+which a Plant and the exact kernel below take as they are.  A closed-form
+plant is one compiled kernel, which the search runs on pairs and
+`evolve`/`duration_bound` run on any state, reading each value as its
+exact ratio; an evolved float comes back as the float nearest its exact
+value.
 """
 
 from __future__ import annotations
@@ -615,42 +619,26 @@ def closed_form_template(ode: ODE):
     return pos, vel, clock, accel
 
 
-def _template_state_at(state, template, t):
-    """The state after the template's evolution for time t: reduced int
-    pairs on a state of pairs, Fractions on a state of Fractions and plain
-    arithmetic, a pair read as its Fraction, on any other state."""
-    pos, vel, clock, accel = template
-    a = eval_term(state, accel)
-    out = dict(state)
-    p, v, c = state[pos], state[vel], state[clock]
-    if type(p) is type(v) is type(c) is type(t) is tuple \
-            and type(a) is not float:
-        out[pos], out[vel], out[clock] = _solution_at(
-            _reduced, p, v, c, a if type(a) is tuple else a.as_integer_ratio(),
-            t)
-    elif type(p) is type(v) is type(c) is type(a) is type(t) is Fraction:
-        out[pos], out[vel], out[clock] = _solution_at(
-            Fraction, p.as_integer_ratio(), v.as_integer_ratio(),
-            c.as_integer_ratio(), a.as_integer_ratio(), t.as_integer_ratio())
-    else:
-        p, v, c, a, t = (Fraction(*x) if type(x) is tuple else x
-                         for x in (p, v, c, a, t))
-        out[pos] = p + v * t + a * t * t / 2
-        out[vel] = v + a * t
-        out[clock] = c + t
-    return out
-
-
-def _solution_at(make, p, v, c, a, t):
-    """make(numerator, denominator) of position, velocity and clock after
-    time t from p, v and c under acceleration a, all int pairs: the
-    polynomial on ints, one gcd per variable, with pos = p + t * h and
-    h = v + a * t / 2."""
+def _solution_at(p, v, c, a, t):
+    """Reduced int pairs of position, velocity and clock after time t from
+    p, v and c under acceleration a, all int pairs: the polynomial on ints,
+    one gcd per variable, with pos = p + t * h and h = v + a * t / 2."""
     (pn, pd), (vn, vd), (cn, cd), (an, ad), (tn, td) = p, v, c, a, t
     hn, hd = 2 * vn * ad * td + an * tn * vd, 2 * vd * ad * td
-    return (make(pn * td * hd + tn * hn * pd, pd * td * hd),
-            make(vn * ad * td + an * tn * vd, vd * ad * td),
-            make(cn * td + tn * cd, cd * td))
+    return (_reduced(pn * td * hd + tn * hn * pd, pd * td * hd),
+            _reduced(vn * ad * td + an * tn * vd, vd * ad * td),
+            _reduced(cn * td + tn * cd, cd * td))
+
+
+def _like(start, pair):
+    """The int pair `pair` in the kind of `start`: a pair as it is, the
+    nearest float for a float, else its Fraction."""
+    kind = type(start)
+    if kind is tuple:
+        return pair
+    if kind is float:
+        return pair[0] / pair[1]
+    return Fraction(*pair)
 
 
 class Plant:
@@ -664,12 +652,13 @@ class Plant:
     bisects for its maximal duration; its right-hand sides and domain are
     compiled into closures once, on the first evolution.
 
-    `evolve` and `duration_bound` take any state and check what they read.
-    A search whose states hold an int pair for every variable asks the
-    template for `pair_kernel(constants)` instead: a bound and a step
-    compiled once per set of fixed constants, which read pairs by
-    itemgetter, fold the constants and check no more than the bound
-    leaves open."""
+    The template is compiled by the exact kernel once per set of fixed
+    constants and reader (_kernel).  `evolve` and `duration_bound` take any
+    state and run that kernel with the checked reader, _read; a search
+    whose states hold an int pair for every variable asks for
+    `pair_kernel(constants)` instead: the same kernel's bound and step,
+    which read pairs by itemgetter, fold the constants and check no more
+    than the bound leaves open."""
 
     def __init__(self, ode: ODE):
         self.ode = ode
@@ -689,43 +678,38 @@ class Plant:
                     self.template, self._forms = None, []
                     break
                 self._forms.append((c, form))
-        # the template's domain, by the exact kernel; RK4 compiles its own
-        self.domain = (None if self.template is None
-                       else compile_fol(ode.domain))
         # along the solution an affine `!=` conjunct fails at one instant,
         # which the endpoints miss; every other conjunct holds on an interval
         self._punctured = any(c.op == "!=" for c, _ in self._forms)
-        self._lines = self._numeric = None  # compiled on first use
-        self._kernels = {}  # pair_kernel's, by sorted constants
+        self._numeric = None  # compiled on first use
+        self._kernels = {}  # _kernel's, by sorted constants and reader
 
     def evolve(self, state: State, duration):
         """Final(state at duration) when the evolution domain holds
         throughout [0, duration], else Aborted.  On a state of int pairs
-        `duration` is a pair too: the template keeps the state pairs, and
-        RK4 reads each pair n, d as the float n / d."""
+        `duration` is a pair too, and RK4 reads each pair n, d as the float
+        n / d.  The template judges the exact solution and gives each
+        evolved variable back in the kind of its start value (_like)."""
         if (duration[0] if type(duration) is tuple else duration) < 0:
             raise ValueError("negative duration")
         if self.template is None:
             if self._numeric is None:
                 self._numeric = _compile_numeric(self.ode)
             return self._numeric(state, duration)
-        if not self.domain(state):
+        domain, earliest, solve, _, _ = self._kernel(None, False)
+        if not domain(state):
             return Aborted(self.ode.domain, state)
-        end = _template_state_at(state, self.template, duration)
-        if not self.domain(end):
-            return Aborted(self.ode.domain, end)
-        if self._punctured:
-            first = _earliest(_affine_conjunct_bound(*line)
-                              for line in self._domain_lines(state)
-                              if line[0] == "!=")
-            if first is not None:
-                pairs = type(duration) is tuple
-                dn, dd = duration if pairs else duration.as_integer_ratio()
-                if first[0] * dd <= dn * first[1]:
-                    return Aborted(self.ode.domain, _template_state_at(
-                        state, self.template,
-                        first if pairs else Fraction(*first)))
-        return Final(end)
+        t = duration if type(duration) is tuple else duration.as_integer_ratio()
+        end = solve(state, t)
+        holds = domain(end)
+        if holds and self._punctured:
+            # the end holds, so a bound before it is a `!=` crossing
+            first = earliest(state)
+            if first is not None and first[0] * t[1] < t[0] * first[1]:
+                end, holds = solve(state, first), False
+        for name in self.template[:3]:
+            end[name] = _like(state[name], end[name])
+        return Final(end) if holds else Aborted(self.ode.domain, end)
 
     def duration_bound(self, state: State):
         """Supremum of durations for which the domain holds throughout, up
@@ -736,28 +720,34 @@ class Plant:
             if not eval_fol(exact_view(state), self.ode.domain):
                 return 0, 1
             return self._bisect(state)
-        if not self.domain(state):
-            return 0, 1
-        best = _earliest(_affine_conjunct_bound(*line)
-                         for line in self._domain_lines(state))
-        return (DEFAULT_HORIZON.as_integer_ratio() if best is None
-                else _reduced(*best))
+        return self._kernel(None, False)[3](state) or (0, 1)
 
-    def _domain_lines(self, state):
-        """(op, n0, d0, sn, sd) per domain conjunct: along the closed-form
-        solution its left - right is n0/d0 + (sn/sd) * t (see _line_terms).
-        A float in the state is read as its exact ratio."""
-        if self._lines is None:
-            self._lines = self._line_terms()
-        return [(op, *offset(state), *rate(state))
-                for op, offset, rate in self._lines]
+    def pair_kernel(self, constants=None):
+        """(bound, step) of the template on dict states that hold an int
+        pair for every variable, with `constants` folded, compiled once per
+        set of constants: _kernel's with the itemgetter reader."""
+        return self._kernel(constants, True)[3:]
 
-    def _line_terms(self, constants=None, pairs=False):
-        """(op, offset, rate) per domain conjunct, compiled by _ratio_term:
-        its left - right in the start state, and the rate c_vel * accel +
-        c_clock at which the closed-form solution moves it, read off its
-        form."""
-        _, vel, clock, accel = self.template
+    def _kernel(self, constants, pairs):
+        """(domain, earliest, solve, bound, step) of the template, compiled
+        once per (constants, pairs) by the exact kernel, which folds
+        `constants` and reads a state as _reader(pairs) says.  domain(state)
+        is the domain's truth.  earliest(state) is the first time, an int
+        pair, at which a conjunct's left - right, moving at the rate
+        c_vel * accel + c_clock read off its form, reaches its bound, or
+        None.  solve(state, duration) is the state with position, velocity
+        and clock at the duration as reduced int pairs.  bound(state) is
+        duration_bound's pair, or None where the start fails.  step(state,
+        duration) is solve's state, or None where evolve aborts, for a
+        state whose start holds and a duration up to its bound: every
+        conjunct then holds throughout but a strict one or a `!=`, which
+        can fail at the bound, so the end is checked only when the domain
+        has one of these."""
+        key = (tuple(sorted(constants.items())) if constants else (), pairs)
+        if key in self._kernels:
+            return self._kernels[key]
+        pos, vel, clock, accel = self.template
+        domain = compile_fol(self.ode.domain, constants, pairs)
         lines = []
         for c, form in self._forms:
             rate = _fold(Add, _fold(Mul, form.get((vel,), _ZERO), accel),
@@ -765,45 +755,35 @@ class Plant:
             lines.append((c.op,
                           _ratio_term(Sub(c.left, c.right), constants, pairs),
                           _ratio_term(rate, constants, pairs)))
-        return lines
-
-    def pair_kernel(self, constants=None):
-        """(bound, step) of the template on dict states that hold an int
-        pair for every variable, with `constants` folded, compiled once per
-        set of constants.  bound(state) is duration_bound's pair, or None
-        where the domain fails at the start.  step(state, duration) is the
-        state of evolve's Final, or None where evolve aborts, for a state
-        whose domain holds at the start and a duration up to its bound.
-        Every conjunct then holds throughout but a strict one or a `!=`,
-        which can fail at the bound, where a `!=` crosses zero first: the
-        end is checked only when the domain has one of these, and no
-        crossing needs a check of its own."""
-        key = tuple(sorted(constants.items())) if constants else ()
-        if key in self._kernels:
-            return self._kernels[key]
-        pos, vel, clock, accel = self.template
-        domain = compile_fol(self.ode.domain, constants, pairs=True)
-        lines = self._line_terms(constants, pairs=True)
         check_end = any(op not in ("<=", ">=", "=") for op, _, _ in lines)
         horizon = DEFAULT_HORIZON.as_integer_ratio()
-        acceleration = _ratio_term(accel, constants, pairs=True)
-        start = operator.itemgetter(pos, vel, clock)
+        acceleration = _ratio_term(accel, constants, pairs)
+        pos_of, vel_of, clock_of = map(_reader(pairs), (pos, vel, clock))
+
+        def earliest(state):
+            return _earliest(_affine_conjunct_bound(op, *offset(state),
+                                                    *rate(state))
+                             for op, offset, rate in lines)
+
+        def solve(state, duration):
+            end = dict(state)
+            end[pos], end[vel], end[clock] = _solution_at(
+                pos_of(state), vel_of(state), clock_of(state),
+                acceleration(state), duration)
+            return end
 
         def bound(state):
             if not domain(state):
                 return None
-            best = _earliest(_affine_conjunct_bound(op, *offset(state),
-                                                    *rate(state))
-                             for op, offset, rate in lines)
+            best = earliest(state)
             return horizon if best is None else _reduced(*best)
 
         def step(state, duration):
-            end = dict(state)
-            end[pos], end[vel], end[clock] = _solution_at(
-                _reduced, *start(state), acceleration(state), duration)
+            end = solve(state, duration)
             return None if check_end and not domain(end) else end
-        self._kernels[key] = bound, step
-        return bound, step
+        kernel = domain, earliest, solve, bound, step
+        self._kernels[key] = kernel
+        return kernel
 
     def _bisect(self, state):
         lo, hi = 0.0, float(DEFAULT_HORIZON)

@@ -361,8 +361,9 @@ def substitute(node, var: str, replacement: Term):
     Binders that would capture free variables of the replacement are
     renamed.  Substitution through a modality whose program writes the
     substituted variable (or a variable of the replacement) is not
-    supported and raises ValueError; a program's own assignments and ODE
-    equations keep the variables they write.
+    supported and raises ValueError, and so is a renaming that would meet
+    such a program: its message names `var` and the binder; a program's
+    own assignments and ODE equations keep the variables they write.
     """
     repl_vars = free_variables(replacement)
 
@@ -377,7 +378,12 @@ def substitute(node, var: str, replacement: Term):
             if name in repl_vars:
                 name = fresh_name(name, repl_vars | free_variables(body) |
                                   bound_variables(body) | {var})
-                body = substitute(body, node.var, Var(name))
+                try:
+                    body = substitute(body, node.var, Var(name))
+                except ValueError:
+                    raise ValueError(
+                        f"cannot substitute {var!r}: renaming the binder "
+                        f"{node.var!r} meets a program writing it") from None
             return kind(name, sub(body))
         if kind is Box or kind is Diamond:
             written = assigned_variables(node.program)

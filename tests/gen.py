@@ -1,6 +1,7 @@
 """Shared helpers for property tests: a seeded AST generator whose output
-round-trips through the pretty-printer, plus an independent brute-force
-evaluator for small modal obligations."""
+round-trips through the pretty-printer, an independent brute-force
+evaluator for small modal obligations, and the closed-form plant's
+solution in plain arithmetic."""
 
 from fractions import Fraction
 from itertools import product
@@ -238,3 +239,16 @@ def brute_force_decide(obligation: Obligation, grid: dict) -> bool:
         if _modal_truth(state, matrix) == target:
             return True
     return False
+
+
+def closed_form_state(state: dict, template, t) -> dict:
+    """The state after time t of the double integrator with clock, whose
+    (pos, vel, clock, accel) closed_form_template gives, in the arithmetic
+    of the state's values: p + v t + a t^2 / 2, v + a t and c + t."""
+    pos, vel, clock, accel = template
+    p, v, c, a = state[pos], state[vel], state[clock], eval_term(state, accel)
+    out = dict(state)
+    out[pos] = p + v * t + a * t * t / 2
+    out[vel] = v + a * t
+    out[clock] = c + t
+    return out

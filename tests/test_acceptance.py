@@ -14,8 +14,8 @@ from fractions import Fraction
 import pytest
 
 from gen import (
-    ORACLE_VARS, brute_force_decide, random_finite_obligation, random_formula,
-    random_program,
+    ORACLE_VARS, brute_force_decide, closed_form_state,
+    random_finite_obligation, random_formula, random_program,
 )
 from hpcheck.checker import (
     FALSIFIED, NO_WITNESS_FOUND, NOT_FALSIFIED, WITNESS_FOUND, SearchConfig,
@@ -27,8 +27,7 @@ from hpcheck.obligations import FALSIFY_UNIVERSAL, psi_obligation
 from hpcheck.parser import parse_formula, parse_program, parse_term
 from hpcheck.printer import print_formula, print_program
 from hpcheck.semantics import (
-    Aborted, Final, RandomValue, _compile_numeric, _template_state_at,
-    closed_form_template, run,
+    Aborted, Final, RandomValue, _compile_numeric, closed_form_template, run,
 )
 from hpcheck.syntax import substitute
 
@@ -184,7 +183,7 @@ def test_criterion_6_ode_fidelity(capfd):
         if state["v"] + state["a"] * duration < 0:
             continue
         samples += 1
-        exact = _template_state_at(state, template, duration)
+        exact = closed_form_state(state, template, duration)
         numeric = evolve(state, duration)
         assert isinstance(numeric, Final)
         for var in ("x", "v", "tau"):

@@ -606,6 +606,51 @@ def test_drag_zeta2_check_json_is_pinned(tmp_path, capsys):
         == "4afcc70ce7a7745bd993d25b82d0334fea1a70cf01a1026bcababd5cde96d95d"
 
 
+def _mixed_model(tmp_path):
+    """m2 with a numeric plant, then a closed-form one: the closed-form
+    solution meets the floats that RK4 leaves."""
+    from hpcheck.models import builtin
+    source = builtin("m2").source
+    plant = "{x' = v, v' = a, tau' = 1 & v >= 0 & tau <= T}"
+    assert plant in source
+    path = tmp_path / "mixed.hpmodel"
+    path.write_text(source.replace(plant, "{x' = v, v' = a - v / 4, tau' = 1 "
+                                   "& v >= 0 & tau <= T / 2}; " + plant))
+    return path
+
+
+def test_mixed_plant_check_json_is_pinned(tmp_path, capsys):
+    # sha256 of `check --obligation all` on the mixed plant; taken before
+    # the closed-form plant solved float states exactly
+    code, out, err = run_cli(capsys, "check", str(_mixed_model(tmp_path)),
+                             "--invariant", "zeta1", "--obligation", "all",
+                             "--budget", "300", "--format", "json")
+    assert (code, err) == (1, "")
+    exact = {r["obligation"]: r["certificate"]["exact"]
+             for r in json.loads(out)["verdicts"] if r.get("certificate")}
+    assert exact == {"rho": True, "friendly": True, "exploit": False,
+                     "chi": False, "not_chi": False}
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == "8ecefac7b7d668973e692929fc00b9b76e7c5c5652c0ac20db3d56140340726b"
+
+
+def test_mixed_plant_simulate_is_pinned(tmp_path, capsys):
+    # the closed-form plant's end state on the floats RK4 left, as the
+    # report and the trace print it; taken as above
+    script = tmp_path / "mixed.script"
+    script.write_text("loop 1\nvalue 10\nvalue 1\nbranch right\n"
+                      "duration 1/4\nduration 1/4\n")
+    trace_path = tmp_path / "trace.csv"
+    code, out, err = run_cli(capsys, "simulate", str(_mixed_model(tmp_path)),
+                             "--script", str(script), "--trace",
+                             str(trace_path))
+    assert (code, err) == (0, "")
+    assert out.startswith("final: x = 0.12244594220214307, ")
+    digest = hashlib.sha256(f"{out}\n{trace_path.read_text()}".encode())
+    assert digest.hexdigest() \
+        == "d67aabf96bad7e537f0b8aa7b89e4ae4cb3e93d0a85e5d1a6f8860a2caaeb29e"
+
+
 def test_check_psi_needs_zeta_iter(capsys):
     code, out, err = run_cli(capsys, "check", "m2", "--invariant", "zeta1",
                              "--obligation", "psi")

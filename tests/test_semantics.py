@@ -6,16 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from gen import VAR_POOL, random_ode, random_term
+from gen import VAR_POOL, closed_form_state, random_ode, random_term
 from golden import SAMPLE_CONSTANTS
 from hpcheck import semantics
 from hpcheck.models import MODEL_IDS, builtin, fig2_script
 from hpcheck.parser import parse_formula, parse_program, parse_term
 from hpcheck.semantics import (
     Aborted, Branch, Duration, Final, LoopCount, Plant, RandomValue,
-    ScriptError, UndeclaredVariable, _compile_numeric, _template_state_at,
-    closed_form_template, compile_fol, eval_fol, eval_term, evolve_plant,
-    format_script, max_admissible_duration, parse_script, polynomial, run,
+    ScriptError, UndeclaredVariable, _compile_numeric, closed_form_template,
+    compile_fol, eval_fol, eval_term, evolve_plant, format_script,
+    max_admissible_duration, parse_script, polynomial, run,
 )
 from hpcheck.syntax import (
     ODE, BoolLit, Div, Mul, Neg, Num, Pow, Var, conjuncts, free_variables,
@@ -162,6 +162,10 @@ def test_compiled_kernel_reports_undeclared_variables():
     with pytest.raises(UndeclaredVariable):
         max_admissible_duration({"x": F(0), "v": F(0), "tau": F(0),
                                  "T": F(1)}, PLANT_ODE)
+    # and its solution the position, which its domain does not read
+    with pytest.raises(UndeclaredVariable):
+        evolve_plant({"v": F(0), "a": F(0), "tau": F(0), "T": F(1)},
+                     PLANT_ODE, F(1))
 
 
 def test_closed_form_template_detected():
@@ -353,7 +357,7 @@ def _reference_max_duration(state, ode):
     evaluated at t = 0 and t = 1, then its last admissible time."""
     if not eval_fol(state, ode.domain):
         return F(0)
-    at1 = _template_state_at(state, closed_form_template(ode), F(1))
+    at1 = closed_form_state(state, closed_form_template(ode), F(1))
     bounds = []
     for c in conjuncts(ode.domain):
         if isinstance(c, BoolLit):
@@ -429,14 +433,19 @@ def _random_ratio(rng):
 
 
 def test_template_state_at_is_the_closed_form_polynomial():
-    template = closed_form_template(PLANT_ODE)
-    literal = ("x", "v", "tau", Num(F(-5, 2)))  # a literal acceleration
+    # the template's evolution with no domain, with a variable and with a
+    # literal acceleration
+    free = Plant(parse_program("{x' = v, v' = a, tau' = 1}"))
+    literal = Plant(parse_program("{x' = v, v' = -5/2, tau' = 1}"))
+    assert free.template is not None and literal.template is not None
     rng = random.Random(5)
     for case in range(400):
         state = {var: _random_ratio(rng) for var in ("x", "v", "a", "tau")}
         t = F(0) if case % 4 == 0 else abs(_random_ratio(rng))
-        for tmpl, a in ((template, state["a"]), (literal, F(-5, 2))):
-            out = _template_state_at(state, tmpl, t)
+        for plant, a in ((free, state["a"]), (literal, F(-5, 2))):
+            outcome = plant.evolve(state, t)
+            assert isinstance(outcome, Final)
+            out = outcome.state
             x, v, tau = state["x"], state["v"], state["tau"]
             assert out["x"] == x + v * t + a * t * t / 2
             assert out["v"] == v + a * t
@@ -445,15 +454,36 @@ def test_template_state_at_is_the_closed_form_polynomial():
             assert all(type(out[k]) is Fraction for k in ("x", "v", "tau"))
         if t == 0:
             assert out == state
-    # a float input keeps the float expression
-    state = {"x": 0.5, "v": F(3), "a": F(-1), "tau": F(0)}
-    out = _template_state_at(state, template, F(1, 4))
-    assert out["x"] == 0.5 + F(3) * F(1, 4) + F(-1) * F(1, 4) * F(1, 4) / 2
-    assert type(out["x"]) is float and type(out["v"]) is Fraction
-    state["x"] = F(1, 2)
-    out = _template_state_at(state, template, 0.1)
-    assert out["x"] == F(1, 2) + F(3) * 0.1 + F(-1) * 0.1 * 0.1 / 2
-    assert all(type(out[k]) is float for k in ("x", "v", "tau"))
+    # each evolved variable comes back in the kind of its start value: a
+    # float as the float nearest the exact solution, which float
+    # arithmetic often misses in the last bit, a Fraction as a Fraction
+    # and an int pair as a reduced pair; the duration is read exactly
+    template = free.template
+    missed = 0
+    for case in range(200):
+        state = {var: rng.uniform(-4, 4) for var in ("x", "v", "a", "tau")}
+        t = abs(_random_ratio(rng)) if case % 2 else rng.uniform(0, 4)
+        out = free.evolve(state, t).state
+        exact = closed_form_state(
+            {k: Fraction(val) for k, val in state.items()}, template,
+            Fraction(t))
+        for var in ("x", "v", "tau"):
+            assert type(out[var]) is float and out[var] == float(exact[var])
+        missed += out != closed_form_state(state, template, t)
+    assert missed > 40
+    state = {"x": 0.1, "v": 0.3, "a": -0.9, "tau": 0.0}
+    out = free.evolve(state, F(1, 3)).state
+    assert (out["x"], out["v"]) == (0.15, -1.850371707708594e-17)
+    floats = closed_form_state(state, template, F(1, 3))
+    assert (floats["x"], floats["v"]) == (0.15000000000000002, 0.0)
+    state = {"x": 0.1, "v": F(3), "a": -0.9, "tau": (2, 6)}
+    out = free.evolve(state, (1, 4)).state
+    exact = closed_form_state(
+        dict(state, x=Fraction(0.1), a=Fraction(-0.9), tau=F(1, 3)),
+        template, F(1, 4))
+    assert out == {"x": float(exact["x"]), "v": exact["v"], "a": -0.9,
+                   "tau": (7, 12)}
+    assert type(out["v"]) is Fraction
 
 
 def test_numeric_integration_matches_closed_form():
@@ -468,7 +498,7 @@ def test_numeric_integration_matches_closed_form():
         if v0 + a * d < 0:
             continue
         state = base_state(v=v0, a=a)
-        exact = _template_state_at(state, template, d)
+        exact = closed_form_state(state, template, d)
         numeric = evolve(state, d)
         assert isinstance(numeric, Final)
         for var in ("x", "v", "tau"):

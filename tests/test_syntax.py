@@ -8,6 +8,7 @@ from gen import (
     VAR_POOL, is_fol, is_quantifier_free, random_formula, random_program,
     random_term,
 )
+from hpcheck.parser import parse_formula
 from hpcheck.syntax import (
     Add, And, Assign, BoolLit, Box, Choice, Cmp, Diamond, Div, Exists,
     Forall, Iff, Implies, Loop, Mul, Neg, Not, Num, ODE, Or, Pow, RandomAssign,
@@ -187,6 +188,16 @@ def test_substitute_through_writing_modality_rejected():
         substitute(f, "x", Num(1))
 
 
+def test_substitute_names_the_variable_when_a_renaming_meets_a_write():
+    # the binder y must be renamed away from the replacement y, and the
+    # renaming meets [y := 1]: refused, naming x and the binder
+    f = parse_formula("forall y (x <= y & [y := 1] y > 0)")
+    with pytest.raises(ValueError) as info:
+        substitute(f, "x", Var("y"))
+    assert str(info.value) == ("cannot substitute 'x': renaming the binder "
+                               "'y' meets a program writing it")
+
+
 def test_substitute_bound_variable_is_noop():
     f = Forall("x", Cmp("<=", Var("x"), Num(0)))
     assert substitute(f, "x", Num(5)) == f
@@ -196,9 +207,11 @@ def test_substitute_is_pinned():
     # sha256 over repr(substitute(node, var, term)), or the ValueError
     # message where it raises, for 3 000 random terms, formulas and
     # programs, most of them at one of their free variables; taken when
-    # terms, formulas and programs each had their own substitution.  A
-    # result also obeys the free-variable law, but for a bare program that
-    # writes the variable, whose writes are kept.
+    # terms, formulas and programs each had their own substitution, and
+    # re-derived when a renaming refused by a writing program came to name
+    # the substituted variable and the binder (one record of the 3 000).
+    # A result also obeys the free-variable law, but for a bare program
+    # that writes the variable, whose writes are kept.
     rng = random.Random(20)
     digest = hashlib.sha256()
     for i in range(3000):
@@ -221,7 +234,7 @@ def test_substitute_is_pinned():
             want = (want - {var}) | free_variables(term)
         assert free_variables(out) == want, (node, var, term)
     assert digest.hexdigest() \
-        == "b16286369a600cf072c6cf742ff08fa5a16aca9b61a69eae2fc8f199dd77792c"
+        == "ed8cdabba0757738e61e662dd93df256fe44aa2a9fc7aab9693ef93a68de11e7"
 
 
 def test_conjuncts_flatten():
