@@ -849,7 +849,7 @@ def _odes(program):
     if isinstance(program, ODE):
         yield program
     elif type(program) in PROGRAM_OPS:
-        for operand in vars(program).values():
+        for operand in program.fields:
             yield from _odes(operand)
     elif isinstance(program, Loop):
         yield from _odes(program.body)

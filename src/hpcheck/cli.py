@@ -24,7 +24,7 @@ from .checker import (
     SearchConfig, SelectorError, UnsupportedObligation, check,
     obligations_for,
 )
-from .model import Model, broken_constraint, domain_key
+from .model import Constant, Model, broken_constraint, domain_key
 from .models import MODEL_IDS, builtin, fig2_script, table2_suite
 from .obligations import FALSIFY_UNIVERSAL
 from .parser import ParseError, parse_model, parse_term
@@ -140,11 +140,12 @@ def _parse_pairs(pairs, what):
     return out
 
 
-def _parse_const_value(text):
+def _parse_value(text, error):
+    """The exact value of a constant term, or a UsageError saying `error`."""
     try:
         return eval_term({}, parse_term(text))
     except Exception:
-        raise UsageError(f"bad constant value {text!r}") from None
+        raise UsageError(error) from None
 
 
 def _apply_overrides(model: Model, args):
@@ -158,11 +159,12 @@ def _apply_overrides(model: Model, args):
                              f"model has {sorted(model.domains)}")
         if ":" not in spec:
             raise UsageError(f"bad box {spec!r}; expected LO:HI")
-        lo, hi = (_parse_const_value(end) for end in spec.split(":", 1))
+        lo, hi = (_parse_value(end, f"bad box bound {end!r} in {spec!r}")
+                  for end in spec.split(":", 1))
         if lo > hi:
             raise UsageError(f"empty box interval {spec!r}")
         boxes[var] = (lo, hi)
-    consts = {name: _parse_const_value(value)
+    consts = {name: _parse_value(value, f"bad constant value {value!r}")
               for name, value in _parse_pairs(args.const, "const").items()}
     values = model.constant_values()
     values.update((k, Fraction(v)) for k, v in consts.items() if k in values)
@@ -171,7 +173,7 @@ def _apply_overrides(model: Model, args):
         constant, conjunct = broken
         raise UsageError(f"--const: {constant.name} = {values[constant.name]}"
                          f" violates its constraint {print_formula(conjunct)}")
-    constants = [dataclasses.replace(c, value=values[c.name])
+    constants = [Constant(c.name, values[c.name], c.constraint)
                  for c in model.constants]
     return (dataclasses.replace(model, domains={**model.domains, **boxes},
                                 constants=constants),

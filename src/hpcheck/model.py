@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .semantics import UndeclaredVariable, eval_fol
 from .syntax import (
-    Assign, Choice, Cmp, Formula, Loop, Not, Num, ODE, Program,
+    Assign, Choice, Cmp, Formula, Loop, Node, Not, Num, ODE, Program,
     RandomAssign, Seq, Test, Var, conjuncts, free_variables, seq,
 )
 
@@ -22,11 +22,8 @@ from .syntax import (
 DEFAULT_DOMAIN = (Fraction(-100), Fraction(100))
 
 
-@dataclass(frozen=True)
-class Constant:
-    name: str
-    value: Fraction
-    constraint: Formula
+class Constant(Node):
+    __slots__ = ("name", "value", "constraint")
 
 
 @dataclass

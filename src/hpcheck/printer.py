@@ -59,7 +59,7 @@ def _binary(node, ops, show, level: int) -> str:
     operand takes the operator's own precedence, one more when the operator
     is right-associative; the right one takes the least the table allows."""
     spelling, own, right = ops[type(node)]
-    first, second = vars(node).values()
+    first, second = node.fields
     sep = "; " if spelling == ";" else f" {spelling} "
     left = show(first, own + (own == right))
     return _wrap(f"{left}{sep}{show(second, right)}", own, level)

@@ -24,7 +24,7 @@ from math import gcd, isfinite
 from .syntax import (
     FORMULA_OPS, Add, And, Assign, BoolLit, Box, Choice, Cmp, Diamond, Div,
     Exists, Forall, Iff, Implies, Loop, Mul, Neg, Not, Num, ODE, Or, Pow,
-    RandomAssign, Seq, Sub, Test, Var, conjuncts, free_variables,
+    Node, RandomAssign, Seq, Sub, Test, Var, conjuncts, free_variables,
 )
 
 # States are plain dicts: name -> Fraction (exact) or float (approximate);
@@ -455,32 +455,28 @@ def _combine(node, left, right, variables):
 # ---------------------------------------------------------------------------
 # Choice scripts
 
-@dataclass(frozen=True)
-class Branch:
-    side: str  # 'left' | 'right'
+class Branch(Node):
+    __slots__ = ("side",)  # 'left' | 'right'
 
     def __post_init__(self):
         if self.side not in ("left", "right"):
             raise ValueError("branch side must be 'left' or 'right'")
 
 
-@dataclass(frozen=True)
-class RandomValue:
-    value: object  # Fraction or float
+class RandomValue(Node):
+    __slots__ = ("value",)  # Fraction or float
 
 
-@dataclass(frozen=True)
-class Duration:
-    value: object
+class Duration(Node):
+    __slots__ = ("value",)
 
     def __post_init__(self):
         if self.value < 0:
             raise ValueError("negative duration")
 
 
-@dataclass(frozen=True)
-class LoopCount:
-    count: int
+class LoopCount(Node):
+    __slots__ = ("count",)
 
     def __post_init__(self):
         if self.count < 0:
@@ -562,15 +558,12 @@ class ScriptCursor:
 # ---------------------------------------------------------------------------
 # Outcomes and traces
 
-@dataclass(frozen=True)
-class Final:
-    state: State
+class Final(Node):
+    __slots__ = ("state",)
 
 
-@dataclass(frozen=True)
-class Aborted:
-    failed_test: object
-    state: State
+class Aborted(Node):
+    __slots__ = ("failed_test", "state")
 
 
 @dataclass(frozen=True)

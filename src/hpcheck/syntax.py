@@ -1,58 +1,121 @@
 """Syntax trees for terms, formulas and hybrid programs.
 
-All nodes are immutable (frozen dataclasses) and safe to share freely.
-Formulas cover plain first-order real arithmetic as well as the modal
-operators over hybrid programs.
+Every node is a `Node`: immutable, compared and hashed by value, and safe
+to share freely.  Formulas cover plain first-order real arithmetic as well
+as the modal operators over hybrid programs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Union
+
+_set = object.__setattr__
+
+
+class Node:
+    """An immutable record whose subclass names its fields in `__slots__`.
+
+    Each subclass gets a positional constructor that runs the class's
+    `__post_init__` check, if it has one; equality with a node of the same
+    class and a hash over its field values; the dataclass repr
+    `Name(field=value, ...)`; and pickling by its fields.  `fields` is the
+    tuple of the field values, in `__slots__` order.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if "__slots__" not in cls.__dict__:
+            raise TypeError(f"{cls.__name__} must name its fields in __slots__")
+        names = cls.__slots__
+        check = cls.__post_init__
+        values = attrgetter(*names)
+        if len(names) == 1:
+            a, = names
+
+            def __init__(self, x):
+                _set(self, a, x)
+                check(self)
+        elif len(names) == 2:
+            a, b = names
+
+            def __init__(self, x, y):
+                _set(self, a, x)
+                _set(self, b, y)
+                check(self)
+        else:
+            a, b, c = names
+
+            def __init__(self, x, y, z):
+                _set(self, a, x)
+                _set(self, b, y)
+                _set(self, c, z)
+                check(self)
+
+        fields = values if len(names) > 1 else lambda node: (values(node),)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return values(self) == values(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(fields(self))
+        cls.__init__, cls.__eq__, cls.__hash__ = __init__, __eq__, __hash__
+        cls.fields = property(fields)
+
+    def __post_init__(self):
+        """Check or normalise the fields; a subclass overrides this."""
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}"
+                          for name, value in zip(self.__slots__, self.fields))
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self.fields
+
 
 # ---------------------------------------------------------------------------
 # Terms
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Node):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
+class Num(Node):
+    __slots__ = ("value",)
 
     def __post_init__(self):
         if not isinstance(self.value, Fraction):
             object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Term"
-    right: "Term"
+class Add(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Term"
-    right: "Term"
+class Sub(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Term"
-    right: "Term"
+class Mul(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Neg:
-    inner: "Term"
+class Neg(Node):
+    __slots__ = ("inner",)
 
 
-@dataclass(frozen=True)
-class Div:
+class Div(Node):
     """Quotient restricted to constant divisors.
 
     The divisor must be built from rational literals and declared symbolic
@@ -60,18 +123,15 @@ class Div:
     lack a sign constraint.  A literal zero divisor is rejected here.
     """
 
-    num: "Term"
-    den: "Term"
+    __slots__ = ("num", "den")
 
     def __post_init__(self):
         if isinstance(self.den, Num) and self.den.value == 0:
             raise ValueError("division by zero constant")
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Term"
-    exp: int
+class Pow(Node):
+    __slots__ = ("base", "exp")
 
     def __post_init__(self):
         if self.exp < 0:
@@ -93,77 +153,56 @@ TERM_OPS = {Add: ("+", 1, 2), Sub: ("-", 1, 2),
 CMP_OPS = ("<=", "<", ">=", ">", "=", "!=")
 
 
-@dataclass(frozen=True)
-class Cmp:
-    op: str
-    left: Term
-    right: Term
+class Cmp(Node):
+    __slots__ = ("op", "left", "right")
 
     def __post_init__(self):
         if self.op not in CMP_OPS:
             raise ValueError(f"bad comparison operator {self.op!r}")
 
 
-@dataclass(frozen=True)
-class BoolLit:
-    value: bool
+class BoolLit(Node):
+    __slots__ = ("value",)
 
 
 TRUE = BoolLit(True)
 FALSE = BoolLit(False)
 
 
-@dataclass(frozen=True)
-class Not:
-    inner: "Formula"
+class Not(Node):
+    __slots__ = ("inner",)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class And(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Or(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Implies(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Iff:
-    left: "Formula"
-    right: "Formula"
+class Iff(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    body: "Formula"
+class Forall(Node):
+    __slots__ = ("var", "body")
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: "Formula"
+class Exists(Node):
+    __slots__ = ("var", "body")
 
 
-@dataclass(frozen=True)
-class Box:
-    program: "Program"
-    post: "Formula"
+class Box(Node):
+    __slots__ = ("program", "post")
 
 
-@dataclass(frozen=True)
-class Diamond:
-    program: "Program"
-    post: "Formula"
+class Diamond(Node):
+    __slots__ = ("program", "post")
 
 
 Formula = Union[Cmp, BoolLit, Not, And, Or, Implies, Iff, Forall, Exists, Box, Diamond]
@@ -174,26 +213,20 @@ FORMULA_OPS = {Iff: ("<->", 1, 1), Implies: ("->", 2, 2),
 # ---------------------------------------------------------------------------
 # Hybrid programs
 
-@dataclass(frozen=True)
-class Assign:
-    var: str
-    term: Term
+class Assign(Node):
+    __slots__ = ("var", "term")
 
 
-@dataclass(frozen=True)
-class RandomAssign:
-    var: str
+class RandomAssign(Node):
+    __slots__ = ("var",)
 
 
-@dataclass(frozen=True)
-class Test:
-    condition: Formula
+class Test(Node):
+    __slots__ = ("condition",)
 
 
-@dataclass(frozen=True)
-class ODE:
-    equations: tuple  # of (var name, rhs Term)
-    domain: Formula
+class ODE(Node):
+    __slots__ = ("equations", "domain")  # equations: tuple of (var, rhs Term)
 
     def __post_init__(self):
         names = [v for v, _ in self.equations]
@@ -202,21 +235,16 @@ class ODE:
         object.__setattr__(self, "equations", tuple(self.equations))
 
 
-@dataclass(frozen=True)
-class Choice:
-    left: "Program"
-    right: "Program"
+class Choice(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Seq:
-    first: "Program"
-    second: "Program"
+class Seq(Node):
+    __slots__ = ("first", "second")
 
 
-@dataclass(frozen=True)
-class Loop:
-    body: "Program"
+class Loop(Node):
+    __slots__ = ("body",)
 
 
 Program = Union[Assign, RandomAssign, Test, ODE, Choice, Seq, Loop]
@@ -320,7 +348,7 @@ def assigned_variables(program: Program) -> set:
     if isinstance(program, ODE):
         return {v for v, _ in program.equations}
     if type(program) in PROGRAM_OPS:
-        first, second = vars(program).values()
+        first, second = program.fields
         return assigned_variables(first) | assigned_variables(second)
     if isinstance(program, Loop):
         return assigned_variables(program.body)
@@ -393,7 +421,7 @@ def substitute(node, var: str, replacement: Term):
         elif kind is ODE:
             return ODE(tuple((v, sub(rhs)) for v, rhs in node.equations),
                        sub(node.domain))
-        values = [getattr(node, f.name) for f in fields(node)]
-        return kind(*[sub(v) if is_dataclass(v) else v for v in values])
+        return kind(*[sub(v) if isinstance(v, Node) else v
+                      for v in node.fields])
 
     return sub(node)

@@ -26,7 +26,7 @@ from hpcheck.semantics import (
     Branch, RandomValue, _ratio_term, eval_fol, eval_term,
 )
 from hpcheck.syntax import (
-    And, Box, Cmp, Diamond, Exists, Forall, Iff, Implies, Not, Or,
+    And, Box, Cmp, Diamond, Exists, Forall, Iff, Implies, Node, Not, Or,
     RandomAssign, Seq, Sub, Test, conjuncts, free_variables,
 )
 
@@ -317,8 +317,7 @@ def _assign_tests(program):
                 and isinstance(program.second, Test):
             return [(program.first.var, program.second.condition)]
         return _assign_tests(program.first) + _assign_tests(program.second)
-    return [pair for part in getattr(program, "__dict__", {}).values()
-            if hasattr(part, "__dataclass_fields__")
+    return [pair for part in program.fields if isinstance(part, Node)
             for pair in _assign_tests(part)]
 
 
@@ -331,7 +330,7 @@ def test_pins_parity_with_fraction_reference():
     for model_id in MODEL_IDS:
         model = builtin(model_id)
         cases = _assign_tests(model.loop_program()) + [extra]
-        assert len(cases) >= 3
+        assert [var for var, _ in cases] == ["xc", "a", "a", "a"]
         constants = {k: v.as_integer_ratio()
                      for k, v in model.constant_values().items()}
         for _ in range(100):

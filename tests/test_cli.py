@@ -259,6 +259,8 @@ def test_bad_box_flag_exits_2(capsys):
     # a malformed interval, an empty one as DOMAINS rejects it, and a
     # variable that neither DOMAINS nor a `_post`/`_prev` name of it gives
     for box, message in (("x=oops", "bad box"),
+                         ("x=a:1", "error: bad box bound 'a' in 'a:1'\n"),
+                         ("x=0:1+", "error: bad box bound '1+' in '0:1+'\n"),
                          ("v=2:1", "empty box interval"),
                          ("Q=0:1", "unknown box variable")):
         code, out, err = run_cli(capsys, "check", "m2", "--invariant", "zeta1",

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,11 +10,13 @@ from gen import (
     VAR_POOL, is_fol, is_quantifier_free, random_formula, random_program,
     random_term,
 )
+from hpcheck.models import builtin, fig2_script
 from hpcheck.parser import parse_formula
+from hpcheck.semantics import Branch, Duration, LoopCount, run
 from hpcheck.syntax import (
-    Add, And, Assign, BoolLit, Box, Choice, Cmp, Diamond, Div, Exists,
-    Forall, Iff, Implies, Loop, Mul, Neg, Not, Num, ODE, Or, Pow, RandomAssign,
-    Seq, Sub, Test, Var, assigned_variables, bound_variables, conjuncts,
+    TRUE, Add, And, Assign, BoolLit, Box, Choice, Cmp, Diamond, Div, Exists,
+    Forall, Iff, Implies, Loop, Mul, Neg, Node, Not, Num, ODE, Or, Pow,
+    RandomAssign, Seq, Sub, Test, Var, assigned_variables, bound_variables, conjuncts,
     desugar_if, free_variables, fresh_name, seq, substitute,
 )
 
@@ -271,3 +275,57 @@ def test_formula_equality_is_structural():
     assert Mul(t, t) == Mul(Add(Var("x"), Num(1)), Add(Var("x"), Num(1)))
     assert Sub(Var("x"), Num(1)) != Sub(Num(1), Var("x"))
     assert Neg(Var("x")) == Neg(Var("x"))
+
+
+def test_nodes_are_immutable_values():
+    # syntax nodes, script entries, outcomes and constants are all a Node:
+    # equal and hashed by value within one class, frozen, checked when
+    # built, picklable and without an instance __dict__
+    x = Var("x")
+    assert Add(x, Num(1)) != Sub(x, Num(1))
+    assert x != "x" and "x" != x
+    assert repr(Add(x, Num(1))) == \
+        "Add(left=Var(name='x'), right=Num(value=Fraction(1, 1)))"
+    text = "forall x (x <= 1 -> [x := x + 1; {x' = 1 & x <= 2}] x >= 0)"
+    first, second = parse_formula(text), parse_formula(text)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    for name in ("name", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, "y")
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x == Var("x")
+    for kind, args in ((Var, ()), (Var, ("x", "y")), (Add, (x,)),
+                       (Cmp, ("<", x)), (Cmp, ("<", x, x, x))):
+        with pytest.raises(TypeError):
+            kind(*args)
+    with pytest.raises(TypeError):
+        class Loose(Node):
+            pass
+    for kind, args in ((Div, (x, Num(0))), (Pow, (x, -1)), (Cmp, ("~", x, x)),
+                       (ODE, ((("x", x), ("x", Num(1))), TRUE)),
+                       (Branch, ("middle",)), (Duration, (Fraction(-1),)),
+                       (LoopCount, (-1,))):
+        with pytest.raises(ValueError):
+            kind(*args)
+    model = builtin("m2")
+    outcome, _ = run({**model.constant_values(), "x": Fraction(0),
+                      "v": Fraction(2), "xc": Fraction(10), "a": Fraction(0),
+                      "tau": Fraction(0)},
+                     model.loop_program(), fig2_script())
+    roots = [first, model.loop_program(), outcome, *model.constants,
+             *fig2_script()]
+    for root in roots:
+        assert pickle.loads(pickle.dumps(root)) == root
+        assert copy.deepcopy(root) == root
+    stack, seen = list(roots), 0
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            stack.extend(node)
+        elif isinstance(node, Node):
+            assert not hasattr(node, "__dict__"), node
+            stack.extend(node.fields)
+            seen += 1
+    assert seen > 100
