@@ -5,10 +5,11 @@ assignment of the quantified variables; existential obligations by
 searching for a witness.  The matrix is compiled once per check into
 closures with their polarity fixed, and one loop tries every candidate.
 Candidates come from a coarse-to-fine grid and seeded uniform sampling,
-as tuples of integer (numerator, denominator) pairs.  A first-order
-matrix reads each variable straight off the candidate tuple, by its
-position.  For a modal matrix one state, updated in place, holds each
-candidate in turn; states stay pairs through programs and their ODEs,
+in blocks of columns of integer numerators over one denominator.  A
+one-pass matrix, whose modalities are env goals (below) if any, is
+decided a block at a time, column by column.  For a modal matrix one
+state, updated in place, holds each row of (numerator, denominator) pairs
+in turn; states stay pairs through programs and their ODEs,
 and a Fraction is built only for a certificate.  Without a numeric plant
 every state holds a pair for every variable, so the exact kernel reads
 variables by itemgetter, the fixed constants no run assigns are folded
@@ -32,9 +33,11 @@ NotFalsified / NoWitnessFound are budget-exhausted non-results.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,14 +49,16 @@ from .obligations import (
     rho_obligation,
 )
 from .semantics import (
-    Aborted, Branch, Duration, Final, LoopCount, RandomValue, _neg,
-    _ratio_term, _reduced, compile_fol, eval_fol, eval_term, exact_view,
-    is_exact, plant_of, polynomial, run,
+    Aborted, Branch, Duration, Final, LoopCount, NotBlockwise, RandomValue,
+    _neg, _ratio_term, _reduced, block_cmp, block_term, compile_fol,
+    eval_fol, eval_term, exact_view, is_exact, on_rows, plant_of, polynomial,
+    run,
 )
 from .syntax import (
-    FORMULA_OPS, PROGRAM_OPS, And, Assign, Box, Choice, Cmp, Diamond, Div,
-    Forall, Exists, Iff, Implies, Loop, Not, Num, ODE, Or, RandomAssign, Seq,
-    Sub, Test, Var, assigned_variables, conjuncts, free_variables,
+    FORMULA_OPS, PROGRAM_OPS, And, Assign, BoolLit, Box, Choice, Cmp,
+    Diamond, Div, Forall, Exists, Iff, Implies, Loop, Not, Num, ODE, Or,
+    RandomAssign, Seq, Sub, Test, Var, assigned_variables, conjuncts,
+    free_variables, substitute,
 )
 
 # Search shape: grid refinement levels before sampling, durations tried per
@@ -245,7 +250,8 @@ class _Engine:
     same constants.  Without it, an obligation with a numeric plant, the
     interpreter evaluates them on each state's exact view, each plant
     evolves by its checked evolve, and `constants` is None.  `check`
-    decides a first-order matrix without an engine's closures."""
+    decides a one-pass matrix a block at a time, and compiles these
+    closures only for the scripts of a row that hits."""
 
     def __init__(self, obligation: Obligation, config: SearchConfig,
                  constants, pairs):
@@ -601,35 +607,48 @@ def _sampler(lo, hi, bits=16):
     return base << bits, step, d << bits
 
 
-def _candidates(search_vars, box, config, name):
-    """Candidate values of `search_vars`, in their order, as tuples of int
-    pairs: the `discrete` product, which ends, or the coarse-to-fine grid
-    followed by endless samples seeded from the obligation's name."""
-    if config.discrete is not None:
-        yield from itertools.product(
-            *([x.as_integer_ratio() for x in config.discrete[v]]
-              for v in search_vars))
-        return
+def _candidates(search_vars, box, config, name, room=None):
+    """Blocks (n, columns) of the coarse-to-fine grid, then of endless
+    samples seeded from the obligation's name: n rows, and per variable of
+    `search_vars`, in order, a column (numerators, shared denominator).
+    Blocks grow from 16 to 1 024 rows, so that an early hit stays cheap,
+    and hold at most room() rows when `room` is given."""
+    sizes = itertools.chain((16, 32, 64, 128, 256, 512),
+                            itertools.repeat(1024))
+    if room is not None:
+        sizes = (min(size, room()) for size in sizes)
     if not search_vars:
-        yield ()
+        yield 1, []
         return
     ends = [[x.as_integer_ratio() for x in box[v]] for v in search_vars]
     for level in range(GRID_LEVELS + 1):
         n = 1 << (level + 1)
-        axes = [[(base + i * step, den) for i in range(n + 1)]
-                for base, step, den in (_sampler(lo, hi, level + 1)
-                                        for lo, hi in ends)]
-        points = itertools.product(*axes)
+        axes = [_sampler(lo, hi, level + 1) for lo, hi in ends]
+        points = itertools.product(*([base + i * step for i in range(n + 1)]
+                                     for base, step, _ in axes))
         if level:  # skip the points of the previous level: all even
             odd = [i & 1 for i in range(n + 1)]
             points = itertools.compress(
                 points, map(any, itertools.product(odd, repeat=len(ends))))
-        yield from points
+        dens = [den for _, _, den in axes]
+        while chunk := list(itertools.islice(points, next(sizes))):
+            yield len(chunk), list(zip(zip(*chunk), dens))
     samplers = [_sampler(lo, hi) for lo, hi in ends]
     bits = random.Random(_derive_seed(config.seed, name, "grid")).getrandbits
-    while True:
-        yield tuple([(base + bits(16) * step, den)
-                     for base, step, den in samplers])
+    k = len(samplers)
+    for size in sizes:
+        # drawn row by row, a variable at a time, and split per column
+        draws = list(map(bits, itertools.repeat(16, size * k)))
+        yield size, [([base + b * step for b in draws[j::k]], den)
+                     for j, (base, step, den) in enumerate(samplers)]
+
+
+def _rows(blocks):
+    """The rows of `blocks`, in order, as tuples of int pairs."""
+    for n, columns in blocks:
+        yield from (zip(*[zip(nums, itertools.repeat(den))
+                          for nums, den in columns])
+                    if columns else itertools.repeat((), n))
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +759,8 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
     target = obligation.kind == FIND_WITNESS
     quantified, matrix = obligation.split()
     matrix_vars = obligation.matrix_variables
-    programs = list(_modal_programs(matrix))
+    modalities = list(_modal_nodes(matrix))
+    programs = [modality.program for modality in modalities]
     assigned = set().union(*map(assigned_variables, programs))
     uncovered = matrix_vars.difference(obligation.fixed_constants, quantified,
                                        assigned)
@@ -779,13 +799,15 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
         constants = None
     engine = _Engine(obligation, config, constants, pairs)
     stats, budget = engine.stats, config.budget
-    candidates = _candidates(search_vars, box, config, obligation.name)
 
-    def found(values, ropes):
+    def found(values, ropes=None):
         """The certified verdict of a candidate that search says decides
-        the obligation, or None."""
+        the obligation, or None; the engine decides a block's row again for
+        its scripts."""
         state = dict(base)
         state.update(zip(search_vars, values))
+        if ropes is None:
+            ropes = engine.formula(matrix, target)(state)
         assignment = {v: Fraction(*state[v]) for v in quantified}
         cex = Counterexample(assignment,
                              [_decisions(rope, []) for rope in ropes])
@@ -794,27 +816,49 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
             return Verdict(status, cex, stats, obligation, config.seed)
         return None
 
-    if not _has_modality(engine.modal, matrix):
-        # one evaluation per candidate, which the matrix reads straight
-        # off the candidate tuple; a name quantified twice reads its last
-        # slot, the value its innermost quantifier gives it
-        holds = compile_fol(matrix, constants, pairs={
-            v: i for i, v in enumerate(search_vars)})
-        tried = 0
-        for tried, values in enumerate(itertools.islice(candidates, budget),
-                                       1):
-            if holds(values) == target:
-                stats.evaluations = stats.candidates = tried
-                verdict = found(values, ())
+    decide_block = None
+    if config.discrete is None and all(map(_first_order_goal, modalities)):
+        # one pass per candidate, a block of them at a time; no run writes
+        # a variable the searched do not give, as a goal binds its own
+        fixed = {k: v for k, v in base.items() if k not in search_vars}
+        try:
+            decide_block = _block_decider(matrix, target, engine.modal, fixed)
+        except (NotBlockwise, UnsupportedObligation):
+            pass  # the engine loop decides, and raises where it does
+    if decide_block is not None:
+        # a row costs at least one evaluation, so a block needs no more
+        # rows than the budget left
+        for n, columns in _candidates(search_vars, box, config,
+                                      obligation.name,
+                                      lambda: budget - stats.evaluations):
+            shown, *costs = decide_block(dict(zip(search_vars, columns)), n)
+            spent = list(itertools.accumulate(
+                costs[0] if costs else itertools.repeat(1, n),
+                initial=stats.evaluations))
+            # the engine loop's budget check stops before the first row
+            # that starts with the budget spent
+            end = bisect.bisect_left(spent, budget, 0, n)
+            tried = stats.candidates
+            for hit in itertools.compress(range(end), shown):
+                verdict = found(tuple((nums[hit], den)
+                                      for nums, den in columns))
+                stats.evaluations = spent[hit + 1]
+                stats.candidates = tried + hit + 1
                 if verdict is not None:
                     return verdict
-        stats.evaluations = stats.candidates = tried
+            stats.evaluations, stats.candidates = spent[end], tried + end
+            if stats.evaluations >= budget:
+                break
     else:
         decide = engine.formula(matrix, target)
+        rows = (_rows(_candidates(search_vars, box, config, obligation.name))
+                if config.discrete is None else itertools.product(
+                    *([x.as_integer_ratio() for x in config.discrete[v]]
+                      for v in search_vars)))
         # one state for every candidate: programs copy a state before they
         # write, and nothing keeps one past its candidate
         state = dict(base)
-        for index, values in enumerate(candidates):
+        for index, values in enumerate(rows):
             if stats.evaluations >= budget:
                 break
             stats.candidates += 1
@@ -830,18 +874,73 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
     return Verdict(status, None, stats, obligation, config.seed)
 
 
-def _modal_programs(matrix):
-    """The program of every modality in the matrix."""
+def _modal_nodes(matrix):
+    """Every modality in the matrix."""
     stack = [matrix]
     while stack:
         node = stack.pop()
         if isinstance(node, (Box, Diamond)):
-            yield node.program
+            yield node
             stack.append(node.post)
         elif isinstance(node, Not):
             stack.append(node.inner)
         elif type(node) in FORMULA_OPS:
             stack.extend((node.left, node.right))
+
+
+def _first_order_goal(modality) -> bool:
+    """Whether `modality` is an env goal whose test has no modality and no
+    quantifier."""
+    goal = _env_goal_pattern(modality) if type(modality) is Diamond else None
+    return goal is not None and _modalities(goal[1], {}) is False
+
+
+def _block_decider(node, target, modal, constants):
+    """Closure (block, n) -> (shown,), or (shown, costs) for a modal node,
+    of `node`, whose modalities are env goals, at `target`: per row of
+    `block`, whether it shows `node` evaluates to `target`, and the
+    evaluations _Engine.formula counts.  A leaf or a goal `<x := *; ?P> x
+    = t`, P with t for x, costs 1; a connective that needs both operands
+    counts both, but a modal right one its left dooms; a pick counts its
+    right operand where its left fails."""
+    counted = _has_modality(modal, node)
+    if isinstance(node, Not):
+        return _block_decider(node.inner, not target, modal, constants)
+    if isinstance(node, Diamond):
+        x, test, pin = _env_goal_pattern(node)
+        block_term(pin, constants)  # NotBlockwise, even where P drops t
+        holds = _block_decider(substitute(test, x, pin), target, modal,
+                               constants)
+        return lambda b, n: (holds(b, n)[0], [1] * n)
+    if isinstance(node, Cmp):
+        holds = block_cmp(node, constants, target)
+        return lambda b, n: (holds(b, n),)
+    if isinstance(node, BoolLit):
+        return lambda b, n: ([node.value == target] * n,)
+    if isinstance(node, Iff):  # which the engine takes only as a leaf
+        if counted:
+            raise UnsupportedObligation("modal <-> is not supported")
+        return _block_decider(And(Implies(node.left, node.right),
+                                  Implies(node.right, node.left)),
+                              target, modal, constants)
+    operands = _connective(node, target)
+    both_needed, right_modal = operands[2], _has_modality(modal, operands[1])
+    left, right = (_block_decider(side, target, modal, constants)
+                   for side in operands[:2])
+    # the rows the left settles: shown for a pick, not for the other
+    fills = (not both_needed, 0) if right_modal else (not both_needed,)
+
+    def binary(b, n):
+        shown, *costs = left(b, n)
+        mask = shown if both_needed else list(map(operator.not_, shown))
+        shown, *more = on_rows(b, n, mask, right, fills)
+        if not counted:
+            return shown,
+        more = (more[0] if right_modal  # a leaf on every row, or on the open
+                else itertools.repeat(1) if both_needed else mask)
+        return shown, list(map(operator.add, costs[0] if costs
+                               else itertools.repeat(1), more))
+    return binary
 
 
 def _odes(program):

@@ -19,6 +19,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, repeat
 from math import gcd, isfinite
 
 from .syntax import (
@@ -136,7 +137,8 @@ def eval_fol(state: State, formula) -> bool:
 # captures a folded operand instead of calling it (partial evaluation).  In
 # pair mode the caller vouches that every state holds a pair for every
 # variable: a variable is then operator.itemgetter, a C call that checks
-# nothing, by name on a dict state or by position on a tuple (_reader).
+# nothing (_reader).  The block kernel below takes the same folding to
+# columns of candidates.
 
 def exact_view(state: State) -> State:
     """`state` with each int pair read as its Fraction."""
@@ -160,12 +162,8 @@ def _ratio_term(term, constants=None, pairs=False):
 
 def _reader(pairs):
     """How the exact kernel reads a variable.  Without `pairs`, _read: any
-    value from a dict state, checked.  With `pairs` True the state is a
-    dict holding an int pair for every variable read, returned by
-    itemgetter with no check; with a dict of positions the state is a
-    tuple of int pairs, and a variable is the item at its position."""
-    if isinstance(pairs, dict):
-        return lambda name: operator.itemgetter(pairs[name])
+    value from a dict state, checked.  With `pairs` the state holds an int
+    pair for every variable read, returned by itemgetter with no check."""
     return operator.itemgetter if pairs else _read
 
 
@@ -181,10 +179,12 @@ def _read(name):
     return var
 
 
-def _ratio(term, read, constants):
-    """The reduced pair of a subterm folded at compile time, else a closure
-    as `_ratio_term` gives, whose variables `read` makes (see _read).
-    Literals always fold; constants only when given."""
+def _ratio(term, read, constants, nodes=None):
+    """The reduced pair of a subterm folded at compile time, else the node
+    that `nodes` (by default _RATIO_NODES: a closure as `_ratio_term`
+    gives) builds on its operands, with variables as `read` makes them (see
+    _read).  Literals always fold; constants only when given."""
+    nodes = nodes or _RATIO_NODES
     if isinstance(term, Var):
         if constants is not None and term.name in constants:
             return constants[term.name]
@@ -192,29 +192,21 @@ def _ratio(term, read, constants):
     if isinstance(term, Num):
         return term.value.as_integer_ratio()
     if isinstance(term, Neg):
-        inner = _ratio(term.inner, read, constants)
+        inner = _ratio(term.inner, read, constants, nodes)
         if not callable(inner):
             return -inner[0], inner[1]
-
-        def neg(s):
-            n, d = inner(s)
-            return -n, d
-        return neg
+        return nodes[Mul](inner, (-1, 1))
     if isinstance(term, Pow):
-        base, k = _ratio(term.base, read, constants), term.exp
+        base, k = _ratio(term.base, read, constants, nodes), term.exp
         if not callable(base):
             return base[0] ** k, base[1] ** k
-
-        def power(s):
-            n, d = base(s)
-            return n ** k, d ** k
-        return power
+        return nodes[Pow](base, k)
     if isinstance(term, Div):
-        left = _ratio(term.num, read, constants)
-        right = _ratio(term.den, read, constants)
+        left = _ratio(term.num, read, constants, nodes)
+        right = _ratio(term.den, read, constants, nodes)
     else:
-        left = _ratio(term.left, read, constants)
-        right = _ratio(term.right, read, constants)
+        left = _ratio(term.left, read, constants, nodes)
+        right = _ratio(term.right, read, constants, nodes)
     if not callable(left) and not callable(right):
         try:
             value = _TERM_OPS[type(term)](Fraction(*left), Fraction(*right))
@@ -222,7 +214,14 @@ def _ratio(term, read, constants):
             pass  # raised when evaluated, as eval_term does
         else:
             return value.as_integer_ratio()
-    return _RATIO_NODES[type(term)](left, right)
+    return nodes[type(term)](left, right)
+
+
+def _ratio_pow(base, k):
+    def power(s):
+        n, d = base(s)
+        return n ** k, d ** k
+    return power
 
 
 def _ratio_div(left, right):
@@ -308,7 +307,7 @@ def _ratio_sub(left, right):
 
 
 _RATIO_NODES = {Add: _ratio_add, Sub: _ratio_sub, Mul: _ratio_mul,
-                Div: _ratio_div}
+                Div: _ratio_div, Pow: _ratio_pow}
 
 
 def _fol_closure(formula, comparison):
@@ -373,6 +372,107 @@ def compile_fol(formula, constants=None, pairs=False):
     raises one."""
     read = _reader(pairs)
     return _fol_closure(formula, lambda c: _ratio_cmp(c, read, constants))
+
+
+# Block kernel.  The search decides a first-order matrix over a block of
+# candidates at a time, column by column (Boncz, Zukowski and Nes,
+# "MonetDB/X100: Hyper-Pipelining Query Execution", CIDR 2005).  A block
+# maps each variable it holds to a column: a sequence of numerators over one
+# shared int denominator.  Terms fold as in _ratio, and each operation on a
+# column is one map over its numerators, a C loop with no call per row.
+# Every division is by a folded nonzero literal, so a column keeps one
+# shared denominator and a block raises nothing; any other divisor is
+# NotBlockwise, and the caller decides row by row instead.  A comparison
+# gives the list of its truths, one per row, as compile_fol gives on that
+# row; on_rows evaluates an operand on the rows its connective leaves open.
+
+class NotBlockwise(Exception):
+    """A divisor that does not fold to a nonzero literal."""
+
+
+def _lifted(value):
+    """A column closure: a folded pair repeated on every row."""
+    if callable(value):
+        return value
+    c, d = value
+    return lambda b, n: ([c] * n, d)
+
+
+def block_term(term, constants=None):
+    """The folded pair of `term`, else its closure (block, n) -> column."""
+    return _ratio(term, lambda name: lambda b, n: b[name], constants,
+                  _BLOCK_NODES)
+
+
+def block_cmp(formula, constants=None, truth=True):
+    """(block, n) -> whether the comparison `formula` is `truth` on each of
+    the n rows of `block`, its sides over one denominator."""
+    op = _CMP[formula.op] if truth else _CMP_NOT[formula.op]
+    compare = _block_node(op, True)(block_term(formula.left, constants),
+                                    block_term(formula.right, constants))
+    return lambda b, n: list(compare(b, n)[0])
+
+
+_CMP_NOT = {"<=": operator.gt, "<": operator.ge, ">=": operator.lt,
+            ">": operator.le, "=": operator.ne, "!=": operator.eq}
+
+
+def on_rows(b, n, mask, evaluate, fills):
+    """The lists that evaluate(block, rows) gives on the rows of the n-row
+    `block` where `mask` holds, each with its item of `fills` on the
+    others; evaluate sees those rows alone when they are fewer than
+    half."""
+    count = mask.count(True)
+    if 2 * count >= n:
+        return [[value if m else fill for value, m in zip(out, mask)]
+                for out, fill in zip(evaluate(b, n), fills)]
+    outs = [[fill] * n for fill in fills]
+    sub = {k: (list(compress(c, mask)), d) for k, (c, d) in b.items()}
+    for out, part in zip(outs, evaluate(sub, count) if count else ()):
+        for i, value in zip(compress(range(n), mask), part):
+            out[i] = value
+    return outs
+
+
+def _block_node(op, common):
+    """The closure of a binary term node with its operands' columns over
+    their least common denominator (`common`), which scales neither when
+    they share one, or over the product of theirs."""
+    def build(left, right):
+        left, right = _lifted(left), _lifted(right)
+
+        def node(b, n):
+            (a, da), (c, dc) = left(b, n), right(b, n)
+            if not common:
+                return map(op, a, c), da * dc
+            g = gcd(da, dc)
+            if dc != g:
+                a = map(operator.mul, a, repeat(dc // g))
+            if da != g:
+                c = map(operator.mul, c, repeat(da // g))
+            return map(op, a, c), da // g * dc
+        return node
+    return build
+
+
+def _block_div(left, right):
+    if callable(right) or right[0] == 0:
+        raise NotBlockwise("a divisor that does not fold to a nonzero literal")
+    c, d = right
+    return _BLOCK_NODES[Mul](left, (d, c) if c > 0 else (-d, -c))
+
+
+def _block_pow(base, k):
+    def power(b, n):
+        nums, den = base(b, n)
+        return map(pow, nums, repeat(k)), den ** k
+    return power
+
+
+_BLOCK_NODES = {Add: _block_node(operator.add, True),
+                Sub: _block_node(operator.sub, True),
+                Mul: _block_node(operator.mul, False), Div: _block_div,
+                Pow: _block_pow}
 
 
 # Polynomial form.  A term is read as a polynomial in chosen variables whose

@@ -4,6 +4,7 @@ Each test prints one pass/fail line directly to the terminal, bypassing
 output capture, so a full run always shows the per-criterion outcome.
 """
 
+import hashlib
 import io
 import json
 import random
@@ -50,10 +51,18 @@ def _run_table2(*argv):
     return code, buffer.getvalue(), time.perf_counter() - start
 
 
+# sha256 of the default-budget `table2 --format json` stdout; taken before
+# first-order and goal-directed matrices were decided a block of candidates
+# at a time.
+TABLE2_DEFAULT_DIGEST = \
+    "112180203256cdbf80a1d89130f5bb8bb2025cda7ec4101e90289b70bfa3eecd"
+
+
 @pytest.fixture(scope="module")
 def table2_full():
     code, text, elapsed = _run_table2()
-    return code, json.loads(text), elapsed
+    return code, json.loads(text), elapsed, hashlib.sha256(
+        text.encode()).hexdigest()
 
 
 def _verdicts_by_name(row):
@@ -79,9 +88,10 @@ def test_criterion_1_walkthrough_exact(capfd):
 
 
 def test_criterion_2_table_reproduction(capfd, table2_full):
-    code, report, elapsed = table2_full
+    code, report, elapsed, digest = table2_full
     rows = report["rows"]
-    checks = [code == 0, report["all_match"], len(rows) == 8, elapsed <= 60.0]
+    checks = [code == 0, report["all_match"], len(rows) == 8, elapsed <= 60.0,
+              digest == TABLE2_DEFAULT_DIGEST]
     checks.append(report["config"]["budget"] == DEFAULT_BUDGET)
     # certified counterexamples/witnesses on the "No" rows
     rho1_m2 = _verdicts_by_name(rows[1])["rho"]
@@ -130,7 +140,7 @@ def test_criterion_3_necessity_witness_and_derivation(capfd):
 
 
 def test_criterion_4_consistency_across_seeds(capfd, table2_full):
-    _, report, _ = table2_full
+    _, report, _, _ = table2_full
     row = report["rows"][7]  # the corrected model with the strong invariant
     named = _verdicts_by_name(row)
     premises = (named["loop_ii"]["verdict"] == NOT_FALSIFIED

@@ -377,6 +377,29 @@ def test_first_order_search_builds_few_fractions(monkeypatch):
     assert len(built) < 100
 
 
+def test_one_pass_matrices_compile_no_row_closure(monkeypatch):
+    # a first-order matrix or one whose only modality is an env goal is
+    # decided a block of candidates at a time; the engine's row closures
+    # are compiled only for a row that hits, and a modal matrix keeps them
+    compiled = []
+
+    def counting(*args, **kwargs):
+        compiled.append(args[0])
+        return compile_fol(*args, **kwargs)
+    monkeypatch.setattr(checker, "compile_fol", counting)
+    m2 = builtin("m2")
+    for zeta, selector, index, status in [
+            ("zeta2", "loop", 0, NOT_FALSIFIED), ("zeta2", "loop", 2,
+                                                  NOT_FALSIFIED),
+            ("zeta2", "rho", 0, NOT_FALSIFIED), ("zeta1", "rho", 0, FALSIFIED),
+            ("zeta1", "loop", 1, NOT_FALSIFIED)]:
+        compiled.clear()
+        ob = obligations_for(m2, zeta, selector)[index]
+        verdict = check(ob, SearchConfig(budget=5000))
+        assert verdict.status == status
+        assert bool(compiled) == (status == FALSIFIED or ob.name == "loop_ii")
+
+
 # ---------------------------------------------------------------------------
 # plain quantified arithmetic
 
@@ -702,6 +725,17 @@ def test_budget_is_respected():
     assert 100 <= verdict.stats.evaluations <= 140
 
 
+def test_budget_above_the_largest_index_is_taken():
+    # a budget no list index reaches decides a first-order matrix as an
+    # ample one does
+    ob = close("x <= 5", FALSIFY_UNIVERSAL, {"x": (F(0), F(10))})
+    huge, ample = (check(ob, SearchConfig(budget=budget))
+                   for budget in (10**20, 5000))
+    assert huge.status == ample.status == FALSIFIED
+    assert huge.stats == ample.stats
+    assert huge.counterexample.to_json() == ample.counterexample.to_json()
+
+
 # ---------------------------------------------------------------------------
 # exhaustive mode vs the independent oracle
 
@@ -791,22 +825,79 @@ def _first_order_obligations():
     return out
 
 
-# sha256 over the verdict JSON and candidates of every obligation above,
-# or the exception it raises (a ZeroDivisionError by its type alone: its
-# message differs between Python versions), sampled at budgets 1, 37 and
-# 2 000 with seeds 0 and 7, and in discrete mode at budgets 37 and 2 000;
-# taken before first-order matrices were compiled to read the candidate
-# tuple.
+# _outcomes_digest (below) of every obligation above at budgets 1, 37 and
+# 2 000; taken before first-order matrices were compiled to read the
+# candidate tuple.
 FIRST_ORDER_DIGEST = \
     "a34870a073331081d8e05bdb2fbbf7545ae95c3565baa320e084979889a11a11"
 
 
 def test_first_order_outcomes_are_pinned():
+    assert _outcomes_digest(_first_order_obligations(), (1, 37, 2000)) \
+        == FIRST_ORDER_DIGEST
+
+
+def _goal_obligations():
+    """The bundled models' goal-directed obligations, `rho` and `friendly`,
+    then API goals: a goal variable the obligation does not quantify and
+    that the matrix also reads outside its goal, one fixed as a constant, a
+    goal under `!`, `|` and `->`, a goal with no search variable, divisions
+    by a variable in a goal's test and in its pinned term, a modal `<->`,
+    an inner quantifier, and a goal's test with a quantifier or a
+    modality."""
+    out = [ob for model_id in ("m2", "m4") for zeta in ("zeta1", "zeta2")
+           for selector in ("rho", "friendly")
+           for ob in obligations_for(builtin(model_id), zeta, selector)]
+    y = {"y": (F(-2), F(3))}
+    for name, text, kind, box, fixed in [
+            ("free", "forall y (x + y <= 1 | <x := *; ?2 * x >= y> x = y - 1)",
+             FALSIFY_UNIVERSAL, y, {}),
+            ("free_outside",
+             "exists y ((<x := *; ?x * y > 1> x = y / 2) & x < 1)",
+             FIND_WITNESS, y, {}),
+            ("fixed", "forall y (x > y | <x := *; ?x > 0> x = y)",
+             FALSIFY_UNIVERSAL, y, {"x": F(2)}),
+            ("negated", "forall y (!(<x := *; ?x > 1> x = y) | y < 0)",
+             FALSIFY_UNIVERSAL, y, {}),
+            ("pick", "exists y ((<x := *; ?x > 1> x = y) | y < -1/2)",
+             FIND_WITNESS, y, {}),
+            ("modal_left", "forall y ((<x := *; ?x > 0> x = y) -> y > 1/2)",
+             FALSIFY_UNIVERSAL, y, {}),
+            ("two_goals", "forall y forall z ((<x := *; ?x >= z> x = y + z)"
+             " -> (<w := *; ?w * c < y> w = z))", FALSIFY_UNIVERSAL,
+             {"y": (F(-2), F(3)), "z": (F(0), F(1, 3))}, {"c": F(3, 2)}),
+            ("closed", "<x := *; ?x > c> x = 2", FIND_WITNESS, {},
+             {"c": F(1)}),
+            ("test_divides", "forall y (<x := *; ?1 / y >= x> x = y)",
+             FALSIFY_UNIVERSAL, {"y": (F(-1), F(1))}, {}),
+            ("test_divides_late", "exists y (<x := *; ?x / y < 0> x = y * y)",
+             FIND_WITNESS, {"y": (F(-1), F(1))}, {}),
+            ("pin_divides", "forall y (<x := *; ?x >= 0> x = 1 / y)",
+             FALSIFY_UNIVERSAL, {"y": (F(0), F(2))}, {}),
+            ("iff", "forall y ((<x := *; ?x > 0> x = y) <-> y > 0)",
+             FALSIFY_UNIVERSAL, y, {}),
+            ("inner", "forall y ((<x := *; ?x > 0> x = y) & exists z (z > y))",
+             FALSIFY_UNIVERSAL, y, {}),
+            ("test_quantifies",
+             "forall y (<x := *; ?(exists z (z > x))> x = y)",
+             FALSIFY_UNIVERSAL, y, {}),
+            ("test_modal", "forall y (<x := *; ?[y := 1] x > y> x = y)",
+             FALSIFY_UNIVERSAL, y, {})]:
+        out.append(Obligation(name, parse_formula(text), kind, box, fixed))
+    return out
+
+
+def _outcomes_digest(obligations, budgets):
+    """sha256 over the verdict JSON and candidates of each obligation, or
+    the exception it raises (a ZeroDivisionError by its type alone: its
+    message differs between Python versions), sampled at `budgets` with
+    seeds 0 and 7, and in discrete mode, over -1, 0, 1/2 and 2 for each
+    quantified variable, at budgets 37 and 2 000."""
     values = [F(-1), F(0), F(1, 2), F(2)]
     configs = [SearchConfig(budget=budget, seed=seed)
-               for budget in (1, 37, 2000) for seed in (0, 7)]
+               for budget in budgets for seed in (0, 7)]
     digest = hashlib.sha256()
-    for ob in _first_order_obligations():
+    for ob in obligations:
         discrete = {v: values for v in ob.split()[0]}
         for config in configs + [SearchConfig(budget=budget, discrete=discrete)
                                  for budget in (37, 2000)]:
@@ -820,13 +911,35 @@ def test_first_order_outcomes_are_pinned():
                 record = dict(verdict.to_json(),
                               candidates=verdict.stats.candidates)
             digest.update(json.dumps(record, sort_keys=True).encode())
-    assert digest.hexdigest() == FIRST_ORDER_DIGEST
+    return digest.hexdigest()
+
+
+# _outcomes_digest of the goal obligations above at budgets 1, 17, 37 and
+# 2 000 (m2 zeta1 `rho` is found after 17 evaluations); taken before
+# goal-directed matrices were decided a block of candidates at a time.
+GOAL_DIGEST = \
+    "9c373d2d53b87f692991ff393adda3211e266cb074370b8993e17d6c19e2844d"
+
+
+def test_goal_outcomes_are_pinned():
+    assert _outcomes_digest(_goal_obligations(), (1, 17, 37, 2000)) \
+        == GOAL_DIGEST
+
+
+def test_goal_pin_divides_where_its_test_does_not_read_it():
+    # the pin is bound before the test is evaluated, so its zero divisor
+    # raises on the first candidate, y = 0, though the test drops it
+    ob = Obligation("pin_dropped",
+                    parse_formula("forall y (<x := *; ?y >= 0> x = 1 / y)"),
+                    FALSIFY_UNIVERSAL, {"y": (F(0), F(2))}, {})
+    with pytest.raises(ZeroDivisionError):
+        check(ob, SearchConfig(budget=2000))
 
 
 # sha256 over repr of the first 6 000 candidates of 1, 2, 3 and 5 search
 # variables, with dyadic, non-dyadic and one-point box ends, at seeds 0 and
-# 7: the grid levels and the samples after them; taken before the candidate
-# stream was rewritten.
+# 7: the grid levels and the samples after them, read as rows across the
+# blocks of the stream; taken before the candidate stream was rewritten.
 CANDIDATE_STREAM_DIGEST = \
     "9652500d83549a9914abfdff89875cd9b8ff1b58c675a60c79372a0c2e835d88"
 
@@ -838,8 +951,8 @@ def test_candidate_stream_is_pinned():
     digest = hashlib.sha256()
     for names in ("x", "y", "xz", "ywd", "xyzwu"):
         for seed in (0, 7):
-            stream = checker._candidates(list(names), box,
-                                         SearchConfig(seed=seed), "pinned")
+            stream = checker._rows(checker._candidates(
+                list(names), box, SearchConfig(seed=seed), "pinned"))
             for values in itertools.islice(stream, 6000):
                 digest.update(repr(values).encode())
     assert digest.hexdigest() == CANDIDATE_STREAM_DIGEST

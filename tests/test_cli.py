@@ -338,6 +338,18 @@ def test_bad_budget_exits_2(capsys):
     assert "budget" in err
 
 
+def test_budget_above_the_largest_index_is_taken(capsys):
+    code, out, err = run_cli(capsys, "check", "m2", "--invariant", "zeta1",
+                             "--obligation", "rho", "--budget", str(10**20),
+                             "--format", "json")
+    assert (code, err) == (1, "")
+    [verdict] = json.loads(out)["verdicts"]
+    assert verdict["verdict"] == "falsified"
+    assert verdict["evaluations"] == 17
+    assert verdict["certificate"]["assignment"] == {
+        "v": "5/2", "x": "-1", "xc": "-1", "xc_post": "-1"}
+
+
 def test_unexpected_exception_exits_3(monkeypatch, capsys):
     def broken(obligation, config):
         raise RuntimeError("boom")
