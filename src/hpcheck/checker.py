@@ -11,21 +11,21 @@ decided a block at a time, column by column.  For a modal matrix one
 state, updated in place, holds each row of (numerator, denominator) pairs
 in turn; states stay pairs through programs and their ODEs,
 and a Fraction is built only for a certificate.  Without a numeric plant
-every state holds a pair for every variable, so the exact kernel reads
-variables by itemgetter, the fixed constants no run assigns are folded
-into its closures along with the literals, and the closed-form plant is
-compiled on these folded pairs too (Plant.pair_kernel).  With a numeric
-plant, whose RK4 leaves floats, the interpreter evaluates each formula
-and assigned term on the state's exact view; a test's pins are read off
-the exact ratios of the state's values either way.  Modalities are decided
-by script enumeration; the diamond-over-env pattern `<e := *; ?P> e =
-e1` is decided goal-directed (bind e := e1, evaluate P) with no search.  Every
-candidate success is re-checked by exact rational replay before a
-verdict is emitted, so found-verdicts carry certificates that cannot be
-false alarms.  A certificate is what the report prints: the assignment
-of the quantified variables and one choice script per modality decided
-by a run.  `certify` replays the obligation's own matrix from these
-alone.
+every state holds a pair for every variable, so the exact kernel, which
+reads pairs only, evaluates each formula and assigned term, the fixed
+constants no run assigns are folded into its closures along with the
+literals, and the closed-form plant is compiled on these folded pairs too
+(Plant.pair_kernel).  With a numeric plant, whose RK4 leaves floats, the
+interpreter evaluates them on the state's exact view, and a test's pins
+are read off the state's pair view (its values' exact ratios).
+Modalities are decided by script enumeration; the diamond-over-env
+pattern `<e := *; ?P> e = e1` is decided goal-directed (bind e := e1,
+evaluate P) with no search.  Every candidate success is re-checked by
+exact rational replay before a verdict is emitted, so found-verdicts
+carry certificates that cannot be false alarms.  A certificate is what
+the report prints: the assignment of the quantified variables and one
+choice script per modality decided by a run.  `certify` replays the
+obligation's own matrix from these alone.
 
 Search cannot prove validity of quantified nonlinear arithmetic:
 NotFalsified / NoWitnessFound are budget-exhausted non-results.
@@ -51,8 +51,8 @@ from .obligations import (
 from .semantics import (
     Aborted, Branch, Duration, Final, LoopCount, NotBlockwise, RandomValue,
     _neg, _ratio_term, _reduced, block_cmp, block_term, compile_fol,
-    eval_fol, eval_term, exact_view, is_exact, on_rows, plant_of, polynomial,
-    run,
+    eval_fol, eval_term, exact_view, is_exact, on_rows, pair_view, plant_of,
+    polynomial, run,
 )
 from .syntax import (
     FORMULA_OPS, PROGRAM_OPS, And, Assign, BoolLit, Box, Choice, Cmp,
@@ -245,11 +245,11 @@ class _Engine:
     decisions (see _decisions), made into a decision list only for a
     certificate.  With `pairs` every state holds an int pair for each
     variable: formulas and terms are compiled by the exact kernel, which
-    reads them with no check and folds `constants`, the fixed constants,
-    and each closed-form plant gives its pair kernel, compiled with the
-    same constants.  Without it, an obligation with a numeric plant, the
-    interpreter evaluates them on each state's exact view, each plant
-    evolves by its checked evolve, and `constants` is None.  `check`
+    folds `constants`, the fixed constants, and each closed-form plant
+    gives its pair kernel, compiled with the same constants.  Without it,
+    an obligation with a numeric plant, the interpreter evaluates them on
+    each state's exact view, the pins read each state's pair view, each
+    plant evolves by its evolve, and `constants` is None.  `check`
     decides a one-pass matrix a block at a time, and compiles these
     closures only for the scripts of a row that hits."""
 
@@ -366,10 +366,10 @@ class _Engine:
 
     def _holds(self, formula):
         """Closure state -> the truth of a modality-free `formula`: the
-        exact kernel, reading pairs by itemgetter, when every state holds
-        pairs, else eval_fol on the state's exact view."""
+        exact kernel when every state holds pairs, else eval_fol on the
+        state's exact view."""
         if self.pairs:
-            return compile_fol(formula, self.constants, pairs=True)
+            return compile_fol(formula, self.constants)
         return lambda state: eval_fol(exact_view(state), formula)
 
     def _term(self, term):
@@ -377,7 +377,7 @@ class _Engine:
         _holds: a reduced int pair, or eval_term's value on the state's
         exact view as a reduced pair or a float."""
         if self.pairs:
-            exact = _ratio_term(term, self.constants, pairs=True)
+            exact = _ratio_term(term, self.constants)
             return lambda state: _reduced(*exact(state))
 
         def value(state):
@@ -489,11 +489,11 @@ class _Engine:
         lo, hi = box.get(domain_key(box, var), DEFAULT_DOMAIN)
         ends = (lo.as_integer_ratio(), hi.as_integer_ratio())
         base, step, den = _sampler(*ends)
-        pins = (None if test is None
-                else _pinner(var, test, self.constants, self.pairs))
+        pins = None if test is None else _pinner(var, test, self.constants)
 
         def values(state):
-            out = pins(state) if pins else []
+            out = (pins(state if self.pairs else pair_view(state)) if pins
+                   else [])
             out += ends
             bits = self.rng.getrandbits
             for _ in range(VALUES_PER_RANDOM_ASSIGN):
@@ -505,7 +505,7 @@ class _Engine:
         """(bound, step) of an evolution: bound(state) is the int pair up
         to which durations are tried, or None where none is admitted, and
         step(state, duration) is the final state, or None where the run
-        aborts.  With `pairs` the plant's pair kernel, else its checked
+        aborts.  With `pairs` the plant's pair kernel, else its
         duration_bound, with a bisected float read as its exact ratio, and
         evolve."""
         if self.pairs:
@@ -563,13 +563,11 @@ def _linear_conjuncts(var, formula):
             yield c, form.get((), Num(0)), form[(var,)]
 
 
-def _pinner(var, test, constants=None, pairs=False):
-    """Closure state -> one reduced int pair per conjunct of `test` whose
-    left - right is c0 + c1 * var with c1 != 0: its zero -c0 / c1, with a
-    float in the state read as its exact ratio; `constants` and `pairs` as
-    _ratio_term takes them."""
-    zeros = [(_ratio_term(c0, constants, pairs),
-              _ratio_term(c1, constants, pairs))
+def _pinner(var, test, constants=None):
+    """Closure state of int pairs -> one reduced int pair per conjunct of
+    `test` whose left - right is c0 + c1 * var with c1 != 0: its zero
+    -c0 / c1; `constants` as _ratio_term takes them."""
+    zeros = [(_ratio_term(c0, constants), _ratio_term(c1, constants))
              for _, c0, c1 in _linear_conjuncts(var, test)]
 
     def pins(state):

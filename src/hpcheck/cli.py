@@ -387,9 +387,10 @@ def _verdicts(obligations, config):
     checked, out = {}, []
     for ob in obligations:
         key = _content_key(ob)
-        if key not in checked:
-            checked[key] = check(ob, config)
-        out.append(checked[key])
+        verdict = checked.get(key)
+        if verdict is None:
+            verdict = checked[key] = check(ob, config)
+        out.append(verdict)
     return out
 
 

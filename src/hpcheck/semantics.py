@@ -6,11 +6,11 @@ run is a pure function of (state, program, script).  States map variable
 names to exact rationals where possible; floats appear only after a
 plant outside the closed-form template, which the RK4 kernel integrates.
 The search's states hold each exact rational as an int pair instead,
-which a Plant and the exact kernel below take as they are.  A closed-form
-plant is one compiled kernel, which the search runs on pairs and
-`evolve`/`duration_bound` run on any state, reading each value as its
-exact ratio; an evolved float comes back as the float nearest its exact
-value.
+which is the only way the exact kernel below reads a value.  A closed-form
+plant is one compiled kernel, which the search runs on its pairs and
+`evolve`/`duration_bound` run on any state through pair_view, each value
+read as its exact ratio; an evolved float comes back as the float nearest
+its exact value.
 """
 
 from __future__ import annotations
@@ -126,19 +126,18 @@ def eval_fol(state: State, formula) -> bool:
 # of closures.  A term node returns its exact value as a (numerator,
 # denominator > 0) pair of Python ints: sums and products are a few integer
 # operations, comparisons cross-multiply, and nothing is reduced by a gcd
-# inside a formula, so no Fraction is built.  The kernel reads exact values
-# only: an int pair in the state (the search's states hold them) as it is,
-# and a Fraction, an int or a float as its exact ratio; a missing variable
-# raises UndeclaredVariable.  Float arithmetic lives only in the RK4 kernel
-# below and in eval_term/eval_fol, which a caller that wants it calls.
-# The compiler folds every subterm built from literals alone into one
-# reduced pair, and, given the values of constants the state never
-# changes, those constants and every subterm built from them too; a node
-# captures a folded operand instead of calling it (partial evaluation).  In
-# pair mode the caller vouches that every state holds a pair for every
-# variable: a variable is then operator.itemgetter, a C call that checks
-# nothing (_reader).  The block kernel below takes the same folding to
-# columns of candidates.
+# inside a formula, so no Fraction is built.  The kernel reads a state that
+# holds an int pair for every variable it reads, as the search's states do:
+# a variable is operator.itemgetter, a C call that checks nothing.  Any
+# other state is read through pair_view where it enters, which makes each
+# value it reads a pair once and raises UndeclaredVariable for a missing
+# one.  Float arithmetic lives only in the RK4 kernel below and in
+# eval_term/eval_fol, which a caller that wants it calls.  The compiler
+# folds every subterm built from literals alone into one reduced pair, and,
+# given the values of constants the state never changes, those constants
+# and every subterm built from them too; a node captures a folded operand
+# instead of calling it (partial evaluation).  The block kernel below takes
+# the same folding to columns of candidates.
 
 def exact_view(state: State) -> State:
     """`state` with each int pair read as its Fraction."""
@@ -146,67 +145,67 @@ def exact_view(state: State) -> State:
             for k, v in state.items()}
 
 
+class pair_view(dict):
+    """`state` as the exact kernel reads it, each value made an int pair on
+    its first read: a pair as it is, any other value its exact ratio.  A
+    value never read is never converted, and a variable the state lacks is
+    UndeclaredVariable."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: State):
+        self.state = state
+
+    def __missing__(self, name):
+        if name not in self.state:
+            raise UndeclaredVariable(name)
+        value = self.state[name]
+        self[name] = pair = (value if type(value) is tuple
+                             else value.as_integer_ratio())
+        return pair
+
+
 def _reduced(n, d):
     g = gcd(n, d)
     return (n // g, d // g) if g > 1 else (n, d)
 
 
-def _ratio_term(term, constants=None, pairs=False):
-    """Closure state -> (numerator, denominator > 0) of `term`, each value
-    read as _reader(pairs) reads it.  `constants` maps the names whose
-    values are fixed to their int pairs; given it, the closure reads none
-    of them from the state."""
-    value = _ratio(term, _reader(pairs), constants)
+def _ratio_term(term, constants=None):
+    """Closure state of int pairs -> (numerator, denominator > 0) of `term`.
+    `constants` maps the names whose values are fixed to their int pairs;
+    given it, the closure reads none of them from the state."""
+    value = _ratio(term, constants)
     return value if callable(value) else lambda s: value
 
 
-def _reader(pairs):
-    """How the exact kernel reads a variable.  Without `pairs`, _read: any
-    value from a dict state, checked.  With `pairs` the state holds an int
-    pair for every variable read, returned by itemgetter with no check."""
-    return operator.itemgetter if pairs else _read
-
-
-def _read(name):
-    """Closure state -> the variable's value as an int pair: a pair as it
-    is, a Fraction, an int or a float as its exact ratio."""
-    def var(s):
-        try:
-            value = s[name]
-        except KeyError:
-            raise UndeclaredVariable(name) from None
-        return value if type(value) is tuple else value.as_integer_ratio()
-    return var
-
-
-def _ratio(term, read, constants, nodes=None):
+def _ratio(term, constants, nodes=None):
     """The reduced pair of a subterm folded at compile time, else the node
     that `nodes` (by default _RATIO_NODES: a closure as `_ratio_term`
-    gives) builds on its operands, with variables as `read` makes them (see
-    _read).  Literals always fold; constants only when given."""
+    gives) builds on its operands, or on the name of a variable.  Literals
+    always fold; constants only when given."""
     nodes = nodes or _RATIO_NODES
     if isinstance(term, Var):
         if constants is not None and term.name in constants:
             return constants[term.name]
-        return read(term.name)
+        return nodes[Var](term.name)
     if isinstance(term, Num):
         return term.value.as_integer_ratio()
     if isinstance(term, Neg):
-        inner = _ratio(term.inner, read, constants, nodes)
+        inner = _ratio(term.inner, constants, nodes)
         if not callable(inner):
             return -inner[0], inner[1]
         return nodes[Mul](inner, (-1, 1))
     if isinstance(term, Pow):
-        base, k = _ratio(term.base, read, constants, nodes), term.exp
+        base, k = _ratio(term.base, constants, nodes), term.exp
         if not callable(base):
             return base[0] ** k, base[1] ** k
         return nodes[Pow](base, k)
     if isinstance(term, Div):
-        left = _ratio(term.num, read, constants, nodes)
-        right = _ratio(term.den, read, constants, nodes)
+        left = _ratio(term.num, constants, nodes)
+        right = _ratio(term.den, constants, nodes)
     else:
-        left = _ratio(term.left, read, constants, nodes)
-        right = _ratio(term.right, read, constants, nodes)
+        left = _ratio(term.left, constants, nodes)
+        right = _ratio(term.right, constants, nodes)
     if not callable(left) and not callable(right):
         try:
             value = _TERM_OPS[type(term)](Fraction(*left), Fraction(*right))
@@ -307,7 +306,7 @@ def _ratio_sub(left, right):
 
 
 _RATIO_NODES = {Add: _ratio_add, Sub: _ratio_sub, Mul: _ratio_mul,
-                Div: _ratio_div, Pow: _ratio_pow}
+                Div: _ratio_div, Pow: _ratio_pow, Var: operator.itemgetter}
 
 
 def _fol_closure(formula, comparison):
@@ -335,9 +334,9 @@ def _fol_closure(formula, comparison):
     raise TypeError(formula)
 
 
-def _ratio_cmp(formula, read, constants):
-    left = _ratio(formula.left, read, constants)
-    right = _ratio(formula.right, read, constants)
+def _ratio_cmp(formula, constants):
+    left = _ratio(formula.left, constants)
+    right = _ratio(formula.right, constants)
     holds = _CMP[formula.op]
     if not callable(right):
         c, d = right
@@ -364,14 +363,12 @@ def _ratio_cmp(formula, read, constants):
     return cmp
 
 
-def compile_fol(formula, constants=None, pairs=False):
-    """state -> bool, equal to eval_fol(exact_view(state), formula) on a
-    quantifier-free `formula`, evaluated by the exact kernel, which folds
-    `constants` and reads a state as _reader(pairs) says (see
-    _ratio_term).  A ZeroDivisionError is raised exactly when eval_fol
-    raises one."""
-    read = _reader(pairs)
-    return _fol_closure(formula, lambda c: _ratio_cmp(c, read, constants))
+def compile_fol(formula, constants=None):
+    """state of int pairs -> bool, equal to eval_fol(exact_view(state),
+    formula) on a quantifier-free `formula`, evaluated by the exact kernel,
+    which folds `constants` (see _ratio_term).  A ZeroDivisionError is
+    raised exactly when eval_fol raises one."""
+    return _fol_closure(formula, lambda c: _ratio_cmp(c, constants))
 
 
 # Block kernel.  The search decides a first-order matrix over a block of
@@ -400,8 +397,7 @@ def _lifted(value):
 
 def block_term(term, constants=None):
     """The folded pair of `term`, else its closure (block, n) -> column."""
-    return _ratio(term, lambda name: lambda b, n: b[name], constants,
-                  _BLOCK_NODES)
+    return _ratio(term, constants, _BLOCK_NODES)
 
 
 def block_cmp(formula, constants=None, truth=True):
@@ -472,7 +468,7 @@ def _block_pow(base, k):
 _BLOCK_NODES = {Add: _block_node(operator.add, True),
                 Sub: _block_node(operator.sub, True),
                 Mul: _block_node(operator.mul, False), Div: _block_div,
-                Pow: _block_pow}
+                Pow: _block_pow, Var: lambda name: lambda b, n: b[name]}
 
 
 # Polynomial form.  A term is read as a polynomial in chosen variables whose
@@ -746,12 +742,12 @@ class Plant:
     compiled into closures once, on the first evolution.
 
     The template is compiled by the exact kernel once per set of fixed
-    constants and reader (_kernel).  `evolve` and `duration_bound` take any
-    state and run that kernel with the checked reader, _read; a search
-    whose states hold an int pair for every variable asks for
-    `pair_kernel(constants)` instead: the same kernel's bound and step,
-    which read pairs by itemgetter, fold the constants and check no more
-    than the bound leaves open."""
+    constants (_kernel), and reads states of int pairs.  `evolve` and
+    `duration_bound` take any state and run the kernel with no constants
+    on its pair view; a search whose states hold an int pair for every
+    variable asks for `pair_kernel(constants)` instead: the same kernel's
+    bound and step, which fold the constants and check no more than the
+    bound leaves open."""
 
     def __init__(self, ode: ODE):
         self.ode = ode
@@ -775,34 +771,39 @@ class Plant:
         # which the endpoints miss; every other conjunct holds on an interval
         self._punctured = any(c.op == "!=" for c, _ in self._forms)
         self._numeric = None  # compiled on first use
-        self._kernels = {}  # _kernel's, by sorted constants and reader
+        self._kernels = {}  # _kernel's, by sorted constants
 
     def evolve(self, state: State, duration):
         """Final(state at duration) when the evolution domain holds
         throughout [0, duration], else Aborted.  On a state of int pairs
         `duration` is a pair too, and RK4 reads each pair n, d as the float
-        n / d.  The template judges the exact solution and gives each
-        evolved variable back in the kind of its start value (_like)."""
+        n / d.  The template judges the exact solution on the state's pair
+        view and gives each evolved variable back in the kind of its start
+        value (_like), and every other one as the state holds it."""
         if (duration[0] if type(duration) is tuple else duration) < 0:
             raise ValueError("negative duration")
         if self.template is None:
             if self._numeric is None:
                 self._numeric = _compile_numeric(self.ode)
             return self._numeric(state, duration)
-        domain, earliest, solve, _, _ = self._kernel(None, False)
-        if not domain(state):
+        domain, earliest, solve, _, _ = self._kernel(None)
+        start = pair_view(state)
+        if not domain(start):
             return Aborted(self.ode.domain, state)
         t = duration if type(duration) is tuple else duration.as_integer_ratio()
-        end = solve(state, t)
+        # the end holds the values the start check read, and the domain, a
+        # conjunction whose start held, reads no others
+        end = solve(start, t)
         holds = domain(end)
         if holds and self._punctured:
             # the end holds, so a bound before it is a `!=` crossing
-            first = earliest(state)
+            first = earliest(start)
             if first is not None and first[0] * t[1] < t[0] * first[1]:
-                end, holds = solve(state, first), False
+                end, holds = solve(start, first), False
+        final = dict(state)
         for name in self.template[:3]:
-            end[name] = _like(state[name], end[name])
-        return Final(end) if holds else Aborted(self.ode.domain, end)
+            final[name] = _like(state[name], end[name])
+        return Final(final) if holds else Aborted(self.ode.domain, final)
 
     def duration_bound(self, state: State):
         """Supremum of durations for which the domain holds throughout, up
@@ -813,45 +814,43 @@ class Plant:
             if not eval_fol(exact_view(state), self.ode.domain):
                 return 0, 1
             return self._bisect(state)
-        return self._kernel(None, False)[3](state) or (0, 1)
+        return self._kernel(None)[3](pair_view(state)) or (0, 1)
 
     def pair_kernel(self, constants=None):
         """(bound, step) of the template on dict states that hold an int
-        pair for every variable, with `constants` folded, compiled once per
-        set of constants: _kernel's with the itemgetter reader."""
-        return self._kernel(constants, True)[3:]
+        pair for every variable, with `constants` folded: _kernel's."""
+        return self._kernel(constants)[3:]
 
-    def _kernel(self, constants, pairs):
-        """(domain, earliest, solve, bound, step) of the template, compiled
-        once per (constants, pairs) by the exact kernel, which folds
-        `constants` and reads a state as _reader(pairs) says.  domain(state)
-        is the domain's truth.  earliest(state) is the first time, an int
-        pair, at which a conjunct's left - right, moving at the rate
-        c_vel * accel + c_clock read off its form, reaches its bound, or
-        None.  solve(state, duration) is the state with position, velocity
-        and clock at the duration as reduced int pairs.  bound(state) is
-        duration_bound's pair, or None where the start fails.  step(state,
-        duration) is solve's state, or None where evolve aborts, for a
-        state whose start holds and a duration up to its bound: every
-        conjunct then holds throughout but a strict one or a `!=`, which
-        can fail at the bound, so the end is checked only when the domain
-        has one of these."""
-        key = (tuple(sorted(constants.items())) if constants else (), pairs)
+    def _kernel(self, constants):
+        """(domain, earliest, solve, bound, step) of the template on states
+        of int pairs, compiled once per set of constants by the exact
+        kernel, which folds `constants`.  domain(state) is the domain's
+        truth.  earliest(state) is the first time, an int pair, at which a
+        conjunct's left - right, moving at the rate c_vel * accel + c_clock
+        read off its form, reaches its bound, or None.  solve(state,
+        duration) is the state with position, velocity and clock at the
+        duration as reduced int pairs.  bound(state) is duration_bound's
+        pair, or None where the start fails.  step(state, duration) is
+        solve's state, or None where evolve aborts, for a state whose start
+        holds and a duration up to its bound: every conjunct then holds
+        throughout but a strict one or a `!=`, which can fail at the bound,
+        so the end is checked only when the domain has one of these."""
+        key = tuple(sorted(constants.items())) if constants else ()
         if key in self._kernels:
             return self._kernels[key]
         pos, vel, clock, accel = self.template
-        domain = compile_fol(self.ode.domain, constants, pairs)
+        domain = compile_fol(self.ode.domain, constants)
         lines = []
         for c, form in self._forms:
             rate = _fold(Add, _fold(Mul, form.get((vel,), _ZERO), accel),
                          form.get((clock,), _ZERO))
             lines.append((c.op,
-                          _ratio_term(Sub(c.left, c.right), constants, pairs),
-                          _ratio_term(rate, constants, pairs)))
+                          _ratio_term(Sub(c.left, c.right), constants),
+                          _ratio_term(rate, constants)))
         check_end = any(op not in ("<=", ">=", "=") for op, _, _ in lines)
         horizon = DEFAULT_HORIZON.as_integer_ratio()
-        acceleration = _ratio_term(accel, constants, pairs)
-        pos_of, vel_of, clock_of = map(_reader(pairs), (pos, vel, clock))
+        acceleration = _ratio_term(accel, constants)
+        pos_of, vel_of, clock_of = map(operator.itemgetter, (pos, vel, clock))
 
         def earliest(state):
             return _earliest(_affine_conjunct_bound(op, *offset(state),

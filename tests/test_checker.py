@@ -23,7 +23,7 @@ from hpcheck.obligations import (
 )
 from hpcheck.parser import parse_formula, parse_term
 from hpcheck.semantics import (
-    Branch, RandomValue, _ratio_term, eval_fol, eval_term,
+    Branch, RandomValue, _ratio_term, eval_fol, eval_term, pair_view,
 )
 from hpcheck.syntax import (
     And, Box, Cmp, Diamond, Exists, Forall, Iff, Implies, Node, Not, Or,
@@ -60,10 +60,10 @@ def test_compile_fol_matches_interpreter():
             expected = eval_fol(state, formula)
         except ZeroDivisionError:
             with pytest.raises(ZeroDivisionError):
-                compile_fol(formula)(state)
+                compile_fol(formula)(pair_view(state))
             continue
         checked += 1
-        assert compile_fol(formula)(state) == expected
+        assert compile_fol(formula)(pair_view(state)) == expected
 
 
 def _mixed_state(rng, floats=False):
@@ -122,18 +122,17 @@ def test_compile_fol_parity_with_eval_fol():
             continue
         formulas += 1
         compiled = compile_fol(formula)
-        paired = compile_fol(formula, pairs=True)
         for floats in (False, False, True):
             state = _mixed_state(rng, floats)
             # a float is read as its exact ratio, not in float arithmetic
             expected = _outcome(eval_fol, _exact_ratios(state), formula)
-            assert _outcome(compiled, state) == expected, (formula, state)
+            assert _outcome(compiled, pair_view(state)) == expected, \
+                (formula, state)
             if not floats:
                 # the same values held as int pairs, as the search holds
                 # its first-order candidates
                 pairs = _pair_state(rng, state)
                 assert _outcome(compiled, pairs) == expected, (formula, pairs)
-                assert _outcome(paired, pairs) == expected, (formula, pairs)
             raised += not floats and isinstance(expected, tuple)
             floated += floats and any(type(v) is float
                                       for v in state.values())
@@ -151,7 +150,7 @@ def test_ratio_term_parity_with_eval_term():
         state = _mixed_state(rng, floats)
         # a float is read as its exact ratio, not in float arithmetic
         expected = _outcome(eval_term, _exact_ratios(state), term)
-        for held in (state, _pair_state(rng, state)):
+        for held in (pair_view(state), _pair_state(rng, state)):
             got = _outcome(kernel, held)
             if isinstance(expected, tuple):
                 assert got == expected, (term, held)
@@ -189,13 +188,12 @@ def test_compile_fol_folds_constants_to_the_same_outcome():
             folded = compile_fol(formula, constants)
             # a float is read as its exact ratio, not in float arithmetic
             expected = _outcome(eval_fol, _exact_ratios(state), formula)
-            assert _outcome(plain, state) == expected
-            assert _outcome(folded, state) == expected, (formula, fixed)
+            assert _outcome(plain, pair_view(state)) == expected
+            assert _outcome(folded, pair_view(state)) == expected, \
+                (formula, fixed)
             if not floats:
                 pairs = _pair_state(rng, state)
                 assert _outcome(folded, pairs) == expected, (formula, fixed)
-                paired = compile_fol(formula, constants, pairs=True)
-                assert _outcome(paired, pairs) == expected, (formula, fixed)
             folded_zero += isinstance(expected, tuple) and any(
                 constants.get(v) == (0, 1) for v in free_variables(formula))
             floated += floats
@@ -209,24 +207,23 @@ def test_compile_fol_folds_constants_to_the_same_outcome():
     assert _outcome(folded, state) == _outcome(
         eval_fol, {k: F(*v) for k, v in state.items()}, formula) \
         == (ZeroDivisionError, "Fraction(1, 0)")
-    # so is the fold of the literals 1 / (2 - 2), whatever the constants,
-    # in the checked kernel and in the pair kernel
+    # so is the fold of the literals 1 / (2 - 2), whatever the constants
     formula = parse_formula("y > 0 | x / (2 - 2) > 1")
-    for compiled in (compile_fol(formula), compile_fol(formula, pairs=True)):
-        state = {"x": (1, 1), "y": (1, 1)}
-        assert compiled(state) is True
-        state["y"] = (-1, 1)
-        assert _outcome(compiled, state) == _outcome(
-            eval_fol, {k: F(*v) for k, v in state.items()}, formula) \
-            == (ZeroDivisionError, "Fraction(1, 0)")
+    compiled = compile_fol(formula)
+    state = {"x": (1, 1), "y": (1, 1)}
+    assert compiled(state) is True
+    state["y"] = (-1, 1)
+    assert _outcome(compiled, state) == _outcome(
+        eval_fol, {k: F(*v) for k, v in state.items()}, formula) \
+        == (ZeroDivisionError, "Fraction(1, 0)")
 
 
 def test_search_folds_only_the_constants_no_run_changes(monkeypatch):
     seen = []
 
-    def recording(formula, constants=None, pairs=False):
+    def recording(formula, constants=None):
         seen.append(constants)
-        return compile_fol(formula, constants, pairs=pairs)
+        return compile_fol(formula, constants)
     monkeypatch.setattr(checker, "compile_fol", recording)
     [ob] = obligations_for(builtin("m2"), "zeta1", "gamma")
     check(ob, SearchConfig(budget=50))
@@ -339,11 +336,12 @@ def test_pins_parity_with_fraction_reference():
                 for name in free_variables(test) - set(state):
                     state[name] = F(rng.randint(-40, 40),
                                     rng.choice((1, 2, 3, 1 << 16)))
-                pins = _pinner(var, test)(state)
+                pins = _pinner(var, test)(pair_view(state))
                 # reduced pairs with positive denominators
                 assert pins == [p.as_integer_ratio()
                                 for p in _reference_pins(state, var, test)]
-                assert _pinner(var, test, constants)(state) == pins
+                assert _pinner(var, test, constants)(pair_view(state)) \
+                    == pins
                 checked += 1
                 pinned += len(pins)
     assert checked == 1200 and pinned > 1500
@@ -354,7 +352,7 @@ def test_pins_parity_with_fraction_reference():
     state = {k: F(v) for k, v in model.constant_values().items()}
     state.update({"x": 0.3, "v": 0.7, "xc": F(0)})  # a slope that rounds
     exact = dict(state, x=Fraction(0.3), v=Fraction(0.7))
-    pins = [F(*p) for p in _pinner(var, test)(state)]
+    pins = [F(*p) for p in _pinner(var, test)(pair_view(state))]
     assert pins == _reference_pins(exact, var, test)
     assert pins and pins != _reference_pins(state, var, test)
 

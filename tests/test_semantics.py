@@ -14,7 +14,7 @@ from hpcheck.parser import parse_formula, parse_program, parse_term
 from hpcheck.semantics import (
     Aborted, Branch, Duration, Final, LoopCount, Plant, RandomValue,
     ScriptError, UndeclaredVariable, _compile_numeric, closed_form_template,
-    compile_fol, eval_fol, eval_term, evolve_plant, format_script,
+    eval_fol, eval_term, evolve_plant, format_script,
     max_admissible_duration, parse_script, polynomial, run,
 )
 from hpcheck.syntax import (
@@ -156,8 +156,6 @@ PLANT_ODE = parse_program("{x' = v, v' = a, tau' = 1 & v >= 0 & tau <= T}")
 
 
 def test_compiled_kernel_reports_undeclared_variables():
-    with pytest.raises(UndeclaredVariable):
-        compile_fol(parse_formula("x <= y"))({"x": F(1)})
     # the template plant's domain lines read the acceleration `a`
     with pytest.raises(UndeclaredVariable):
         max_admissible_duration({"x": F(0), "v": F(0), "tau": F(0),
@@ -165,6 +163,10 @@ def test_compiled_kernel_reports_undeclared_variables():
     # and its solution the position, which its domain does not read
     with pytest.raises(UndeclaredVariable):
         evolve_plant({"v": F(0), "a": F(0), "tau": F(0), "T": F(1)},
+                     PLANT_ODE, F(1))
+    # and its domain the constant T, which nothing else reads
+    with pytest.raises(UndeclaredVariable):
+        evolve_plant({"x": F(0), "v": F(0), "a": F(0), "tau": F(0)},
                      PLANT_ODE, F(1))
 
 
@@ -189,6 +191,33 @@ def test_template_plant_reads_a_float_state_as_its_exact_ratios():
         assert max_admissible_duration(held, ode) == F(*bound)
         assert type(plant.evolve(held, bound)) is outcome
         assert type(plant.evolve(held, F(*bound))) is outcome
+
+
+def test_template_evolve_keeps_each_value_kind():
+    # a state that mixes an int, a Fraction, a float and an int pair: each
+    # variable the ODE does not evolve comes back as the caller's own
+    # object, each evolved one in the kind of its start value, and the
+    # bound is the bound on the same state held as Fractions; a value the
+    # plant does not read is not converted
+    state = {"x": (1, 2), "v": F(1), "tau": 0.25, "a": F(-1, 3), "T": 2,
+             "w": 0.1, "p": (3, 4)}
+    exact = {k: F(*v) if type(v) is tuple else Fraction(v)
+             for k, v in state.items()}
+    state["y"] = math.inf  # no exact ratio, and nothing reads it
+    plant = Plant(PLANT_ODE)
+    assert plant.duration_bound(state) == plant.duration_bound(exact) \
+        == (7, 4)
+    for duration, outcome in ((F(1), Final), ((2, 1), Aborted)):
+        got = plant.evolve(state, duration)
+        want = plant.evolve(exact, duration)
+        assert type(got) is type(want) is outcome
+        for name in ("a", "T", "w", "p", "y"):
+            assert got.state[name] is state[name]
+        assert got.state["x"] == want.state["x"].as_integer_ratio()
+        assert type(got.state["v"]) is Fraction
+        assert got.state["v"] == want.state["v"]
+        assert type(got.state["tau"]) is float
+        assert got.state["tau"] == float(want.state["tau"])
 
 
 def test_plant_evolution_is_exact_polynomial():
