@@ -50,15 +50,14 @@ from .obligations import (
 )
 from .semantics import (
     Aborted, Branch, Duration, Final, LoopCount, NotBlockwise, RandomValue,
-    _neg, _ratio_term, _reduced, block_cmp, block_term, compile_fol,
+    _ratio_term, _reduced, affine, block_cmp, block_term, compile_fol,
     eval_fol, eval_term, exact_view, is_exact, on_rows, pair_view, plant_of,
-    polynomial, run,
+    run, to_term,
 )
 from .syntax import (
     FORMULA_OPS, PROGRAM_OPS, And, Assign, BoolLit, Box, Choice, Cmp,
-    Diamond, Div, Forall, Exists, Iff, Implies, Loop, Not, Num, ODE, Or,
-    RandomAssign, Seq, Sub, Test, Var, assigned_variables, conjuncts,
-    free_variables, substitute,
+    Diamond, Forall, Exists, Iff, Implies, Loop, Not, ODE, Or, RandomAssign,
+    Seq, Test, Var, assigned_variables, conjuncts, free_variables, substitute,
 )
 
 # Search shape: grid refinement levels before sampling, durations tried per
@@ -553,21 +552,20 @@ def _decisions(rope, out):
 
 
 def _linear_conjuncts(var, formula):
-    """(conjunct, c0, c1) per comparison conjunct of `formula` whose
-    left - right is c0 + c1 * var as `polynomial` reads it, with var in it:
-    c0 and c1 are terms over the other variables."""
+    """(conjunct, c0, c1) per conjunct of `formula` whose left - right is
+    c0 + c1 * var as `semantics.affine` reads it, with var in it: c0 and c1
+    are polynomials over the other variables."""
     for c in conjuncts(formula):
-        form = polynomial(Sub(c.left, c.right), (var,)) \
-            if isinstance(c, Cmp) else None
-        if form and (var,) in form and form.keys() <= {(), (var,)}:
-            yield c, form.get((), Num(0)), form[(var,)]
+        form = affine(c, (var,))
+        if form and (var,) in form:
+            yield c, form.get((), {}), form[(var,)]
 
 
 def _pinner(var, test, constants=None):
     """Closure state of int pairs -> one reduced int pair per conjunct of
     `test` whose left - right is c0 + c1 * var with c1 != 0: its zero
     -c0 / c1; `constants` as _ratio_term takes them."""
-    zeros = [(_ratio_term(c0, constants), _ratio_term(c1, constants))
+    zeros = [[_ratio_term(to_term(c), constants) for c in (c0, c1)]
              for _, c0, c1 in _linear_conjuncts(var, test)]
 
     def pins(state):
@@ -984,11 +982,10 @@ def _action_lower_bounds(model):
     too)."""
     bounds = []
     for c, c0, c1 in _linear_conjuncts(*_assign_then_test(model.aux)):
-        slope = c1.value if type(c1) is Num else 0
+        slope = Fraction(c1[()]) if c1.keys() == {()} else 0
         if slope and (c.op == "=" or c.op in ("<=", "<") and slope < 0
                       or c.op in (">=", ">") and slope > 0):
-            bounds.append(c0 if slope == -1 else _neg(c0) if slope == 1
-                          else Div(_neg(c0), c1))
+            bounds.append(to_term({m: -k / slope for m, k in c0.items()}))
     return bounds
 
 

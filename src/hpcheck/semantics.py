@@ -471,81 +471,97 @@ _BLOCK_NODES = {Add: _block_node(operator.add, True),
                 Pow: _block_pow, Var: lambda name: lambda b, n: b[name]}
 
 
-# Polynomial form.  A term is read as a polynomial in chosen variables whose
-# coefficients are terms over the others; a coefficient of two literals is
-# folded to one.  The closed-form plant and the search's pins read affine
-# coefficients off this form and compile them with the exact kernel.
-
 _TERM_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
              Div: operator.truediv}
-_ZERO, _ONE = Num(Fraction(0)), Num(Fraction(1))
 
 
-def _fold(node, left, right):
-    """node(left, right), or its Num when both are literals."""
-    if type(left) is Num and type(right) is Num:
-        return Num(_TERM_OPS[node](left.value, right.value))
-    return node(left, right)
+# Polynomials: a dict from monomial, the tuple of its factors sorted by
+# repr (variables first), to an int or Fraction coefficient.  A factor is a
+# variable name, or an opaque atom Div(1, d) for a divisor d that is not a
+# literal.  Monomials that cancel are kept, so that the longest is the
+# syntactic degree and each divisor still raises where the term does.
 
-
-def _neg(term):
-    if type(term) is not Num:
-        return Neg(term)
-    return Num(-term.value) if term.value else term
-
-
-def _times(left, right):
-    """The product of two polynomial forms."""
-    out = {}
-    for m1, c1 in left.items():
-        for m2, c2 in right.items():
-            m, c = tuple(sorted(m1 + m2)), _fold(Mul, c1, c2)
-            out[m] = _fold(Add, out[m], c) if m in out else c
+def _plus(left, right, sign=1):
+    out = dict(left)
+    for m, c in right.items():
+        out[m] = out.get(m, 0) + sign * c
     return out
 
 
-def polynomial(term, variables):
-    """`term` as a dict from monomial, the sorted tuple of its factors drawn
-    from `variables`, to coefficient, a term over the other variables.
-    Coefficients that cancel to zero are kept, so the longest monomial is
-    the syntactic degree.  None when a divisor holds one of `variables`."""
-    if isinstance(term, Var):
-        return {(term.name,): _ONE} if term.name in variables else {(): term}
-    if isinstance(term, Num):
-        return {(): term}
-    if isinstance(term, Neg):
-        inner = polynomial(term.inner, variables)
-        return None if inner is None else {m: _neg(c) for m, c in inner.items()}
-    if isinstance(term, Pow):
-        base = polynomial(term.base, variables)
-        if base is None:
-            return None
-        out = base if term.exp else {(): _ONE}
+def _times(left, right):
+    out = {}
+    for m1, c1 in left.items():
+        for m2, c2 in right.items():
+            m = tuple(sorted(m1 + m2, key=repr))
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+def polynomial(term):
+    """`term` as a polynomial, whatever its divisors."""
+    kind = type(term)
+    if kind is Var:
+        return {(term.name,): 1}
+    if kind is Num:
+        return {(): term.value}
+    if kind is Neg:
+        return {m: -c for m, c in polynomial(term.inner).items()}
+    if kind is Pow:
+        base = polynomial(term.base)
+        # a zero power is 1 where its base is defined: the atoms stay
+        out = base if term.exp else {
+            **{tuple(f for f in m if type(f) is not str): 0 for m in base},
+            (): 1}
         for _ in range(term.exp - 1):
             out = _times(out, base)
         return out
-    if isinstance(term, Div):
-        num = polynomial(term.num, variables)
-        if num is None or not free_variables(term.den).isdisjoint(variables):
-            return None
-        return {m: _fold(Div, c, term.den) for m, c in num.items()}
-    return _combine(type(term), term.left, term.right, variables)
-
-
-def _combine(node, left, right, variables):
-    """The form of node(left, right) for node Add, Sub or Mul, or None."""
-    left = polynomial(left, variables)
-    right = polynomial(right, variables)
-    if left is None or right is None:
-        return None
-    if node is Mul:
+    if kind is Div:
+        num, den = polynomial(term.num), term.den
+        if type(den) is Num:  # never 0: Div rejects it
+            return {m: c / den.value for m, c in num.items()}
+        return _times(num, {(Div(Num(1), den),): 1})
+    left, right = polynomial(term.left), polynomial(term.right)
+    if kind is Mul:
         return _times(left, right)
-    for m, c in right.items():  # left is a dict of this call's own
-        if m in left:
-            left[m] = _fold(node, left[m], c)
-        else:
-            left[m] = c if node is Add else _neg(c)
-    return left
+    return _plus(left, right, 1 if kind is Add else -1)
+
+
+def coefficients(poly, variables):
+    """`poly` as a dict from monomial in `variables` to its coefficient, a
+    polynomial in the other factors; None when an atom's divisor holds one
+    of `variables`."""
+    out = {}
+    for m, c in poly.items():
+        rest = tuple(f for f in m if f not in variables)
+        if any(free_variables(f.den).intersection(variables)
+               for f in rest if type(f) is not str):
+            return None
+        out.setdefault(tuple(f for f in m if f in variables), {})[rest] = c
+    return out
+
+
+def affine(conjunct, variables):
+    """The coefficients on `variables` of a comparison conjunct's
+    left - right, keyed by () and (v,), when it is affine in them."""
+    form = isinstance(conjunct, Cmp) and coefficients(
+        polynomial(Sub(conjunct.left, conjunct.right)), variables)
+    return form if form and all(len(m) < 2 for m in form) else None
+
+
+def to_term(poly):
+    """A term that eval_term and the exact kernel read as `poly`, zero
+    monomials included; unit coefficients are left out."""
+    total = None
+    for m, c in poly.items():
+        term = None if m and c in (1, -1) else Num(c)
+        for f in m:
+            if type(f) is str:
+                term = Var(f) if term is None else Mul(term, Var(f))
+            else:
+                term = Div(Num(1) if term is None else term, f.den)
+        term = Neg(term) if m and c == -1 else term
+        total = term if total is None else Add(total, term)
+    return Num(0) if total is None else total
 
 
 # ---------------------------------------------------------------------------
@@ -681,9 +697,9 @@ def closed_form_template(ode: ODE):
     if len(ode.equations) != 3:
         return None
     evolved = {v for v, _ in ode.equations}
-    pos = vel = clock = accel = None
+    pos = vel = clock = None
     for v, rhs in ode.equations:
-        if rhs == _ONE:
+        if rhs == Num(1):
             clock = v
     if clock is None:
         return None
@@ -695,17 +711,11 @@ def closed_form_template(ode: ODE):
             pos, vel = v, rhs.name
     if pos is None:
         return None
-    for v, rhs in ode.equations:
-        if v == vel:
-            if isinstance(rhs, Var) and rhs.name not in evolved:
-                accel = rhs
-            elif isinstance(rhs, Num):
-                accel = rhs
-            else:
-                return None
-    if accel is None:
-        return None
-    return pos, vel, clock, accel
+    accel = dict(ode.equations)[vel]
+    if isinstance(accel, Num) or (isinstance(accel, Var)
+                                  and accel.name not in evolved):
+        return pos, vel, clock, accel
+    return None
 
 
 def _solution_at(p, v, c, a, t):
@@ -732,8 +742,8 @@ def _like(start, pair):
 
 class Plant:
     """How one ODE evolves, decided once.  The double-integrator template with
-    domain conjuncts affine in velocity and clock, as their polynomial forms
-    show, uses the exact polynomial solution, checks the domain at both
+    domain conjuncts affine in velocity and clock, as `affine` reads them,
+    uses the exact polynomial solution, checks the domain at both
     endpoints and at any crossing of a `!=` conjunct between them, and gives
     an exact maximal duration.  Any other ODE is integrated in floats by
     fixed-step RK4 with step 1/64 (ODE_STEP), checks the domain at the start
@@ -753,20 +763,13 @@ class Plant:
         self.ode = ode
         self.template = closed_form_template(ode)
         # the template needs each domain conjunct's left - right affine in
-        # velocity and clock and free of position: (conjunct, form) pairs
-        self._forms = []
-        if self.template is not None:
-            variables = self.template[:3]
-            affine = {(), (variables[1],), (variables[2],)}
-            for c in conjuncts(ode.domain):
-                if isinstance(c, BoolLit):
-                    continue
-                form = (_combine(Sub, c.left, c.right, variables)
-                        if isinstance(c, Cmp) else None)
-                if form is None or not form.keys() <= affine:
-                    self.template, self._forms = None, []
-                    break
-                self._forms.append((c, form))
+        # velocity and clock and free of position: (conjunct, coefficients)
+        self._forms = [] if self.template is None else [
+            (c, affine(c, self.template[:3]))
+            for c in conjuncts(ode.domain) if not isinstance(c, BoolLit)]
+        if any(form is None or (self.template[0],) in form
+               for _, form in self._forms):
+            self.template, self._forms = None, []
         # along the solution an affine `!=` conjunct fails at one instant,
         # which the endpoints miss; every other conjunct holds on an interval
         self._punctured = any(c.op == "!=" for c, _ in self._forms)
@@ -842,11 +845,11 @@ class Plant:
         domain = compile_fol(self.ode.domain, constants)
         lines = []
         for c, form in self._forms:
-            rate = _fold(Add, _fold(Mul, form.get((vel,), _ZERO), accel),
-                         form.get((clock,), _ZERO))
+            rate = _plus(_times(form.get((vel,), {}), polynomial(accel)),
+                         form.get((clock,), {}))
             lines.append((c.op,
                           _ratio_term(Sub(c.left, c.right), constants),
-                          _ratio_term(rate, constants)))
+                          _ratio_term(to_term(rate), constants)))
         check_end = any(op not in ("<=", ">=", "=") for op, _, _ in lines)
         horizon = DEFAULT_HORIZON.as_integer_ratio()
         acceleration = _ratio_term(accel, constants)

@@ -620,6 +620,40 @@ def test_drag_zeta2_check_json_is_pinned(tmp_path, capsys):
         == "4afcc70ce7a7745bd993d25b82d0334fea1a70cf01a1026bcababd5cde96d95d"
 
 
+def test_psi_with_a_literal_slope_in_aux_is_pinned(tmp_path, capsys):
+    # one sha256, as above, over `check --obligation psi` on m4 whose AUX
+    # bounds the action through a slope other than 1 or -1, so that psi's
+    # lower bound is -c0 / c1 with c1 the literal slope: -anmin / 2 and
+    # -anmin * 2 / 3; taken before the polynomial form had exact
+    # coefficients
+    from fractions import Fraction
+    from hpcheck.checker import _action_lower_bounds
+    from hpcheck.models import builtin
+    from hpcheck.parser import parse_model
+    source = builtin("m4").source
+    aux = "?(-anmin <= a & a <= anmax)"
+    assert aux in source
+    digest = hashlib.sha256()
+    for name, test, slope in (
+            ("m4_half", "?(-anmin <= 2 * a & a <= anmax)", Fraction(1, 2)),
+            ("m4_third", "?(a * 3 / 2 >= -anmin & a <= anmax)",
+             Fraction(2, 3))):
+        text = source.replace(aux, test)
+        [bound] = _action_lower_bounds(parse_model(text, name=name))
+        assert semantics.eval_term({"anmin": Fraction(3)}, bound) \
+            == -3 * slope
+        path = tmp_path / f"{name}.hpmodel"
+        path.write_text(text)
+        for zeta in ("zeta2", "zeta_iter"):
+            code, out, err = run_cli(capsys, "check", str(path), "--invariant",
+                                     zeta, "--obligation", "psi", "--budget",
+                                     "2000", "--format", "json")
+            assert (code, err) == (1, "")
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() \
+        == "2853039d7d6a4b480fc03ad76847edea5c9ce5d2fe5b54dc9e63060c41dc47f1"
+
+
 def _mixed_model(tmp_path):
     """m2 with a numeric plant, then a closed-form one: the closed-form
     solution meets the floats that RK4 leaves."""

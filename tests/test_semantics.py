@@ -14,11 +14,12 @@ from hpcheck.parser import parse_formula, parse_program, parse_term
 from hpcheck.semantics import (
     Aborted, Branch, Duration, Final, LoopCount, Plant, RandomValue,
     ScriptError, UndeclaredVariable, _compile_numeric, closed_form_template,
-    eval_fol, eval_term, evolve_plant, format_script,
-    max_admissible_duration, parse_script, polynomial, run,
+    coefficients, eval_fol, eval_term, evolve_plant, format_script,
+    max_admissible_duration, parse_script, polynomial, run, to_term,
 )
 from hpcheck.syntax import (
-    ODE, BoolLit, Div, Mul, Neg, Num, Pow, Var, conjuncts, free_variables,
+    ODE, Add, BoolLit, Div, Mul, Neg, Num, Pow, Sub, Var, conjuncts,
+    free_variables,
 )
 
 
@@ -339,7 +340,10 @@ def test_polynomial_form_sums_to_the_term():
     for _ in range(600):
         term = random_term(rng, 4)
         variables = tuple(v for v in VAR_POOL if rng.random() < 0.5)
-        form = polynomial(term, variables)
+        poly = polynomial(term)
+        for monomial in poly:
+            assert list(monomial) == sorted(monomial, key=repr)
+        form = coefficients(poly, variables)
         degree = _syntactic_degree(term, variables)
         assert (form is None) == (degree is None), (term, variables)
         if form is None:
@@ -347,9 +351,8 @@ def test_polynomial_form_sums_to_the_term():
             continue
         assert max(map(len, form)) == degree, (term, variables)
         for monomial, coefficient in form.items():
-            assert list(monomial) == sorted(monomial)
             assert set(monomial) <= set(variables)
-            assert free_variables(coefficient).isdisjoint(variables)
+            assert free_variables(to_term(coefficient)).isdisjoint(variables)
         for _ in range(3):
             state = {v: F(rng.randint(-9, 9), rng.choice((1, 2, 7)))
                      for v in VAR_POOL}
@@ -360,7 +363,7 @@ def test_polynomial_form_sums_to_the_term():
                 continue
             total = F(0)
             for monomial, coefficient in form.items():
-                product = eval_term(state, coefficient)
+                product = eval_term(state, to_term(coefficient))
                 for factor in monomial:
                     product *= state[factor]
                 total += product
@@ -371,13 +374,59 @@ def test_polynomial_form_sums_to_the_term():
 
 def test_polynomial_folds_literals_and_keeps_cancelled_monomials():
     v = ("v", "tau")
-    assert polynomial(parse_term("2 * v - tau / 4 + 3"), v) == {
-        ("v",): Num(F(2)), ("tau",): Num(F(-1, 4)), (): Num(F(3))}
-    assert polynomial(parse_term("v * v - v ^ 2 + a * v"), v) == {
-        ("v", "v"): Num(F(0)), ("v",): Mul(Var("a"), Num(F(1)))}
-    assert polynomial(parse_term("x / v"), v) is None
-    assert polynomial(parse_term("v / T"), v) == {
-        ("v",): Div(Num(F(1)), Var("T"))}
+    form = polynomial(parse_term("2 * v - tau / 4 + 3"))
+    assert form == {("v",): 2, ("tau",): F(-1, 4), (): 3}
+    assert all(type(c) is Fraction for c in form.values())
+    assert coefficients(polynomial(parse_term("v * v - v ^ 2 + a * v")),
+                        v) == {("v", "v"): {(): 0}, ("v",): {("a",): 1}}
+    assert coefficients(polynomial(parse_term("x / v")), v) is None
+    over_t = Div(Num(1), Var("T"))
+    assert coefficients(polynomial(parse_term("v / T")), v) == {
+        ("v",): {(over_t,): 1}}
+    # a zero power and a cancelled quotient keep their divisors, which
+    # raise where the term does
+    over_a = Div(Num(1), Var("a"))
+    assert polynomial(parse_term("(w / a) ^ 0")) == {(): 1, (over_a,): 0}
+    assert coefficients(polynomial(parse_term("(w / a) ^ 0")), ("a",)) is None
+    cancelled = polynomial(parse_term("x + y / a - y / a"))
+    assert cancelled == {("x",): 1, ("y", over_a): 0}
+    with pytest.raises(ZeroDivisionError):
+        eval_term({"x": F(1), "y": F(1), "a": F(0)}, to_term(cancelled))
+
+
+def test_polynomial_is_additive_and_multiplicative_and_to_term_reads_it():
+    # on random terms: the polynomial of s + t, s - t, s * t and t * s is
+    # the sum, difference or product of the parts', and to_term's term,
+    # through eval_term and through the exact kernel, equals the term where
+    # it is defined and raises ZeroDivisionError exactly where it does not
+    rng = random.Random(27)
+    defined = undefined = 0
+    for _ in range(400):
+        s, t = random_term(rng, 3), random_term(rng, 3)
+        ps, pt = polynomial(s), polynomial(t)
+        assert polynomial(Add(s, t)) == semantics._plus(ps, pt)
+        assert polynomial(Sub(s, t)) == semantics._plus(ps, pt, -1)
+        assert polynomial(Mul(s, t)) == semantics._times(ps, pt) \
+            == polynomial(Mul(t, s))
+        back = to_term(ps)
+        kernel = semantics._ratio_term(back)
+        for _ in range(3):
+            state = {v: F(rng.randint(-3, 3), rng.choice((1, 2, 7)))
+                     for v in VAR_POOL}
+            pairs = {v: x.as_integer_ratio() for v, x in state.items()}
+            try:
+                expected = eval_term(state, s)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    eval_term(state, back)
+                with pytest.raises(ZeroDivisionError):
+                    kernel(pairs)
+                undefined += 1
+                continue
+            assert eval_term(state, back) == expected, (s, state)
+            assert F(*kernel(pairs)) == expected, (s, state)
+            defined += 1
+    assert defined > 500 and undefined > 50
 
 
 def _reference_max_duration(state, ode):
