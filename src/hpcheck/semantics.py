@@ -331,6 +331,7 @@ def _fol_closure(formula, comparison):
         if isinstance(formula, Implies):
             return lambda s: not left(s) or right(s)
         return lambda s: left(s) == right(s)
+    eval_fol({}, formula)  # raises as it does: QuantifierInFormula, TypeError
     raise TypeError(formula)
 
 

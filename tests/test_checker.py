@@ -9,7 +9,7 @@ import pytest
 
 from gen import (
     ORACLE_VARS, VAR_POOL, brute_force_decide, is_fol, is_quantifier_free,
-    random_finite_obligation, random_formula, random_term,
+    random_finite_obligation, random_formula, random_program, random_term,
 )
 from hpcheck import checker, semantics
 from hpcheck.checker import (
@@ -21,13 +21,13 @@ from hpcheck.models import MODEL_IDS, builtin
 from hpcheck.obligations import (
     FALSIFY_UNIVERSAL, FIND_WITNESS, Obligation, psi_obligation,
 )
-from hpcheck.parser import parse_formula, parse_term
+from hpcheck.parser import parse_formula, parse_program, parse_term
 from hpcheck.semantics import (
     Branch, RandomValue, _ratio_term, eval_fol, eval_term, pair_view,
 )
 from hpcheck.syntax import (
-    And, Box, Cmp, Diamond, Exists, Forall, Iff, Implies, Node, Not, Or,
-    RandomAssign, Seq, Sub, Test, conjuncts, free_variables,
+    ODE, And, Box, Choice, Cmp, Diamond, Exists, Forall, Iff, Implies, Loop,
+    Node, Not, Or, RandomAssign, Seq, Sub, Test, conjuncts, free_variables,
 )
 
 
@@ -498,6 +498,18 @@ def test_unsupported_polarities_raise():
                     {"x": (F(0), F(1))}))
 
 
+@pytest.mark.parametrize("plant", ["x' = v", "x' = -x / 4"])
+def test_quantified_test_in_a_program_raises(plant):
+    # the closed-form plant's states hold pairs, which the exact kernel
+    # compiles the test for; the numeric plant's, which eval_fol reads
+    ob = close(f"[{{{plant}, v' = a, t' = 1 & t <= 1}}; ?(exists y y > x)] "
+               "x <= 2", FALSIFY_UNIVERSAL,
+               {"x": (F(0), F(1)), "v": (F(0), F(1)), "a": (F(0), F(1)),
+                "t": (F(0), F(1))})
+    with pytest.raises(semantics.QuantifierInFormula):
+        check(ob, SearchConfig(budget=50))
+
+
 def reference_has_modality(formula) -> bool:
     """The search's modality test as it was, a walk of the whole subtree
     at each node it was asked about; the one-walk table must answer as it
@@ -885,12 +897,12 @@ def _goal_obligations():
     return out
 
 
-def _outcomes_digest(obligations, budgets):
+def _outcomes_digest(obligations, budgets, discrete_budgets=(37, 2000)):
     """sha256 over the verdict JSON and candidates of each obligation, or
     the exception it raises (a ZeroDivisionError by its type alone: its
     message differs between Python versions), sampled at `budgets` with
     seeds 0 and 7, and in discrete mode, over -1, 0, 1/2 and 2 for each
-    quantified variable, at budgets 37 and 2 000."""
+    quantified variable, at `discrete_budgets`."""
     values = [F(-1), F(0), F(1, 2), F(2)]
     configs = [SearchConfig(budget=budget, seed=seed)
                for budget in budgets for seed in (0, 7)]
@@ -898,7 +910,7 @@ def _outcomes_digest(obligations, budgets):
     for ob in obligations:
         discrete = {v: values for v in ob.split()[0]}
         for config in configs + [SearchConfig(budget=budget, discrete=discrete)
-                                 for budget in (37, 2000)]:
+                                 for budget in discrete_budgets]:
             try:
                 verdict = check(ob, config)
             except ZeroDivisionError:
@@ -922,6 +934,98 @@ GOAL_DIGEST = \
 def test_goal_outcomes_are_pinned():
     assert _outcomes_digest(_goal_obligations(), (1, 17, 37, 2000)) \
         == GOAL_DIGEST
+
+
+def _program_nodes(program):
+    yield program
+    if isinstance(program, Loop):
+        yield from _program_nodes(program.body)
+    elif isinstance(program, (Choice, Seq)):
+        for side in program.fields:
+            yield from _program_nodes(side)
+
+
+def _closed_form_odes(program, rng):
+    """`program` with each ODE, which tests/gen.py never draws in the
+    closed-form template, replaced by a double integrator with clock over
+    the pool under a domain conjunct the template takes: a non-strict,
+    a strict and a `!=` one on velocity and clock, or none."""
+    if isinstance(program, ODE):
+        pos, vel, clock = rng.sample(("x", "v", "w", "t1"), 3)
+        domain = rng.choice((f"{vel} >= 0", f"{clock} <= 1",
+                             f"{vel} + {clock} > -1", f"{vel} != 1/2", "true"))
+        return parse_program(f"{{{pos}' = {vel}, {vel}' = a, {clock}' = 1 "
+                             f"& {domain}}}")
+    if isinstance(program, Loop):
+        return Loop(_closed_form_odes(program.body, rng))
+    if isinstance(program, (Choice, Seq)):
+        return type(program)(*(_closed_form_odes(side, rng)
+                               for side in program.fields))
+    return program
+
+
+def _modal_obligations(numeric):
+    """Seeded tests/gen.py programs of depth 4 with at least five nodes and
+    first-order tests, under a box to falsify or a diamond to witness, with
+    a modality-free post and, at times, a side condition, quantified over
+    every variable in a positive box; their ODEs in the closed-form
+    template, or left numeric (`numeric`: only those with an ODE).  Without
+    `numeric` the distinct `all` obligations of the bundled models under
+    each invariant follow, and m4's `psi`."""
+    rng = random.Random(28)
+    out = []
+    while len(out) < (6 if numeric else 80):
+        program = random_program(rng, 4)
+        nodes = list(_program_nodes(program))
+        if len(nodes) < 5 or numeric > any(type(n) is ODE for n in nodes) \
+                or not all(is_fol(n.condition) and is_quantifier_free(
+                    n.condition) for n in nodes if type(n) is Test):
+            continue
+        if not numeric:
+            program = _closed_form_odes(program, rng)
+        side, post = random_formula(rng, 2), random_formula(rng, 2)
+        if not all(is_fol(f) and is_quantifier_free(f) for f in (side, post)):
+            continue
+        kind = rng.choice((FALSIFY_UNIVERSAL, FIND_WITNESS))
+        matrix = (Box if kind == FALSIFY_UNIVERSAL else Diamond)(program, post)
+        if rng.random() < 0.3:
+            matrix = (Implies if kind == FALSIFY_UNIVERSAL else And)(side,
+                                                                     matrix)
+        names = sorted(free_variables(matrix))
+        box = {name: (F(rng.randint(1, 3), 3), F(rng.randint(4, 9), 3))
+               for name in names}
+        formula = matrix
+        for name in reversed(names):
+            formula = (Forall if kind == FALSIFY_UNIVERSAL else Exists)(
+                name, formula)
+        out.append(Obligation(f"modal{len(out)}", formula, kind, box, {}))
+    if not numeric:
+        seen = set()
+        for model_id in MODEL_IDS:
+            model = builtin(model_id)
+            for zeta in model.invariants:
+                for ob in obligations_for(model, zeta, "all"):
+                    if repr(ob) not in seen:
+                        seen.add(repr(ob))
+                        out.append(ob)
+        out += obligations_for(builtin("m4"), "zeta_iter", "psi")
+    return out
+
+
+# _outcomes_digest of the closed-form modal obligations above at budgets 1,
+# 37 and 400, then of the numeric ones at 1 and 37 (RK4 bisection makes a
+# few hundred take seconds); taken before programs were compiled against
+# their continuation, with a quantifier in a test already raising
+# QuantifierInFormula.
+MODAL_DIGEST = \
+    "b471d737038e5c71ff556e134ad6651909297744cc19e505447338c4af076c8f"
+
+
+def test_modal_outcomes_are_pinned():
+    digest = _outcomes_digest(_modal_obligations(False), (1, 37, 400))
+    numeric = _outcomes_digest(_modal_obligations(True), (1, 37), (37,))
+    assert hashlib.sha256((digest + numeric).encode()).hexdigest() \
+        == MODAL_DIGEST
 
 
 def test_goal_pin_divides_where_its_test_does_not_read_it():

@@ -361,6 +361,22 @@ def test_unexpected_exception_exits_3(monkeypatch, capsys):
     assert err.startswith("internal error: RuntimeError: boom")
 
 
+@pytest.mark.parametrize("obligation", ["loop", "all"])
+def test_quantified_test_in_a_program_exits_2(tmp_path, capsys, obligation):
+    # the parser accepts a quantifier in a program's test, which the search
+    # cannot decide: one error line, as the numeric path and simulate give
+    from hpcheck.models import builtin
+    source = builtin("m2").source
+    assert "  if (!(xc" in source
+    path = tmp_path / "quantified.hpmodel"
+    path.write_text(source.replace("  if (!(xc", "  ?(exists y y > x); if (!(xc"))
+    code, out, err = run_cli(capsys, "check", str(path), "--invariant", "zeta1",
+                             "--obligation", obligation)
+    assert (code, out) == (2, "")
+    assert err == "error: quantified formulas are decided by search\n"
+    assert "Traceback" not in err
+
+
 def test_check_modal_obligation_on_numeric_plant(tmp_path, capsys):
     # a drag plant is outside the closed-form template, so ODE durations
     # come from numeric bisection as floats
