@@ -18,14 +18,18 @@ literals, and the closed-form plant is compiled on these folded pairs too
 (Plant.pair_kernel).  With a numeric plant, whose RK4 leaves floats, the
 interpreter evaluates them on the state's exact view, and a test's pins
 are read off the state's pair view (its values' exact ratios).
-Modalities are decided by script enumeration; the diamond-over-env
-pattern `<e := *; ?P> e = e1` is decided goal-directed (bind e := e1,
-evaluate P) with no search.  Every candidate success is re-checked by
-exact rational replay before a verdict is emitted, so found-verdicts
-carry certificates that cannot be false alarms.  A certificate is what
-the report prints: the assignment of the quantified variables and one
-choice script per modality decided by a run.  `certify` replays the
-obligation's own matrix from these alone.
+Modalities are decided by script enumeration, each program compiled
+against its continuation (the rest of the program, then the post); no run
+writes a state it is handed, so a draw copies its state once for all its
+values, and a closed-form plant's step solves only for the evolved
+variables read after it.  The diamond-over-env pattern
+`<e := *; ?P> e = e1` is decided goal-directed (bind e := e1, evaluate P)
+with no search.  Every candidate success is re-checked by exact rational
+replay before a verdict is emitted, so found-verdicts carry certificates
+that cannot be false alarms.  A certificate is what the report prints:
+the assignment of the quantified variables and one choice script per
+modality decided by a run.  `certify` replays the obligation's own matrix
+from these alone.
 
 Search cannot prove validity of quantified nonlinear arithmetic:
 NotFalsified / NoWitnessFound are budget-exhausted non-results.
@@ -237,9 +241,11 @@ def _env_goal_pattern(diamond: Diamond):
 class _Engine:
     """One obligation's search, compiled once.  A formula node becomes a
     closure state -> the tuple of choice scripts that shows it evaluates
-    to the polarity it has in the matrix, or None; a program node becomes
-    a closure state -> iterator of (final state, script) over the runs the
-    search tries.  States hold int pairs from the candidate down to the
+    to the polarity it has in the matrix, or None; a program node, compiled
+    against its continuation k, a closure (state, script) that calls k on
+    each run the search tries (see program).  No closure writes a state it
+    is handed, so a draw hands k one copy per call, written with each
+    value in turn.  States hold int pairs from the candidate down to the
     post, and floats after a numeric plant.  A script is a rope of raw
     decisions (see _decisions), made into a decision list only for a
     certificate.  With `pairs` every state holds an int pair for each
@@ -264,6 +270,8 @@ class _Engine:
         self.candidate = 0  # the index of the candidate being decided
         self._rng = None
         self._rng_candidate = None
+        # continuations that never return None with the budget spent
+        self._ending = set()
 
     @property
     def rng(self):
@@ -331,19 +339,27 @@ class _Engine:
 
     def _search_runs(self, modality, target):
         """A run of the modality's program after which its post evaluates
-        to `target`: refutes a box (False) or witnesses a diamond (True)."""
-        runs = self.program(modality.program)
-        post = self.formula(modality.post, target)
+        to `target`: refutes a box (False) or witnesses a diamond (True).
+        The program compiles first, against a continuation that calls the
+        post and ends the search where a failed post spends the budget."""
         stats, budget = self.stats, self.config.budget
+        stop = object()
+
+        def then(state, script):
+            rest = post(state)
+            if rest is not None:
+                return (script,) + rest
+            return stop if stats.evaluations >= budget else None
+        self._ending.add(then)
+        program = modality.program
+        live = (free_variables(modality.post)
+                if self.pairs and any(_odes(program)) else None)
+        runs = self.program(program, then, live)
+        post = self.formula(modality.post, target)
 
         def search(state):
-            for final_state, script in runs(state):
-                rest = post(final_state)
-                if rest is not None:
-                    return (script,) + rest
-                if stats.evaluations >= budget:
-                    break
-            return None
+            shown = runs(state, ())
+            return None if shown is stop else shown
         return search
 
     def _goal(self, goal, target):
@@ -360,7 +376,7 @@ class _Engine:
             stats.evaluations += 1
             if holds(bound) != target:
                 return None
-            return ((RandomValue, pick),)
+            return (((), (RandomValue, pick)),)
         return decide
 
     def _holds(self, formula):
@@ -386,98 +402,132 @@ class _Engine:
 
     # programs -------------------------------------------------------------
 
-    def program(self, node):
-        """Closure state -> iterator of the non-aborting runs as (final
-        state, script)."""
+    def program(self, node, k, live):
+        """Closure (state, script) -> the first non-None that `k` returns
+        on (final state, script) of the runs the search tries, in turn,
+        else None.  A script is a prefix rope: () or (the script so far, a
+        decision).  The budget is checked after each run of a Seq's second
+        and of its first, where the Seq's own sentinel ends its runs with
+        None; before a Choice's right branch; and after each loop count.  A
+        loop body compiles once, its runs still to go kept in a cell.
+        `live` is None or the set of variables read after `node`, which a
+        closed-form plant's step solves for no more than; the call adds
+        those `node` mentions, a loop all its body's before the body."""
         stats, budget = self.stats, self.config.budget
+        fused = _assign_then_test(node)
+        if isinstance(node, Choice):
+            after = None if live is None else set(live)
+            left = self.program(node.left, k, live)
+            right = self.program(node.right, k, after)
+            if live is not None:
+                live |= after
+
+            def choice(state, script):
+                shown = left(state, (script, _LEFT))
+                if shown is None and stats.evaluations < budget:
+                    return right(state, (script, _RIGHT))
+                return shown
+            return choice
+        if isinstance(node, Seq) and fused is None:
+            stop = object()  # ends the sequence, where its runs end
+
+            def ending(runs):
+                if runs in self._ending:
+                    return runs
+
+                def then(state, script):
+                    shown = runs(state, script)
+                    if shown is None and stats.evaluations >= budget:
+                        return stop
+                    return shown
+                self._ending.add(then)
+                return then
+            second = self.program(node.second, ending(k), live)
+            first = self.program(node.first, ending(second), live)
+
+            def sequence(state, script):
+                shown = first(state, script)
+                return None if shown is stop else shown
+            return sequence
+        if isinstance(node, Loop):
+            if live is not None:
+                live |= free_variables(node.body)
+            left = [0]  # the body runs still to go
+
+            def again(state, script):
+                n = left[0]
+                if not n:
+                    return k(state, script)
+                left[0] = n - 1
+                shown = body(state, script)
+                left[0] = n
+                return shown
+            body = self.program(node.body, again, live)
+
+            def loop(state, script):
+                outer = left[0]  # a loop the body holds runs in its own
+                for count in LOOP_COUNTS:
+                    left[0] = count
+                    shown = again(state, (script, (LoopCount, count)))
+                    if shown is not None or stats.evaluations >= budget:
+                        break
+                left[0] = outer
+                return shown
+            return loop
+        if isinstance(node, ODE):
+            bound, step = self._plant(plant_of(node), live)
+        if live is not None:
+            live |= free_variables(node)
         if isinstance(node, Assign):
             var, value = node.var, self._term(node.term)
 
-            def assign(state):
+            def assign(state, script):
                 out = dict(state)
                 out[var] = value(state)
-                yield out, ()
+                return k(out, script)
             return assign
-        fused = _assign_then_test(node)
         if isinstance(node, RandomAssign) or fused is not None:
             # a fused `x := *; ?P` lets the test pin candidate values
             var, condition = fused or (node.var, None)
             values = self._values(var, condition)
             holds = None if condition is None else self._holds(condition)
 
-            def draw(state):
+            def draw(state, script):
+                out = dict(state)
                 for value in values(state):
-                    out = dict(state)
                     out[var] = value
                     if holds:
                         stats.evaluations += 1
                         if not holds(out):
                             continue
-                    yield out, (RandomValue, value)
+                    shown = k(out, (script, (RandomValue, value)))
+                    if shown is not None:
+                        return shown
+                return None
             return draw
         if isinstance(node, Test):
             holds = self._holds(node.condition)
 
-            def test(state):
+            def test(state, script):
                 stats.evaluations += 1
-                if holds(state):
-                    yield state, ()
+                return k(state, script) if holds(state) else None
             return test
         if isinstance(node, ODE):
-            bound, step = self._plant(plant_of(node))
-
-            def evolve(state):
+            def evolve(state, script):
                 stats.evaluations += 2
                 maximum = bound(state)
                 if maximum is None:  # the one duration tried, 0, aborts
                     stats.evaluations += 2
-                    return
+                    return None
                 for duration in self._durations(maximum):
                     stats.evaluations += 2
                     end = step(state, duration)
                     if end is not None:
-                        yield end, (Duration, duration)
+                        shown = k(end, (script, (Duration, duration)))
+                        if shown is not None:
+                            return shown
+                return None
             return evolve
-        if isinstance(node, Choice):
-            left, right = self.program(node.left), self.program(node.right)
-
-            def choice(state):
-                for final_state, script in left(state):
-                    yield final_state, (_LEFT, script)
-                if stats.evaluations < budget:
-                    for final_state, script in right(state):
-                        yield final_state, (_RIGHT, script)
-            return choice
-        if isinstance(node, Seq):
-            first, second = self.program(node.first), self.program(node.second)
-
-            def sequence(state):
-                for mid_state, script1 in first(state):
-                    for final_state, script2 in second(mid_state):
-                        yield final_state, (script1, script2)
-                        if stats.evaluations >= budget:
-                            return
-                    if stats.evaluations >= budget:
-                        return
-            return sequence
-        if isinstance(node, Loop):
-            body = self.program(node.body)
-
-            def unroll(state, count):
-                if count == 0:
-                    yield state, ()
-                    return
-                for mid_state, script1 in body(state):
-                    for final_state, script2 in unroll(mid_state, count - 1):
-                        yield final_state, (script1, script2)
-
-            def loop(state):
-                for count in LOOP_COUNTS:
-                    for final_state, script in unroll(state, count):
-                        yield final_state, ((LoopCount, count), script)
-                    if stats.evaluations >= budget:
-                        return
-            return loop
         raise CheckError(f"unexpected program {node!r}")
 
     def _values(self, var, test):
@@ -500,15 +550,15 @@ class _Engine:
             return list(dict.fromkeys(out))
         return values
 
-    def _plant(self, plant):
+    def _plant(self, plant, live):
         """(bound, step) of an evolution: bound(state) is the int pair up
         to which durations are tried, or None where none is admitted, and
         step(state, duration) is the final state, or None where the run
-        aborts.  With `pairs` the plant's pair kernel, else its
+        aborts.  With `pairs` the plant's pair kernel for `live`, else its
         duration_bound, with a bisected float read as its exact ratio, and
         evolve."""
         if self.pairs:
-            return plant.pair_kernel(self.constants)
+            return plant.pair_kernel(self.constants, live)
 
         def bound(state):
             maximum = plant.duration_bound(state)
@@ -533,8 +583,8 @@ class _Engine:
         return out
 
 
-# A script as the search builds it: () for none, a leaf (decision class,
-# raw value) for one decision, and (first, rest) for two scripts in a row.
+# A script as the search builds it: () for none, else (the script so far,
+# its last decision as (decision class, raw value)).
 _LEFT, _RIGHT = (Branch, "left"), (Branch, "right")
 
 
@@ -542,12 +592,9 @@ def _decisions(rope, out):
     """Append the decisions of a script rope to `out`; a raw int pair value
     becomes its Fraction."""
     if rope:
-        head, tail = rope
-        if type(head) is tuple:
-            _decisions(head, out)
-            _decisions(tail, out)
-        else:
-            out.append(head(Fraction(*tail) if type(tail) is tuple else tail))
+        prefix, (kind, raw) = rope
+        _decisions(prefix, out)
+        out.append(kind(Fraction(*raw) if type(raw) is tuple else raw))
     return out
 
 
@@ -851,8 +898,8 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
                 if config.discrete is None else itertools.product(
                     *([x.as_integer_ratio() for x in config.discrete[v]]
                       for v in search_vars)))
-        # one state for every candidate: programs copy a state before they
-        # write, and nothing keeps one past its candidate
+        # one state for every candidate: no run writes a state it is
+        # handed, and nothing keeps one past its candidate
         state = dict(base)
         for index, values in enumerate(rows):
             if stats.evaluations >= budget:

@@ -719,17 +719,6 @@ def closed_form_template(ode: ODE):
     return None
 
 
-def _solution_at(p, v, c, a, t):
-    """Reduced int pairs of position, velocity and clock after time t from
-    p, v and c under acceleration a, all int pairs: the polynomial on ints,
-    one gcd per variable, with pos = p + t * h and h = v + a * t / 2."""
-    (pn, pd), (vn, vd), (cn, cd), (an, ad), (tn, td) = p, v, c, a, t
-    hn, hd = 2 * vn * ad * td + an * tn * vd, 2 * vd * ad * td
-    return (_reduced(pn * td * hd + tn * hn * pd, pd * td * hd),
-            _reduced(vn * ad * td + an * tn * vd, vd * ad * td),
-            _reduced(cn * td + tn * cd, cd * td))
-
-
 def _like(start, pair):
     """The int pair `pair` in the kind of `start`: a pair as it is, the
     nearest float for a float, else its Fraction."""
@@ -820,29 +809,34 @@ class Plant:
             return self._bisect(state)
         return self._kernel(None)[3](pair_view(state)) or (0, 1)
 
-    def pair_kernel(self, constants=None):
+    def pair_kernel(self, constants=None, live=None):
         """(bound, step) of the template on dict states that hold an int
         pair for every variable, with `constants` folded: _kernel's."""
-        return self._kernel(constants)[3:]
+        return self._kernel(constants, live)[3:]
 
-    def _kernel(self, constants):
+    def _kernel(self, constants, live=None):
         """(domain, earliest, solve, bound, step) of the template on states
-        of int pairs, compiled once per set of constants by the exact
-        kernel, which folds `constants`.  domain(state) is the domain's
-        truth.  earliest(state) is the first time, an int pair, at which a
-        conjunct's left - right, moving at the rate c_vel * accel + c_clock
-        read off its form, reaches its bound, or None.  solve(state,
-        duration) is the state with position, velocity and clock at the
-        duration as reduced int pairs.  bound(state) is duration_bound's
+        of int pairs, compiled once per set of constants and of variables
+        solved for by the exact kernel, which folds `constants`.
+        domain(state) is the domain's truth.  earliest(state) is the first
+        time, an int pair, at which a conjunct's left - right, moving at
+        the rate c_vel * accel + c_clock read off its form, reaches its
+        bound, or None.  solve(state, duration) is the state with position,
+        velocity and clock at the duration as reduced int pairs: those of
+        them in `live`, the variables read after the evolution, unless it
+        is None or the end is checked.  bound(state) is duration_bound's
         pair, or None where the start fails.  step(state, duration) is
         solve's state, or None where evolve aborts, for a state whose start
         holds and a duration up to its bound: every conjunct then holds
         throughout but a strict one or a `!=`, which can fail at the bound,
         so the end is checked only when the domain has one of these."""
-        key = tuple(sorted(constants.items())) if constants else ()
+        pos, vel, clock, accel = self.template
+        check_end = any(c.op not in ("<=", ">=", "=") for c, _ in self._forms)
+        solved = tuple(name for name in (pos, vel, clock)
+                       if live is None or check_end or name in live)
+        key = tuple(sorted(constants.items())) if constants else (), solved
         if key in self._kernels:
             return self._kernels[key]
-        pos, vel, clock, accel = self.template
         domain = compile_fol(self.ode.domain, constants)
         lines = []
         for c, form in self._forms:
@@ -851,7 +845,6 @@ class Plant:
             lines.append((c.op,
                           _ratio_term(Sub(c.left, c.right), constants),
                           _ratio_term(to_term(rate), constants)))
-        check_end = any(op not in ("<=", ">=", "=") for op, _, _ in lines)
         horizon = DEFAULT_HORIZON.as_integer_ratio()
         acceleration = _ratio_term(accel, constants)
         pos_of, vel_of, clock_of = map(operator.itemgetter, (pos, vel, clock))
@@ -861,11 +854,29 @@ class Plant:
                                                     *rate(state))
                              for op, offset, rate in lines)
 
+        # each evolved variable after time t under acceleration a, int pairs
+        # all, by one gcd: pos = p + t * h with h = v + a * t / 2
+        def position(state, a, t):
+            (pn, pd), (vn, vd), (an, ad), (tn, td) = (pos_of(state),
+                                                      vel_of(state), a, t)
+            hn, hd = 2 * vn * ad * td + an * tn * vd, 2 * vd * ad * td
+            return _reduced(pn * td * hd + tn * hn * pd, pd * td * hd)
+
+        def velocity(state, a, t):
+            (vn, vd), (an, ad), (tn, td) = vel_of(state), a, t
+            return _reduced(vn * ad * td + an * tn * vd, vd * ad * td)
+
+        def elapsed(state, a, t):
+            (cn, cd), (tn, td) = clock_of(state), t
+            return _reduced(cn * td + tn * cd, cd * td)
+        ends = [(name, at) for name, at in zip(
+            (pos, vel, clock), (position, velocity, elapsed)) if name in solved]
+
         def solve(state, duration):
             end = dict(state)
-            end[pos], end[vel], end[clock] = _solution_at(
-                pos_of(state), vel_of(state), clock_of(state),
-                acceleration(state), duration)
+            a = acceleration(state)
+            for name, at in ends:
+                end[name] = at(state, a, duration)
             return end
 
         def bound(state):

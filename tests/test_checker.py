@@ -263,8 +263,8 @@ def test_modal_search_builds_no_fraction_per_evolution(monkeypatch):
     monkeypatch.setattr(semantics, "Fraction", counting("semantics"))
     pair_kernel = semantics.Plant.pair_kernel
 
-    def spying(plant, constants=None):
-        bound, step = pair_kernel(plant, constants)
+    def spying(plant, constants=None, live=None):
+        bound, step = pair_kernel(plant, constants, live)
         return bound, lambda state, t: (evolutions.append(t),
                                         step(state, t))[1]
     monkeypatch.setattr(semantics.Plant, "pair_kernel", spying)
@@ -508,6 +508,10 @@ def test_quantified_test_in_a_program_raises(plant):
                 "t": (F(0), F(1))})
     with pytest.raises(semantics.QuantifierInFormula):
         check(ob, SearchConfig(budget=50))
+    # and an env goal's test, which the exact kernel compiles as well
+    with pytest.raises(semantics.QuantifierInFormula):
+        check(close("<x := *; ?(exists z (z > x))> x = y", FALSIFY_UNIVERSAL,
+                    {"y": (F(0), F(1))}))
 
 
 def reference_has_modality(formula) -> bool:
@@ -567,6 +571,26 @@ def test_loop_counts_explored():
     assert verdict.status == FALSIFIED
     [script] = verdict.counterexample.scripts
     assert script[0].count == 2
+
+
+def test_nested_loops_compile_in_linear_time(monkeypatch):
+    # a loop body compiles once, whatever its unrolling count: a copy per
+    # count would compile the innermost body 3^10 times
+    calls = []
+    program = checker._Engine.program
+
+    def counting(engine, node, k, live):
+        calls.append(node)
+        return program(engine, node, k, live)
+    monkeypatch.setattr(checker._Engine, "program", counting)
+    text = "x := x + 1"
+    for depth in range(1, 11):
+        text = f"{{?x >= 0; {text}}}*"
+        calls.clear()
+        ob = close(f"[{text}] x >= 0", FALSIFY_UNIVERSAL, {"x": (F(0), F(1))})
+        assert check(ob, SearchConfig(budget=50)).status == NOT_FALSIFIED
+        # a loop, a sequence and a test per level, and the assignment
+        assert len(calls) == 3 * depth + 1
 
 
 def test_ode_duration_choice():
@@ -926,9 +950,12 @@ def _outcomes_digest(obligations, budgets, discrete_budgets=(37, 2000)):
 
 # _outcomes_digest of the goal obligations above at budgets 1, 17, 37 and
 # 2 000 (m2 zeta1 `rho` is found after 17 evaluations); taken before
-# goal-directed matrices were decided a block of candidates at a time.
+# goal-directed matrices were decided a block of candidates at a time, and
+# taken again when a goal's test with a quantifier or a modality came to
+# raise QuantifierInFormula instead of a TypeError: the records of
+# `test_quantifies` and `test_modal` changed, and no other.
 GOAL_DIGEST = \
-    "9c373d2d53b87f692991ff393adda3211e266cb074370b8993e17d6c19e2844d"
+    "2c46aec32c36e71c91d1de20bdfe01c5289798e7878f0a678e6e6775557c68a8"
 
 
 def test_goal_outcomes_are_pinned():

@@ -369,7 +369,8 @@ def test_quantified_test_in_a_program_exits_2(tmp_path, capsys, obligation):
     source = builtin("m2").source
     assert "  if (!(xc" in source
     path = tmp_path / "quantified.hpmodel"
-    path.write_text(source.replace("  if (!(xc", "  ?(exists y y > x); if (!(xc"))
+    path.write_text(source.replace("  if (!(xc", "  ?(exists y y > x); if (!(xc",
+                                   1))
     code, out, err = run_cli(capsys, "check", str(path), "--invariant", "zeta1",
                              "--obligation", obligation)
     assert (code, out) == (2, "")

@@ -773,6 +773,40 @@ def test_pair_kernel_matches_the_checked_plant(accel, domain, shape, fold):
     assert (outcomes["aborted"] > 20) == (shape in ("strict", "punctured"))
 
 
+@pytest.mark.parametrize("domain, checked", [
+    ("v >= 0 & tau <= T", False), ("v >= 0 & tau < T", True),
+    ("v >= 0 & v != 1", True)])
+def test_pair_kernel_solves_for_the_live_evolved_variables(domain, checked):
+    # the step writes the evolved variables read after it, and leaves the
+    # others as they started, unless it checks the end, which reads them
+    ode = parse_program(f"{{x' = v, v' = a, tau' = 1 & {domain}}}")
+    plant = Plant(ode)
+    bound, step = plant.pair_kernel({"T": (1, 1)})
+    rng = random.Random(28)
+    for live in ({"x"}, {"v", "T"}, {"tau", "x", "a"}, set()):
+        live_bound, live_step = plant.pair_kernel({"T": (1, 1)}, live)
+        # compiled once per set of variables solved for: all three where
+        # the end is checked
+        assert (live_step is step) == checked
+        assert plant.pair_kernel({"T": (1, 1)}, live | {"T"})[1] is live_step
+        for _ in range(40):
+            state = _as_pairs(rng, {"x": F(rng.randint(-8, 8), 3), "T": F(1),
+                                    "v": F(rng.randint(0, 12), 4),
+                                    "tau": F(rng.randint(0, 3), 4),
+                                    "a": F(rng.randint(-6, 2), 2)})
+            maximum = bound(state)
+            assert live_bound(state) == maximum
+            for duration in ([] if maximum is None else
+                             [(0, 1), maximum, (maximum[0], 3 * maximum[1])]):
+                want, got = step(state, duration), live_step(state, duration)
+                if want is None:
+                    assert got is None
+                    continue
+                assert got == {name: want[name] if checked or name in live
+                               or name not in ("x", "v", "tau") else value
+                               for name, value in state.items()}
+
+
 def reference_compile_numeric(ode):
     """The RK4 kernel as it was before its inner stages wrote only the
     variables a rate reads: each stage writes every evolved variable, and
