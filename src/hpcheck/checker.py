@@ -19,10 +19,9 @@ literals, and the closed-form plant is compiled on these folded pairs too
 interpreter evaluates them on the state's exact view, and a test's pins
 are read off the state's pair view (its values' exact ratios).
 Modalities are decided by script enumeration, each program compiled
-against its continuation (the rest of the program, then the post); no run
-writes a state it is handed, so a draw copies its state once for all its
-values, and a closed-form plant's step solves only for the evolved
-variables read after it.  The diamond-over-env pattern
+against its continuation: no run writes a state it is handed, a draw
+copies its state once for all its values, and a closed-form plant's step
+solves only for the evolved variables read after it.  An env goal
 `<e := *; ?P> e = e1` is decided goal-directed (bind e := e1, evaluate P)
 with no search.  Every candidate success is re-checked by exact rational
 replay before a verdict is emitted, so found-verdicts carry certificates
@@ -241,37 +240,38 @@ def _env_goal_pattern(diamond: Diamond):
 class _Engine:
     """One obligation's search, compiled once.  A formula node becomes a
     closure state -> the tuple of choice scripts that shows it evaluates
-    to the polarity it has in the matrix, or None; a program node, compiled
-    against its continuation k, a closure (state, script) that calls k on
-    each run the search tries (see program).  No closure writes a state it
-    is handed, so a draw hands k one copy per call, written with each
-    value in turn.  States hold int pairs from the candidate down to the
-    post, and floats after a numeric plant.  A script is a rope of raw
-    decisions (see _decisions), made into a decision list only for a
-    certificate.  With `pairs` every state holds an int pair for each
-    variable: formulas and terms are compiled by the exact kernel, which
-    folds `constants`, the fixed constants, and each closed-form plant
-    gives its pair kernel, compiled with the same constants.  Without it,
-    an obligation with a numeric plant, the interpreter evaluates them on
+    to the polarity it has in the matrix, or None; a program node,
+    compiled against its continuation k, a closure (state, script) that
+    calls k on each run the search tries.  No closure writes a state it is
+    handed, so a draw hands k one copy per call for all its values.
+    States hold int pairs from the candidate down to the post, and floats
+    after a numeric plant.  A script is a rope of raw decisions (see
+    _decisions), made into a decision list only for a certificate.  With
+    `pairs` every state holds an int pair for each variable: formulas and
+    terms are compiled by the exact kernel, which folds `constants`, the
+    fixed constants, and each closed-form plant gives its pair kernel,
+    compiled with the same constants and, with `live`, for the live sets
+    of `program`, which a pair search with an ODE carries.  Without it, an
+    obligation with a numeric plant, the interpreter evaluates them on
     each state's exact view, the pins read each state's pair view, each
-    plant evolves by its evolve, and `constants` is None.  `check`
-    decides a one-pass matrix a block at a time, and compiles these
-    closures only for the scripts of a row that hits."""
+    plant evolves by its evolve, and `constants` is None.  `check` decides
+    a one-pass matrix a block at a time, and compiles these closures only
+    for the scripts of a row that hits."""
 
     def __init__(self, obligation: Obligation, config: SearchConfig,
-                 constants, pairs):
+                 constants, pairs, live):
         self.obligation = obligation
         self.config = config
         self.constants = constants
         self.pairs = pairs
+        self.live = live
         self.modal = {}  # see _modalities
         _modalities(obligation.split()[1], self.modal)
         self.stats = Stats()
         self.candidate = 0  # the index of the candidate being decided
         self._rng = None
         self._rng_candidate = None
-        # continuations that never return None with the budget spent
-        self._ending = set()
+        self._ending = set()  # continuations never None with budget spent
 
     @property
     def rng(self):
@@ -340,8 +340,8 @@ class _Engine:
     def _search_runs(self, modality, target):
         """A run of the modality's program after which its post evaluates
         to `target`: refutes a box (False) or witnesses a diamond (True).
-        The program compiles first, against a continuation that calls the
-        post and ends the search where a failed post spends the budget."""
+        Its k calls the post, compiled after it, and ends the runs there
+        once a post that fails leaves the budget spent."""
         stats, budget = self.stats, self.config.budget
         stop = object()
 
@@ -351,10 +351,8 @@ class _Engine:
                 return (script,) + rest
             return stop if stats.evaluations >= budget else None
         self._ending.add(then)
-        program = modality.program
-        live = (free_variables(modality.post)
-                if self.pairs and any(_odes(program)) else None)
-        runs = self.program(program, then, live)
+        live = free_variables(modality.post) if self.live else None
+        runs = self.program(modality.program, then, live)
         post = self.formula(modality.post, target)
 
         def search(state):
@@ -452,7 +450,7 @@ class _Engine:
         if isinstance(node, Loop):
             if live is not None:
                 live |= free_variables(node.body)
-            left = [0]  # the body runs still to go
+            left = [0]  # body runs to go; a loop that k reenters restores it
 
             def again(state, script):
                 n = left[0]
@@ -465,7 +463,7 @@ class _Engine:
             body = self.program(node.body, again, live)
 
             def loop(state, script):
-                outer = left[0]  # a loop the body holds runs in its own
+                outer = left[0]
                 for count in LOOP_COUNTS:
                     left[0] = count
                     shown = again(state, (script, (LoopCount, count)))
@@ -834,13 +832,14 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
     # without a numeric plant every state holds an int pair per variable;
     # fold the constants no run changes, which a numeric plant would leave
     # floats in its final state
-    pairs = all(plant_of(ode).template is not None
-                for program in programs for ode in _odes(program))
+    odes = [ode for program in programs for ode in _odes(program)]
+    pairs = all(plant_of(ode).template is not None for ode in odes)
     constants = {k: base[k] for k in obligation.fixed_constants
                  if k not in assigned and k not in quantified}
     if not (constants and pairs):
         constants = None
-    engine = _Engine(obligation, config, constants, pairs)
+    engine = _Engine(obligation, config, constants, pairs,
+                     pairs and bool(odes))
     stats, budget = engine.stats, config.budget
 
     def found(values, ropes=None):

@@ -811,32 +811,32 @@ class Plant:
 
     def pair_kernel(self, constants=None, live=None):
         """(bound, step) of the template on dict states that hold an int
-        pair for every variable, with `constants` folded: _kernel's."""
-        return self._kernel(constants, live)[3:]
+        pair for every variable, with `constants` folded: _kernel's, for
+        the evolved variables in `live` (all where it is None)."""
+        solved = None if live is None else tuple(
+            name for name in self.template[:3] if name in live)
+        return self._kernel(constants, solved)[3:]
 
-    def _kernel(self, constants, live=None):
+    def _kernel(self, constants, solved=None):
         """(domain, earliest, solve, bound, step) of the template on states
         of int pairs, compiled once per set of constants and of variables
         solved for by the exact kernel, which folds `constants`.
         domain(state) is the domain's truth.  earliest(state) is the first
-        time, an int pair, at which a conjunct's left - right, moving at
-        the rate c_vel * accel + c_clock read off its form, reaches its
-        bound, or None.  solve(state, duration) is the state with position,
+        time, an int pair, at which a conjunct's left - right, moving at the
+        rate c_vel * accel + c_clock read off its form, reaches its bound,
+        or None.  solve(state, duration) is the state with position,
         velocity and clock at the duration as reduced int pairs: those of
-        them in `live`, the variables read after the evolution, unless it
-        is None or the end is checked.  bound(state) is duration_bound's
-        pair, or None where the start fails.  step(state, duration) is
-        solve's state, or None where evolve aborts, for a state whose start
-        holds and a duration up to its bound: every conjunct then holds
-        throughout but a strict one or a `!=`, which can fail at the bound,
-        so the end is checked only when the domain has one of these."""
-        pos, vel, clock, accel = self.template
-        check_end = any(c.op not in ("<=", ">=", "=") for c, _ in self._forms)
-        solved = tuple(name for name in (pos, vel, clock)
-                       if live is None or check_end or name in live)
+        them in `solved`, read after the evolution, unless it is None or the
+        end is checked.  bound(state) is duration_bound's pair, or None
+        where the start fails.  step(state, duration) is solve's state, or
+        None where evolve aborts, for a state whose start holds and a
+        duration up to its bound: every conjunct then holds throughout but a
+        strict one or a `!=`, which can fail at the bound, so the end is
+        checked only when the domain has one of these."""
         key = tuple(sorted(constants.items())) if constants else (), solved
         if key in self._kernels:
             return self._kernels[key]
+        pos, vel, clock, accel = self.template
         domain = compile_fol(self.ode.domain, constants)
         lines = []
         for c, form in self._forms:
@@ -845,6 +845,7 @@ class Plant:
             lines.append((c.op,
                           _ratio_term(Sub(c.left, c.right), constants),
                           _ratio_term(to_term(rate), constants)))
+        check_end = any(op not in ("<=", ">=", "=") for op, _, _ in lines)
         horizon = DEFAULT_HORIZON.as_integer_ratio()
         acceleration = _ratio_term(accel, constants)
         pos_of, vel_of, clock_of = map(operator.itemgetter, (pos, vel, clock))
@@ -869,8 +870,9 @@ class Plant:
         def elapsed(state, a, t):
             (cn, cd), (tn, td) = clock_of(state), t
             return _reduced(cn * td + tn * cd, cd * td)
-        ends = [(name, at) for name, at in zip(
-            (pos, vel, clock), (position, velocity, elapsed)) if name in solved]
+        ends = [(name, at) for name, at in zip((pos, vel, clock),
+                                               (position, velocity, elapsed))
+                if solved is None or check_end or name in solved]
 
         def solve(state, duration):
             end = dict(state)
