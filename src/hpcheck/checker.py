@@ -53,9 +53,9 @@ from .obligations import (
 )
 from .semantics import (
     Aborted, Branch, Duration, Final, LoopCount, NotBlockwise, RandomValue,
-    _ratio_term, _reduced, affine, block_cmp, block_term, compile_fol,
-    eval_fol, eval_term, exact_view, is_exact, on_rows, pair_view, plant_of,
-    run, to_term,
+    _fol_closure, _ratio_term, _reduced, affine, block_cmp, block_term,
+    compile_fol, eval_fol, eval_term, exact_view, is_exact, on_rows,
+    pair_view, plant_of, run, to_term,
 )
 from .syntax import (
     FORMULA_OPS, PROGRAM_OPS, And, Assign, BoolLit, Box, Choice, Cmp,
@@ -380,9 +380,11 @@ class _Engine:
     def _holds(self, formula):
         """Closure state -> the truth of a modality-free `formula`: the
         exact kernel when every state holds pairs, else eval_fol on the
-        state's exact view."""
+        state's exact view.  Either way a quantifier or a modality in
+        `formula` raises here, whether or not a run reaches it."""
         if self.pairs:
             return compile_fol(formula, self.constants)
+        _fol_closure(formula, bool)
         return lambda state: eval_fol(exact_view(state), formula)
 
     def _term(self, term):

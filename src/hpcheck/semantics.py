@@ -679,8 +679,12 @@ class Aborted(Node):
     __slots__ = ("failed_test", "state")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceStep:
+    """One record of a run's trace: the time, what the step did, and a copy
+    of the state after it.  Slotted, not frozen: `run` builds one per step,
+    and nothing hashes or changes one; `dataclasses.replace` makes a
+    changed copy."""
     time: object
     label: str
     state: State
@@ -915,11 +919,39 @@ class Plant:
             return False
 
 
-@lru_cache(maxsize=256)
+PLANT_CACHE = 256  # ODE values, and ODE objects, whose Plant is kept
+
+# id(ode) -> (ode, Plant), oldest first; each entry holds its ODE, so the id
+# is not reused while the entry lives
+_plants_by_id = {}
+
+
+@lru_cache(maxsize=PLANT_CACHE)
+def _plant_of_value(ode: ODE) -> Plant:
+    return Plant(ode)
+
+
 def plant_of(ode: ODE) -> Plant:
     """The Plant of `ode`, one per distinct ODE value: the only place a
-    Plant is built."""
-    return Plant(ode)
+    Plant is built.  An ODE object asked for before is answered by its id,
+    so a run that evolves one plant many times hashes and compares its tree
+    once; `plant_of.cache_clear()` forgets both the ids and the values."""
+    entry = _plants_by_id.get(id(ode))
+    if entry is not None:
+        return entry[1]
+    plant = _plant_of_value(ode)
+    if len(_plants_by_id) >= PLANT_CACHE:
+        del _plants_by_id[next(iter(_plants_by_id))]
+    _plants_by_id[id(ode)] = ode, plant
+    return plant
+
+
+def _clear_plants():
+    _plants_by_id.clear()
+    _plant_of_value.cache_clear()
+
+
+plant_of.cache_clear = _clear_plants
 
 
 def evolve_plant(state: State, ode: ODE, duration):
@@ -1121,62 +1153,65 @@ def run(state: State, program, script):
     """Deterministic replay of a program under a choice script.
 
     `script` is a list of decisions or a ScriptCursor.  Returns (Outcome,
-    trace).  The trace is a list of TraceStep with nondecreasing times,
-    starting at the initial state.
+    trace): Final over the end state, or the Aborted of the first failed
+    test or evolution domain.  The trace is a list of TraceStep with
+    nondecreasing times, starting at the initial state.
     """
     cursor = script if isinstance(script, ScriptCursor) else ScriptCursor(script)
     clock = [Fraction(0)]
     trace = [TraceStep(clock[0], "init", dict(state))]
     outcome = _exec(dict(state), program, cursor, trace, clock)
-    if isinstance(outcome, Final) and not cursor.exhausted():
+    if type(outcome) is Aborted:
+        return outcome, trace
+    if not cursor.exhausted():
         raise ScriptError(
             f"surplus script decisions from position {cursor.index}")
-    return outcome, trace
-
-
-def _record(trace, clock, label, state):
-    trace.append(TraceStep(clock[0], label, dict(state)))
+    return Final(outcome), trace
 
 
 def _exec(state, program, cursor, trace, clock):
-    if isinstance(program, Assign):
+    """The state after `program` from `state`, a dict that is never changed
+    in place, or the Aborted that ends the run; each step appends its
+    TraceStep to `trace` and each evolution advances `clock[0]`."""
+    kind = type(program)
+    if kind is Assign:
         state = dict(state)
         state[program.var] = eval_term(state, program.term)
-        _record(trace, clock, f"{program.var} := ...", state)
-        return Final(state)
-    if isinstance(program, RandomAssign):
+        trace.append(TraceStep(clock[0], f"{program.var} := ...", dict(state)))
+        return state
+    if kind is RandomAssign:
         decision = cursor.take(RandomValue, state, program)
         state = dict(state)
         state[program.var] = decision.value
-        _record(trace, clock, f"{program.var} := *", state)
-        return Final(state)
-    if isinstance(program, Test):
+        trace.append(TraceStep(clock[0], f"{program.var} := *", dict(state)))
+        return state
+    if kind is Test:
         if eval_fol(state, program.condition):
-            _record(trace, clock, "test", state)
-            return Final(state)
+            trace.append(TraceStep(clock[0], "test", dict(state)))
+            return state
         return Aborted(program.condition, state)
-    if isinstance(program, ODE):
+    if kind is ODE:
         decision = cursor.take(Duration, state, program)
         outcome = evolve_plant(state, program, decision.value)
-        if isinstance(outcome, Final):
-            clock[0] = clock[0] + decision.value
-            _record(trace, clock, "ode", outcome.state)
-        return outcome
-    if isinstance(program, Choice):
+        if type(outcome) is Aborted:
+            return outcome
+        clock[0] = clock[0] + decision.value
+        trace.append(TraceStep(clock[0], "ode", dict(outcome.state)))
+        return outcome.state
+    if kind is Choice:
         decision = cursor.take(Branch, state, program)
         chosen = program.left if decision.side == "left" else program.right
         return _exec(state, chosen, cursor, trace, clock)
-    if isinstance(program, Seq):
-        outcome = _exec(state, program.first, cursor, trace, clock)
-        if isinstance(outcome, Aborted):
-            return outcome
-        return _exec(outcome.state, program.second, cursor, trace, clock)
-    if isinstance(program, Loop):
+    if kind is Seq:
+        state = _exec(state, program.first, cursor, trace, clock)
+        if type(state) is Aborted:
+            return state
+        return _exec(state, program.second, cursor, trace, clock)
+    if kind is Loop:
         decision = cursor.take(LoopCount, state, program)
         for _ in range(decision.count):
-            outcome = _exec(state, program.body, cursor, trace, clock)
-            if isinstance(outcome, Aborted):
-                return outcome
-            state = outcome.state
-        return Final(state)
+            state = _exec(state, program.body, cursor, trace, clock)
+            if type(state) is Aborted:
+                return state
+        return state
     raise TypeError(f"not a program: {program!r}")

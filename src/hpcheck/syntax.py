@@ -21,10 +21,11 @@ class Node:
     `__post_init__` check, if it has one; equality with a node of the same
     class and a hash over its field values; the dataclass repr
     `Name(field=value, ...)`; and pickling by its fields.  `fields` is the
-    tuple of the field values, in `__slots__` order.
+    tuple of the field values, in `__slots__` order.  The hash is computed
+    once and kept in the private `_hash` slot, which is none of the fields.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __init_subclass__(cls):
         if "__slots__" not in cls.__dict__:
@@ -62,7 +63,11 @@ class Node:
             return NotImplemented
 
         def __hash__(self):
-            return hash(fields(self))
+            try:
+                return self._hash
+            except AttributeError:
+                _set(self, "_hash", hash(fields(self)))
+                return self._hash
         cls.__init__, cls.__eq__, cls.__hash__ = __init__, __eq__, __hash__
         cls.fields = property(fields)
 

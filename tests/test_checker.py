@@ -508,6 +508,15 @@ def test_quantified_test_in_a_program_raises(plant):
                 "t": (F(0), F(1))})
     with pytest.raises(semantics.QuantifierInFormula):
         check(ob, SearchConfig(budget=50))
+    # a test that only one branch of a choice reaches raises whatever the
+    # budget, before any run reaches it
+    ob = close(f"[{{{plant}, v' = a, t' = 1 & t <= 1}} ++ ?(exists z (z > x))] "
+               "x <= 2", FALSIFY_UNIVERSAL,
+               {"x": (F(0), F(1)), "v": (F(0), F(1)), "a": (F(0), F(1)),
+                "t": (F(0), F(1))})
+    for budget in (1, 2000):
+        with pytest.raises(semantics.QuantifierInFormula):
+            check(ob, SearchConfig(budget=budget))
     # and an env goal's test, which the exact kernel compiles as well
     with pytest.raises(semantics.QuantifierInFormula):
         check(close("<x := *; ?(exists z (z > x))> x = y", FALSIFY_UNIVERSAL,

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import hashlib
 import math
 import random
@@ -6,11 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from gen import VAR_POOL, closed_form_state, random_ode, random_term
+from gen import (
+    VAR_POOL, closed_form_state, random_ode, random_program, random_term,
+)
 from golden import SAMPLE_CONSTANTS
 from hpcheck import semantics
 from hpcheck.models import MODEL_IDS, builtin, fig2_script
-from hpcheck.parser import parse_formula, parse_program, parse_term
+from hpcheck.parser import (
+    parse_formula, parse_model, parse_program, parse_term,
+)
 from hpcheck.semantics import (
     Aborted, Branch, Duration, Final, LoopCount, Plant, RandomValue,
     ScriptError, UndeclaredVariable, _compile_numeric, closed_form_template,
@@ -18,7 +23,7 @@ from hpcheck.semantics import (
     max_admissible_duration, parse_script, polynomial, run, to_term,
 )
 from hpcheck.syntax import (
-    ODE, Add, BoolLit, Div, Mul, Neg, Num, Pow, Sub, Var, conjuncts,
+    ODE, Add, BoolLit, Div, Mul, Neg, Num, Pow, Seq, Sub, Var, conjuncts,
     free_variables,
 )
 
@@ -309,6 +314,42 @@ def test_run_matches_each_plant_template_once(monkeypatch):
     assert isinstance(outcome, Final)
     assert [step.label for step in trace].count("ode") == 2
     assert calls == [model.plant.second]
+
+
+def test_plant_of_answers_an_ode_object_by_identity(monkeypatch):
+    # one ODE object resolved many times is compared with the cached ODE at
+    # most once; an equal ODE from another parse shares its Plant, and
+    # cache_clear forgets both the object and the value
+    semantics.plant_of.cache_clear()
+    comparisons = []
+    original = ODE.__eq__
+
+    def counting(self, other):
+        comparisons.append(other)
+        return original(self, other)
+    monkeypatch.setattr(ODE, "__eq__", counting)
+    text = "{x' = v, v' = a, tau' = 1 & v >= 0 & tau <= T}"
+    first, second = parse_program(text), parse_program(text)
+    assert first == second and first is not second
+    comparisons.clear()
+    plant = semantics.plant_of(first)
+    for _ in range(100):
+        assert semantics.plant_of(second) is plant
+        assert semantics.plant_of(first) is plant
+    assert len(comparisons) <= 1
+    semantics.plant_of.cache_clear()
+    assert semantics.plant_of(first) is not plant
+    assert semantics.plant_of(second) is semantics.plant_of(first)
+
+
+def test_run_trace_steps_can_be_replaced():
+    # the benchmark's self-check forges a trace step with dataclasses.replace
+    _, trace = run(base_state(xc=5), builtin("m2").loop_program(),
+                   fig2_script())
+    step = trace[-1]
+    forged = dataclasses.replace(step, state={**step.state, "x": F(7)})
+    assert forged.state["x"] == F(7) and step.state["x"] != F(7)
+    assert (forged.time, forged.label) == (step.time, step.label)
 
 
 def _syntactic_degree(term, variables):
@@ -966,3 +1007,132 @@ def test_run_counts_time_across_iterations():
     outcome, trace = run(base_state(xc=5), model.loop_program(), script)
     assert isinstance(outcome, Final)
     assert trace[-1].time == F(2)
+
+
+# ---------------------------------------------------------------------------
+# pinned runs
+
+class _Drawing(semantics.ScriptCursor):
+    """A cursor that makes each decision with `draw` as the run reaches it
+    and keeps it, so the run can be replayed from the list it leaves."""
+
+    def __init__(self, rng, draw):
+        super().__init__([])
+        self.rng, self.draw = rng, draw
+
+    def take(self, kind, state, program):
+        previous = self.decisions[-1] if self.decisions else None
+        self.decisions.append(self.draw(self.rng, kind, state, program,
+                                        previous))
+        return super().take(kind, state, program)
+
+
+def _draw_any(rng, kind, state, program, previous):
+    if kind is LoopCount:
+        return LoopCount(rng.randint(0, 2))
+    if kind is RandomValue:
+        return RandomValue(F(rng.randint(-8, 8), rng.choice((1, 2, 4))))
+    if kind is Branch:
+        return Branch(rng.choice(("left", "right")))
+    return Duration(F(rng.randint(0, 8), 8))
+
+
+def _first_test(program):
+    while isinstance(program, Seq):
+        program = program.first
+    return program.condition
+
+
+def _draw_stop(rng, kind, state, program, previous):
+    """Decisions shaped like the stop models' replay scripts: values near
+    their tests, durations up to the plant's limit, and a few that fail."""
+    if kind is LoopCount:
+        return LoopCount(rng.randint(1, 3))
+    if kind is Branch:
+        holds = eval_fol(state, _first_test(program.left))
+        if rng.random() < 0.05:
+            holds = not holds
+        return Branch("left" if holds else "right")
+    if kind is RandomValue and program.var == "xc":
+        stop = state["x"] + state["v"] ** 2 / (2 * state["anmin"])
+        return RandomValue(F(math.ceil(float(stop) * 8) + rng.randint(-2, 24),
+                             8))
+    if kind is RandomValue:
+        if isinstance(previous, Branch):  # ctrl's brake
+            return RandomValue(-state["asmin"] if rng.random() < 0.95
+                               else F(0))
+        if rng.random() < 0.05:
+            return RandomValue(state["anmax"] + F(1, 4))
+        low, high = int(-state["anmin"] * 8), int(state["anmax"] * 8)
+        return RandomValue(F(rng.randint(low, high), 8))
+    a, v = state["a"], state["v"]
+    limit = state["T"] if a >= 0 else min(state["T"], v / -a)
+    return Duration(F(int(float(limit) * 64 * rng.uniform(0.2, 1.1)), 64))
+
+
+def _pinned_run_records():
+    """repr of (outcome, trace), or the type and message of what `run`
+    raised, for each case of test_run_outcomes_are_pinned."""
+    records = []
+
+    def record(state, program, script):
+        try:
+            records.append(repr(run(state, program, script)))
+        except (ScriptError, ZeroDivisionError, UndeclaredVariable,
+                semantics.QuantifierInFormula, semantics.NumericBlowup,
+                OverflowError, TypeError) as exc:
+            records.append(f"{type(exc).__name__}: {exc}")
+
+    def replays(state, program, rng, draw):
+        cursor = _Drawing(rng, draw)
+        record(state, program, cursor)
+        decisions = cursor.decisions
+        record(state, program, decisions)
+        if decisions:
+            record(state, program, decisions[:-1])  # runs out
+        record(state, program, decisions + [LoopCount(1)])  # surplus
+
+    rng = random.Random(29)
+    template = parse_program(
+        "{x' = v, v' = a, t1' = 1 & v >= 0 & t1 <= 2}")
+    for index in range(80):
+        state = {name: F(rng.randint(-4, 4), rng.choice((1, 2)))
+                 for name in VAR_POOL}
+        program = random_program(rng, 3)
+        if index % 4 == 0:
+            program = Seq(program, template)
+        replays(state, program, rng, _draw_any)
+    for family in (*MODEL_IDS, "drag"):
+        source = builtin("m2" if family == "drag" else family).source
+        if family == "drag":
+            source = source.replace("v' = a,", "v' = a - v / 4,")
+        for _ in range(10):
+            program = parse_model(source, name=family).loop_program()
+            anmin = F(rng.randint(2, 4))
+            state = {"x": F(rng.randint(-4, 4), 4),
+                     "v": F(rng.randint(0, 12), 4), "xc": F(0),
+                     "xc_post": F(0), "a": F(0), "tau": F(0),
+                     "T": rng.choice((F(1, 2), F(1), F(3, 2))),
+                     "anmax": F(rng.randint(1, 3)), "anmin": anmin,
+                     "asmin": anmin + rng.randint(1, 2)}
+            replays(state, program, rng, _draw_stop)
+    record({"x": F(0)}, Var("x"), [])
+    return records
+
+
+def test_run_outcomes_are_pinned():
+    # one sha256 over repr of (outcome, trace) of every run, or the type and
+    # message of what it raised: seeded generated programs (passing and
+    # failing tests, choices, loops run 0-2 times, numeric and closed-form
+    # plants) and stop-model scripts on m2, m3, m4 and the drag plant, each
+    # run as drawn, replayed from its list, cut short by one decision and
+    # given one surplus decision; taken before `run` passed bare states
+    records = _pinned_run_records()
+    text = "\n".join(records)
+    for shown in ("Final(", "Aborted(", "'ode'", "ScriptError: script "
+                  "exhausted", "ScriptError: surplus", "TypeError: not a "
+                  "program"):
+        assert shown in text, shown
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest \
+        == "7facc18e72e6e30bc304d33c5cd7daf6fa6582a51820a31c60085d00b395ed94"
