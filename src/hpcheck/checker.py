@@ -55,7 +55,7 @@ from .semantics import (
     Aborted, Branch, Duration, Final, LoopCount, NotBlockwise, RandomValue,
     _fol_closure, _ratio_term, _reduced, affine, block_cmp, block_term,
     compile_fol, eval_fol, eval_term, exact_view, is_exact, on_rows,
-    pair_view, plant_of, run, to_term,
+    pair_view, plant_of, run, spell_decision, to_term,
 )
 from .syntax import (
     FORMULA_OPS, PROGRAM_OPS, And, Assign, BoolLit, Box, Choice, Cmp,
@@ -145,11 +145,17 @@ class Counterexample:
     """A certificate: the values of the quantified variables and one choice
     script per modality that the replay of the matrix decides by a run, in
     the order `certify` takes them.  `certify` needs nothing else; it sets
-    `trace` and `numeric_only`."""
+    `trace`, the steps of the runs the replay kept, which `numeric_only`
+    reads: a certificate never certified has none, and reads exact."""
     assignment: dict
     scripts: list
     trace: list = field(default_factory=list)
-    numeric_only: bool = False
+
+    @property
+    def numeric_only(self) -> bool:
+        """Whether a state of the replayed trace holds a float: RK4 ran."""
+        return any(not is_exact(v)
+                   for step in self.trace for v in step.state.values())
 
     def to_json(self):
         return {
@@ -161,33 +167,31 @@ class Counterexample:
 
 
 def _decision_json(decision):
-    if isinstance(decision, Branch):
-        return {"branch": decision.side}
-    if isinstance(decision, RandomValue):
-        return {"value": str(decision.value)}
-    if isinstance(decision, Duration):
-        return {"duration": str(decision.value)}
-    if isinstance(decision, LoopCount):
-        return {"loop": decision.count}
-    raise TypeError(decision)
+    """{keyword: argument}: a loop count as a JSON number, any other
+    argument as its str."""
+    keyword, argument = spell_decision(decision)
+    return {keyword: argument if keyword == "loop" else str(argument)}
 
 
-def _modalities(formula, table) -> bool:
+def _modalities(formula, table, modalities=None) -> bool:
     """Whether the operands of `formula`, read left to right, reach a
     modality (True) or an inner quantifier (None) first, or neither
     (False).  The same goes into `table`, by id, for each of its nodes and
-    its modalities' posts but the leaves, in one walk that leaves the nodes
-    of programs out."""
+    its modalities' posts but the leaves, and each modality, outer before
+    inner, into the list `modalities` if given, in one walk that leaves the
+    nodes of programs and of inner quantifiers out."""
     kind = type(formula)
     if kind is Not:
-        flag = _modalities(formula.inner, table)
+        flag = _modalities(formula.inner, table, modalities)
     elif kind in FORMULA_OPS:
-        flag = _modalities(formula.left, table)
-        right = _modalities(formula.right, table)
+        flag = _modalities(formula.left, table, modalities)
+        right = _modalities(formula.right, table, modalities)
         if flag is False:
             flag = right
     elif kind is Box or kind is Diamond:
-        _modalities(formula.post, table)
+        if modalities is not None:
+            modalities.append(formula)
+        _modalities(formula.post, table, modalities)
         flag = True
     elif kind is Forall or kind is Exists:
         flag = None
@@ -254,19 +258,19 @@ class _Engine:
     of `program`, which a pair search with an ODE carries.  Without it, an
     obligation with a numeric plant, the interpreter evaluates them on
     each state's exact view, the pins read each state's pair view, each
-    plant evolves by its evolve, and `constants` is None.  `check` decides
-    a one-pass matrix a block at a time, and compiles these closures only
-    for the scripts of a row that hits."""
+    plant evolves by its evolve, and `constants` is None.  `modal` is the
+    matrix's modality table from `check`'s one walk (see _modalities).
+    `check` decides a one-pass matrix a block at a time, and compiles these
+    closures only for the scripts of a row that hits."""
 
-    def __init__(self, obligation: Obligation, config: SearchConfig,
+    def __init__(self, obligation: Obligation, config: SearchConfig, modal,
                  constants, pairs, live):
         self.obligation = obligation
         self.config = config
+        self.modal = modal  # the matrix's table; see _modalities
         self.constants = constants
         self.pairs = pairs
         self.live = live
-        self.modal = {}  # see _modalities
-        _modalities(obligation.split()[1], self.modal)
         self.stats = Stats()
         self.candidate = 0  # the index of the candidate being decided
         self._rng = None
@@ -699,7 +703,10 @@ def _rows(blocks):
 
 class _Replayer:
     """Walks the obligation's own matrix at its polarity and takes the
-    certificate's scripts in the order the search lists them."""
+    certificate's scripts in the order the search lists them.  It walks the
+    matrix for its modality table itself, so the replay trusts nothing the
+    search computed.  `trace` keeps the steps of every run the verdict
+    rests on; a failed left operand's runs are rolled back."""
 
     def __init__(self, scripts, matrix):
         self.scripts = scripts
@@ -707,12 +714,9 @@ class _Replayer:
         _modalities(matrix, self.modal)
         self.position = 0
         self.trace = []
-        self.numeric_only = False
 
     def replay(self, state, formula, target) -> bool:
         if not _has_modality(self.modal, formula):
-            if any(not is_exact(v) for v in state.values()):
-                self.numeric_only = True
             return eval_fol(state, formula) == target
         if isinstance(formula, Not):
             return self.replay(state, formula.inner, not target)
@@ -722,14 +726,13 @@ class _Replayer:
             if both_needed:
                 return (self.replay(state, left, target)
                         and self.replay(state, right, target))
-            position, steps, numeric_only = \
-                self.position, len(self.trace), self.numeric_only
+            position, steps = self.position, len(self.trace)
             try:
                 if self.replay(state, left, target):
                     return True
             except Exception:
                 pass  # a left operand that raises has failed
-            self.position, self.numeric_only = position, numeric_only
+            self.position = position
             del self.trace[steps:]
             return self.replay(state, right, target)
         if self.position >= len(self.scripts) \
@@ -743,8 +746,6 @@ class _Replayer:
             self.trace.extend(trace)
             if not isinstance(outcome, Final):
                 return False
-            if any(not is_exact(v) for v in outcome.state.values()):
-                self.numeric_only = True
             return self.replay(outcome.state, formula.post, target)
         if isinstance(formula, Box):
             return False
@@ -763,10 +764,10 @@ def certify(counterexample: Counterexample, obligation: Obligation) -> bool:
 
     Reads only the obligation, the assignment and the scripts; returns True
     iff the obligation's matrix evaluates to the polarity the verdict
-    claims and every script is used.  When a non-closed-form ODE forces
-    floating point, that part of the replay is plain float evaluation and
-    the certificate is marked `numeric_only` (`"exact": false` in its
-    JSON).
+    claims and every script is used, and then sets its `trace`.  When a
+    non-closed-form ODE forces floating point, that part of the replay is
+    plain float evaluation, the trace holds the floats, and the certificate
+    reads `numeric_only` (`"exact": false` in its JSON).
     """
     target = obligation.kind == FIND_WITNESS
     state = {}
@@ -785,7 +786,6 @@ def certify(counterexample: Counterexample, obligation: Obligation) -> bool:
     if not ok or replayer.position != len(counterexample.scripts):
         return False
     counterexample.trace = replayer.trace
-    counterexample.numeric_only = replayer.numeric_only
     return True
 
 
@@ -802,7 +802,8 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
     target = obligation.kind == FIND_WITNESS
     quantified, matrix = obligation.split()
     matrix_vars = obligation.matrix_variables
-    modalities = list(_modal_nodes(matrix))
+    modal, modalities = {}, []
+    _modalities(matrix, modal, modalities)
     programs = [modality.program for modality in modalities]
     assigned = set().union(*map(assigned_variables, programs))
     uncovered = matrix_vars.difference(obligation.fixed_constants, quantified,
@@ -840,7 +841,7 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
                  if k not in assigned and k not in quantified}
     if not (constants and pairs):
         constants = None
-    engine = _Engine(obligation, config, constants, pairs,
+    engine = _Engine(obligation, config, modal, constants, pairs,
                      pairs and bool(odes))
     stats, budget = engine.stats, config.budget
 
@@ -866,7 +867,7 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
         # a variable the searched do not give, as a goal binds its own
         fixed = {k: v for k, v in base.items() if k not in search_vars}
         try:
-            decide_block = _block_decider(matrix, target, engine.modal, fixed)
+            decide_block = _block_decider(matrix, target, modal, fixed)
         except (NotBlockwise, UnsupportedObligation):
             pass  # the engine loop decides, and raises where it does
     if decide_block is not None:
@@ -916,20 +917,6 @@ def check(obligation: Obligation, config: SearchConfig = SearchConfig()) -> Verd
 
     status = NO_WITNESS_FOUND if target else NOT_FALSIFIED
     return Verdict(status, None, stats, obligation, config.seed)
-
-
-def _modal_nodes(matrix):
-    """Every modality in the matrix."""
-    stack = [matrix]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Box, Diamond)):
-            yield node
-            stack.append(node.post)
-        elif isinstance(node, Not):
-            stack.append(node.inner)
-        elif type(node) in FORMULA_OPS:
-            stack.extend((node.left, node.right))
 
 
 def _first_order_goal(modality) -> bool:

@@ -596,6 +596,20 @@ class LoopCount(Node):
             raise ValueError("negative loop count")
 
 
+# The one spelling of a decision, in script files and certificate JSON:
+# keyword -> (decision class, reader of its argument).
+DECISIONS = {"loop": (LoopCount, int), "value": (RandomValue, Fraction),
+             "branch": (Branch, str), "duration": (Duration, Fraction)}
+
+
+def spell_decision(decision):
+    """(keyword, argument) of a decision; TypeError for anything else."""
+    for keyword, (kind, _) in DECISIONS.items():
+        if isinstance(decision, kind):
+            return keyword, decision.fields[0]
+    raise TypeError(decision)
+
+
 def parse_script(text: str) -> list:
     """Parse a decision-per-line script file.
 
@@ -612,35 +626,18 @@ def parse_script(text: str) -> list:
         if len(parts) != 2:
             raise ScriptError(f"line {lineno}: expected 'keyword argument'")
         keyword, arg = parts
+        if keyword not in DECISIONS:
+            raise ScriptError(f"line {lineno}: unknown keyword {keyword!r}")
+        kind, read = DECISIONS[keyword]
         try:
-            if keyword == "loop":
-                decisions.append(LoopCount(int(arg)))
-            elif keyword == "value":
-                decisions.append(RandomValue(Fraction(arg)))
-            elif keyword == "branch":
-                decisions.append(Branch(arg))
-            elif keyword == "duration":
-                decisions.append(Duration(Fraction(arg)))
-            else:
-                raise ScriptError(f"line {lineno}: unknown keyword {keyword!r}")
+            decisions.append(kind(read(arg)))
         except (ValueError, ZeroDivisionError) as exc:
             raise ScriptError(f"line {lineno}: {exc}") from None
     return decisions
 
 
 def format_script(decisions) -> str:
-    lines = []
-    for d in decisions:
-        if isinstance(d, LoopCount):
-            lines.append(f"loop {d.count}")
-        elif isinstance(d, RandomValue):
-            lines.append(f"value {d.value}")
-        elif isinstance(d, Branch):
-            lines.append(f"branch {d.side}")
-        elif isinstance(d, Duration):
-            lines.append(f"duration {d.value}")
-        else:
-            raise TypeError(d)
+    lines = ["%s %s" % spell_decision(d) for d in decisions]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -23,7 +23,8 @@ from hpcheck.obligations import (
 )
 from hpcheck.parser import parse_formula, parse_program, parse_term
 from hpcheck.semantics import (
-    Branch, RandomValue, _ratio_term, eval_fol, eval_term, pair_view,
+    Branch, Duration, LoopCount, RandomValue, _ratio_term, eval_fol,
+    eval_term, format_script, pair_view, parse_script,
 )
 from hpcheck.syntax import (
     ODE, And, Box, Choice, Cmp, Diamond, Exists, Forall, Iff, Implies, Loop,
@@ -629,6 +630,62 @@ def test_draw_after_a_numeric_plant():
             "exact": False,
         },
     }
+
+
+def test_a_failed_numeric_left_operand_leaves_the_certificate_exact():
+    # the replay takes the one script for the numeric left diamond first,
+    # whose RK4 run leaves floats and whose post fails; the run is rolled
+    # back with the left operand, so only the closed-form right run's
+    # exact steps stay in the trace
+    ob = close("(<{x' = -x / 4}> x > 100) | "
+               "(<{p' = w, w' = 1, t' = 1 & t <= 1}> p >= x)", FIND_WITNESS,
+               {v: (F(-1), F(1)) for v in ("x", "p", "w")})
+    verdict = check(ob, SearchConfig(budget=2000))
+    assert verdict.to_json()["certificate"] == {
+        "assignment": {"p": "-1", "w": "-1", "x": "-1"},
+        "scripts": [[{"duration": "0"}]],
+        "exact": True,
+    }
+    assert verdict.status == WITNESS_FOUND
+    assert [step.label for step in verdict.counterexample.trace] == [
+        "init", "ode"]
+
+
+def test_a_float_overwritten_after_rk4_leaves_the_certificate_numeric():
+    # the run's end state is exact again, but RK4 ran in the replay
+    ob = close("<{x' = -x / 4}; x := 0> x = 0", FIND_WITNESS,
+               {"x": (F(-1), F(1))})
+    verdict = check(ob, SearchConfig(budget=100))
+    assert verdict.status == WITNESS_FOUND
+    assert verdict.to_json()["certificate"]["exact"] is False
+
+
+def test_a_certificate_never_certified_is_exact():
+    cex = Counterexample({"x": F(1)}, [[Branch("left")]])
+    assert not cex.numeric_only
+    assert cex.to_json()["exact"] is True
+
+
+def test_each_decision_kind_round_trips_through_script_and_json():
+    # one table spells a decision in script files and certificate JSON
+    decisions = [LoopCount(3), RandomValue(F(-9, 5)), Branch("left"),
+                 Duration(F(1, 3))]
+    assert [type(d) for d in decisions] == [
+        kind for kind, _ in semantics.DECISIONS.values()]
+    blobs = []
+    for decision in decisions:
+        assert parse_script(format_script([decision])) == [decision]
+        blob = json.loads(json.dumps(checker._decision_json(decision)))
+        [(keyword, argument)] = blob.items()
+        kind, read = semantics.DECISIONS[keyword]
+        assert kind(read(argument)) == decision
+        blobs.append(blob)
+    assert blobs == [{"loop": 3}, {"value": "-9/5"}, {"branch": "left"},
+                     {"duration": "1/3"}]
+    with pytest.raises(TypeError):
+        format_script([Branch("left"), F(1)])
+    with pytest.raises(TypeError):
+        checker._decision_json(F(1))
 
 
 # ---------------------------------------------------------------------------

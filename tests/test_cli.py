@@ -724,16 +724,19 @@ def test_check_psi_needs_zeta_iter(capsys):
     assert err == "error: psi needs an invariant named zeta_iter\n"
 
 
+def _decision_from_json(keyword, argument):
+    kind, read = semantics.DECISIONS[keyword]
+    return kind(read(argument))
+
+
 def _certificate_from_json(blob):
     """The Counterexample a certificate's JSON describes: Fractions from
-    their strings, one decision per JSON object."""
+    their strings, one decision per JSON object, read by the package's
+    decision table."""
     from fractions import Fraction
     from hpcheck.checker import Counterexample
-    kinds = {"branch": semantics.Branch, "loop": semantics.LoopCount,
-             "value": lambda text: semantics.RandomValue(Fraction(text)),
-             "duration": lambda text: semantics.Duration(Fraction(text))}
-    scripts = [[kinds[key](arg) for decision in script
-                for key, arg in decision.items()]
+    scripts = [[_decision_from_json(*pair) for decision in script
+                for pair in decision.items()]
                for script in blob["scripts"]]
     assignment = {k: Fraction(v) for k, v in blob["assignment"].items()}
     return Counterexample(assignment, scripts)

@@ -87,12 +87,20 @@ def test_parse_script_decimal_is_exact():
 
 
 def test_parse_script_rejects_garbage():
-    with pytest.raises(ScriptError):
-        parse_script("teleport 3")
-    with pytest.raises(ScriptError):
-        parse_script("branch sideways")
-    with pytest.raises(ScriptError):
-        parse_script("loop")
+    # the whole message, for arity, an unknown keyword and each argument
+    # reader's ValueError or ZeroDivisionError
+    for text, message in [
+            ("loop", "expected 'keyword argument'"),
+            ("teleport 3", "unknown keyword 'teleport'"),
+            ("loop x", "invalid literal for int() with base 10: 'x'"),
+            ("loop -1", "negative loop count"),
+            ("value x", "Invalid literal for Fraction: 'x'"),
+            ("value 1/0", "Fraction(1, 0)"),
+            ("duration -1", "negative duration"),
+            ("branch sideways", "branch side must be 'left' or 'right'")]:
+        with pytest.raises(ScriptError) as caught:
+            parse_script(f"# a comment\n\n{text}\n")
+        assert str(caught.value) == f"line 3: {message}", text
 
 
 def test_run_script_kind_mismatch():
