@@ -30,6 +30,8 @@ from .syntax import (
 
 # States are plain dicts: name -> Fraction (exact) or float (approximate);
 # in the search, an exact value is a (numerator, denominator > 0) int pair.
+# eval_fol decides a comparison of exact values on such pairs, unreduced,
+# and any other by eval_term's Fraction/float arithmetic.
 State = dict
 
 
@@ -96,12 +98,66 @@ _CMP = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
         ">": operator.gt, "=": operator.eq, "!=": operator.ne}
 
 
+class _Inexact(Exception):
+    """A term that _pair leaves to eval_term."""
+
+
+def _pair(state: State, term):
+    """(numerator, denominator > 0) of `term` in `state`, unreduced, read
+    from its Fraction and int values; _Inexact when it reads another value
+    or lacks one, divides by 0 or meets a node it does not know."""
+    kind = type(term)
+    if kind is Var:
+        value = state.get(term.name)
+        if type(value) is Fraction or type(value) is int:
+            return value.as_integer_ratio()
+        raise _Inexact
+    if kind is Num:
+        return term.value.as_integer_ratio()
+    if kind is Mul:
+        a, b = _pair(state, term.left)
+        c, d = _pair(state, term.right)
+        return a * c, b * d
+    if kind is Sub:
+        a, b = _pair(state, term.left)
+        c, d = _pair(state, term.right)
+        return a * d - c * b, b * d
+    if kind is Add:
+        a, b = _pair(state, term.left)
+        c, d = _pair(state, term.right)
+        return a * d + c * b, b * d
+    if kind is Div:
+        a, b = _pair(state, term.num)
+        c, d = _pair(state, term.den)
+        if c > 0:
+            return a * d, b * c
+        if c < 0:
+            return -a * d, -b * c
+        raise _Inexact
+    if kind is Pow:
+        a, b = _pair(state, term.base)
+        return a ** term.exp, b ** term.exp
+    if kind is Neg:
+        a, b = _pair(state, term.inner)
+        return -a, b
+    raise _Inexact
+
+
 def eval_fol(state: State, formula) -> bool:
-    """Truth of a quantifier-free, modality-free formula in a state."""
+    """Truth of a quantifier-free, modality-free formula in a state.  A
+    comparison of exact values is decided on their int pairs, unreduced
+    and cross-multiplied, with no Fraction built; any other (a float, a
+    missing variable, a zero divisor) falls back to eval_term's
+    Fraction/float arithmetic and raises as eval_term raises."""
     kind = type(formula)
     if kind is Cmp:
-        return _CMP[formula.op](eval_term(state, formula.left),
-                                eval_term(state, formula.right))
+        try:
+            a, b = _pair(state, formula.left)
+            c, d = _pair(state, formula.right)
+        except _Inexact:
+            return _CMP[formula.op](eval_term(state, formula.left),
+                                    eval_term(state, formula.right))
+        return _CMP[formula.op](a * d, c * b)
     if kind is And:
         return eval_fol(state, formula.left) and eval_fol(state, formula.right)
     if kind is Not:

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from gen import (
-    VAR_POOL, closed_form_state, random_ode, random_program, random_term,
+    VAR_POOL, closed_form_state, is_fol, is_quantifier_free, random_formula,
+    random_ode, random_program, random_term,
 )
 from golden import SAMPLE_CONSTANTS
 from hpcheck import semantics
@@ -23,8 +24,8 @@ from hpcheck.semantics import (
     max_admissible_duration, parse_script, polynomial, run, to_term,
 )
 from hpcheck.syntax import (
-    ODE, Add, BoolLit, Div, Mul, Neg, Num, Pow, Seq, Sub, Var, conjuncts,
-    free_variables,
+    ODE, Add, BoolLit, Cmp, Div, Mul, Neg, Not, Num, Pow, Seq, Sub, Var,
+    conjuncts, free_variables,
 )
 
 
@@ -69,6 +70,77 @@ def test_eval_fol_rejects_quantifiers_and_modalities():
         eval_fol({"x": F(0)}, parse_formula("forall x x = 0"))
     with pytest.raises(QuantifierInFormula):
         eval_fol({"x": F(0)}, parse_formula("[x := 1] x = 1"))
+
+
+def _pinned_fol_records():
+    """repr of eval_fol's truth value, or the type and message of what it
+    raised, for each case of test_eval_fol_outcomes_are_pinned."""
+    rng = random.Random(31)
+    records = []
+    while len(records) < 2000:
+        formula = random_formula(rng, 3)
+        if not (is_fol(formula) and is_quantifier_free(formula)):
+            continue
+        if rng.random() < 0.2:  # unreduced sums and Div chains of to_term
+            formula = _map_cmps(formula, lambda cmp: Cmp(
+                cmp.op, to_term(polynomial(cmp.left)),
+                to_term(polynomial(cmp.right))))
+        state = {}
+        for name in VAR_POOL:
+            n, d = rng.randint(-6, 6), rng.choice((1, 2, 3, 4))
+            kind = rng.random()
+            state[name] = (n if kind < 0.25 else n / (5 * d) if kind < 0.35
+                           else F(n, d))
+        if rng.random() < 0.4:  # a vanishing divisor
+            state[rng.choice(VAR_POOL)] = rng.choice((F(0), 0, 0.0))
+        if rng.random() < 0.1:
+            del state[rng.choice(VAR_POOL)]
+        exact = {name: Fraction(value) for name, value in state.items()}
+
+        def tight(cmp):
+            # the right side is the left's exact value, which a float's
+            # rounding misses
+            try:
+                return Cmp(cmp.op, cmp.left, Num(eval_term(exact, cmp.left)))
+            except (ZeroDivisionError, UndeclaredVariable):
+                return cmp
+        if rng.random() < 0.3:
+            formula = _map_cmps(formula, tight)
+        try:
+            records.append(repr(eval_fol(state, formula)))
+        except (ZeroDivisionError, UndeclaredVariable, OverflowError) as exc:
+            records.append(f"{type(exc).__name__}: {exc}")
+    return records
+
+
+def _map_cmps(formula, change):
+    if isinstance(formula, Cmp):
+        return change(formula)
+    if isinstance(formula, Not):
+        return Not(_map_cmps(formula.inner, change))
+    if isinstance(formula, BoolLit):
+        return formula
+    return type(formula)(_map_cmps(formula.left, change),
+                         _map_cmps(formula.right, change))
+
+
+def test_eval_fol_outcomes_are_pinned():
+    # one sha256 over the truth value of eval_fol, or the type and message
+    # of what it raised, on 2 000 seeded quantifier-free formulas, some
+    # with their comparisons rebuilt by to_term and some comparing a term
+    # with its exact value, in states that mix Fractions, ints and floats,
+    # set a variable to an exact or a float zero (so that divisors vanish)
+    # and lack a variable; taken before eval_fol decided exact comparisons
+    # on int pairs
+    records = _pinned_fol_records()
+    text = "\n".join(records)
+    for shown in ("True", "False", "ZeroDivisionError: Fraction(",
+                  "ZeroDivisionError: float division by zero",
+                  "UndeclaredVariable: "):
+        assert shown in text, shown
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest \
+        == "2a911d6b1f76dfa7bfc764bdc9ff9e4f747758b1f3212e1ca02d1b721d0edf77"
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +197,37 @@ def test_run_aborted_leaves_surplus_unconsumed():
     prog = parse_program("?x = 1; y := *")
     outcome, _ = run({"x": F(0), "y": F(0)}, prog, [RandomValue(F(5))])
     assert isinstance(outcome, Aborted)
+
+
+def test_run_test_reading_an_undeclared_variable():
+    with pytest.raises(UndeclaredVariable, match="^y$"):
+        run({"x": F(3, 2)}, parse_program("?x < y"), [])
+
+
+def test_run_test_dividing_by_zero_raises_fractions_message():
+    # the message Fraction gives the quotient's exact numerator, x or 4 x
+    for test, numerator in (("?x / (y - y) > 0", F(6, 4)),
+                            ("?0 < x * 4 / (y - y) + 1", F(6))):
+        with pytest.raises(ZeroDivisionError) as want:
+            numerator / F(0)
+        with pytest.raises(ZeroDivisionError) as got:
+            run({"x": F(6, 4), "y": F(2)}, parse_program(test), [])
+        assert str(got.value) == str(want.value), test
+
+
+def test_run_decides_tests_on_the_float_state_of_a_drag_evolve():
+    program = parse_program(
+        "{x' = v, v' = a - v / 4 & v >= 0}; ?x <= 1/2 & v * v > 4/5")
+    kinds = []
+    for k in range(1, 9):
+        outcome, trace = run({"x": F(0), "v": F(1), "a": F(0)}, program,
+                             [Duration(F(k, 8))])
+        x, v = trace[-1].state["x"], trace[-1].state["v"]
+        assert type(x) is float and type(v) is float
+        assert type(outcome) is (Final if x <= F(1, 2) and v * v > F(4, 5)
+                                 else Aborted)
+        kinds.append(type(outcome).__name__[0])
+    assert "".join(kinds) == "FFFAAAAA"
 
 
 # ---------------------------------------------------------------------------
