@@ -8,11 +8,14 @@ spelling, precedence and associativity of each binary operator are in
 any of them, and quantifiers and modalities extend to the right as far as
 possible.  `#` starts a line comment.
 
-Text is tokenized in one regular-expression pass and parsed in one pass
-without backtracking.  Binary operators are parsed by precedence climbing
-over those tables (Pratt, "Top Down Operator Precedence", 1973).  A
-`(` where a formula may start opens a term when the tokens up to its
-matching `)` can all occur in a term, and a formula otherwise.
+Text is split into its token strings in one regular-expression pass and
+parsed in one pass without backtracking; a token's kind is read from its
+text.  Binary operators are parsed by precedence climbing over those
+tables (Pratt, "Top Down Operator Precedence", 1973).  A `(` where a
+formula may start opens a term when the tokens up to its matching `)` can
+all occur in a term, and a formula otherwise.  The parser keeps no
+positions: when it raises a ParseError, `tokenize` runs again over the
+same text and gives the line and column of the token at fault.
 """
 
 from __future__ import annotations
@@ -56,31 +59,38 @@ class ParseError(Exception):
 
 KEYWORDS = {"true", "false", "forall", "exists", "if", "then", "fi"}
 
-# Each match is (the blanks and comments before a token, the token): a
-# number, a name, an operator, a newline, any other character (an error) or
-# the empty string at the end of the text.
-_TOKEN_RE = re.compile(r"""
-    ((?:[^\S\n]|\#[^\n]*)*)
-    (\d+(?:\.\d+)?
-    | [A-Za-z_][A-Za-z0-9_]*
-    | <-> | -> | := | <= | >= | != | \+\+ | [()\[\]{}<>=!&|;,?*+\-/^':]
-    | \n | . | \Z)
-""", re.VERBOSE)
+_OPERATOR_CHARS = "()[]{}<>=!&|;,?*+-/^':"
+_OPERATOR_STARTS = frozenset(_OPERATOR_CHARS)
 
-# A token's kind by its first character; any other token is a number when
-# it starts with a non-ASCII decimal digit, else an unexpected character.
-_KINDS = {**dict.fromkeys(string.digits, "num"),
-          **dict.fromkeys(string.ascii_letters + "_", "ident"),
-          **dict.fromkeys("()[]{}<>=!&|;,?*+-/^':", "op")}
+# A token: a number, a name (keywords included) or an operator.
+_TOKEN = r"""\d+(?:\.\d+)?
+    | [A-Za-z_][A-Za-z0-9_]*
+    | <-> | -> | := | <= | >= | != | \+\+ | [""" + re.escape(_OPERATOR_CHARS) + "]"
+
+# Each match is (the blanks and comments before a token, the token): a
+# token, a newline, any other character (an error) or the empty string at
+# the end of the text.
+_TOKEN_RE = re.compile(r"((?:[^\S\n]|\#[^\n]*)*)(" + _TOKEN + r"| \n | . | \Z)",
+                       re.VERBOSE)
+
+# Each match is a token after the blanks, newlines and comments before it,
+# the empty string at the end of the text, or all the text from an
+# unexpected character on.
+_TEXT_RE = re.compile(r"(?:\s|\#[^\n]*)*(" + _TOKEN + r"| \Z | .[\s\S]*)",
+                      re.VERBOSE)
+
+# The first characters of tokens; a token may also start with a non-ASCII
+# decimal digit, and any other character is unexpected.
+_TOKEN_STARTS = frozenset(string.ascii_letters + string.digits + "_") \
+    | _OPERATOR_STARTS
 
 
 class Token:
-    """A token: kind 'num', 'ident', 'op' (keywords included) or 'eof', its
-    text, and where it starts (offset, line and column)."""
-    __slots__ = ("kind", "text", "start", "line", "column")
+    """A token: its text, empty at the end of the text, and where it starts
+    (offset, line and column)."""
+    __slots__ = ("text", "start", "line", "column")
 
-    def __init__(self, kind, text, start, line, column):
-        self.kind = kind
+    def __init__(self, text, start, line, column):
         self.text = text
         self.start = start
         self.line = line
@@ -93,7 +103,7 @@ class Token:
 
 
 def tokenize(text: str, line_offset: int = 0, column_offset: int = 0) -> list:
-    """The tokens of `text`, ending with an 'eof' token.  The text starts at
+    """The tokens of `text`, ending with an empty one.  The text starts at
     line 1 + `line_offset`, with its first line shifted by `column_offset`
     columns."""
     tokens = []
@@ -109,17 +119,31 @@ def tokenize(text: str, line_offset: int = 0, column_offset: int = 0) -> list:
             continue
         if not value:  # the end of the text
             break
-        kind = _KINDS.get(value[0]) or ("num" if value[0].isdecimal() else None)
-        if kind is None:
+        if value[0] not in _TOKEN_STARTS and not value[0].isdecimal():
             raise ParseError(f"unexpected character {value!r}",
                              SourceSpan(start, start + 1, line,
                                         start - line_start + 1))
-        if kind == "ident" and value in KEYWORDS:
-            kind = "op"
-        tokens.append(Token(kind, value, start, line, start - line_start + 1))
+        tokens.append(Token(value, start, line, start - line_start + 1))
         start += len(value)
-    tokens.append(Token("eof", "", len(text), line, len(text) - line_start + 1))
+    tokens.append(Token("", len(text), line, len(text) - line_start + 1))
     return tokens
+
+
+def _token_texts(text: str, line_offset: int, column_offset: int) -> list:
+    """The texts of `tokenize(text, line_offset, column_offset)`, which
+    raises the same error on an unexpected character."""
+    texts = _TEXT_RE.findall(text)
+    if len(texts) > 1:
+        first = texts[-2][:1]  # of the last token or of the unexpected rest
+        if not first:  # the end matched after trailing blanks and at itself
+            texts.pop()
+        elif first not in _TOKEN_STARTS and not first.isdecimal():
+            tokenize(text, line_offset, column_offset)
+    return texts
+
+
+def _is_name(token: str) -> bool:
+    return token.isidentifier() and token not in KEYWORDS
 
 
 def _number(text: str) -> Fraction:
@@ -141,49 +165,61 @@ _FORMULA_PREFIXES = frozenset(("!", "forall", "exists", "[", "<"))
 
 
 class _Parser:
-    """Recursive descent with precedence climbing over a token list; the
-    current token is `tok`.  For the checks of a model, `names` collects
-    the free variables of what is parsed (`syntax.free_variables`), and
-    `divisors` the divisor of each `Div` that has a variable, with its
-    first token."""
+    """Recursive descent with precedence climbing over the token texts of
+    `text`, which starts at line 1 + `line_offset` with its first line
+    shifted by `column_offset` columns; the current token is `tok`, at
+    index `pos`, and the empty string ends the text.  A token that is an
+    identifier but no keyword is a name, one that starts with a decimal
+    digit a number, and any other an operator.  For the checks of a model,
+    `names` collects the free variables of what is parsed
+    (`syntax.free_variables`), and `divisors` each `Div` that has a
+    variable as (its divisor, this parser, the index of its first
+    token)."""
 
-    def __init__(self, tokens, names=None, divisors=None):
-        self.tokens = tokens
+    def __init__(self, text, line_offset=0, column_offset=0, names=None,
+                 divisors=None):
+        self.text = text
+        self.offsets = line_offset, column_offset
+        self.tokens = _token_texts(text, line_offset, column_offset)
         self.pos = 0
-        self.tok = tokens[0]
+        self.tok = self.tokens[0]
         self.names = set() if names is None else names
         self.divisors = [] if divisors is None else divisors
 
-    def advance(self) -> Token:
-        # never called on the eof token: callers match the token first
+    def advance(self) -> str:
+        # never called on the end of the text: callers match the token first
         tok = self.tok
         self.pos += 1
         self.tok = self.tokens[self.pos]
         return tok
 
     def accept(self, text: str):
-        if self.tok.text == text:
+        if self.tok == text:
             return self.advance()
         return None
 
-    def expect(self, text: str) -> Token:
-        if self.tok.text != text:
-            self.fail(f"expected {text!r}, got {self.tok.text!r}")
+    def expect(self, text: str) -> str:
+        if self.tok != text:
+            self.fail(f"expected {text!r}, got {self.tok!r}")
         return self.advance()
 
-    def fail(self, message: str, tok=None):
-        raise ParseError(message, (tok or self.tok).span)
+    def span(self, index: int) -> SourceSpan:
+        """Where token `index` is, worked out again from the text."""
+        return tokenize(self.text, *self.offsets)[index].span
+
+    def fail(self, message: str, index=None):
+        raise ParseError(message, self.span(self.pos if index is None else index))
 
     def binary(self, operand, ops, floor=1):
         """Operands joined by the operators of `ops` of precedence `floor`
         or more."""
         left = operand(self)
         while True:
-            op = ops.get(self.tok.text)
+            op = ops.get(self.tok)
             if op is None or op[0] < floor:
                 return left
             self.advance()
-            first = self.tok
+            first = self.pos
             right = self.binary(operand, ops, op[1])
             if op[2] is Div:
                 left = self.divide(left, right, first)
@@ -197,36 +233,36 @@ class _Parser:
 
     def term_unary(self) -> Term:
         tok = self.tok
-        if tok.kind == "ident":
+        if _is_name(tok):
             self.advance()
-            self.names.add(tok.text)
-            base = Var(tok.text)
-        elif tok.kind == "num":
+            self.names.add(tok)
+            base = Var(tok)
+        elif tok[:1].isdecimal():
             self.advance()
-            base = Num(_number(tok.text))
-        elif tok.text == "-":
+            base = Num(_number(tok))
+        elif tok == "-":
             self.advance()
-            if self.tok.kind != "num":
+            if not self.tok[:1].isdecimal():
                 return Neg(self.term_unary())
-            base = Num(-_number(self.advance().text))
-        elif tok.text == "(":
+            base = Num(-_number(self.advance()))
+        elif tok == "(":
             self.advance()
             base = self.term()
             self.expect(")")
         else:
-            self.fail(f"expected term, got {tok.text!r}")
-        if self.tok.text != "^":
+            self.fail(f"expected term, got {tok!r}")
+        if self.tok != "^":
             return base
         self.advance()
         exp = self.tok
-        if exp.kind != "num" or "." in exp.text:
+        if not exp[:1].isdecimal() or "." in exp:
             self.fail("exponent must be a natural number literal")
         self.advance()
-        return Pow(base, int(exp.text))
+        return Pow(base, int(exp))
 
-    def divide(self, num: Term, den: Term, first: Token) -> Term:
+    def divide(self, num: Term, den: Term, first: int) -> Term:
         if not isinstance(den, Num):
-            self.divisors.append((den, first))
+            self.divisors.append((den, self, first))
         elif den.value == 0:
             self.fail("division by zero constant", first)
         elif isinstance(num, Num):
@@ -240,31 +276,31 @@ class _Parser:
 
     def formula_unary(self) -> Formula:
         tok = self.tok
-        if tok.text not in _FORMULA_PREFIXES:
+        if tok not in _FORMULA_PREFIXES:
             return self.formula_atom()
         self.advance()
-        if tok.text == "!":
+        if tok == "!":
             return Not(self.formula_unary())
-        if tok.text == "[":
+        if tok == "[":
             prog = self.program()
             self.expect("]")
             return Box(prog, self.formula())
-        if tok.text == "<":
+        if tok == "<":
             prog = self.program()
             self.expect(">")
             return Diamond(prog, self.formula())
         var = self.tok
-        if var.kind != "ident":
+        if not _is_name(var):
             self.fail("expected quantified variable name")
         self.advance()
         outer, self.names = self.names, set()
         body = self.formula()
-        outer |= self.names - {var.text}  # the quantifier binds its variable
+        outer |= self.names - {var}  # the quantifier binds its variable
         self.names = outer
-        return (Forall if tok.text == "forall" else Exists)(var.text, body)
+        return (Forall if tok == "forall" else Exists)(var, body)
 
     def formula_atom(self) -> Formula:
-        text = self.tok.text
+        text = self.tok
         if text == "true":
             self.advance()
             return TRUE
@@ -277,7 +313,7 @@ class _Parser:
             self.expect(")")
             return inner
         left = self.term()
-        op = self.tok.text
+        op = self.tok
         if op not in CMP_OPS:
             self.fail(f"expected comparison operator, got {op!r}")
         self.advance()
@@ -289,14 +325,14 @@ class _Parser:
         depth = 0
         for i in range(self.pos, len(self.tokens)):
             tok = self.tokens[i]
-            if tok.text == "(":
+            if tok == "(":
                 depth += 1
-            elif tok.text == ")":
+            elif tok == ")":
                 depth -= 1
                 if depth == 0:
                     return True
-            elif tok.kind == "op" and tok.text not in _TERM_OPS \
-                    and tok.text != "^":
+            elif tok in KEYWORDS or tok[:1] in _OPERATOR_STARTS \
+                    and tok not in _TERM_OPS and tok != "^":
                 return False
         return True  # unbalanced: the term reports the missing `)`
 
@@ -313,17 +349,17 @@ class _Parser:
 
     def program_primary(self) -> Program:
         tok = self.tok
-        if tok.kind == "ident":
+        if _is_name(tok):
             self.advance()
-            self.names.add(tok.text)
+            self.names.add(tok)
             self.expect(":=")
             if self.accept("*"):
-                return RandomAssign(tok.text)
-            return Assign(tok.text, self.term())
-        if tok.text == "?":
+                return RandomAssign(tok)
+            return Assign(tok, self.term())
+        if tok == "?":
             self.advance()
             return Test(self.formula())
-        if tok.text == "if":
+        if tok == "if":
             self.advance()
             self.expect("(")
             cond = self.formula()
@@ -332,58 +368,60 @@ class _Parser:
             body = self.program()
             self.expect("fi")
             return desugar_if(cond, body)
-        if tok.text == "(":
+        if tok == "(":
             self.advance()
             inner = self.program()
             self.expect(")")
             return inner
-        if tok.text == "{":
-            # ODE if the brace is followed by `ident '`, else a program group
+        if tok == "{":
+            # ODE if the brace is followed by `name '`, else a program group
             after = self.tokens[self.pos + 1]
-            if after.kind == "ident" and self.tokens[self.pos + 2].text == "'":
+            if _is_name(after) and self.tokens[self.pos + 2] == "'":
                 return self.ode()
             self.advance()
             inner = self.program()
             self.expect("}")
             return inner
-        self.fail(f"expected program, got {tok.text!r}")
+        self.fail(f"expected program, got {tok!r}")
 
     def ode(self) -> Program:
         self.expect("{")
         equations = []
         while True:
             name = self.tok
-            if name.kind != "ident":
+            if not _is_name(name):
                 self.fail("expected ODE variable")
             self.advance()
-            self.names.add(name.text)
+            self.names.add(name)
             self.expect("'")
             self.expect("=")
-            equations.append((name.text, self.term()))
+            equations.append((name, self.term()))
             if not self.accept(","):
                 break
         domain = TRUE
         if self.accept("&"):
             domain = self.formula()
-        close = self.expect("}")
+        close = self.pos
+        self.expect("}")
         try:
             return ODE(tuple(equations), domain)
         except ValueError as exc:
-            raise ParseError(str(exc), close.span) from None
+            message = str(exc)
+        self.fail(message, close)
 
     def done(self):
-        if self.tok.kind != "eof":
-            self.fail(f"unexpected trailing input {self.tok.text!r}")
+        if self.tok:
+            self.fail(f"unexpected trailing input {self.tok!r}")
 
 
 def _parse(parse, text: str, line_offset=0, column_offset=0, names=None,
            divisors=None):
     """`parse` (an unbound _Parser method) over all of `text`."""
-    p = _Parser(tokenize(text, line_offset, column_offset), names, divisors)
+    p = _Parser(text, line_offset, column_offset, names, divisors)
     try:
         out = parse(p)
     except RecursionError:  # the descent is as deep as the nesting
-        raise ParseError("nesting too deep", p.tok.span) from None
+        raise ParseError("nesting too deep", p.span(p.pos)) from None
     p.done()
     return out
 
@@ -414,39 +452,49 @@ _SECTION_RE = re.compile(r"^(" + "|".join(MANDATORY_SECTIONS + OPTIONAL_SECTIONS
 
 def split_sections(text: str) -> list:
     """A sectioned `.hpmodel` document as its raw sections, each [keyword,
-    argument, body as (line number, text) pairs, line number]."""
+    argument, body as (line number, text) pairs, line number].  A keyword
+    line holds only its keyword, or INVARIANT and the invariant's name."""
     sections = []
     current = None
-    offset = 0
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    lines = text.split("\n")
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].rstrip()
         m = _SECTION_RE.match(stripped)
         if m is not None:
-            current = [m.group(1), m.group(2).strip(), [], lineno]
+            keyword, arg = m.group(1), m.group(2).strip()
+            if arg and keyword != "INVARIANT":
+                raise ParseError(f"unexpected {arg!r} after {keyword}",
+                                 _line_span(lines, lineno, m.end(1)))
+            current = [keyword, arg, [], lineno]
             sections.append(current)
         elif stripped.strip():
             if current is None:
-                span = SourceSpan(offset, offset + len(line), lineno, 1)
-                raise ParseError("content before first section keyword", span)
+                raise ParseError("content before first section keyword",
+                                 _line_span(lines, lineno))
             current[2].append((lineno, stripped))
-        offset += len(line) + 1
-    seen = {}
+    seen = set()
     for keyword, arg, _, lineno in sections:
-        if keyword == "INVARIANT":
-            if not arg:
-                raise ParseError("INVARIANT requires a name",
-                                 SourceSpan(0, 0, lineno, 1))
-            key = ("INVARIANT", arg)
-        else:
-            key = (keyword, None)
-        if key in seen:
+        if keyword == "INVARIANT" and not arg:
+            raise ParseError("INVARIANT requires a name",
+                             _line_span(lines, lineno))
+        if (keyword, arg) in seen:
             raise ParseError(f"duplicate section {keyword} {arg}".strip(),
-                             SourceSpan(0, 0, lineno, 1))
-        seen[key] = True
+                             _line_span(lines, lineno))
+        seen.add((keyword, arg))
     for keyword in MANDATORY_SECTIONS:
-        if (keyword, None) not in seen:
+        if (keyword, "") not in seen:
             raise ParseError(f"missing section {keyword}", SourceSpan(0, 0, 1, 1))
     return sections
+
+
+def _line_span(lines: list, lineno: int, start: int = 0) -> SourceSpan:
+    """The span, as offsets in the document of `lines`, from the first
+    non-blank character of line `lineno` at or after index `start` to the
+    end of the line."""
+    line = lines[lineno - 1]
+    first = len(line) - len(line[start:].lstrip())
+    offset = sum(map(len, lines[:lineno - 1])) + lineno - 1
+    return SourceSpan(offset + first, offset + len(line), lineno, first + 1)
 
 
 def _section_text(section) -> str:
@@ -477,7 +525,8 @@ def parse_model(text: str, name: str = "model"):
     parts = {}
     warnings = []
     names = set()  # the free variables of every formula and program
-    divisors = []  # (divisor, its first token) of each Div with a variable
+    divisors = []  # (divisor, parser, index of its first token) of each Div
+    # with a variable
     for section in split_sections(text):
         keyword = section[0]
         if keyword == "CONSTANTS":
@@ -486,21 +535,17 @@ def parse_model(text: str, name: str = "model"):
                 if "=" not in decl:
                     raise ParseError("expected `name = value` in CONSTANTS",
                                      _field_span(line, lineno, 0))
-                cname, _, value_text = decl.partition("=")
+                cname = decl.partition("=")[0]
                 ident = cname.strip()
                 if not (ident.isidentifier() and ident.isascii()) \
                         or ident in KEYWORDS:
                     raise ParseError(f"expected a constant name, got {ident!r}",
                                      _field_span(line, lineno, 0, len(cname)))
-                value = _parse(_Parser.term, value_text, lineno - 1,
-                               len(cname) + 1)
-                if not isinstance(value, Num):
-                    value = Num(_const_value(value, line, lineno, len(cname) + 1,
-                                             len(decl)))
+                value = _literal(line, lineno, len(cname) + 1, len(decl))
                 constraint = (_parse(_Parser.formula, constraint_text, lineno - 1,
                                      len(decl) + 1, names, divisors)
                               if constraint_text.strip() else TRUE)
-                constants.append(Constant(ident, value.value, constraint))
+                constants.append(Constant(ident, value, constraint))
                 value_places[ident] = line, lineno, len(cname) + 1, len(decl)
             broken = broken_constraint(
                 constants, {c.name: c.value for c in constants})
@@ -563,18 +608,27 @@ def _field_span(line: str, lineno: int, start: int, end=None) -> SourceSpan:
     return SourceSpan(start, end, lineno, start + 1)
 
 
-def _const_value(term, line: str, lineno: int, start: int, end: int) -> Fraction:
-    """The value of `term`, parsed from line[start:end]."""
+# A signed ASCII integer, or one over a nonzero ASCII integer
+_RATIO_RE = re.compile(r"\s*(-?[0-9]+)(?:\s*/\s*(0*[1-9][0-9]*))?\s*")
+
+
+def _literal(line: str, lineno: int, start: int, end: int) -> Fraction:
+    """The value of the rational literal line[start:end]: a signed integer
+    or a ratio of integers is read without a parse."""
+    m = _RATIO_RE.fullmatch(line, start, end)
+    if m is None:
+        return _parsed_literal(line, lineno, start, end)
+    return Fraction(int(m[1]), int(m[2] or 1))
+
+
+def _parsed_literal(line: str, lineno: int, start: int, end: int) -> Fraction:
+    """The value of the term line[start:end]."""
+    term = _parse(_Parser.term, line[start:end], lineno - 1, start)
     try:
         return Fraction(eval_term({}, term))
     except Exception:
         raise ParseError("constant value must be a rational literal",
                          _field_span(line, lineno, start, end)) from None
-
-
-def _literal(line: str, lineno: int, start: int, end: int) -> Fraction:
-    term = _parse(_Parser.term, line[start:end], lineno - 1, start)
-    return _const_value(term, line, lineno, start, end)
 
 
 def _check_domains(model, declared, domain_spans, warnings):
@@ -591,12 +645,12 @@ def _check_domains(model, declared, domain_spans, warnings):
 def _check_divisors(model, divisors):
     constrained = {c.name for c in model.constants if _has_sign_constraint(c)}
     rationals = set(model.constant_values())
-    for den, first in divisors:
+    for den, parser, first in divisors:
         for v in sorted(free_variables(den)):
             if v not in rationals:
-                raise ParseError(f"division by non-constant {v!r}", first.span)
+                parser.fail(f"division by non-constant {v!r}", first)
             if v not in constrained:
-                raise ParseError(f"unconstrained divisor {v!r}", first.span)
+                parser.fail(f"unconstrained divisor {v!r}", first)
 
 
 def _has_sign_constraint(constant) -> bool:

@@ -8,8 +8,8 @@ import pytest
 from gen import random_formula, random_program, random_term
 from hpcheck.models import MODEL_IDS, builtin
 from hpcheck.parser import (
-    ParseError, _Parser, parse_formula, parse_model, parse_program, parse_term,
-    split_sections, tokenize,
+    ParseError, _Parser, _literal, _parsed_literal, parse_formula, parse_model,
+    parse_program, parse_term, split_sections, tokenize,
 )
 from hpcheck.printer import print_formula, print_program, print_term
 from hpcheck.syntax import (
@@ -145,14 +145,10 @@ def _token_deletions(text):
                 yield "\n".join(mutant)
 
 
-def test_parse_outcomes_are_pinned():
-    # the repr of each parse, or ParseError without its message, over the
-    # bundled models, the round-trip tests' printed formulas and programs,
-    # and the 714 single-token deletions from the bundled models (45 parse);
-    # re-derived when CONSTANTS names had to be identifiers, which turned the
-    # 9 deletions of a constant's name from a parse into a ParseError, and
-    # when the unread Model field plant_ode went: each model's repr lost its
-    # `, plant_ode=...` and nothing else moved
+def _pinned_parse_inputs():
+    """(parse, text) for each input of the parse pins: the bundled models,
+    the round-trip tests' printed formulas and programs, and the 714
+    single-token deletions from the bundled models (45 parse)."""
     models = [builtin(m).source for m in MODEL_IDS]
     inputs = [(parse_model, text) for text in models]
     for seed in range(8):
@@ -166,9 +162,17 @@ def test_parse_outcomes_are_pinned():
                    for _ in range(200)]
     mutants = [m for text in models for m in _token_deletions(text)]
     assert len(mutants) == 714
-    inputs += [(parse_model, text) for text in mutants]
+    return inputs + [(parse_model, text) for text in mutants]
+
+
+def test_parse_outcomes_are_pinned():
+    # the repr of each parse, or ParseError without its message; re-derived
+    # when CONSTANTS names had to be identifiers, which turned the 9
+    # deletions of a constant's name from a parse into a ParseError, and
+    # when the unread Model field plant_ode went: each model's repr lost its
+    # `, plant_ode=...` and nothing else moved
     digest = hashlib.sha256()
-    for parse, text in inputs:
+    for parse, text in _pinned_parse_inputs():
         try:
             outcome = repr(parse(text))
         except ParseError:
@@ -176,6 +180,52 @@ def test_parse_outcomes_are_pinned():
         digest.update(outcome.encode() + b"\0")
     assert digest.hexdigest() == (
         "5d810d6d25433b5c5b7ffb272474bcd6ffd44e47d0ae6aaa216ca809495d0f0f")
+
+
+def test_parse_error_places_are_pinned():
+    # the message, line and column of each input of the parse pins that
+    # raises, which the outcome pin records only as ParseError
+    digest = hashlib.sha256()
+    raised = 0
+    for parse, text in _pinned_parse_inputs():
+        try:
+            parse(text)
+        except ParseError as exc:
+            raised += 1
+            place = (exc.message, exc.span.line, exc.span.column)
+            digest.update(repr(place).encode() + b"\0")
+    assert raised == 669
+    assert digest.hexdigest() == (
+        "c8f4917866306c6397112dd09e8c8f447f073a0d9368a89544cc1dc59c387ecb")
+
+
+_SOUP = ["x", "v2", "_a", "true", "fi", "12", "007", "1.5", "1.", ".5", "٣",
+         "é", "@", "$", "# note", "#", "\n", " ", "\t", "\r", "\x0c",
+         "\u2028", "<->", "->", ":=", "<=", ">=", "!=", "++", "<", "-", "+",
+         "*", "/", "^", "(", ")", "[", "]", "{", "}", "'", "=", "!", "&",
+         "|", ";", ",", "?", ":"]
+
+
+def _tokens_or_error(tokens_of, text):
+    try:
+        return tokens_of(text)
+    except ParseError as exc:
+        return exc.message, exc.span
+
+
+def test_parser_tokens_are_tokenize_texts():
+    # the parser's token strings and the positional tokens of tokenize, on
+    # the inputs of the parse pins and on seeded soups of token pieces,
+    # blanks, comments and unexpected characters: the same texts, or the
+    # same error at the same place
+    rng = random.Random(5)
+    texts = [text for _, text in _pinned_parse_inputs()]
+    texts += ["".join(rng.choices(_SOUP, k=rng.randint(0, 12)))
+              for _ in range(3000)]
+    for text in texts:
+        assert _tokens_or_error(lambda t: _Parser(t, 2, 5).tokens, text) == \
+            _tokens_or_error(lambda t: [tok.text for tok in tokenize(t, 2, 5)],
+                             text), repr(text)
 
 
 def test_round_trip_terms_sampled():
@@ -331,6 +381,72 @@ def test_section_errors_count_blank_and_comment_lines():
     assert _error_at(text) == ("expected term, got ''", 23, 12)
 
 
+def test_text_after_a_section_keyword_is_an_error():
+    # each was once dropped without a word, or read as the next line's
+    assert _error_at(M2.replace("CONSTANTS\n", "CONSTANTS T = 9\n")) == (
+        "unexpected 'T = 9' after CONSTANTS", 4, 11)
+    assert _error_at(M2.replace("INIT\n", "INIT v = 1\n")) == (
+        "unexpected 'v = 1' after INIT", 17, 6)
+    assert _error_at(M2.replace("RELATION\n", "RELATION xc >= 100\n")) == (
+        "unexpected 'xc >= 100' after RELATION", 41, 10)
+    assert _error_at(M2.replace("GUARANTEE\n  x <= xc", "GUARANTEE x <= xc")) \
+        == ("unexpected 'x <= xc' after GUARANTEE", 20, 11)
+    # a comment after a keyword is no text
+    parse_model(M2.replace("RELATION\n", "RELATION  # how xc may move\n"))
+
+
+def test_section_errors_span_their_line():
+    def place(text):
+        with pytest.raises(ParseError) as info:
+            split_sections(text)
+        span = info.value.span
+        return (info.value.message, span.line, span.column,
+                text[span.start:span.end])
+    assert place(M2.replace("INVARIANT zeta2", "INVARIANT")) == (
+        "INVARIANT requires a name", 38, 1, "INVARIANT")
+    assert place(M2.replace("INVARIANT zeta2", "INVARIANT zeta1")) == (
+        "duplicate section INVARIANT zeta1", 38, 1, "INVARIANT zeta1")
+    assert place(M2.replace("DOMAINS", "INIT")) == (
+        "duplicate section INIT", 17, 1, "INIT")
+    assert place("\n   stray text  # note\n" + M2) == (
+        "content before first section keyword", 2, 4, "stray text  # note")
+    with pytest.raises(ParseError) as info:
+        split_sections(M2.replace("INVARIANT zeta2", "INVARIANT"))
+    assert (info.value.span.start, info.value.span.end) == (650, 659)
+
+
+@pytest.mark.parametrize("text", [
+    "0", "-0", "007", " -12 ", "5/4", "-5/4", "5/0", "1.5", "- 1", "+1",
+    "1_000", "٣", "2^2", " 12 / 008 ", "0/0", "-5/-4", "5/ 4", "\t3\x0c"])
+def test_literal_reads_as_its_parse(text):
+    _assert_literal_reads_as_its_parse(text)
+
+
+def test_random_literals_read_as_their_parse():
+    rng = random.Random(3)
+    pieces = ["", "", " ", "-", "- ", "+", "/", " / ", "/-", ".", "^2 ", "0",
+              "00", "7", "٣", "_", "x"]
+    for _ in range(2000):
+        text = "".join(rng.choice(pieces) if rng.random() < 0.4
+                       else str(rng.randint(0, 10 ** rng.randint(0, 12)))
+                       for _ in range(rng.randint(1, 5)))
+        _assert_literal_reads_as_its_parse(text)
+
+
+def _assert_literal_reads_as_its_parse(text):
+    # a DOMAINS bound or CONSTANTS value read by _literal, which skips the
+    # parse of a plain integer or ratio, and by the full parse of its term
+    line = "  lo = " + text + "  "
+    outcomes = []
+    for read in (_literal, _parsed_literal):
+        try:
+            value = read(line, 9, 6, len(line))
+            outcomes.append((type(value), value))
+        except ParseError as exc:
+            outcomes.append((exc.message, exc.span))
+    assert outcomes[0] == outcomes[1], text
+
+
 def test_divisor_errors_point_at_the_divisor():
     # ENV, line 24: `xc := *; ?xc - x >= v^2 / (2 * anmin)`
     assert _error_at(M2.replace("v^2 / (2 * anmin)", "v^2 / (2 * v)")) == (
@@ -355,6 +471,15 @@ def test_a_term_before_a_parenthesized_formula_is_rejected():
         parse_program("?x (y = 1)")
 
 
+def test_an_unclosed_parenthesis_of_terms_is_missing_its_paren():
+    # a `(` with only term tokens up to the end opens a term
+    for text, column in (("(x + 1", 7), ("(x", 3), ("((x) + 1 <= 2", 14)):
+        with pytest.raises(ParseError) as info:
+            parse_formula(text)
+        assert (info.value.message, info.value.span.column) == (
+            "expected ')', got ''", column)
+
+
 def test_parser_collects_the_free_variables():
     # parse_model's DOMAINS check reads the names the parser collects in
     # place of syntax.free_variables
@@ -363,6 +488,6 @@ def test_parser_collects_the_free_variables():
         for parse, text in (
                 (_Parser.formula, print_formula(random_formula(rng, 5))),
                 (_Parser.program, print_program(random_program(rng, 4)))):
-            p = _Parser(tokenize(text))
+            p = _Parser(text)
             node = parse(p)
             assert p.names == free_variables(node), text
